@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..core import Database, Table
 from ..core.column import AIRColumn, DictColumn, FixedColumn, StringColumn
 from ..engine.executor import AStoreEngine, EngineOptions
@@ -28,7 +30,9 @@ def materialize_universal(db: Database, root: Optional[str] = None,
     *db* must be AIR-loaded (``db.airify()``): the gathers that build the
     wide columns are positional.  Foreign-key (AIR) columns are dropped —
     a denormalized table has no use for them — and dimension key columns
-    are kept (queries may still filter on them).
+    are kept (queries may still filter on them).  The wide table keeps
+    the root's row count and its deletion vector: a row deleted from the
+    root is deleted from the wide table too.
     """
     roots = [root] if root is not None else db.roots()
     if len(roots) != 1:
@@ -70,6 +74,7 @@ def materialize_universal(db: Database, root: Optional[str] = None,
         leaf = path.leaf
         for source_name in db.table(leaf).column_names:
             add(leaf, source_name)
+    universal.delete(np.flatnonzero(~db.table(root_name).live_mask()))
 
     wide = Database(f"{db.name}_denormalized")
     wide.add_table(universal)

@@ -38,7 +38,9 @@ alone.  ``query
 breakdowns plus the prune verdict counts (blocks skipped / fully
 accepted / scanned, and whether the cost gate bypassed the verdict
 pass; with ``--repeat N`` the last, warm execution is reported:
-near-zero leaf time on a plan-cache hit).  ``compact`` runs the
+near-zero leaf time on a plan-cache hit; with ``--backend process`` it
+also prints the shard-task traffic: tasks, task bytes, plan ships and
+plan misses).  ``compact`` runs the
 maintenance re-sort that restores a table's declared clustering after
 streaming appends and MVCC churn (the serve layer accepts the same
 operation as a ``{"compact": table}`` admin request).  ``bench``
@@ -57,7 +59,7 @@ from typing import Optional, Sequence
 from .bench import best_of, format_table, ms
 from .core.statistics import validate_references
 from .datagen import generate_ssb, generate_tpcds, generate_tpch
-from .engine import AStoreEngine, VARIANTS
+from .engine import AStoreEngine, ProcessShardBackend, VARIANTS
 from .engine.operators import BACKENDS
 from .errors import AStoreError
 from .io import dump_csv, load_database, save_database
@@ -395,6 +397,9 @@ def _dispatch(args) -> int:
                 return 0
             for _ in range(max(1, args.repeat)):
                 result = engine.query(args.sql)
+            backend = engine._shard_backend
+            traffic = (backend.traffic()
+                       if isinstance(backend, ProcessShardBackend) else None)
         shown = result.rows()[: args.limit]
         print(format_table(
             f"{len(result)} rows ({result.stats.total_seconds * 1e3:.2f} ms,"
@@ -427,6 +432,9 @@ def _dispatch(args) -> int:
             summary = stats.cache_summary()
             if summary:
                 print(f"cache: {summary}")
+            if traffic is not None:
+                print("shard tasks: " + ", ".join(
+                    f"{name}={count}" for name, count in traffic.items()))
         if args.csv:
             dump_csv(result, args.csv)
             print(f"wrote {args.csv}")

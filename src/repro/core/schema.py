@@ -282,6 +282,32 @@ def _key_to_position(key_column, fk_values) -> np.ndarray:
             )
         except KeyError as exc:
             raise SchemaError(f"dangling foreign key value {exc.args[0]!r}") from None
+    dense = _dense_key_positions(keys, fk_values)
+    if dense is not None:
+        return dense
+    return _sorted_key_positions(keys, fk_values)
+
+
+def _dense_key_positions(keys: np.ndarray,
+                         fk_values: np.ndarray) -> Optional[np.ndarray]:
+    """Positions for integer keys ``k0, k0+1, …, k0+n-1`` in order — the
+    surrogate-key layout of every generated dimension — where a key's
+    position is its offset ``fk - k0``; ``None`` for any other layout."""
+    if (len(keys) == 0 or keys.dtype.kind not in "iu"
+            or fk_values.dtype.kind not in "iu"
+            or not bool((np.diff(keys) == 1).all())):
+        return None
+    positions = fk_values.astype(np.int64) - int(keys[0])
+    dangling = (positions < 0) | (positions >= len(keys))
+    if dangling.any():
+        raise SchemaError(
+            f"dangling foreign key value {fk_values[dangling][0]!r}")
+    return positions
+
+
+def _sorted_key_positions(keys: np.ndarray,
+                          fk_values: np.ndarray) -> np.ndarray:
+    """Positions for arbitrary fixed-width keys, by binary search."""
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     slots = np.searchsorted(sorted_keys, fk_values)

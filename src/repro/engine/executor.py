@@ -69,6 +69,7 @@ from .sharding import (
     LeafProducts,
     ProcessShardBackend,
     PruneCounters,
+    RowBase,
     acquire_shard_backend,
     build_predicate_filter,
     fold_outcomes,
@@ -600,7 +601,7 @@ class AStoreEngine:
 
     # -- column-wise execution ------------------------------------------------
 
-    def _run_column_scan(self, bound: BoundQuery, base: np.ndarray,
+    def _run_column_scan(self, bound: BoundQuery, base: RowBase,
                          stats: ExecutionStats) -> QueryResult:
         dispatcher = MorselDispatcher(self.options.parallel_backend)
         counters = PruneCounters()
@@ -637,7 +638,7 @@ class AStoreEngine:
 
     # -- row-wise execution ---------------------------------------------------
 
-    def _run_row_scan(self, bound: BoundQuery, base: np.ndarray,
+    def _run_row_scan(self, bound: BoundQuery, base: RowBase,
                       stats: ExecutionStats) -> QueryResult:
         """Chunked row-wise scan: materialize the full tuple, then filter.
 
@@ -680,7 +681,7 @@ class AStoreEngine:
 
     # -- projection (pure SPJ) ------------------------------------------------
 
-    def _run_projection(self, bound: BoundQuery, base: np.ndarray,
+    def _run_projection(self, bound: BoundQuery, base: RowBase,
                         stats: ExecutionStats) -> QueryResult:
         dispatcher = MorselDispatcher("serial")
         counters = PruneCounters()
@@ -757,7 +758,7 @@ class AStoreEngine:
                 self._shard_backend = None
         release_shard_backend(backend)
 
-    def _run_sharded(self, bound: BoundQuery, base: np.ndarray,
+    def _run_sharded(self, bound: BoundQuery, base: RowBase,
                      stats: ExecutionStats) -> QueryResult:
         """Run the bound plan over horizontal shards in worker processes.
 

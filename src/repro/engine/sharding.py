@@ -36,10 +36,11 @@ import multiprocessing
 import pickle
 import threading
 import weakref
+from collections import OrderedDict
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,14 +73,22 @@ from .operators import (
 )
 from .slice import RowRange, dimension_provider, universal_provider
 
+#: A query's visible root-table rows: a contiguous band, or sorted row ids.
+RowBase = Union[RowRange, np.ndarray]
+
 
 def visible_positions(db: Database, root: str,
-                      snapshot: Optional[int] = None) -> np.ndarray:
-    """Visible root-table row ids (live now, or at an MVCC *snapshot*)."""
+                      snapshot: Optional[int] = None) -> RowBase:
+    """Visible root-table rows (live now, or at an MVCC *snapshot*).
+
+    Without deletes and without a snapshot every physical row is
+    visible, so the base is the band ``RowRange(0, num_rows)`` — no
+    per-query row-id array.  Only after a delete or at a snapshot does
+    the base become a sorted array of live row ids."""
     table = db.table(root)
     if snapshot is not None or table.has_deletes:
         return np.flatnonzero(table.live_mask(snapshot)).astype(np.int64)
-    return np.arange(table.num_rows, dtype=np.int64)
+    return RowRange(0, table.num_rows)
 
 
 def baseline_filter_steps(logical: LogicalPlan,
@@ -430,19 +439,18 @@ class BoundQuery:
 
     # -- data binding --------------------------------------------------------
 
-    def base_positions(self, db: Database) -> np.ndarray:
-        """Visible root-table row ids (live now, or at the MVCC snapshot)."""
+    def base_positions(self, db: Database) -> RowBase:
+        """Visible root-table rows (live now, or at the MVCC snapshot):
+        a :class:`~repro.engine.slice.RowRange` band unless deletes or a
+        snapshot force a row-id array (see :func:`visible_positions`)."""
         return visible_positions(db, self.logical.root, self.snapshot)
 
-    def morsel(self, db: Database, positions: np.ndarray,
-               full: bool = False) -> Morsel:
-        """A morsel over *positions*; ``full=True`` marks the identity
-        case (every physical root row, in order), which lets the
-        provider serve zero-copy column views and the first refinement
-        skip its position gather."""
-        if full:
-            return Morsel(None, universal_provider(
-                db, self.logical.root, self.logical.paths, None))
+    def morsel(self, db: Database,
+               positions: Union[None, RowRange, np.ndarray]) -> Morsel:
+        """A morsel over *positions*: ``None`` is the identity morsel
+        (every physical root row, in order — zero-copy column views, and
+        the first refinement skips its position gather), a ``RowRange``
+        a contiguous band (still views), an array a positional gather."""
         return Morsel(positions, universal_provider(
             db, self.logical.root, self.logical.paths, positions))
 
@@ -668,26 +676,30 @@ class BoundQuery:
         if self.prune_enabled:
             self._block_states(db)
 
-    def prune_base(self, db: Database, base: np.ndarray,
+    def prune_base(self, db: Database, base: RowBase,
                    counters: Optional[PruneCounters] = None):
-        """Drop base positions whose zone block cannot pass the filters.
+        """Drop base rows whose zone block cannot pass the filters.
 
-        Returns ``(surviving_positions, accept_mask, ranges)``.  For the
-        identity base (no deletes — the common cold scan) the survivors
-        come back as *ranges*: ``[(row_start, row_stop, accepted), …]``
-        runs of kept blocks, never materialized as position arrays, so
-        morsels over them keep zero-copy contiguous column views
-        (``accepted`` runs are additionally proven to pass every filter
-        by zone map alone).  Otherwise ``ranges`` is ``None`` and the
-        survivors are a filtered position array with an aligned
-        ``accept_mask`` (or ``None``).  Counters (block units) feed
-        ``ExecutionStats``.
+        Returns ``(surviving_positions, accept_mask, ranges)``.  An
+        identity base (a ``RowRange`` — no deletes, the common scan)
+        always comes back as *ranges* ``[(row_start, row_stop,
+        accepted), …]``: the runs of kept blocks when the verdicts
+        apply, the whole band ``[(0, n, False)]`` when pruning is off,
+        cost-gated or has nothing to act on.  Ranges are never
+        materialized as position arrays, so morsels over them keep
+        zero-copy contiguous column views (``accepted`` runs are
+        additionally proven to pass every filter by zone map alone).
+        For a row-id array base ``ranges`` is ``None`` and the survivors
+        are a filtered position array with an aligned ``accept_mask``
+        (or ``None``).  Counters (block units) feed ``ExecutionStats``.
         """
+        whole = ([(base.start, base.stop, False)]
+                 if isinstance(base, RowRange) else None)
         if not self.prune_enabled or len(base) == 0:
-            return base, None, None
+            return base, None, whole
         states, block_rows, gated, aux = self._block_states(db)
         if states is None:
-            return base, None, None
+            return base, None, whole
         nrows = db.table(self.logical.root).num_rows
         if gated:
             # the cost gate: too few skippable blocks to recoup the
@@ -697,13 +709,13 @@ class BoundQuery:
                 counters.blocks_scanned += len(states)
                 counters.gated += 1
                 counters.pruned = True
-            return base, None, None
+            return base, None, whole
         if bool((states == PRUNE_SCAN).all()):
             # nothing to skip or accept: stay off the hot path entirely
             if counters is not None:
                 counters.blocks_scanned += len(states)
                 counters.pruned = True
-            return base, None, None
+            return base, None, whole
         if counters is not None:
             counters.pruned = True
         ranged = len(base) == nrows
@@ -861,11 +873,13 @@ class BoundQuery:
     def _morsels_from_ranges(self, db: Database, ranges: Sequence[tuple],
                              parts: int, morsel_rows: int,
                              allow_identity: bool) -> List[Morsel]:
-        """Morsels over contiguous survivor bands.
+        """Morsels over contiguous bands (pruning survivors, or the whole
+        identity base as one band).
 
-        A lone piece carries a :class:`~repro.engine.slice.RowRange`, so
-        root-table column access stays zero-copy views — the pruned scan
-        pays per *surviving* row, not per visited position.  Consecutive
+        A piece covering the whole table is the identity morsel; any
+        other lone piece carries a :class:`~repro.engine.slice.RowRange`,
+        so root-table column access stays zero-copy views — a scan pays
+        per *surviving* row, not per visited position.  Consecutive
         short pieces coalesce into one position-array morsel per
         :data:`COALESCE_ROWS` rows (within a partition, so the degree of
         parallelism never drops below *parts*): gathering a few thousand
@@ -885,72 +899,64 @@ class BoundQuery:
         nrows = db.table(self.logical.root).num_rows
         morsels: List[Morsel] = []
         for group in groups:
-            accepted = all(a for _, _, a in group)
-            if len(group) == 1:
-                start, stop, _ = group[0]
-                if (len(groups) == 1 and stop - start == nrows
-                        and allow_identity):
-                    morsel = self.morsel(db, None, full=True)
-                elif allow_identity:
-                    rng = RowRange(start, stop)
-                    morsel = Morsel(rng, universal_provider(
-                        db, self.logical.root, self.logical.paths, rng))
-                else:
-                    positions = np.arange(start, stop, dtype=np.int64)
-                    morsel = self.morsel(db, positions)
-            else:
+            if len(group) > 1:
                 positions = np.concatenate(
                     [np.arange(s, e, dtype=np.int64) for s, e, _ in group])
-                morsel = self.morsel(db, positions)
-            morsel.prefiltered = accepted
+            else:
+                start, stop, _ = group[0]
+                if not allow_identity:
+                    positions = np.arange(start, stop, dtype=np.int64)
+                elif len(groups) == 1 and stop - start == nrows:
+                    positions = None
+                else:
+                    positions = RowRange(start, stop)
+            morsel = self.morsel(db, positions)
+            morsel.prefiltered = all(a for _, _, a in group)
             morsels.append(morsel)
         return morsels
 
-    def make_morsels(self, db: Database, base: np.ndarray,
-                     parts: int, morsel_rows: int,
-                     allow_identity: bool = True,
-                     prune: Optional[PruneCounters] = None,
-                     accept: Optional[np.ndarray] = None) -> List[Morsel]:
-        """Partition *base* into morsels, detecting the identity case.
-
-        ``base`` positions are always sorted unique root row ids, so a
-        single chunk covering every physical row *is* the identity
-        selection and gets the zero-copy provider.  ``allow_identity``
-        must be False for pipelines whose *outputs* could pass a fetched
-        slice through unchanged (projections): an identity provider's
-        slices are views of live column storage, and a result must never
-        alias buffers that later in-place updates rewrite.  Aggregating
-        pipelines always reduce into owned arrays, so they keep the
-        zero-copy fast path.
-
-        With *prune* the zone maps are consulted first: blocks no row of
-        which can pass are dropped, and morsels made entirely of
-        fully-accepted blocks are marked ``prefiltered`` so the filter
-        chain passes them through untouched.  Identity-base survivors
-        stay contiguous *ranges* (zero-copy views, see
-        :meth:`_morsels_from_ranges`); *accept* feeds a pre-pruned
-        accept mask in (the shard path, which prunes before partitioning
-        so every worker sees identical boundaries).
-        """
-        if prune is not None and accept is None:
-            base, accept, ranges = self.prune_base(db, base, prune)
-            if ranges is not None:
-                return self._morsels_from_ranges(db, ranges, parts,
-                                                 morsel_rows, allow_identity)
-        chunks = self._split(base, parts, morsel_rows)
+    def _position_morsels(self, db: Database, positions: np.ndarray,
+                          accept: Optional[np.ndarray], parts: int,
+                          morsel_rows: int) -> List[Morsel]:
+        """Morsels over a row-id array base (after deletes, or at a
+        snapshot); *accept* is the aligned prune accept mask, and a
+        morsel made entirely of accepted rows is ``prefiltered``."""
+        chunks = self._split(positions, parts, morsel_rows)
         accept_chunks = (self._split(accept, parts, morsel_rows)
                          if accept is not None else None)
-        nrows = db.table(self.logical.root).num_rows
-        full = (allow_identity and len(chunks) == 1
-                and len(chunks[0]) == nrows)
         morsels = []
         for i, chunk in enumerate(chunks):
-            morsel = self.morsel(db, chunk, full=full)
+            morsel = self.morsel(db, chunk)
             if (accept_chunks is not None
                     and bool(accept_chunks[i].all())):
                 morsel.prefiltered = True
             morsels.append(morsel)
         return morsels
+
+    def make_morsels(self, db: Database, base: RowBase,
+                     parts: int, morsel_rows: int,
+                     allow_identity: bool = True,
+                     prune: Optional[PruneCounters] = None) -> List[Morsel]:
+        """Prune *base* against the zone maps, then cut it into morsels.
+
+        Blocks no row of which can pass are dropped, and morsels made
+        entirely of fully-accepted blocks are marked ``prefiltered`` so
+        the filter chain passes them through untouched; *prune* collects
+        the block counters.  An identity base — pruned, cost-gated or
+        unpruned alike — stays contiguous *ranges* (zero-copy views, see
+        :meth:`_morsels_from_ranges`); only a row-id array base (deletes,
+        snapshots) becomes position morsels.  ``allow_identity`` must be
+        False for pipelines whose *outputs* could pass a fetched slice
+        through unchanged (projections): range slices are views of live
+        column storage, and a result must never alias buffers that later
+        in-place updates rewrite.  Aggregating pipelines always reduce
+        into owned arrays, so they keep the zero-copy fast path.
+        """
+        base, accept, ranges = self.prune_base(db, base, prune)
+        if ranges is not None:
+            return self._morsels_from_ranges(db, ranges, parts,
+                                             morsel_rows, allow_identity)
+        return self._position_morsels(db, base, accept, parts, morsel_rows)
 
     def referenced_columns(self) -> List[BoundColumn]:
         """Every column the full-tuple variants must materialize."""
@@ -985,17 +991,17 @@ class BoundQuery:
         """Rebuild the pipeline and run one horizontal shard to completion.
 
         Pruning happens *before* partitioning so every worker derives
-        the same surviving positions and therefore identical shard
+        the same surviving rows and therefore identical shard
         boundaries; block counters are reported by shard 0 only (all
-        shards compute the same verdicts).
+        shards compute the same verdicts).  An identity base partitions
+        as ranges, so each shard scans contiguous ``RowRange`` bands of
+        zero-copy views; only a row-id array base (deletes, snapshots)
+        is split positionally.
         """
         self.hydrate(db)
-        base = self.base_positions(db)
         counters = PruneCounters()
-        accept: Optional[np.ndarray] = None
-        ranges: Optional[List[tuple]] = None
-        if self.prune_enabled:
-            base, accept, ranges = self.prune_base(db, base, counters)
+        base, accept, ranges = self.prune_base(
+            db, self.base_positions(db), counters)
         if self.scan == "row":
             rows = self.chunk_rows
             factory = self.row_pipeline
@@ -1008,22 +1014,18 @@ class BoundQuery:
         allow_identity = self.scan != "projection"
         if ranges is not None:
             range_parts = self.partition_ranges(ranges, nshards)
-            if shard >= len(range_parts) and shard > 0:
+            if shard >= len(range_parts):  # shard 0 always runs
                 return ShardOutcome()
-            mine_ranges = (range_parts[shard]
-                           if shard < len(range_parts) else [])
-            morsels = self._morsels_from_ranges(db, mine_ranges, 1, rows,
-                                                allow_identity)
+            morsels = self._morsels_from_ranges(db, range_parts[shard], 1,
+                                                rows, allow_identity)
         else:
             parts = MorselDispatcher.partition(base, nshards)
             if shard >= len(parts):  # shard 0 always runs
                 return ShardOutcome()
-            mine = parts[shard]
             my_accept = (MorselDispatcher.partition(accept, nshards)[shard]
                          if accept is not None else None)
-            morsels = self.make_morsels(db, mine, 1, rows,
-                                        allow_identity=allow_identity,
-                                        accept=my_accept)
+            morsels = self._position_morsels(db, parts[shard], my_accept,
+                                             1, rows)
         state = self.reorder_state() if self.adaptive else None
         reorders_before = state.reorders if state is not None else 0
         results = MorselDispatcher("serial").run(morsels, factory)
@@ -1065,7 +1067,9 @@ class BaselineBoundQuery:
         return [*steps, ValueGather(self.logical)]
 
     def base_positions(self, db: Database) -> np.ndarray:
-        return visible_positions(db, self.logical.root)
+        # the baselines' hash-probe providers work on row ids only
+        base = visible_positions(db, self.logical.root)
+        return base.as_positions() if isinstance(base, RowRange) else base
 
     def morsel(self, db: Database, positions: np.ndarray) -> Morsel:
         from ..baselines.common import fact_provider
@@ -1172,25 +1176,38 @@ def merge_outcome_states(outcomes: Sequence[ShardOutcome]):
 
 @dataclass
 class ShardTask:
-    """One worker assignment: pickled plan + shard index.
+    """One worker assignment: a plan reference + shard index.
 
-    The parent pickles each plan *object* once (``plan_bytes``, memoized
-    per backend) so the expensive part — packed vectors, axes, hash
-    tables — is serialized a single time, not once per shard and not
-    once per query when the query cache serves the same bound plan
-    repeatedly; ``plan_seq`` is stable per plan object, letting a worker
-    that already deserialized it skip even the unpickling.
+    ``plan_seq`` names a plan object (stable per object, unique per
+    parent process); a worker that holds the hydrated plan runs the
+    shard from it, so a warm task is a descriptor of ~120 pickled bytes.
+    ``plan_bytes`` — the plan's pickle, serialized once per plan object
+    and memoized by the backend — rides only on a plan's first run and
+    on the resend after a :class:`PlanMiss`.
     """
 
-    plan_bytes: bytes
     plan_seq: int
     shard: int
     nshards: int
     use_array: Optional[bool] = None
+    plan_bytes: Optional[bytes] = None
 
+
+@dataclass(frozen=True)
+class PlanMiss:
+    """A worker's reply to a plan-reference task naming a plan it does
+    not hold (never shipped to it, or evicted from its LRU)."""
+
+    plan_seq: int
+
+
+#: Hydrated plans a shard worker keeps, least recently used evicted
+#: first.  A warm plan keeps its unpacked predicate vectors, prune
+#: memos and ``ReorderState`` across queries; the SSB rotation is 13.
+WORKER_PLAN_CAPACITY = 16
 
 _ATTACHED: Optional[AttachedDatabase] = None
-_PLAN_CACHE: Tuple[int, object] = (-1, None)
+_PLANS: "OrderedDict[int, object]" = OrderedDict()
 
 
 def _worker_attach(manifest) -> None:
@@ -1210,14 +1227,20 @@ def _worker_attach(manifest) -> None:
         cache.put("zone", store_key, value, stamps, value.nbytes)
 
 
-def _worker_run(task: ShardTask) -> ShardOutcome:
-    global _PLAN_CACHE
+def _worker_run(task: ShardTask) -> Union[ShardOutcome, PlanMiss]:
+    """Run one shard from the worker's plan LRU (pool workers are
+    single-threaded, so the LRU needs no lock)."""
     if _ATTACHED is None:  # pragma: no cover - initializer always runs
         raise ExecutionError("shard worker has no attached database")
-    seq, plan = _PLAN_CACHE
-    if seq != task.plan_seq:
-        plan = pickle.loads(task.plan_bytes)
-        _PLAN_CACHE = (task.plan_seq, plan)
+    plan = _PLANS.get(task.plan_seq)
+    if plan is not None:
+        _PLANS.move_to_end(task.plan_seq)
+    elif task.plan_bytes is None:
+        return PlanMiss(task.plan_seq)
+    else:
+        plan = _PLANS[task.plan_seq] = pickle.loads(task.plan_bytes)
+        while len(_PLANS) > WORKER_PLAN_CAPACITY:
+            _PLANS.popitem(last=False)
     return plan.run_shard(_ATTACHED.db, task.shard, task.nshards,
                           task.use_array)
 
@@ -1252,15 +1275,18 @@ class ProcessShardBackend:
         self.stamp = database_stamp(db)
         self.refs = 0
         self._registry_key: Optional[tuple] = None
-        # (seq, pickle) per live plan object: a cached BoundQuery served
-        # for the thousandth time ships the bytes serialized the first
-        # time — and keeps its ``plan_seq``, so workers that already
-        # hold the plan skip deserialization too.  Weak keys drop the
-        # memo with the plan.  The memo lock keeps concurrent serving
-        # threads from racing the lookup-then-serialize sequence.
+        # (seq, pickle) per live plan object: a cached BoundQuery keeps
+        # its ``plan_seq`` for life, so after its first run tasks name
+        # it by seq alone and the bytes serialized the first time are
+        # only resent to a worker that misses.  Weak keys drop the memo
+        # with the plan.  The memo lock keeps concurrent serving threads
+        # from racing the lookup-then-serialize sequence, and guards the
+        # task-traffic counters.
         self._plan_pickles: "weakref.WeakKeyDictionary" = (
             weakref.WeakKeyDictionary())
         self._memo_lock = threading.Lock()
+        self._traffic: Dict[str, int] = dict.fromkeys(
+            ("tasks", "task_bytes", "plan_ships", "plan_misses"), 0)
         # zone maps built so far ride in the segment: workers attach the
         # parent's summaries zero-copy instead of re-scanning columns
         # (summaries built after the export are rebuilt worker-side)
@@ -1292,23 +1318,38 @@ class ProcessShardBackend:
         """Run *plan* over ``nshards`` horizontal shards (default: one
         per worker); outcomes come back in shard order.  Thread-safe:
         concurrent callers multiplex over the one worker pool (the
-        pool's task queue interleaves their shard tasks)."""
+        pool's task queue interleaves their shard tasks).
+
+        Only a plan's first run on this backend ships its bytes; later
+        tasks name it by ``plan_seq``.  A worker that does not hold the
+        plan answers :class:`PlanMiss`, and that shard is resubmitted
+        once, with the bytes."""
         pool = self._pool
         if pool is None:
             raise ExecutionError("process shard backend is closed")
         nshards = nshards or self.workers
         with self._memo_lock:
             memo = self._plan_pickles.get(plan)
-            if memo is None:
+            first = memo is None
+            if first:
                 memo = (next(self._plan_seq),
                         pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL))
                 self._plan_pickles[plan] = memo
         seq, plan_bytes = memo
-        tasks = [ShardTask(plan_bytes, seq, shard, nshards, use_array)
+        tasks = [ShardTask(seq, shard, nshards, use_array,
+                           plan_bytes if first else None)
                  for shard in range(nshards)]
         try:
-            futures = [pool.submit(_worker_run, task) for task in tasks]
-            return [future.result() for future in futures]
+            outcomes = self._map(pool, tasks)
+            missed = [i for i, outcome in enumerate(outcomes)
+                      if isinstance(outcome, PlanMiss)]
+            if missed:
+                resent = self._map(
+                    pool, [replace(tasks[i], plan_bytes=plan_bytes)
+                           for i in missed], misses=len(missed))
+                for i, outcome in zip(missed, resent):
+                    outcomes[i] = outcome
+            return outcomes
         except BrokenProcessPool as exc:
             # a worker died mid-query: self-evict from the registry so
             # the next acquire exports a fresh pool, then raise the
@@ -1325,6 +1366,29 @@ class ProcessShardBackend:
                 raise ExecutionError(
                     "process shard backend is closed") from exc
             raise
+
+    def _map(self, pool: ProcessPoolExecutor, tasks: List[ShardTask],
+             misses: int = 0) -> list:
+        """Submit *tasks*, count their traffic, and wait for the
+        replies in task order (*misses*: the PlanMisses being resent)."""
+        sizes = [len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
+                 for task in tasks]
+        with self._memo_lock:
+            self._traffic["tasks"] += len(tasks)
+            self._traffic["task_bytes"] += sum(sizes)
+            self._traffic["plan_ships"] += sum(
+                task.plan_bytes is not None for task in tasks)
+            self._traffic["plan_misses"] += misses
+        futures = [pool.submit(_worker_run, task) for task in tasks]
+        return [future.result() for future in futures]
+
+    def traffic(self) -> Dict[str, int]:
+        """Task-traffic counters since the pool started: ``tasks``
+        submitted, their pickled ``task_bytes``, ``plan_ships`` (tasks
+        that carried plan bytes) and ``plan_misses`` (workers that did
+        not hold a referenced plan)."""
+        with self._memo_lock:
+            return dict(self._traffic)
 
     def _abandon(self) -> None:
         """Drop this (broken) backend from the shared registry; current
@@ -1370,6 +1434,7 @@ _REGISTRY_LOCK = threading.RLock()
 GUARDED_BY = {
     "_SHARED_BACKENDS": "_REGISTRY_LOCK",
     "ProcessShardBackend.refs": "_REGISTRY_LOCK",
+    "ProcessShardBackend._traffic": "self._memo_lock",
 }
 
 

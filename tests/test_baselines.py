@@ -169,6 +169,24 @@ class TestDenormalized:
         engine = DenormalizedEngine(db)
         assert engine.nbytes > db.nbytes
 
+    def test_root_deletes_carry_into_wide_table(self):
+        from repro.engine import AStoreEngine, EngineOptions
+        from repro.workloads import SSB_QUERIES
+
+        db = generate_ssb(sf=0.01, seed=11)
+        fact = db.table("lineorder")
+        rng = np.random.default_rng(7)
+        fact.delete(rng.choice(fact.num_rows, fact.num_rows // 20,
+                               replace=False))
+        oracle = DenormalizedEngine(db)
+        universal = oracle.wide.table("universal")
+        assert universal.num_rows == fact.num_rows
+        assert np.array_equal(universal.live_mask(), fact.live_mask())
+        serial = AStoreEngine(db, EngineOptions(parallel_backend="serial"))
+        for qid, sql in SSB_QUERIES.items():
+            assert (sorted(oracle.query(sql).rows())
+                    == sorted(serial.query(sql).rows())), qid
+
     def test_multi_root_rejected(self):
         from repro.core import Database
 

@@ -342,8 +342,15 @@ class TestProcessPoolDeath:
             assert first.stats.shard_fallbacks == 0
             # SIGKILL one pool worker: the next sharded run must surface
             # as a typed fallback, not a hang or a raw BrokenProcessPool
-            victim = next(iter(engine._shard_backend._pool._processes))
+            pool = engine._shard_backend._pool
+            victim = next(iter(pool._processes))
             os.kill(victim, signal.SIGKILL)
+            # the pool notices the death asynchronously; a shard run fast
+            # enough to finish on the survivor first would degrade one
+            # query later, so wait until the pool knows it is broken
+            deadline = time.monotonic() + 10
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
             degraded = engine.query(SQL_YEAR)
             assert client_rows(degraded) == truth
             assert degraded.stats.shard_fallbacks == 1

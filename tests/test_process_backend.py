@@ -15,14 +15,24 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import ColumnArena, attach_database
 from repro.core.column import StringColumn
-from repro.engine import AStoreEngine, EngineOptions
-from repro.engine.operators import BACKENDS, PredicateFilter
+from repro.engine import (
+    AStoreEngine,
+    EngineOptions,
+    RowRange,
+    ShardOutcome,
+    sharding,
+)
+from repro.engine.operators import BACKENDS, MorselDispatcher, PredicateFilter
+from repro.engine.sharding import visible_positions
 from repro.baselines import (
     FusedEngine,
     MaterializingEngine,
@@ -246,6 +256,163 @@ class TestProcessBackendSemantics:
         assert BACKENDS["serial"].inline
         assert BACKENDS["thread"].inline
         assert not BACKENDS["process"].inline
+
+
+def shard_morsel_kinds(monkeypatch, bound, db, nshards):
+    """Run every shard of *bound* in-process; returns the position types
+    of the morsels the shards built and shard 0's outcome."""
+    kinds = []
+    run = MorselDispatcher.run
+
+    def spy(self, morsels, factory):
+        kinds.extend(type(m.positions) for m in morsels)
+        return run(self, morsels, factory)
+
+    monkeypatch.setattr(MorselDispatcher, "run", spy)
+    outcomes = [bound.run_shard(db, shard, nshards, None)
+                for shard in range(nshards)]
+    monkeypatch.undo()
+    return kinds, outcomes[0]
+
+
+class TestRangeBase:
+    def test_visible_positions_range_unless_deletes_or_snapshot(
+            self, tiny_star_mvcc):
+        base = visible_positions(tiny_star_mvcc, "lineorder")
+        assert isinstance(base, RowRange)
+        assert (base.start, base.stop) == (0, 8)
+        at_snapshot = visible_positions(tiny_star_mvcc, "lineorder",
+                                        snapshot=0)
+        assert isinstance(at_snapshot, np.ndarray)
+        assert at_snapshot.tolist() == list(range(8))
+        tiny_star_mvcc.table("lineorder").delete([1, 5], version=1)
+        live = visible_positions(tiny_star_mvcc, "lineorder")
+        assert isinstance(live, np.ndarray)
+        assert live.tolist() == [0, 2, 3, 4, 6, 7]
+
+    @pytest.mark.parametrize("query_id, pruning, verdict", [
+        ("Q1.1", True, "skipped"),
+        ("Q3.1", True, "gated"),
+        ("Q3.1", False, None),
+    ])
+    def test_no_delete_shards_scan_range_bands(self, ssb_air, monkeypatch,
+                                               query_id, pruning, verdict):
+        bound = AStoreEngine(ssb_air, EngineOptions(
+            use_pruning=pruning)).compile(SSB_QUERIES[query_id])
+        kinds, outcome = shard_morsel_kinds(monkeypatch, bound, ssb_air, 2)
+        assert kinds and set(kinds) == {RowRange}
+        assert bool(outcome.morsels_skipped) == (verdict == "skipped")
+        assert bool(outcome.prune_gated) == (verdict == "gated")
+        kinds, _ = shard_morsel_kinds(monkeypatch, bound, ssb_air, 1)
+        # one shard scans the survivor band, or the identity morsel
+        assert kinds == [RowRange if verdict == "skipped" else type(None)]
+
+    def test_deletes_fall_back_to_position_morsels(self, tiny_star,
+                                                   monkeypatch):
+        tiny_star.table("lineorder").delete([2])
+        bound = AStoreEngine(tiny_star).compile(
+            "SELECT d_year, count(*) AS n FROM lineorder, date "
+            "GROUP BY d_year")
+        kinds, _ = shard_morsel_kinds(monkeypatch, bound, tiny_star, 2)
+        assert kinds and set(kinds) == {np.ndarray}
+
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_cost_gated_family_matches_serial(self, ssb_air, process_engine,
+                                              pruning):
+        serial = AStoreEngine(ssb_air, EngineOptions(
+            parallel_backend="serial", use_pruning=pruning))
+        with AStoreEngine(ssb_air, EngineOptions(
+                parallel_backend="process", workers=2,
+                use_pruning=pruning)) as sharded:
+            for query_id in ("Q3.1", "Q3.2", "Q3.3"):
+                sql = SSB_QUERIES[query_id]
+                assert (sharded.query(sql).rows()
+                        == serial.query(sql).rows()), query_id
+
+
+class TestPlanReferenceTasks:
+    def test_worker_plan_lru(self, tiny_star, monkeypatch):
+        monkeypatch.setattr(sharding, "_ATTACHED",
+                            SimpleNamespace(db=tiny_star))
+        monkeypatch.setattr(sharding, "_PLANS", OrderedDict())
+        monkeypatch.setattr(sharding, "WORKER_PLAN_CAPACITY", 2)
+        engine = AStoreEngine(tiny_star)
+        blobs = [pickle.dumps(engine.compile(
+            f"SELECT d_year, count(*) AS n FROM lineorder, date "
+            f"WHERE lo_discount = {discount} GROUP BY d_year"))
+            for discount in (1, 2, 3)]
+
+        def run(seq, ship=False):
+            return sharding._worker_run(sharding.ShardTask(
+                seq, 0, 1, None, blobs[seq] if ship else None))
+
+        assert run(0) == sharding.PlanMiss(0)
+        shipped = run(0, ship=True)
+        assert isinstance(shipped, ShardOutcome)
+        assert run(0).selected == shipped.selected
+        run(1, ship=True)
+        run(2, ship=True)  # over capacity: plan 0 is least recently used
+        assert list(sharding._PLANS) == [1, 2]
+        assert run(0) == sharding.PlanMiss(0)
+        assert isinstance(run(1), ShardOutcome)
+
+    def test_warm_flight_sends_only_references(self, ssb_air):
+        flight = list(SSB_QUERIES.values())
+        with AStoreEngine(ssb_air, EngineOptions(
+                parallel_backend="process", workers=1)) as engine:
+            first = [engine.query(sql).rows() for sql in flight]
+            backend = engine._shard_backend
+            warm = backend.traffic()
+            assert [engine.query(sql).rows() for sql in flight] == first
+            after = backend.traffic()
+            tasks = after["tasks"] - warm["tasks"]
+            assert tasks == len(flight)
+            assert after["plan_ships"] == warm["plan_ships"]
+            assert after["plan_misses"] == 0
+            assert after["task_bytes"] - warm["task_bytes"] < 1024 * tasks
+            # a worker that lost its plans answers PlanMiss, and the
+            # shard is resent once with the plan bytes
+            backend._pool.submit(
+                exec, "import repro.engine.sharding as s; s._PLANS.clear()",
+                {}).result()
+            assert engine.query(flight[0]).rows() == first[0]
+            final = backend.traffic()
+            assert final["plan_misses"] == 1
+            assert final["plan_ships"] == after["plan_ships"] + 1
+
+    def test_concurrent_runs_count_every_task(self, process_engine):
+        flight = [SSB_QUERIES[q] for q in ("Q1.1", "Q2.1", "Q3.1", "Q4.1")]
+        for sql in flight:  # compiled, cached and shipped once
+            process_engine.query(sql)
+        backend = process_engine._shard_backend
+        before = backend.traffic()
+        errors = []
+
+        def client():
+            try:
+                for sql in flight * 2:
+                    process_engine.query(sql)
+            except BaseException as exc:  # re-raised below
+                errors.append(exc)
+
+        clients = [threading.Thread(target=client) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert not errors, errors
+        after = backend.traffic()
+        misses = after["plan_misses"] - before["plan_misses"]
+        # two shards per run, plus one resend per miss; nothing lost
+        assert (after["tasks"] - before["tasks"]
+                == 2 * len(clients) * len(flight) * 2 + misses)
+        assert after["plan_ships"] - before["plan_ships"] == misses
 
 
 class TestDatagenCrossProcessDeterminism:

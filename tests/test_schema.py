@@ -1,5 +1,6 @@
 """Unit tests for the catalog: references, join graph, airify, consolidation."""
 
+import numpy as np
 import pytest
 
 from repro.core import AIRColumn, Database
@@ -141,6 +142,34 @@ class TestAirify:
         db.add_reference("fact", "fk", "dim")  # already positional
         db.airify()
         assert isinstance(db.table("fact")["fk"], AIRColumn)
+
+    @pytest.mark.parametrize("keys, fks", [
+        (np.arange(6), [5, 0, 3, 3]),                   # dense from 0
+        (np.arange(100, 106), [105, 100, 103]),         # offset dense
+        (np.array([4, 9, 2, 7]), [2, 7, 9, 4, 2]),      # not dense
+        (np.arange(10, 14), [10, 14]),                  # dangling above
+        (np.arange(10, 14), [9, 11]),                   # dangling below
+    ])
+    def test_dense_key_fast_path_matches_search(self, keys, fks):
+        from repro.core.schema import (
+            _dense_key_positions,
+            _sorted_key_positions,
+        )
+
+        fks = np.asarray(fks)
+        try:
+            expected = _sorted_key_positions(keys, fks)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as dense_error:
+                _dense_key_positions(keys, fks)
+            assert str(dense_error.value) == str(exc)
+            return
+        dense = _dense_key_positions(keys, fks)
+        if not bool((np.diff(keys) == 1).all()):
+            assert dense is None
+        else:
+            assert dense.dtype == expected.dtype
+            assert np.array_equal(dense, expected)
 
     def test_string_key_airify(self):
         db = Database()
