@@ -10,7 +10,6 @@ O(batch); consolidation is the expensive maintenance operation.
 """
 
 import numpy as np
-import pytest
 
 from conftest import BENCH_SF, write_report
 from repro.bench import format_table, ns_per_tuple

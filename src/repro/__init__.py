@@ -31,7 +31,7 @@ from .core import (
     Table,
 )
 from .core.statistics import collect_statistics, validate_references
-from .datagen import generate_ssb, generate_tpcds, generate_tpch
+from .datagen import generate_ssb, generate_tpch
 from .io import dump_csv, load_csv, load_database, save_database
 from .engine import AStoreEngine, EngineOptions, ExecutionStats, QueryResult, VARIANTS
 from .errors import (
@@ -53,7 +53,7 @@ __all__ = [
     "AIRColumn", "AStoreEngine", "AStoreError", "bind", "BindError",
     "Bitmap", "CacheModel", "Column", "Database", "DataType", "DictColumn",
     "Dictionary", "EngineOptions", "ExecutionError", "ExecutionStats",
-    "FixedColumn", "generate_ssb", "generate_tpcds", "generate_tpch",
+    "FixedColumn", "generate_ssb", "generate_tpch",
     "load_csv", "load_database", "LogicalPlan", "optimize", "parse", "ParseError", "PhysicalPlan",
     "PlanError", "QueryResult", "Reference", "SchemaError",
     "save_database", "SelectionVector", "StorageError", "StringColumn", "Table",

@@ -1,66 +1,14 @@
-"""Benchmark harness: timing, reporting, and the shared experiment driver."""
+"""Timing and paper-style table helpers for the benchmark modules.
 
-from .harness import (
-    DEFAULT_REPEAT,
-    DEFAULT_SCALE,
-    EngineUnderTest,
-    QPS_MODES,
-    backend_scaling_sweep,
-    breakdown_rows,
-    close_engines,
-    concurrency_payload,
-    concurrency_rows,
-    concurrency_sweep,
-    distributed_payload,
-    distributed_rows,
-    distributed_sweep,
-    explain_engines,
-    fleet_payload,
-    fleet_rows,
-    fleet_sweep,
-    membership_payload,
-    membership_rows,
-    membership_sweep,
-    operator_breakdown,
-    pruning_families,
-    pruning_family_rows,
-    pruning_payload,
-    pruning_rows,
-    pruning_speedups,
-    pruning_sweep,
-    ssb_family,
-    qps_payload,
-    qps_rows,
-    qps_sweep,
-    run_ssb_suite,
-    scaling_rows,
-    ssb_database,
-    standard_engines,
-    suite_rows,
-)
-from .report import (
-    format_ratio_note,
-    format_table,
-    host_info,
-    host_note,
-    write_bench_json,
-)
-from .timing import best_of, median_ms, ms, ns_per_tuple
+The gated end-to-end measurement lives in ``benchmarks/e2e``; this
+package only holds what the paper-exhibit modules under ``benchmarks/``
+and the CLI's report printers share.
+"""
+
+from .report import format_ratio_note, format_table, host_note
+from .timing import best_of, ms, ns_per_tuple
 
 __all__ = [
-    "backend_scaling_sweep", "best_of", "breakdown_rows", "close_engines",
-    "concurrency_payload", "concurrency_rows", "concurrency_sweep",
-    "DEFAULT_REPEAT", "DEFAULT_SCALE", "EngineUnderTest",
-    "distributed_payload", "distributed_rows", "distributed_sweep",
-    "explain_engines",
-    "fleet_payload", "fleet_rows", "fleet_sweep",
-    "membership_payload", "membership_rows", "membership_sweep",
-    "format_ratio_note", "format_table", "host_info", "host_note",
-    "median_ms", "ms", "ns_per_tuple", "operator_breakdown",
-    "pruning_families", "pruning_family_rows",
-    "pruning_payload", "pruning_rows", "pruning_speedups", "pruning_sweep",
-    "QPS_MODES",
-    "qps_payload", "qps_rows", "qps_sweep", "run_ssb_suite", "scaling_rows",
-    "ssb_database", "ssb_family", "standard_engines", "suite_rows",
-    "write_bench_json",
+    "best_of", "format_ratio_note", "format_table", "host_note", "ms",
+    "ns_per_tuple",
 ]

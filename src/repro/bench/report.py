@@ -2,7 +2,7 @@
 
 Every benchmark prints its rows with these helpers so the terminal output
 can be compared side-by-side with the corresponding paper table or figure
-(see EXPERIMENTS.md for the recorded comparisons).
+(see benchmarks/results/ for the recorded comparisons).
 """
 
 from __future__ import annotations
@@ -47,63 +47,25 @@ def format_ratio_note(label_a: str, value_a: float,
     return f"{label_a} is {factor:.2f}x {relation} {label_b}"
 
 
-def host_info() -> dict:
-    """The execution host, as recorded in benchmark headers and JSON.
+def host_note() -> str:
+    """A one-line host header for CLI reports.
 
-    ``cores`` is the *usable* core count (the scheduling affinity, not
-    the physical count) — a 1-core container can only measure dispatch
-    overhead for multiprocess sweeps, and every recorded result must say
-    so to be interpretable.
+    The core count is the *usable* one (the scheduling affinity, not the
+    physical count): a 1-core container can only measure dispatch
+    overhead for multiprocess runs, and the header must say so.
     """
     import os
     import platform
+
+    import numpy
 
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         cores = os.cpu_count() or 1
-    import numpy
-
-    return {
-        "cores": cores,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-    }
-
-
-def host_note() -> str:
-    """A one-line host header for benchmark output files."""
-    host = host_info()
-    note = (f"host: {host['cores']} usable core(s), {host['platform']}, "
-            f"python {host['python']}, numpy {host['numpy']}")
-    if host["cores"] == 1:
+    note = (f"host: {cores} usable core(s), {platform.platform()}, "
+            f"python {platform.python_version()}, numpy {numpy.__version__}")
+    if cores == 1:
         note += ("\nnote: single usable core — multiprocess cells measure "
                  "dispatch overhead, not core scaling")
     return note
-
-
-def write_bench_json(path: str, benchmark: str, payload: dict) -> str:
-    """Write a machine-readable ``BENCH_*.json`` benchmark record.
-
-    The schema is deliberately small and stable: ``schema`` (format
-    version), ``benchmark`` (which experiment), ``host`` (cores +
-    platform, so perf numbers are interpretable), ``generated_unix``,
-    and the experiment payload (per-query medians, backend/workers,
-    cache hit rates, …).  These files start the repo's recorded perf
-    trajectory; CI uploads them as build artifacts.
-    """
-    import json
-    import time
-
-    document = {
-        "schema": 1,
-        "benchmark": benchmark,
-        "generated_unix": int(time.time()),
-        "host": host_info(),
-    }
-    document.update(payload)
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

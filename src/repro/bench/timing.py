@@ -9,9 +9,8 @@ monotone proxy with comparable ratios on one machine.
 
 from __future__ import annotations
 
-import statistics
 import time
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 
 def best_of(fn: Callable[[], object], repeat: int = 3) -> Tuple[float, object]:
@@ -24,18 +23,6 @@ def best_of(fn: Callable[[], object], repeat: int = 3) -> Tuple[float, object]:
         elapsed = time.perf_counter() - t0
         best = min(best, elapsed)
     return best, result
-
-
-def median_ms(samples: Sequence[float]) -> float:
-    """Median of a list of per-run *seconds*, in milliseconds.
-
-    Medians are what the machine-readable ``BENCH_*.json`` records — a
-    robust central tendency for trajectory comparisons, where
-    :func:`best_of` mirrors the paper's best-of-three convention.
-    """
-    if not samples:
-        return float("nan")
-    return statistics.median(samples) * 1e3
 
 
 def ns_per_tuple(seconds: float, ntuples: int) -> float:

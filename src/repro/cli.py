@@ -7,18 +7,13 @@ Subcommands::
                           FROM lineorder, date GROUP BY d_year" [--explain]
     astore explain ssb.npz "SELECT ..."      # operator DAG + decisions
     astore ssb ssb.npz                       # run all 13 SSB queries
-    astore bench ssb.npz                     # backend x workers scaling sweep
-    astore bench ssb.npz --mode qps          # cold vs warm-cache throughput
-    astore bench ssb.npz --mode pruning      # data skipping on vs off
-    astore bench ssb.npz --mode concurrency  # qps/latency at N in-flight clients
     astore cache ssb.npz                     # per-tier cache hit statistics
     astore serve ssb.npz --port 7433         # asyncio line-protocol server
     astore node ssb.npz --port 7533          # one remote shard node
-    astore bench ssb.npz --mode distributed  # scatter-gather + chaos recovery
     astore compact ssb.npz                   # clustering-preserving re-sort
     astore validate ssb.npz                  # referential-integrity check
 
-``query``/``ssb``/``bench`` accept ``--backend
+``query``/``ssb`` accept ``--backend
 {serial,thread,process,remote}`` and ``--workers N`` — the ``process``
 backend shards the fact table over worker processes attached to a
 shared-memory column arena, and the ``remote`` backend scatters shards
@@ -31,9 +26,7 @@ socket and one cross-process query store (``--fleet-data``,
 ``--no-shared-store``); per-server shard workers are set with
 ``--backend-workers``.  ``cache`` can bound the result (serving) tier
 with ``--result-ttl``/``--result-entries``, and ``cache --shared`` runs
-a cross-process shared-store demonstration.  ``bench --mode concurrency
---fleet-workers 1,2,4`` sweeps fleet sizes instead of client counts
-alone.  ``query
+a cross-process shared-store demonstration.  ``query
 --breakdown`` additionally prints the stage and per-operator timing
 breakdowns plus the prune verdict counts (blocks skipped / fully
 accepted / scanned, and whether the cost gate bypassed the verdict
@@ -43,11 +36,9 @@ also prints the shard-task traffic: tasks, task bytes, plan ships and
 plan misses).  ``compact`` runs the
 maintenance re-sort that restores a table's declared clustering after
 streaming appends and MVCC churn (the serve layer accepts the same
-operation as a ``{"compact": table}`` admin request).  ``bench``
-records the
-detected core count in its output header so recorded sweeps stay
-interpretable, and ``--json`` writes a machine-readable ``BENCH_*.json``
-record.  Also runnable as ``python -m repro ...``.
+operation as a ``{"compact": table}`` admin request).  Performance is
+measured by ``benchmarks/e2e/run.py``, not by a subcommand.  Also
+runnable as ``python -m repro ...``.
 """
 
 from __future__ import annotations
@@ -58,7 +49,7 @@ from typing import Optional, Sequence
 
 from .bench import best_of, format_table, ms
 from .core.statistics import validate_references
-from .datagen import generate_ssb, generate_tpcds, generate_tpch
+from .datagen import generate_ssb, generate_tpch
 from .engine import AStoreEngine, ProcessShardBackend, VARIANTS
 from .engine.operators import BACKENDS
 from .errors import AStoreError
@@ -67,7 +58,6 @@ from .io import dump_csv, load_database, save_database
 _GENERATORS = {
     "ssb": generate_ssb,
     "tpch": generate_tpch,
-    "tpcds": generate_tpcds,
 }
 
 
@@ -144,58 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="disable the mutation-stamped query cache")
     ssb.add_argument("--no-pruning", action="store_true",
                      help="disable zone-map data skipping")
-
-    bench = sub.add_parser(
-        "bench",
-        help="scaling, qps (cold vs warm cache), or pruning sweep over "
-             "SSB queries")
-    bench.add_argument("database", help="a .npz archive of an SSB database")
-    bench.add_argument("--mode",
-                       choices=("scaling", "qps", "pruning", "concurrency",
-                                "distributed", "membership"),
-                       default="scaling",
-                       help="scaling: backend x workers best-of sweep; "
-                            "qps: repeated-flight throughput, cold vs "
-                            "warm-cache; pruning: cold flights with data "
-                            "skipping on vs off, with skipped/scanned "
-                            "morsel counts; concurrency: serve-mode qps + "
-                            "latency percentiles at N in-flight async "
-                            "clients; distributed: scatter-gather over "
-                            "local shard nodes, healthy + one node "
-                            "SIGKILLed mid-flight (recovery check); "
-                            "membership: self-healing cluster sweep — "
-                            "healthy / kill / rejoin / overload phases "
-                            "with shed-rate and breaker counters")
-    bench.add_argument("--backends", default=None,
-                       help="comma-separated BACKENDS names (default: "
-                            "serial,thread,process for scaling; serial "
-                            "for qps)")
-    bench.add_argument("--workers", default="1,2,4",
-                       help="comma-separated worker counts")
-    bench.add_argument("--queries", default=None,
-                       help="comma-separated SSB query ids (default: all)")
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="best-of repeats per cell (scaling mode)")
-    bench.add_argument("--rounds", type=int, default=3,
-                       help="measured flights per cell (qps mode) or per "
-                            "client (concurrency mode)")
-    bench.add_argument("--clients", default="1,8,64",
-                       help="comma-separated in-flight client counts "
-                            "(concurrency mode)")
-    bench.add_argument("--node-count", type=int, default=2,
-                       help="distributed mode: how many local shard "
-                            "nodes to spawn")
-    bench.add_argument("--fleet-workers", default=None, metavar="N,N,...",
-                       help="concurrency mode: sweep multi-process serving "
-                            "fleets of these sizes (e.g. 1,2,4) instead of "
-                            "a single in-process server")
-    bench.add_argument("--no-cache", action="store_true",
-                       help="scaling mode: disable the query cache")
-    bench.add_argument("--out", metavar="PATH",
-                       help="also write the report to a file")
-    bench.add_argument("--json", metavar="PATH",
-                       help="also write a machine-readable BENCH_*.json "
-                            "record")
 
     cache = sub.add_parser(
         "cache",
@@ -488,9 +426,6 @@ def _dispatch(args) -> int:
         print(f"wrote {out}")
         return 0
 
-    if args.command == "bench":
-        return _dispatch_bench(args)
-
     if args.command == "cache":
         return _dispatch_cache(args)
 
@@ -577,194 +512,6 @@ def _dispatch_lint(args) -> int:
               f"{report.suppressed} suppressed) over {report.files} files "
               f"[rules: {', '.join(report.rules)}]")
     return 0 if report.ok else 1
-
-
-def _dispatch_bench(args) -> int:
-    """``astore bench``: the scaling or qps sweep, with host header.
-
-    Every report leads with :func:`repro.bench.host_note` (detected
-    usable core count + platform), so a sweep recorded on a constrained
-    container can never masquerade as a core-scaling measurement.
-    """
-    from .bench import (
-        backend_scaling_sweep,
-        host_note,
-        pruning_family_rows,
-        pruning_payload,
-        pruning_rows,
-        pruning_speedups,
-        pruning_sweep,
-        qps_payload,
-        qps_rows,
-        qps_sweep,
-        scaling_rows,
-        write_bench_json,
-    )
-    from .workloads import SSB_QUERIES
-
-    db = load_database(args.database)
-    default_backends = ("serial,thread,process" if args.mode == "scaling"
-                        else "serial")
-    backends = [b.strip() for b in (args.backends or default_backends)
-                .split(",") if b.strip()]
-    worker_counts = [int(w) for w in args.workers.split(",")]
-    query_ids = ([q.strip() for q in args.queries.split(",")]
-                 if args.queries else list(SSB_QUERIES))
-
-    if args.mode == "membership":
-        from .bench import (
-            membership_payload,
-            membership_rows,
-            membership_sweep,
-        )
-
-        times = membership_sweep(database_path=args.database,
-                                 node_count=args.node_count,
-                                 query_ids=query_ids)
-        text = host_note() + "\n" + format_table(
-            f"membership sweep over {db.name} ({args.node_count} shard "
-            f"nodes joining a live view; kill phase SIGKILLs node "
-            f"{times['kill']['killed_index']} mid-flight, rejoin "
-            f"restarts it, overload floods the front door)",
-            ["phase", "queries", "differential", "flight ms", "joined",
-             "lost", "reshards", "local", "shed", "shed rate",
-             "breaker"],
-            membership_rows(times))
-        text += ("\nself-healing: "
-                 + ("ok — killed node rejoined and served shards, "
-                    "results exact, overload shed structured errors"
-                    if times["healed"] else "FAILED"))
-        payload = membership_payload(times)
-        benchmark = "membership"
-    elif args.mode == "distributed":
-        from .bench import (
-            distributed_payload,
-            distributed_rows,
-            distributed_sweep,
-        )
-
-        times = distributed_sweep(database_path=args.database,
-                                  node_count=args.node_count,
-                                  query_ids=query_ids)
-        text = host_note() + "\n" + format_table(
-            f"distributed sweep over {db.name} ({args.node_count} shard "
-            f"nodes; degraded phase SIGKILLs node "
-            f"{times['degraded']['killed_index']} mid-flight)",
-            ["phase", "queries", "differential", "flight ms", "retries",
-             "reshards", "lost", "local", "shutdown"],
-            distributed_rows(times))
-        text += ("\nrecovery: "
-                 + ("ok — node loss re-sharded, results exact"
-                    if times["recovered"] else "FAILED"))
-        payload = distributed_payload(times)
-        benchmark = "distributed"
-    elif args.mode == "concurrency" and args.fleet_workers:
-        from .bench import fleet_payload, fleet_rows, fleet_sweep
-
-        clients = [int(c) for c in args.clients.split(",")
-                   if c.strip()] or [1, 8, 64]
-        fleet_sizes = [int(w) for w in args.fleet_workers.split(",")
-                       if w.strip()] or [1, 2]
-        times = fleet_sweep(worker_counts=fleet_sizes,
-                            client_counts=clients, query_ids=query_ids,
-                            rounds=args.rounds, db=db,
-                            database_path=args.database)
-        text = host_note() + "\n" + format_table(
-            f"fleet sweep over {db.name} (multi-process serve, "
-            f"{args.rounds} flights/client)",
-            ["fleet", "clients", "queries", "qps", "p50 ms", "p95 ms",
-             "p99 ms", "x vs 1 worker", "shared hits", "pids"],
-            fleet_rows(times))
-        payload = fleet_payload(times, query_ids, rounds=args.rounds)
-        benchmark = "fleet_concurrency"
-    elif args.mode == "concurrency":
-        from .bench import (
-            concurrency_payload,
-            concurrency_rows,
-            concurrency_sweep,
-        )
-
-        clients = [int(c) for c in args.clients.split(",")
-                   if c.strip()] or [1, 8, 64]
-        backend = backends[0]
-        workers = min(worker_counts)
-        times = concurrency_sweep(
-            client_counts=clients, query_ids=query_ids, rounds=args.rounds,
-            backend=backend, workers=workers, db=db)
-        base_clients = 1 if 1 in times else min(times)
-        text = host_note() + "\n" + format_table(
-            f"concurrency sweep over {db.name} (serve mode, {backend} "
-            f"backend, workers={workers}, {args.rounds} flights/client)",
-            ["clients", "queries", "qps", "p50 ms", "p95 ms", "p99 ms",
-             f"x vs {base_clients} client", "served", "coalesced",
-             "executed"],
-            concurrency_rows(times))
-        payload = concurrency_payload(times, query_ids, rounds=args.rounds,
-                                      backend=backend, workers=workers)
-        benchmark = "concurrency"
-    elif args.mode == "pruning":
-        times = pruning_sweep(backends=backends, query_ids=query_ids,
-                              rounds=args.rounds,
-                              workers=min(worker_counts), db=db)
-        rates = pruning_speedups(times)
-        speedups = " ".join(
-            f"{backend}:{rates[backend]:.2f}x" for backend in backends)
-        text = host_note() + "\n" + format_table(
-            f"pruning sweep over {db.name} (cold medians of {args.rounds} "
-            f"rounds; flight speedup {speedups})",
-            ["backend", "query", "pruned ms", "unpruned ms", "speedup",
-             "skipped", "accepted", "gated", "morsels"],
-            pruning_rows(times, query_ids))
-        text += "\n" + format_table(
-            "per-family pruning breakdown (pruned cells)",
-            ["backend", "family", "skipped", "accepted", "scanned",
-             "gated", "morsels", "speedup"],
-            pruning_family_rows(times, query_ids))
-        payload = pruning_payload(times, query_ids, rounds=args.rounds)
-        benchmark = "pruning"
-    elif args.mode == "qps":
-        times = qps_sweep(backends=backends, worker_counts=worker_counts,
-                          query_ids=query_ids, rounds=args.rounds, db=db)
-        text = host_note() + "\n" + format_table(
-            f"qps sweep over {db.name} "
-            f"({len(query_ids)}-query flight, {args.rounds} measured "
-            f"rounds, medians)",
-            ["backend", "workers", "mode", "qps", "flight ms", "x vs cold",
-             "cache hit rates"],
-            qps_rows(times))
-        payload = qps_payload(times, query_ids, repeat_rounds=args.rounds)
-        benchmark = "qps_sweep"
-    else:
-        times = backend_scaling_sweep(
-            backends=backends, worker_counts=worker_counts,
-            query_ids=query_ids, repeat=args.repeat, db=db,
-            use_cache=not args.no_cache)
-        speedup_base = ("serial" if any(b == "serial" for b, _ in times)
-                        else "first cell")
-        text = host_note() + "\n" + format_table(
-            f"backend scaling sweep over {db.name} (best of {args.repeat}, "
-            f"cache {'off' if args.no_cache else 'on: repeats are warm'})",
-            ["backend", "workers"] + query_ids
-            + ["AVG ms", f"speedup vs {speedup_base}"],
-            scaling_rows(times))
-        payload = {
-            "queries": query_ids,
-            "repeat": args.repeat,
-            "cache": not args.no_cache,
-            "cells": [{"backend": backend, "workers": workers,
-                       "per_query_best_ms": dict(cell)}
-                      for (backend, workers), cell in times.items()],
-        }
-        benchmark = "backend_scaling"
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
-    if args.json:
-        write_bench_json(args.json, benchmark, payload)
-        print(f"wrote {args.json}")
-    return 0
 
 
 def _dispatch_serve(args) -> int:

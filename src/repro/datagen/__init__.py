@@ -1,4 +1,4 @@
-"""Seeded synthetic data generators for SSB, TPC-H, and TPC-DS subsets."""
+"""Seeded synthetic data generators for SSB and a TPC-H subset."""
 
 from .distributions import choice_column, rng_for, scaled_rows, uniform_keys, zipf_keys
 from .ssb import (
@@ -10,14 +10,12 @@ from .ssb import (
     city_of,
     generate_ssb,
 )
-from .tpcds import generate_tpcds
 from .tpch import generate_tpch
 
 __all__ = [
     "choice_column",
     "city_of",
     "generate_ssb",
-    "generate_tpcds",
     "generate_tpch",
     "MONTH_NAMES",
     "NATION_LIST",

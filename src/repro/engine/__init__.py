@@ -41,7 +41,6 @@ from .operators import (
     ValueGather,
 )
 from .orderby import sort_indices
-from .pipeline import materialize, result_to_table
 from .result import ExecutionStats, QueryResult
 from .sharding import (
     BoundQuery,
@@ -77,9 +76,9 @@ __all__ = [
     "DictSlice", "EngineOptions", "evaluate_measure", "evaluate_predicate",
     "ExecutionStats", "Filter", "finalize", "GroupAxis", "GroupCombine",
     "hash_aggregate", "IntersectScan", "like_to_regex", "MaskFilter",
-    "MaterializeColumns", "materialize", "Morsel", "MorselDispatcher",
+    "MaterializeColumns", "Morsel", "MorselDispatcher",
     "Operator", "PositionalProvider", "PredicateFilter", "Project",
-    "QueryCache", "query_cache_for", "QueryResult", "result_to_table",
+    "QueryCache", "query_cache_for", "QueryResult",
     "rewrite_for_options", "ScratchPool", "local_pool", "sort_indices",
     "table_stamps", "total_groups", "universal_provider", "ValueGather",
     "VARIANTS",

@@ -91,8 +91,8 @@ class EngineOptions:
     * ``workers`` — horizontal fact-table partitions (shards) processed
       independently and merged (Section 5); 1 = serial;
     * ``parallel_backend`` — a :data:`repro.engine.operators.BACKENDS`
-      name: ``"serial"``, ``"thread"``, or ``"process"`` (portable bound
-      plans over shared-memory shards);
+      name: ``"serial"`` (the default, as on the CLI), ``"thread"``, or
+      ``"process"`` (portable bound plans over shared-memory shards);
     * ``morsel_rows`` — split each column-scan partition into fixed-size
       morsels (0 = one morsel per partition, the paper's layout);
     * ``chunk_rows`` — block size of the row-wise scan variants;
@@ -126,7 +126,7 @@ class EngineOptions:
     use_array_aggregation: object = "auto"
     cache: CacheModel = field(default_factory=CacheModel)
     workers: int = 1
-    parallel_backend: str = "thread"
+    parallel_backend: str = "serial"
     morsel_rows: int = 0
     chunk_rows: int = 65536
     sample_size: int = 4096

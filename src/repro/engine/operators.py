@@ -801,7 +801,7 @@ class AsyncBackend(ExecutionBackend):
 
 
 #: Pluggable execution backends, keyed by the name every layer above uses
-#: (`EngineOptions.parallel_backend`, `--backend`, harness sweeps).
+#: (`EngineOptions.parallel_backend`, `--backend`).
 BACKENDS: Dict[str, ExecutionBackend] = {
     backend.name: backend
     for backend in (SerialBackend(), ThreadBackend(), ProcessBackend(),

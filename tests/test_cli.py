@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -123,42 +122,6 @@ def ssb_archive(tmp_path_factory):
     main(["generate", "--benchmark", "ssb", "--sf", "0.002",
           "--out", str(path)])
     return str(path)
-
-
-class TestBenchCommand:
-    def test_qps_mode_writes_txt_and_json(self, ssb_archive, tmp_path,
-                                          capsys):
-        import json
-
-        txt = str(tmp_path / "qps.txt")
-        js = str(tmp_path / "BENCH_qps.json")
-        code = main(["bench", ssb_archive, "--mode", "qps",
-                     "--queries", "Q1.1,Q2.1", "--rounds", "2",
-                     "--out", txt, "--json", js])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "host:" in out and "core" in out
-        assert "serve" in out and "x vs cold" in out
-        assert "host:" in open(txt).read()
-        doc = json.load(open(js))
-        assert doc["benchmark"] == "qps_sweep"
-        assert doc["host"]["cores"] >= 1
-        assert {cell["mode"] for cell in doc["cells"]} == {
-            "cold", "compile", "serve"}
-
-    def test_scaling_mode_headers_core_count(self, ssb_archive, tmp_path,
-                                             capsys):
-        import json
-
-        js = str(tmp_path / "BENCH_scaling.json")
-        code = main(["bench", ssb_archive, "--backends", "serial",
-                     "--workers", "1", "--queries", "Q1.1",
-                     "--repeat", "1", "--json", js])
-        assert code == 0
-        assert "host:" in capsys.readouterr().out
-        doc = json.load(open(js))
-        assert doc["benchmark"] == "backend_scaling"
-        assert doc["cells"][0]["per_query_best_ms"]["Q1.1"] > 0
 
 
 class TestCacheCommand:

@@ -51,7 +51,6 @@ BACKENDS = ("serial", "thread", "process")
 
 
 def fresh_engine(db, **overrides):
-    overrides.setdefault("parallel_backend", "serial")
     overrides.setdefault("use_cache", False)
     return AStoreEngine.variant(db, "AIRScan_C_P_G", **overrides)
 

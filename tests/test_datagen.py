@@ -1,4 +1,4 @@
-"""Tests for the SSB / TPC-H / TPC-DS data generators."""
+"""Tests for the SSB and TPC-H data generators."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.datagen import (
     REGIONS,
     city_of,
     generate_ssb,
-    generate_tpcds,
     generate_tpch,
 )
 
@@ -22,11 +21,6 @@ def ssb():
 @pytest.fixture(scope="module")
 def tpch():
     return generate_tpch(sf=0.002, seed=7)
-
-
-@pytest.fixture(scope="module")
-def tpcds():
-    return generate_tpcds(sf=0.002, seed=7)
 
 
 class TestSSB:
@@ -131,22 +125,3 @@ class TestTPCH:
         orders = tpch.table("orders")
         assert isinstance(orders["o_custkey"], AIRColumn)
         assert orders["o_custkey"].values().max() < tpch.table("customer").num_rows
-
-
-class TestTPCDS:
-    def test_tables(self, tpcds):
-        assert "store_sales" in tpcds.tables
-        assert len(tpcds.tables) == 10
-
-    def test_roots(self, tpcds):
-        # store_returns references store_sales, so the only true root is
-        # store_returns; store_sales is the root of its own star.
-        assert set(tpcds.roots()) == {"store_returns"}
-
-    def test_star_paths_from_sales(self, tpcds):
-        paths = tpcds.reference_paths("store_sales")
-        assert len(paths) == 8
-
-    def test_air_bounds(self, tpcds):
-        ss = tpcds.table("store_sales")
-        assert ss["ss_item_sk"].values().max() < tpcds.table("item").num_rows

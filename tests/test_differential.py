@@ -114,7 +114,7 @@ class TestDifferential:
         for variant in ("AIRScan_R", "AIRScan_C", "AIRScan_C_P"):
             got = AStoreEngine.variant(air, variant).query(sql).rows()
             assert rows_equal(got, reference), f"{variant} diverged on: {sql}"
-        parallel = AStoreEngine(air, EngineOptions(workers=3)).query(sql)
+        parallel = AStoreEngine(air, EngineOptions(workers=3, parallel_backend="thread")).query(sql)
         assert rows_equal(parallel.rows(), reference)
 
         for engine in (FusedEngine(raw), MaterializingEngine(raw)):

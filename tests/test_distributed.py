@@ -494,19 +494,3 @@ class TestFleetRespawnBackoff:
                 fleet.start()
         finally:
             os.environ.pop("ASTORE_CHAOS", None)
-
-
-class TestDistributedSweep:
-    def test_bench_mode_records_recovery(self, ssb_path):
-        from repro.bench import distributed_sweep
-
-        times = distributed_sweep(database_path=ssb_path, node_count=2,
-                                  query_ids=["Q1.1", "Q2.1", "Q3.1", "Q4.1"])
-        assert times["healthy"]["mismatches"] == []
-        assert times["healthy"]["clean_shutdown"]
-        degraded = times["degraded"]
-        assert degraded["mismatches"] == []
-        assert degraded["nodes_lost"] >= 1
-        assert degraded["reshards"] >= 1
-        assert degraded["clean_shutdown"]
-        assert times["recovered"]

@@ -167,14 +167,15 @@ class TestParallel:
         serial = AStoreEngine(
             ssb_air, EngineOptions(use_array_aggregation=False)).query(sql)
         parallel = AStoreEngine(
-            ssb_air, EngineOptions(use_array_aggregation=False, workers=3)
+            ssb_air, EngineOptions(use_array_aggregation=False, workers=3,
+                           parallel_backend="thread")
         ).query(sql)
         assert not serial.stats.used_array_aggregation
         assert parallel.rows() == serial.rows()
 
     def test_more_workers_than_rows(self, tiny_star):
         r = AStoreEngine(
-            tiny_star, EngineOptions(workers=64)
+            tiny_star, EngineOptions(workers=64, parallel_backend="thread")
         ).query("SELECT count(*) AS n FROM lineorder")
         assert r.scalar() == 8
 

@@ -146,7 +146,8 @@ class TestConfigurationEdges:
         txn = TransactionManager(tiny_star_mvcc)
         before = txn.snapshot()
         txn.delete("lineorder", [0, 1, 2, 3])
-        engine = AStoreEngine(tiny_star_mvcc, EngineOptions(workers=3))
+        engine = AStoreEngine(tiny_star_mvcc, EngineOptions(
+            workers=3, parallel_backend="thread"))
         sql = "SELECT sum(lo_revenue) AS s FROM lineorder"
         assert engine.query(sql, snapshot=before).scalar() == 360
         assert engine.query(sql, snapshot=txn.snapshot()).scalar() == 260

@@ -786,33 +786,3 @@ class TestAtexitReaper:
             return False
 
         wait_until(gone, timeout=10.0, message="node process reaped")
-
-
-class TestMembershipSweep:
-    def test_bench_mode_records_the_whole_story(self, ssb_path):
-        from repro.bench import membership_rows, membership_sweep
-
-        times = membership_sweep(database_path=ssb_path, node_count=2,
-                                 query_ids=["Q1.1", "Q2.1", "Q3.1"])
-        assert times["healthy"]["mismatches"] == []
-        assert times["kill"]["killed_index"] == 0
-        assert times["kill"]["mismatches"] == []
-        assert times["kill"]["lost"] >= 1
-        assert times["dead_detected"]
-        assert times["rejoin_incarnation"] == 2
-        assert times["rejoin"]["mismatches"] == []
-        assert times["rejoin"]["joined"] >= 1
-        overload = times["overload"]
-        assert overload["mismatches"] == []
-        assert overload["shed"] >= 1 and overload["accepted"] >= 1
-        assert overload["shed"] + overload["accepted"] == \
-            overload["requests"]
-        assert times["clean_shutdown"]
-        assert times["healed"] is True
-        # the killed node's full arc is in the recorded transitions
-        moves = [(old, new) for _, old, new, _ in times["transitions"]]
-        assert ("suspect", "dead") in moves
-        assert ("dead", "alive") in moves
-        # the table renders one row per phase
-        assert [row[0] for row in membership_rows(times)] == [
-            "healthy", "kill", "rejoin", "overload"]

@@ -46,7 +46,7 @@ class TestVariantsThroughDAG:
         EngineOptions(workers=3, parallel_backend="thread"),
         EngineOptions(workers=3, parallel_backend="serial"),
         EngineOptions(morsel_rows=8192),
-        EngineOptions(workers=2, morsel_rows=8192),
+        EngineOptions(workers=2, morsel_rows=8192, parallel_backend="thread"),
         EngineOptions(scan="row", chunk_rows=7000),
     ], ids=["threads", "serial-partitions", "morsels", "morsel-threads",
             "row-chunks"])

@@ -320,7 +320,7 @@ class TestEngineMorselOptions:
         db.add_reference("f", "f_d", "d", "d_key")
         db.airify()
         for options in (EngineOptions(), EngineOptions(scan="row"),
-                        EngineOptions(workers=4)):
+                        EngineOptions(workers=4, parallel_backend="thread")):
             result = AStoreEngine(db, options).query(
                 "SELECT d_name, sum(f_v) AS s FROM f, d GROUP BY d_name")
             assert result.rows() == [("only", 42)]

@@ -47,7 +47,6 @@ BACKENDS = ("serial", "thread", "process")
 
 
 def fresh_engine(db, **overrides):
-    overrides.setdefault("parallel_backend", "serial")
     return AStoreEngine.variant(db, "AIRScan_C_P_G", **overrides)
 
 

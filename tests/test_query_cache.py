@@ -13,8 +13,6 @@ Pins the PR's contracts:
   never leak between queries or pipelines.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -336,29 +334,6 @@ class TestScratchPool:
 
 
 class TestQpsHarness:
-    def test_qps_sweep_structure_and_differential(self, ssb_air, tmp_path):
-        from repro.bench import qps_payload, qps_sweep, write_bench_json
-
-        ids = ["Q1.1", "Q2.1"]
-        times = qps_sweep(db=ssb_air, backends=("serial",),
-                          worker_counts=(1,), query_ids=ids, rounds=2)
-        assert set(times) == {("serial", 1, "cold"),
-                              ("serial", 1, "compile"),
-                              ("serial", 1, "serve")}
-        serve = times[("serial", 1, "serve")]
-        assert serve["qps"] > 0
-        assert serve["hit_rates"].get("result") == 1.0
-        assert set(serve["per_query_ms"]) == set(ids)
-
-        path = tmp_path / "BENCH_qps_test.json"
-        write_bench_json(str(path), "qps_sweep",
-                         qps_payload(times, ids, repeat_rounds=2))
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == 1 and doc["benchmark"] == "qps_sweep"
-        assert doc["host"]["cores"] >= 1
-        modes = {cell["mode"] for cell in doc["cells"]}
-        assert modes == {"cold", "compile", "serve"}
-
     def test_warm_leaf_seconds_near_zero(self, ssb_air):
         """The ``query --breakdown`` acceptance: a warm plan hit pays a
         lookup, not a recompile, in its leaf phase."""

@@ -55,6 +55,22 @@ def snowflake_db():
     return db
 
 
+def returns_db():
+    """returns -> sales -> item: a fact table referencing another fact."""
+    db = Database("returns")
+    db.create_table("item", {"i_itemkey": [5, 6], "i_brand": ["x", "y"]})
+    db.create_table("sales", {
+        "s_ticket": [1, 2, 3], "s_itemkey": [6, 5, 6],
+    })
+    db.create_table("returns", {
+        "r_ticket": [3, 1], "r_itemkey": [6, 6],
+    })
+    db.add_reference("sales", "s_itemkey", "item", "i_itemkey")
+    db.add_reference("returns", "r_ticket", "sales", "s_ticket")
+    db.add_reference("returns", "r_itemkey", "item", "i_itemkey")
+    return db
+
+
 class TestDefinition:
     def test_duplicate_table_rejected(self):
         db = Database()
@@ -84,6 +100,17 @@ class TestJoinGraph:
 
     def test_snowflake_root(self):
         assert snowflake_db().roots() == ["lineitem"]
+
+    def test_referenced_fact_is_not_a_root(self):
+        # sales is the root of its own star, but returns references it,
+        # so returns is the only table nothing references
+        db = returns_db()
+        assert db.roots() == ["returns"]
+        assert [str(p) for p in db.reference_paths("sales")] == [
+            "sales -> item"]
+        # item is reachable from returns directly and through sales
+        with pytest.raises(SchemaError, match="not a tree-shaped"):
+            db.reference_paths("returns")
 
     def test_star_paths(self):
         paths = star_db().reference_paths("lineorder")

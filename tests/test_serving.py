@@ -39,7 +39,6 @@ SQL_YEAR = ("SELECT d_year, sum(lo_revenue) AS revenue "
 
 
 def fresh_engine(db, **overrides):
-    overrides.setdefault("parallel_backend", "serial")
     return AStoreEngine.variant(db, "AIRScan_C_P_G", **overrides)
 
 

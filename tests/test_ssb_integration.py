@@ -44,7 +44,8 @@ class TestVariantAgreement:
                 reference_results[qid], qid
 
     def test_parallel_matches_reference(self, ssb_air, reference_results):
-        engine = AStoreEngine(ssb_air, EngineOptions(workers=4))
+        engine = AStoreEngine(ssb_air, EngineOptions(
+            workers=4, parallel_backend="thread"))
         for qid in QUERY_IDS:
             assert engine.query(SSB_QUERIES[qid]).rows() == \
                 reference_results[qid], qid

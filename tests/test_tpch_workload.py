@@ -1,11 +1,10 @@
-"""Tests for the TPC-H adapted queries and the pipelining primitive."""
+"""Tests for the TPC-H adapted queries."""
 
 import pytest
 
 from repro.baselines import FusedEngine
-from repro.core import Database
 from repro.datagen import generate_tpch
-from repro.engine import AStoreEngine, materialize, result_to_table
+from repro.engine import AStoreEngine
 from repro.workloads import TPCH_QUERIES
 
 
@@ -44,57 +43,3 @@ class TestTPCHQueries:
         plan = AStoreEngine(tpch_air).plan(TPCH_QUERIES["Q6-like"])
         assert plan.dim_decisions == ()
         assert len(plan.fact_conjuncts) == 2
-
-
-class TestPipelining:
-    def test_result_to_table(self, tiny_star):
-        result = AStoreEngine(tiny_star).query(
-            "SELECT c_nation, sum(lo_revenue) AS revenue "
-            "FROM lineorder, customer GROUP BY c_nation ORDER BY c_nation")
-        table = result_to_table(result, "by_nation")
-        assert table.num_rows == 4
-        assert table["revenue"].values().tolist() == [120, 60, 100, 80]
-
-    def test_materialize_then_requery(self, tiny_star):
-        """Two-stage (pipelined) processing of a nested aggregate:
-        average per-nation revenue of the per-nation totals."""
-        engine = AStoreEngine(tiny_star)
-        staged = materialize(
-            engine,
-            "SELECT c_nation, sum(lo_revenue) AS revenue "
-            "FROM lineorder, customer GROUP BY c_nation",
-            "by_nation")
-        second = AStoreEngine(staged)
-        result = second.query(
-            "SELECT avg(revenue) AS a, max(revenue) AS hi FROM by_nation")
-        assert result.to_dicts()[0] == {"a": 90.0, "hi": 120}
-
-    def test_materialize_into_existing_db(self, tiny_star):
-        engine = AStoreEngine(tiny_star)
-        db = Database("stage")
-        out = materialize(
-            engine, "SELECT d_year, count(*) AS n FROM lineorder, date "
-            "GROUP BY d_year", "per_year", into=db)
-        assert out is db
-        assert "per_year" in db
-
-    def test_staged_table_joinable(self, tiny_star):
-        """The staged table can be referenced by further tables — the
-        paper's multi-rooted decomposition."""
-        engine = AStoreEngine(tiny_star)
-        staged = materialize(
-            engine,
-            "SELECT c_nation, sum(lo_revenue) AS revenue "
-            "FROM lineorder, customer GROUP BY c_nation",
-            "by_nation")
-        # attach a tiny fact referencing the staged table by position
-        staged.create_table("alerts", {
-            "nation_ref": [0, 2, 0],
-            "severity": [1, 5, 3],
-        })
-        staged.add_reference("alerts", "nation_ref", "by_nation")
-        staged.airify()
-        result = AStoreEngine(staged).query(
-            "SELECT c_nation, sum(severity) AS sev FROM alerts, by_nation "
-            "GROUP BY c_nation ORDER BY c_nation")
-        assert result.rows() == [("CHINA", 4), ("FRANCE", 5)]
