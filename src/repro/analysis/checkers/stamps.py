@@ -11,7 +11,8 @@ from ..model import Finding
 
 # The per-table mutation state every cache/arena/fleet freshness check
 # hangs off.  _mutation_count is itself a buffer: nobody outside the
-# consecrated modules may forge a stamp either.
+# consecrated modules may forge a stamp either, nor rewrite the mutation
+# journal that block summaries patch from.
 BUFFER_ATTRS = {
     "_deleted",
     "_free_slots",
@@ -19,6 +20,7 @@ BUFFER_ATTRS = {
     "_delete_version",
     "_nrows",
     "_mutation_count",
+    "_journal",
 }
 
 # Method calls that mutate a buffer in place.
@@ -57,7 +59,12 @@ class StampProtocolChecker(Checker):
     public entry point that writes a buffer must also bump
     _mutation_count before returning.  A write that skips the bump
     serves stale answers fleet-wide; a write outside the entry points
-    bypasses MVCC versioning entirely.
+    bypasses MVCC versioning entirely.  Where the module keeps a
+    mutation journal (a method writes _journal), every public entry
+    point that bumps the stamp must also journal what it touched or
+    barrier the journal: block summaries patch from the journal, and a
+    bump it cannot account for would leave a patched summary stale
+    under a fresh stamp.
     """
     prevents = """
     The stamp protocol is load-bearing since PR 3 (QueryCache), and
@@ -98,6 +105,7 @@ class StampProtocolChecker(Checker):
             )
 
     def _check_entry_points(self, module: ModuleSource) -> Iterator[Finding]:
+        yield from self._check_journaled(module)
         for func, writes in _writes_by_function(module.tree):
             if func is None:
                 continue  # module-level statements
@@ -117,6 +125,44 @@ class StampProtocolChecker(Checker):
                 f"mutation",
                 symbol=func.name,
             )
+
+    def _check_journaled(self, module: ModuleSource) -> Iterator[Finding]:
+        journaling = {
+            func.name
+            for func, writes in _writes_by_function(module.tree)
+            if func is not None and any(attr == "_journal" for _, attr in writes)
+        }
+        if not journaling:
+            return  # this module keeps no journal
+        for func in ast.walk(module.tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if func.name in journaling or not _is_public_entry_point(func):
+                continue
+            if not _bumps_stamp(func) or _calls_self_method(func, journaling):
+                continue
+            yield self.finding(
+                module,
+                func.lineno,
+                f"mutation entry point {func.name!r} bumps _mutation_count "
+                f"but neither journals what it touched nor barriers the "
+                f"journal; block summaries patched from the journal would "
+                f"miss this mutation",
+                symbol=func.name,
+            )
+
+
+def _calls_self_method(func: ast.AST, names: set) -> bool:
+    for node in ast.walk(func):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "self"
+        ):
+            return True
+    return False
 
 
 def _buffer_writes(tree: ast.AST) -> Iterator[Tuple[ast.AST, str]]:

@@ -700,7 +700,7 @@ def _dispatch_cache(args) -> int:
     print(format_table(
         "query cache tiers",
         ["tier", "entries", "hits", "misses", "sh hits", "sh miss",
-         "hit %", "invalidated", "expired", "KiB"],
+         "hit %", "invalidated", "expired", "KiB", "built", "patched"],
         stats_rows))
     return 0
 

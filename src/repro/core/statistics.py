@@ -17,6 +17,12 @@ nbytes)`` protocol — the engine passes its shared
 workers pass the cache of their attached database (seeded zero-copy from
 the arena manifest), and library users fall back to a private per-database
 store created here.
+
+Each summary kind has one per-block summariser, called with every block
+by a full build and with the blocks a write touched by a patch: after a
+mutation, :class:`ZoneMaps` patches the store's previous summary from
+the table's mutation journal (:meth:`Table.journal_since`) instead of
+rebuilding it, and the result equals the full build.
 """
 
 from __future__ import annotations
@@ -230,39 +236,90 @@ class DeletionZoneMap:
         return int(self.deleted_any.nbytes)
 
 
-def build_column_zone_map(column, block_rows: int) -> Optional[ColumnZoneMap]:
+def _block_runs(blocks: np.ndarray) -> List[Tuple[int, int]]:
+    """Maximal runs ``[first, stop)`` of consecutive block ids in the
+    sorted, unique *blocks*."""
+    if not len(blocks):
+        return []
+    breaks = np.flatnonzero(np.diff(blocks) != 1) + 1
+    firsts = blocks[np.concatenate(([0], breaks))]
+    stops = blocks[np.concatenate((breaks - 1, [len(blocks) - 1]))] + 1
+    return list(zip(firsts.tolist(), stops.tolist()))
+
+
+def _reduce_blocks(ufunc, values: np.ndarray, block_rows: int,
+                   out: np.ndarray, blocks: np.ndarray) -> None:
+    """``out[b] = ufunc.reduce(block b of values)`` for each of *blocks*,
+    one ``reduceat`` per run of consecutive blocks."""
+    for first, stop in _block_runs(blocks):
+        segment = values[first * block_rows:stop * block_rows]
+        starts = np.arange(0, len(segment), block_rows, dtype=np.int64)
+        out[first:stop] = ufunc.reduceat(segment, starts)
+
+
+def _summary_array(previous: Optional[np.ndarray], nblocks: int,
+                   dtype, width: Optional[int] = None) -> np.ndarray:
+    """A fresh per-block summary array holding *previous*'s rows."""
+    shape = (nblocks,) if width is None else (nblocks, width)
+    out = np.empty(shape, dtype=dtype)
+    if previous is not None:
+        out[:len(previous)] = previous
+    return out
+
+
+def build_column_zone_map(column, block_rows: int,
+                          previous: Optional[ColumnZoneMap] = None,
+                          touched: Optional[np.ndarray] = None
+                          ) -> Optional[ColumnZoneMap]:
     """A :class:`ColumnZoneMap` for *column*, or ``None`` if the layout
     has no orderable fixed-width values (dictionary codes order by
-    insertion, not by value; string heaps are variable-width)."""
+    insertion, not by value; string heaps are variable-width).
+
+    With *previous* (a summary of an earlier state of the column) and
+    the sorted ids of every block written since, *touched* (appended
+    rows included), only those blocks are re-summarised and the rest
+    copied; an untouched *previous* is returned as-is.  The result
+    equals a full build either way.
+    """
     if not isinstance(column, FixedColumn):  # AIRColumn subclasses it
         return None
     values = column.values()
     if values.dtype.kind not in ("i", "u", "f", "b"):
         return None
-    n = len(values)
-    if n == 0:
-        return ColumnZoneMap(block_rows,
-                             np.empty(0, dtype=values.dtype),
-                             np.empty(0, dtype=values.dtype))
-    starts = np.arange(0, n, block_rows, dtype=np.int64)
+    if previous is not None and (previous.block_rows != block_rows
+                                 or previous.mins.dtype != values.dtype):
+        previous = None
+    nblocks = -(-len(values) // block_rows)
+    blocks = touched if previous is not None else np.arange(nblocks, dtype=np.int64)
+    if previous is not None and not len(blocks):
+        return previous
+    mins = _summary_array(previous.mins if previous else None, nblocks, values.dtype)
+    maxs = _summary_array(previous.maxs if previous else None, nblocks, values.dtype)
     if values.dtype.kind == "f":
-        mins = np.fmin.reduceat(values, starts)
-        maxs = np.fmax.reduceat(values, starts)
+        low, high = np.fmin, np.fmax
     else:
-        mins = np.minimum.reduceat(values, starts)
-        maxs = np.maximum.reduceat(values, starts)
+        low, high = np.minimum, np.maximum
+    _reduce_blocks(low, values, block_rows, mins, blocks)
+    _reduce_blocks(high, values, block_rows, maxs, blocks)
     return ColumnZoneMap(block_rows, mins, maxs)
 
 
-def build_deletion_zone_map(table: Table, block_rows: int) -> DeletionZoneMap:
-    """Per-block "contains deleted slots" summary of *table*."""
+def build_deletion_zone_map(table: Table, block_rows: int,
+                            previous: Optional[DeletionZoneMap] = None,
+                            touched: Optional[np.ndarray] = None
+                            ) -> DeletionZoneMap:
+    """Per-block "contains deleted slots" summary of *table* (patched
+    from *previous* like :func:`build_column_zone_map`)."""
     deleted = table._deleted
-    n = len(deleted)
-    if n == 0:
-        return DeletionZoneMap(block_rows, np.empty(0, dtype=bool))
-    starts = np.arange(0, n, block_rows, dtype=np.int64)
-    return DeletionZoneMap(
-        block_rows, np.logical_or.reduceat(deleted, starts))
+    if previous is not None and previous.block_rows != block_rows:
+        previous = None
+    nblocks = -(-len(deleted) // block_rows)
+    blocks = touched if previous is not None else np.arange(nblocks, dtype=np.int64)
+    if previous is not None and not len(blocks):
+        return previous
+    out = _summary_array(previous.deleted_any if previous else None, nblocks, bool)
+    _reduce_blocks(np.logical_or, deleted, block_rows, out, blocks)
+    return DeletionZoneMap(block_rows, out)
 
 
 #: Cap on the folded width of a code-set bitmap: domains larger than
@@ -321,14 +378,39 @@ class ColumnCodeSetMap:
         return np.packbits(folded)
 
 
+def _summarise_code_blocks(codes: np.ndarray, block_rows: int, domain: int,
+                           bits: np.ndarray, dirty: np.ndarray,
+                           blocks: np.ndarray) -> None:
+    """Fill ``bits[b]`` / ``dirty[b]`` for each of *blocks*: one reused
+    fold-sized mask per call, set from the block's codes, packed into
+    the block's row, then cleared again — so a block costs its rows
+    plus one pack, whatever the domain."""
+    fold = min(domain, CODE_SET_FOLD_CAP)
+    mask = np.zeros(fold, dtype=bool)
+    for b in blocks.tolist():
+        chunk = codes[b * block_rows:(b + 1) * block_rows]
+        out_of_domain = bool(chunk.min() < 0 or chunk.max() >= domain)
+        dirty[b] = out_of_domain
+        if out_of_domain:
+            chunk = chunk[(chunk >= 0) & (chunk < domain)]
+        slots = chunk % fold if fold < domain else chunk
+        mask[slots] = True
+        bits[b] = np.packbits(mask)
+        mask[slots] = False
+
+
 def build_column_code_set_map(column, block_rows: int,
-                              domain: Optional[int] = None
+                              domain: Optional[int] = None,
+                              previous: Optional[ColumnCodeSetMap] = None,
+                              touched: Optional[np.ndarray] = None
                               ) -> Optional[ColumnCodeSetMap]:
     """A :class:`ColumnCodeSetMap` for *column*, or ``None`` when the
     column has no code domain (neither dictionary- nor AIR-coded).
 
     For AIR columns the caller supplies *domain* (the parent table's
     physical row count); dictionary columns use their own cardinality.
+    *previous* / *touched* patch an earlier summary as in
+    :func:`build_column_zone_map`; a changed domain rebuilds in full.
     """
     if isinstance(column, DictColumn):
         codes = column.codes()
@@ -342,25 +424,18 @@ def build_column_code_set_map(column, block_rows: int,
     domain = int(domain)
     if domain <= 0:
         return None
+    if previous is not None and (previous.block_rows != block_rows
+                                 or previous.domain != domain):
+        previous = None
     fold = min(domain, CODE_SET_FOLD_CAP)
-    n = len(codes)
-    if n == 0:
-        return ColumnCodeSetMap(
-            block_rows, domain,
-            np.empty((0, (fold + 7) // 8), dtype=np.uint8),
-            np.empty(0, dtype=bool), fold == domain)
-    starts = np.arange(0, n, block_rows, dtype=np.int64)
-    nblocks = len(starts)
-    codes64 = codes.astype(np.int64, copy=False)
-    valid = (codes64 >= 0) & (codes64 < domain)
-    blocks = np.arange(n, dtype=np.int64) // block_rows
-    member = np.zeros((nblocks, fold), dtype=bool)
-    member[blocks[valid], codes64[valid] % fold] = True
-    bits = np.packbits(member, axis=1)
-    if valid.all():
-        dirty = np.zeros(nblocks, dtype=bool)
-    else:
-        dirty = np.logical_or.reduceat(~valid, starts)
+    nblocks = -(-len(codes) // block_rows)
+    blocks = touched if previous is not None else np.arange(nblocks, dtype=np.int64)
+    if previous is not None and not len(blocks):
+        return previous
+    bits = _summary_array(previous.bits if previous else None, nblocks, np.uint8,
+                          width=(fold + 7) // 8)
+    dirty = _summary_array(previous.dirty if previous else None, nblocks, bool)
+    _summarise_code_blocks(codes, block_rows, domain, bits, dirty, blocks)
     return ColumnCodeSetMap(block_rows, domain, bits, dirty, fold == domain)
 
 
@@ -386,10 +461,17 @@ class ZoneMaps:
     """Lazily built, mutation-stamped zone maps of one database.
 
     A thin facade over a stamped *store* (see module docstring): every
-    :meth:`column` / :meth:`deletions` call revalidates the entry's
-    recorded ``(table, mutation_count)`` stamps against the live
-    database, so a mutation after a build can never yield a stale — and
-    therefore never a wrong — skip decision.
+    :meth:`column` / :meth:`code_set` / :meth:`deletions` call
+    revalidates the entry's recorded ``(table, mutation_count)`` stamps
+    against the live database, so a mutation after a build can never
+    yield a stale — and therefore never a wrong — skip decision.
+
+    A miss after a mutation is served by *patching*: the store's last
+    summary of the same key plus the table's mutation journal since
+    that summary's stamp name the touched blocks, and only those are
+    re-summarised (an untouched summary is reused as-is).  Patched
+    summaries equal full rebuilds; a barrier in the journal, a changed
+    block size or domain falls back to the full build.
     """
 
     def __init__(self, db: Database, store, block_rows: int = 0):
@@ -415,9 +497,9 @@ class ZoneMaps:
         if name not in tab:
             return None
         stamps = ((table, tab.mutation_count),)  # read before the build
-        zm = build_column_zone_map(tab[name], block_rows)
-        self._store.put("zone", key, zm if zm is not None else _UNPRUNABLE,
-                        stamps, zm.nbytes if zm is not None else 0)
+        previous, touched = self._prior(key, stamps, lambda e: name in e.columns)
+        zm = build_column_zone_map(tab[name], block_rows, previous, touched)
+        self._store_summary(key, zm, stamps, previous is not None)
         return zm
 
     def code_set(self, table: str, name: str) -> Optional[ColumnCodeSetMap]:
@@ -427,7 +509,8 @@ class ZoneMaps:
         AIR columns stamp the *parent* table too: the domain is the
         parent's physical row space, so a parent mutation (growth,
         compaction) invalidates the summary along with the child's own
-        mutations.
+        mutations.  A parent mutation that keeps the domain reuses the
+        summary (its bits are the child's values); growth rebuilds it.
         """
         block_rows = self.block_rows_for(table)
         key = code_set_key(table, name, block_rows)
@@ -442,11 +525,16 @@ class ZoneMaps:
         domain = None
         if isinstance(column, AIRColumn):
             parent = self._db.table(column.referenced_table)
-            domain = parent.num_rows
             stamps.append((column.referenced_table, parent.mutation_count))
-        csm = build_column_code_set_map(column, block_rows, domain=domain)
-        self._store.put("zone", key, csm if csm is not None else _UNPRUNABLE,
-                        tuple(stamps), csm.nbytes if csm is not None else 0)
+            domain = parent.num_rows
+        elif isinstance(column, DictColumn):
+            domain = column.cardinality
+        previous, touched = self._prior(key, stamps, lambda e: name in e.columns)
+        if previous is not None and previous.domain != domain:
+            previous = None
+        csm = build_column_code_set_map(column, block_rows, domain,
+                                        previous, touched)
+        self._store_summary(key, csm, tuple(stamps), previous is not None)
         return csm
 
     def deletions(self, table: str) -> DeletionZoneMap:
@@ -458,9 +546,35 @@ class ZoneMaps:
             return hit
         tab = self._db.table(table)
         stamps = ((table, tab.mutation_count),)
-        dzm = build_deletion_zone_map(tab, block_rows)
-        self._store.put("zone", key, dzm, stamps, dzm.nbytes)
+        previous, touched = self._prior(key, stamps, lambda e: e.deletions)
+        dzm = build_deletion_zone_map(tab, block_rows, previous, touched)
+        self._store_summary(key, dzm, stamps, previous is not None)
         return dzm
+
+    def _prior(self, key: tuple, stamps, touches):
+        """The store's last summary under *key* and the sorted blocks
+        its table's journal entries matching *touches* wrote since,
+        or ``(None, None)`` when the journal cannot bridge the gap."""
+        remembered = self._store.previous_summary(key)
+        if remembered is None:
+            return None, None
+        previous, built_stamps = remembered
+        table, now = stamps[0]
+        built = dict(built_stamps).get(table)
+        entries = (None if built is None
+                   else self._db.table(table).journal_since(built, now))
+        if entries is None:
+            return None, None
+        positions = [e.positions for e in entries if touches(e)]
+        if not positions:
+            return previous, np.empty(0, dtype=np.int64)
+        return previous, np.unique(np.concatenate(positions) // previous.block_rows)
+
+    def _store_summary(self, key: tuple, value, stamps, patched: bool) -> None:
+        if value is None:
+            self._store.put("zone", key, _UNPRUNABLE, stamps, 0)
+        else:
+            self._store.put_summary(key, value, stamps, value.nbytes, patched)
 
 
 class StampedStore:
@@ -468,11 +582,13 @@ class StampedStore:
 
     The fallback used when no shared query cache is supplied — entries
     revalidate their ``(table, mutation_count)`` stamps on every lookup,
-    exactly like the engine's cache tiers.
+    exactly like the engine's cache tiers, and the last summary of each
+    key is remembered for patching (:meth:`previous_summary`).
     """
 
     def __init__(self) -> None:
         self._entries: Dict[tuple, Tuple[object, tuple]] = {}
+        self._previous: Dict[tuple, Tuple[object, tuple]] = {}
 
     def get(self, tier: str, key: tuple, db: Database):
         entry = self._entries.get(key)
@@ -492,6 +608,14 @@ class StampedStore:
     def put(self, tier: str, key: tuple, value, stamps, nbytes: int = 0):
         self._entries[key] = (value, tuple(stamps))
         return True
+
+    def put_summary(self, key: tuple, value, stamps, nbytes: int,
+                    patched: bool) -> None:
+        self._previous[key] = (value, tuple(stamps))
+        self.put("zone", key, value, stamps, nbytes)
+
+    def previous_summary(self, key: tuple):
+        return self._previous.get(key)
 
     def items(self) -> List[Tuple[tuple, object]]:
         return list((key, value) for key, (value, _) in self._entries.items())
@@ -537,12 +661,13 @@ def fresh_zone_entries(db: Database, store) -> List[Tuple[tuple, object]]:
 
 
 def rebuild_zone_maps(db: Database, table: str, store=None) -> int:
-    """Proactively (re)build every summary of *table* after maintenance.
+    """Proactively bring every summary of *table* up to date.
 
-    Compaction bumps mutation stamps, which already invalidates every
-    cached summary; this warms the replacements eagerly so the first
-    post-compaction query does not pay the rebuild.  Returns the number
-    of summaries built.
+    Compaction bumps mutation stamps (a journal barrier), which already
+    invalidates every cached summary; this warms the replacements
+    eagerly so the first post-compaction query does not pay the rebuild.
+    After an ordinary write the same call patches instead.  Returns the
+    number of summaries refreshed.
     """
     zones = zone_maps_for(db, store=store)
     built = 0

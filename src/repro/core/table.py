@@ -12,13 +12,20 @@ of every array.  Update handling follows the paper:
 * **consolidation** compacts the arrays and returns the old→new position
   mapping so the catalog can rewrite incoming AIR references.
 
+Every mutation bumps the table's ``mutation_count`` stamp — the one
+freshness test of every cache tier — and records what it touched in a
+bounded **mutation journal** (:meth:`Table.journal_since`), so block
+summaries can re-summarise only the blocks and columns a write touched
+instead of rebuilding the whole table.
+
 Optionally the table tracks per-slot insert/delete versions for MVCC
 snapshot reads (Section 4.4's real-time analytics scenario).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import (Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -27,6 +34,24 @@ from .bitmap import Bitmap
 from .column import Column, make_column
 
 _NO_DELETE = np.iinfo(np.int64).max
+
+#: Journal bounds: past either, the oldest entries fall off and the
+#: floor rises, so summaries built before it take a full rebuild.
+JOURNAL_MAX_ENTRIES = 64
+JOURNAL_MAX_POSITIONS = 1 << 20
+
+
+class JournalEntry(NamedTuple):
+    """One stamped mutation: what it touched, at which physical rows.
+
+    ``count`` is the table's ``mutation_count`` after the mutation;
+    ``columns`` the columns whose values changed; ``deletions`` whether
+    deletion bits changed."""
+
+    count: int
+    columns: FrozenSet[str]
+    deletions: bool
+    positions: np.ndarray
 
 
 class Table:
@@ -42,6 +67,10 @@ class Table:
         self._insert_version = np.zeros(0, dtype=np.int64)
         self._delete_version = np.zeros(0, dtype=np.int64)
         self._mutation_count = 0
+        #: ``(floor, entries)``: every mutation after stamp ``floor`` is
+        #: in ``entries``.  Swapped whole on write, never mutated in
+        #: place, so readers need no lock.
+        self._journal: Tuple[int, Tuple[JournalEntry, ...]] = (0, ())
 
     # -- construction --------------------------------------------------------
 
@@ -88,6 +117,7 @@ class Table:
         # a schema change is a mutation: every cache tier keyed on this
         # table must revalidate, same as replace_column
         self._mutation_count += 1
+        self._journal_barrier()
 
     def replace_column(self, name: str, column: Column) -> None:
         """Swap a column implementation (used by the AIR loader)."""
@@ -97,6 +127,7 @@ class Table:
             raise SchemaError("replacement column length mismatch")
         self.columns[name] = column
         self._mutation_count += 1
+        self._journal_barrier()
 
     @property
     def mutation_count(self) -> int:
@@ -104,6 +135,37 @@ class Table:
         updates, consolidations, column swaps) — lets point-in-time
         copies such as shared-memory arenas detect staleness."""
         return self._mutation_count
+
+    def journal_since(self, count: int,
+                      upto: int) -> Optional[Tuple[JournalEntry, ...]]:
+        """The journal entries of the mutations after stamp *count* up
+        to stamp *upto*, or ``None`` when the journal cannot account for
+        every one of them (a barrier — consolidation or a column swap —
+        intervened, or older entries fell off the bounded journal)."""
+        floor, entries = self._journal
+        if count < floor or upto < count:
+            return None
+        since = tuple(e for e in entries if count < e.count <= upto)
+        return since if len(since) == upto - count else None
+
+    def _journal_write(self, columns: Iterable[str], deletions: bool,
+                       positions: np.ndarray) -> None:
+        """Journal the mutation that just bumped the stamp."""
+        floor, entries = self._journal
+        entries += (JournalEntry(self._mutation_count, frozenset(columns),
+                                 deletions, np.array(positions, dtype=np.int64)),)
+        total = sum(len(e.positions) for e in entries)
+        while entries and (len(entries) > JOURNAL_MAX_ENTRIES
+                           or total > JOURNAL_MAX_POSITIONS):
+            floor = entries[0].count
+            total -= len(entries[0].positions)
+            entries = entries[1:]
+        self._journal = (floor, entries)
+
+    def _journal_barrier(self) -> None:
+        """Restart the journal at the current stamp: the mutation that
+        just bumped it cannot be expressed as touched rows."""
+        self._journal = (self._mutation_count, ())
 
     # -- shape ---------------------------------------------------------------
 
@@ -224,18 +286,20 @@ class Table:
             self._insert_version[positions] = version
             self._delete_version[positions] = _NO_DELETE
         self._mutation_count += 1
+        self._journal_write(self.columns, True, positions)
         return positions
 
     def delete(self, positions: Iterable[int], version: int = 0) -> int:
         """Lazily delete rows: set their deletion bits and free their slots.
 
-        Returns the number of newly deleted rows (already-deleted positions
-        are ignored, making deletion idempotent).
+        Returns the number of newly deleted rows (already-deleted and
+        repeated positions are ignored, making deletion idempotent).
         """
-        positions = np.asarray(list(positions) if not isinstance(positions, np.ndarray)
-                               else positions, dtype=np.int64)
-        if len(positions) and (positions.min() < 0 or positions.max() >= self._nrows):
-            raise StorageError("delete position out of range")
+        positions = self._checked_positions(positions, "delete")
+        # first occurrences, in the caller's order: that order is the
+        # order later inserts reuse the freed slots in
+        _, first = np.unique(positions, return_index=True)
+        positions = positions[np.sort(first)]
         fresh = positions[~self._deleted[positions]]
         self._deleted[fresh] = True
         self._free_slots.extend(int(p) for p in fresh)
@@ -243,18 +307,26 @@ class Table:
             self._delete_version[fresh] = version
         if len(fresh):
             self._mutation_count += 1
+            self._journal_write((), True, fresh)
         return len(fresh)
 
     def update(self, positions: Iterable[int], changes: Mapping[str, Sequence]) -> None:
         """In-place update of the given columns at the given positions."""
-        positions = np.asarray(list(positions) if not isinstance(positions, np.ndarray)
-                               else positions, dtype=np.int64)
+        positions = self._checked_positions(positions, "update")
         if len(positions) and bool(self._deleted[positions].any()):
             raise StorageError("cannot update a deleted row")
         for name, values in changes.items():
             self[name].put(positions, values)
         if len(positions) and changes:
             self._mutation_count += 1
+            self._journal_write(changes, False, positions)
+
+    def _checked_positions(self, positions: Iterable[int], verb: str) -> np.ndarray:
+        positions = np.asarray(list(positions) if not isinstance(positions, np.ndarray)
+                               else positions, dtype=np.int64)
+        if len(positions) and (positions.min() < 0 or positions.max() >= self._nrows):
+            raise StorageError(f"{verb} position out of range")
+        return positions
 
     def consolidate(self, order: Optional[np.ndarray] = None) -> np.ndarray:
         """Compact the table, dropping deleted slots.
@@ -292,6 +364,7 @@ class Table:
             self._insert_version = self._insert_version[order]
             self._delete_version = self._delete_version[order]
         self._mutation_count += 1
+        self._journal_barrier()
         return mapping
 
     # -- row access ---------------------------------------------------------

@@ -149,6 +149,11 @@ class QueryCache:
             tier: TierStats() for tier in TIERS}
         #: optional cross-process second level (see attach_shared_store)
         self._shared = None
+        #: the last summary stored under each zone-map key, fresh or
+        #: not, with its stamps: what a post-mutation miss patches
+        self._summaries: Dict[tuple, Tuple[object, Stamps]] = {}
+        #: summaries stored per zone key kind: [built, patched]
+        self._summary_counts: Dict[str, List[int]] = {}
 
     def configure_result_tier(self, ttl_seconds: Optional[float] = None,
                               max_entries: Optional[int] = None) -> None:
@@ -321,6 +326,23 @@ class QueryCache:
             stats.bytes -= evicted.nbytes
             stats.evictions += 1
 
+    def put_summary(self, key: tuple, value, stamps: Stamps, nbytes: int,
+                    patched: bool) -> None:
+        """Store a block summary in the zone tier and remember it for
+        patching after the next mutation; *patched* says whether it was
+        derived from a previous summary or built from scratch."""
+        with self._lock:
+            self._summaries[key] = (value, stamps)
+            counts = self._summary_counts.setdefault(key[0], [0, 0])
+            counts[1 if patched else 0] += 1
+            self.put("zone", key, value, stamps, nbytes)
+
+    def previous_summary(self, key: tuple) -> Optional[Tuple[object, Stamps]]:
+        """The last summary stored under zone *key* and its stamps, even
+        when a mutation has since made it stale (``None`` if none)."""
+        with self._lock:
+            return self._summaries.get(key)
+
     def tier_items(self, tier: str, db: Database) -> List[Tuple[tuple, object]]:
         """``(key, value)`` pairs of *tier* whose stamps are still fresh
         (used by the arena export to ship zone maps; stale entries are
@@ -346,6 +368,7 @@ class QueryCache:
             for tier in TIERS:
                 self._tiers[tier].clear()
                 self._stats[tier].bytes = 0
+            self._summaries.clear()
 
     # -- introspection ------------------------------------------------------
 
@@ -375,11 +398,24 @@ class QueryCache:
         ("zonestate", "verdicts"),
     )
 
+    def summary_counts(self) -> Dict[str, Tuple[int, int]]:
+        """``{kind label: (built, patched)}`` for the block summaries
+        stored so far: a patched summary was derived from the previous
+        one plus the blocks a write touched, a built one from scratch."""
+        labels = dict(self._ZONE_KIND_LABELS)
+        with self._lock:
+            return {labels.get(prefix, prefix): (built, patched)
+                    for prefix, (built, patched)
+                    in self._summary_counts.items()}
+
     def zone_kind_rows(self) -> List[list]:
         """Per-kind sub-rows of the zone tier: entries and KiB for each
         summary kind (min/max zone maps, code-set bitmaps, deletion
-        summaries, memoized verdict runs) — ``astore cache`` appends
-        them under the zone tier so code sets show up distinctly."""
+        summaries, memoized verdict runs), plus how many summaries of
+        the kind were built from scratch vs patched after a write —
+        ``astore cache`` appends them under the zone tier so code sets
+        show up distinctly."""
+        counts = self.summary_counts()
         with self._lock:
             kinds: Dict[str, List[int]] = {}
             for key, entry in self._tiers["zone"].items():
@@ -391,28 +427,29 @@ class QueryCache:
         for prefix, label in self._ZONE_KIND_LABELS:
             if prefix in kinds:
                 entries, nbytes = kinds.pop(prefix)
+                built, patched = counts.get(label, ("", ""))
                 rows.append([f"  zone/{label}", entries, "", "", "", "",
-                             "", "", "", nbytes / 1024.0])
+                             "", "", "", nbytes / 1024.0, built, patched])
         for prefix in sorted(kinds):
             entries, nbytes = kinds[prefix]
             rows.append([f"  zone/{prefix}", entries, "", "", "", "",
-                         "", "", "", nbytes / 1024.0])
+                         "", "", "", nbytes / 1024.0, "", ""])
         return rows
 
     def stats_rows(self) -> List[list]:
         """``[tier, entries, hits, misses, shared hits, shared misses,
-        hit %, invalidated, expired, KiB]`` rows for
+        hit %, invalidated, expired, KiB, built, patched]`` rows for
         :func:`repro.bench.format_table` (shared columns are zero
         without an attached store).  The zone tier is followed by
         :meth:`zone_kind_rows` breaking its entries down by summary
-        kind."""
+        kind; only those rows fill the built / patched columns."""
         rows = []
         for tier, stats in self.stats().items():
             rows.append([
                 tier, stats.entries, stats.hits, stats.misses,
                 stats.shared_hits, stats.shared_misses,
                 100.0 * stats.hit_rate, stats.invalidations,
-                stats.expirations, stats.bytes / 1024.0,
+                stats.expirations, stats.bytes / 1024.0, "", "",
             ])
             if tier == "zone":
                 rows.extend(self.zone_kind_rows())
@@ -507,6 +544,8 @@ GUARDED_BY = {
     "QueryCache._tiers": "self._lock",
     "QueryCache._stats": "self._lock",
     "QueryCache._shared": "self._lock",
+    "QueryCache._summaries": "self._lock",
+    "QueryCache._summary_counts": "self._lock",
 }
 
 

@@ -383,6 +383,49 @@ def test_stamp_entry_point_must_bump(tmp_path):
     assert report.new[0].symbol == "truncate"
 
 
+def test_stamp_bump_must_journal_where_a_journal_is_kept(tmp_path):
+    report = lint_source(
+        tmp_path,
+        """
+        class T:
+            def __init__(self):
+                self._journal = (0, ())
+
+            def update(self, pos):
+                self._mutation_count += 1
+                self._record(pos)
+
+            def consolidate(self):
+                self._nrows = 0
+                self._mutation_count += 1
+                self._journal = (self._mutation_count, ())
+
+            def replace_column(self, name):
+                self._mutation_count += 1
+
+            def _record(self, pos):
+                self._journal = (0, (pos,))
+        """,
+        filename="table.py",
+        rules=["stamp-protocol"],
+    )
+    assert [f.symbol for f in report.new] == ["replace_column"]
+    assert "journal" in report.new[0].message
+
+
+def test_stamp_journal_is_a_buffer(tmp_path):
+    report = lint_source(
+        tmp_path,
+        """
+        def forge(table):
+            table._journal = (0, ())
+        """,
+        rules=["stamp-protocol"],
+    )
+    assert len(report.new) == 1
+    assert "_journal" in report.new[0].message
+
+
 def test_stamp_classmethod_constructor_exempt(tmp_path):
     report = lint_source(
         tmp_path,
