@@ -24,15 +24,16 @@ from ..workloads.ssb_queries import denormalize_query
 
 
 def materialize_universal(db: Database, root: Optional[str] = None,
-                          table_name: str = "universal") -> Database:
+                          table_name: str = "universal",
+                          snapshot: Optional[int] = None) -> Database:
     """Join every reference path of *db* into one wide table.
 
     *db* must be AIR-loaded (``db.airify()``): the gathers that build the
     wide columns are positional.  Foreign-key (AIR) columns are dropped —
     a denormalized table has no use for them — and dimension key columns
     are kept (queries may still filter on them).  The wide table keeps
-    the root's row count and its deletion vector: a row deleted from the
-    root is deleted from the wide table too.
+    the root's row count, and a root row that is not visible — deleted,
+    or invisible at the MVCC *snapshot* — is deleted from it.
     """
     roots = [root] if root is not None else db.roots()
     if len(roots) != 1:
@@ -74,7 +75,7 @@ def materialize_universal(db: Database, root: Optional[str] = None,
         leaf = path.leaf
         for source_name in db.table(leaf).column_names:
             add(leaf, source_name)
-    universal.delete(np.flatnonzero(~db.table(root_name).live_mask()))
+    universal.delete(np.flatnonzero(~db.table(root_name).live_mask(snapshot)))
 
     wide = Database(f"{db.name}_denormalized")
     wide.add_table(universal)
@@ -89,14 +90,17 @@ class DenormalizedEngine:
     array aggregation — but reading a real wide table instead of following
     AIR references.  Pass normalized SSB SQL; it is rewritten with
     :func:`~repro.workloads.ssb_queries.denormalize_query` automatically.
+    With *snapshot*, the wide table holds the root rows visible at that
+    MVCC snapshot (the oracle for snapshot reads).
     """
 
     name = "denormalized"
 
     def __init__(self, db: Database, options: Optional[EngineOptions] = None,
-                 already_wide: bool = False):
+                 already_wide: bool = False, snapshot: Optional[int] = None):
         self.source = db
-        self.wide = db if already_wide else materialize_universal(db)
+        self.wide = (db if already_wide
+                     else materialize_universal(db, snapshot=snapshot))
         opts = options or EngineOptions(variant_name="Denormalization")
         self._engine = AStoreEngine(self.wide, opts)
 

@@ -98,11 +98,7 @@ class ColumnArena:
         arrays ride in the same segment so attached databases prune
         from the exact zone maps the parent built, zero-copy.
         """
-        from .statistics import (
-            ColumnCodeSetMap,
-            ColumnZoneMap,
-            DeletionZoneMap,
-        )
+        from .statistics import ColumnCodeSetMap, ColumnZoneMap
 
         plan: List[Tuple[str, np.ndarray]] = []
         manifest = ArenaManifest(segment="", db_name=db.name)
@@ -159,11 +155,6 @@ class ColumnArena:
                 plan.append((keys[1], value.maxs))
                 manifest.zone_maps.append(
                     (store_key, "column", value.block_rows, keys))
-            elif isinstance(value, DeletionZoneMap):
-                keys = (f"$zm{i}//del",)
-                plan.append((keys[0], value.deleted_any))
-                manifest.zone_maps.append(
-                    (store_key, "deletion", value.block_rows, keys))
             elif isinstance(value, ColumnCodeSetMap):
                 keys = (f"$zm{i}//bits", f"$zm{i}//dirty")
                 plan.append((keys[0], value.bits))
@@ -304,7 +295,7 @@ def attach_database(manifest: ArenaManifest) -> AttachedDatabase:
             manifest.references:
         db.add_reference(child_table, child_column, parent_table, parent_key)
 
-    from .statistics import ColumnCodeSetMap, ColumnZoneMap, DeletionZoneMap
+    from .statistics import ColumnCodeSetMap, ColumnZoneMap
 
     zone_maps: List[tuple] = []
     for record in manifest.zone_maps:
@@ -312,13 +303,11 @@ def attach_database(manifest: ArenaManifest) -> AttachedDatabase:
         if kind == "column":
             value: object = ColumnZoneMap(block_rows, view(keys[0]),
                                           view(keys[1]))
-        elif kind == "codes":
+        else:
             extra = record[4]
             value = ColumnCodeSetMap(block_rows, extra["domain"],
                                      view(keys[0]), view(keys[1]),
                                      extra["exact"])
-        else:
-            value = DeletionZoneMap(block_rows, view(keys[0]))
         zone_maps.append((store_key, value))
     return AttachedDatabase(db, shm, zone_maps)
 

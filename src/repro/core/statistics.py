@@ -7,12 +7,13 @@ planning does not re-sample the data; the optimizer falls back to its
 sampling estimators for columns without collected statistics.
 
 It also owns the **zone maps** behind the engine's block-level data
-skipping: per-block min/max summaries (plus a deletion summary) of a
-table's fixed-width columns, built lazily per column and stamped with
-``Table.mutation_count`` so a mutated table can never satisfy a lookup
-with a stale summary.  Zone maps live in any mutation-stamped store
-honouring the ``get(tier, key, db)`` / ``put(tier, key, value, stamps,
-nbytes)`` protocol — the engine passes its shared
+skipping: per-block min/max summaries of a table's fixed-width columns
+and code-set summaries of its coded columns, built lazily per column and
+stamped with ``Table.mutation_count`` so a mutated table can never
+satisfy a lookup with a stale summary.  Zone maps live in any
+mutation-stamped store honouring the ``get(tier, key, db)`` /
+``put(tier, key, value, stamps, nbytes)`` protocol — the engine passes
+its shared
 :class:`~repro.engine.cache.QueryCache` (the ``"zone"`` tier), process
 workers pass the cache of their attached database (seeded zero-copy from
 the arena manifest), and library users fall back to a private per-database
@@ -224,18 +225,6 @@ class ColumnZoneMap:
         return int(self.mins.nbytes + self.maxs.nbytes)
 
 
-@dataclass(frozen=True)
-class DeletionZoneMap:
-    """Per-block deletion summary: does block *b* contain deleted slots?"""
-
-    block_rows: int
-    deleted_any: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.deleted_any.nbytes)
-
-
 def _block_runs(blocks: np.ndarray) -> List[Tuple[int, int]]:
     """Maximal runs ``[first, stop)`` of consecutive block ids in the
     sorted, unique *blocks*."""
@@ -302,24 +291,6 @@ def build_column_zone_map(column, block_rows: int,
     _reduce_blocks(low, values, block_rows, mins, blocks)
     _reduce_blocks(high, values, block_rows, maxs, blocks)
     return ColumnZoneMap(block_rows, mins, maxs)
-
-
-def build_deletion_zone_map(table: Table, block_rows: int,
-                            previous: Optional[DeletionZoneMap] = None,
-                            touched: Optional[np.ndarray] = None
-                            ) -> DeletionZoneMap:
-    """Per-block "contains deleted slots" summary of *table* (patched
-    from *previous* like :func:`build_column_zone_map`)."""
-    deleted = table._deleted
-    if previous is not None and previous.block_rows != block_rows:
-        previous = None
-    nblocks = -(-len(deleted) // block_rows)
-    blocks = touched if previous is not None else np.arange(nblocks, dtype=np.int64)
-    if previous is not None and not len(blocks):
-        return previous
-    out = _summary_array(previous.deleted_any if previous else None, nblocks, bool)
-    _reduce_blocks(np.logical_or, deleted, block_rows, out, blocks)
-    return DeletionZoneMap(block_rows, out)
 
 
 #: Cap on the folded width of a code-set bitmap: domains larger than
@@ -444,11 +415,8 @@ def build_column_code_set_map(column, block_rows: int,
 _UNPRUNABLE = "__unprunable__"
 
 
-def zone_map_key(table: str, column: Optional[str],
-                 block_rows: int) -> tuple:
-    """The store key of one zone-map entry (``column=None``: deletions)."""
-    if column is None:
-        return ("zonedel", table, block_rows)
+def zone_map_key(table: str, column: str, block_rows: int) -> tuple:
+    """The store key of one zone-map entry."""
     return ("zonemap", table, column, block_rows)
 
 
@@ -461,7 +429,7 @@ class ZoneMaps:
     """Lazily built, mutation-stamped zone maps of one database.
 
     A thin facade over a stamped *store* (see module docstring): every
-    :meth:`column` / :meth:`code_set` / :meth:`deletions` call
+    :meth:`column` / :meth:`code_set` call
     revalidates the entry's recorded ``(table, mutation_count)`` stamps
     against the live database, so a mutation after a build can never
     yield a stale — and therefore never a wrong — skip decision.
@@ -497,7 +465,7 @@ class ZoneMaps:
         if name not in tab:
             return None
         stamps = ((table, tab.mutation_count),)  # read before the build
-        previous, touched = self._prior(key, stamps, lambda e: name in e.columns)
+        previous, touched = self._prior(key, stamps, name)
         zm = build_column_zone_map(tab[name], block_rows, previous, touched)
         self._store_summary(key, zm, stamps, previous is not None)
         return zm
@@ -529,7 +497,7 @@ class ZoneMaps:
             domain = parent.num_rows
         elif isinstance(column, DictColumn):
             domain = column.cardinality
-        previous, touched = self._prior(key, stamps, lambda e: name in e.columns)
+        previous, touched = self._prior(key, stamps, name)
         if previous is not None and previous.domain != domain:
             previous = None
         csm = build_column_code_set_map(column, block_rows, domain,
@@ -537,24 +505,10 @@ class ZoneMaps:
         self._store_summary(key, csm, tuple(stamps), previous is not None)
         return csm
 
-    def deletions(self, table: str) -> DeletionZoneMap:
-        """The deletion summary of *table* (built on first use)."""
-        block_rows = self.block_rows_for(table)
-        key = zone_map_key(table, None, block_rows)
-        hit = self._store.get("zone", key, self._db)
-        if hit is not None:
-            return hit
-        tab = self._db.table(table)
-        stamps = ((table, tab.mutation_count),)
-        previous, touched = self._prior(key, stamps, lambda e: e.deletions)
-        dzm = build_deletion_zone_map(tab, block_rows, previous, touched)
-        self._store_summary(key, dzm, stamps, previous is not None)
-        return dzm
-
-    def _prior(self, key: tuple, stamps, touches):
+    def _prior(self, key: tuple, stamps, column: str):
         """The store's last summary under *key* and the sorted blocks
-        its table's journal entries matching *touches* wrote since,
-        or ``(None, None)`` when the journal cannot bridge the gap."""
+        its table's journal entries wrote *column* at since, or
+        ``(None, None)`` when the journal cannot bridge the gap."""
         remembered = self._store.previous_summary(key)
         if remembered is None:
             return None, None
@@ -565,7 +519,7 @@ class ZoneMaps:
                    else self._db.table(table).journal_since(built, now))
         if entries is None:
             return None, None
-        positions = [e.positions for e in entries if touches(e)]
+        positions = [e.positions for e in entries if column in e.columns]
         if not positions:
             return previous, np.empty(0, dtype=np.int64)
         return previous, np.unique(np.concatenate(positions) // previous.block_rows)
@@ -654,8 +608,7 @@ def fresh_zone_entries(db: Database, store) -> List[Tuple[tuple, object]]:
     else:
         items = [(key, store.get("zone", key, db)) for key, _ in store.items()]
     for key, value in items:
-        if isinstance(value, (ColumnZoneMap, DeletionZoneMap,
-                              ColumnCodeSetMap)):
+        if isinstance(value, (ColumnZoneMap, ColumnCodeSetMap)):
             out.append((key, value))
     return out
 
@@ -677,5 +630,4 @@ def rebuild_zone_maps(db: Database, table: str, store=None) -> int:
             built += 1
         if zones.code_set(table, name) is not None:
             built += 1
-    zones.deletions(table)
-    return built + 1
+    return built

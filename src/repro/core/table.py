@@ -45,12 +45,11 @@ class JournalEntry(NamedTuple):
     """One stamped mutation: what it touched, at which physical rows.
 
     ``count`` is the table's ``mutation_count`` after the mutation;
-    ``columns`` the columns whose values changed; ``deletions`` whether
-    deletion bits changed."""
+    ``columns`` the columns whose values changed (none for a delete,
+    which only flips deletion bits)."""
 
     count: int
     columns: FrozenSet[str]
-    deletions: bool
     positions: np.ndarray
 
 
@@ -148,12 +147,12 @@ class Table:
         since = tuple(e for e in entries if count < e.count <= upto)
         return since if len(since) == upto - count else None
 
-    def _journal_write(self, columns: Iterable[str], deletions: bool,
+    def _journal_write(self, columns: Iterable[str],
                        positions: np.ndarray) -> None:
         """Journal the mutation that just bumped the stamp."""
         floor, entries = self._journal
         entries += (JournalEntry(self._mutation_count, frozenset(columns),
-                                 deletions, np.array(positions, dtype=np.int64)),)
+                                 np.array(positions, dtype=np.int64)),)
         total = sum(len(e.positions) for e in entries)
         while entries and (len(entries) > JOURNAL_MAX_ENTRIES
                            or total > JOURNAL_MAX_POSITIONS):
@@ -286,7 +285,7 @@ class Table:
             self._insert_version[positions] = version
             self._delete_version[positions] = _NO_DELETE
         self._mutation_count += 1
-        self._journal_write(self.columns, True, positions)
+        self._journal_write(self.columns, positions)
         return positions
 
     def delete(self, positions: Iterable[int], version: int = 0) -> int:
@@ -307,7 +306,7 @@ class Table:
             self._delete_version[fresh] = version
         if len(fresh):
             self._mutation_count += 1
-            self._journal_write((), True, fresh)
+            self._journal_write((), fresh)
         return len(fresh)
 
     def update(self, positions: Iterable[int], changes: Mapping[str, Sequence]) -> None:
@@ -319,7 +318,7 @@ class Table:
             self[name].put(positions, values)
         if len(positions) and changes:
             self._mutation_count += 1
-            self._journal_write(changes, False, positions)
+            self._journal_write(changes, positions)
 
     def _checked_positions(self, positions: Iterable[int], verb: str) -> np.ndarray:
         positions = np.asarray(list(positions) if not isinstance(positions, np.ndarray)

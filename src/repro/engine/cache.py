@@ -394,7 +394,6 @@ class QueryCache:
     _ZONE_KIND_LABELS = (
         ("zonemap", "min/max"),
         ("zonecodes", "code-set"),
-        ("zonedel", "deletions"),
         ("zonestate", "verdicts"),
     )
 
@@ -410,9 +409,9 @@ class QueryCache:
 
     def zone_kind_rows(self) -> List[list]:
         """Per-kind sub-rows of the zone tier: entries and KiB for each
-        summary kind (min/max zone maps, code-set bitmaps, deletion
-        summaries, memoized verdict runs), plus how many summaries of
-        the kind were built from scratch vs patched after a write —
+        summary kind (min/max zone maps, code-set bitmaps, memoized
+        verdict runs), plus how many summaries of the kind were built
+        from scratch vs patched after a write —
         ``astore cache`` appends them under the zone tier so code sets
         show up distinctly."""
         counts = self.summary_counts()

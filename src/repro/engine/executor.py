@@ -69,7 +69,6 @@ from .sharding import (
     LeafProducts,
     ProcessShardBackend,
     PruneCounters,
-    RowBase,
     acquire_shard_backend,
     build_predicate_filter,
     fold_outcomes,
@@ -493,17 +492,19 @@ class AStoreEngine:
         for dim in bound.leaf.probes:
             stats.filter_modes[dim] = "probe"
 
-        base = bound.base_positions(self.db)
-        stats.rows_scanned = len(base)
+        visible = bound.visibility(self.db)
+        stats.rows_scanned = (self.db.table(bound.logical.root).num_rows
+                              if visible is None
+                              else int(np.count_nonzero(visible)))
 
         if not BACKENDS[self.options.parallel_backend].inline:
-            result = self._run_sharded(bound, base, stats)
+            result = self._run_sharded(bound, stats)
         elif bound.scan == "projection":
-            result = self._run_projection(bound, base, stats)
+            result = self._run_projection(bound, visible, stats)
         elif bound.scan == "row":
-            result = self._run_row_scan(bound, base, stats)
+            result = self._run_row_scan(bound, visible, stats)
         else:
-            result = self._run_column_scan(bound, base, stats)
+            result = self._run_column_scan(bound, visible, stats)
         # leaf binding happened at compile time; fold it back in so the
         # total covers all three phases (phase sums never exceed it)
         stats.total_seconds = (time.perf_counter() - t_total
@@ -601,11 +602,12 @@ class AStoreEngine:
 
     # -- column-wise execution ------------------------------------------------
 
-    def _run_column_scan(self, bound: BoundQuery, base: RowBase,
+    def _run_column_scan(self, bound: BoundQuery,
+                         visible: Optional[np.ndarray],
                          stats: ExecutionStats) -> QueryResult:
         dispatcher = MorselDispatcher(self.options.parallel_backend)
         counters = PruneCounters()
-        morsels = bound.make_morsels(self.db, base, self.options.workers,
+        morsels = bound.make_morsels(self.db, visible, self.options.workers,
                                      bound.morsel_rows, prune=counters)
         stats.morsels = len(morsels)
         self._fold_prune(stats, counters)
@@ -638,7 +640,8 @@ class AStoreEngine:
 
     # -- row-wise execution ---------------------------------------------------
 
-    def _run_row_scan(self, bound: BoundQuery, base: RowBase,
+    def _run_row_scan(self, bound: BoundQuery,
+                      visible: Optional[np.ndarray],
                       stats: ExecutionStats) -> QueryResult:
         """Chunked row-wise scan: materialize the full tuple, then filter.
 
@@ -650,7 +653,7 @@ class AStoreEngine:
         """
         dispatcher = MorselDispatcher("serial")
         counters = PruneCounters()
-        morsels = bound.make_morsels(self.db, base, 1, bound.chunk_rows,
+        morsels = bound.make_morsels(self.db, visible, 1, bound.chunk_rows,
                                      prune=counters)
         stats.morsels = len(morsels)
         self._fold_prune(stats, counters)
@@ -681,12 +684,13 @@ class AStoreEngine:
 
     # -- projection (pure SPJ) ------------------------------------------------
 
-    def _run_projection(self, bound: BoundQuery, base: RowBase,
+    def _run_projection(self, bound: BoundQuery,
+                        visible: Optional[np.ndarray],
                         stats: ExecutionStats) -> QueryResult:
         dispatcher = MorselDispatcher("serial")
         counters = PruneCounters()
         results = dispatcher.run(
-            bound.make_morsels(self.db, base, 1, 0, allow_identity=False,
+            bound.make_morsels(self.db, visible, 1, 0, allow_identity=False,
                                prune=counters),
             bound.projection_pipeline)
         self._fold_prune(stats, counters)
@@ -758,7 +762,7 @@ class AStoreEngine:
                 self._shard_backend = None
         release_shard_backend(backend)
 
-    def _run_sharded(self, bound: BoundQuery, base: RowBase,
+    def _run_sharded(self, bound: BoundQuery,
                      stats: ExecutionStats) -> QueryResult:
         """Run the bound plan over horizontal shards in worker processes.
 
@@ -775,7 +779,7 @@ class AStoreEngine:
         agg_labels: Tuple[str, ...] = ("gather", "apply-mask")
         if bound.scan == "column":
             use_array = bound.decide_use_array(
-                bound.estimated_selected(len(base)))
+                bound.estimated_selected(stats.rows_scanned))
             agg_labels = ("aggregate",)
         nshards = self.options.workers
         backend = self._checkout_backend()

@@ -126,7 +126,7 @@ class Morsel:
     ``positions=None`` is the *identity* morsel — every physical row of
     the root table, in order — which lets the provider serve column
     slices as zero-copy views and the first refinement skip the
-    position gather (the common whole-table scan with no deletes).
+    position gather (the common whole-table scan).
     ``codes`` carries the composite Measure Index once
     :class:`GroupCombine` has run, and ``pending`` holds a deferred
     keep-mask for pipelines that evaluate every predicate before
@@ -134,19 +134,29 @@ class Morsel:
     morsel whose rows are *known* to pass every filter-like step (zone
     maps proved each block fully inside every predicate interval), so
     filter operators pass it through untouched.
+
+    ``visible`` is the visibility mask over the morsel's rows when some
+    of them are hidden (deleted, or invisible at the plan's MVCC
+    snapshot), ``None`` when all are visible.  Hidden rows stay in the
+    band so the first predicate still reads zero-copy views; the first
+    :meth:`refine` folds the mask in, and :class:`Visible` settles any
+    morsel no filter refined.
     """
 
-    __slots__ = ("positions", "provider", "codes", "pending", "prefiltered")
+    __slots__ = ("positions", "provider", "codes", "pending", "prefiltered",
+                 "visible")
 
     def __init__(self, positions: Optional[np.ndarray], provider,
                  codes: Optional[np.ndarray] = None,
                  pending: Optional[np.ndarray] = None,
-                 prefiltered: bool = False):
+                 prefiltered: bool = False,
+                 visible: Optional[np.ndarray] = None):
         self.positions = positions
         self.provider = provider
         self.codes = codes
         self.pending = pending
         self.prefiltered = prefiltered
+        self.visible = visible
 
     def __len__(self) -> int:
         if self.positions is None:
@@ -154,16 +164,24 @@ class Morsel:
         return len(self.positions)
 
     def refine(self, keep: np.ndarray) -> "Morsel":
-        """Shrink by a boolean keep-mask aligned with the current rows.
+        """Shrink by a boolean keep-mask aligned with the current rows
+        (hidden rows are dropped too).
 
         *keep* may be a scratch buffer: it is consumed here (the
         surviving index and position arrays are owned allocations)."""
-        idx = np.flatnonzero(np.asarray(keep, dtype=bool))
+        keep = np.asarray(keep, dtype=bool)
+        if self.visible is not None:
+            keep = keep & self.visible
+        idx = np.flatnonzero(keep)
         return Morsel(
             idx if self.positions is None else self.positions[idx],
             self.provider.rebase(idx),
             codes=None if self.codes is None else self.codes[idx],
         )
+
+    def settle(self) -> "Morsel":
+        """This morsel with its hidden rows dropped."""
+        return self if self.visible is None else self.refine(self.visible)
 
 
 class OverlayProvider:
@@ -421,14 +439,26 @@ class MaskFilter(FilterLike):
                        out=local_pool().bool_mask(len(morsel)))
 
 
+class Visible(Operator):
+    """Drop hidden rows no filter has refined away yet (a morsel with no
+    filter step, or ``prefiltered`` by zone maps); a no-op on morsels
+    whose rows are all visible.  Ends every A-Store filter chain."""
+
+    name = "visible"
+
+    def process(self, morsel: Morsel) -> Morsel:
+        return morsel.settle()
+
+
 class ApplyMask(Operator):
-    """Apply the deferred keep-mask accumulated by ``defer`` filters."""
+    """Apply the deferred keep-mask accumulated by ``defer`` filters
+    (and the morsel's visibility mask with it)."""
 
     name = "apply-mask"
 
     def process(self, morsel: Morsel) -> Morsel:
         if morsel.pending is None:
-            return morsel
+            return morsel.settle()
         return morsel.refine(morsel.pending)
 
 

@@ -70,25 +70,9 @@ from .operators import (
     Aggregate,
     Project,
     ValueGather,
+    Visible,
 )
 from .slice import RowRange, dimension_provider, universal_provider
-
-#: A query's visible root-table rows: a contiguous band, or sorted row ids.
-RowBase = Union[RowRange, np.ndarray]
-
-
-def visible_positions(db: Database, root: str,
-                      snapshot: Optional[int] = None) -> RowBase:
-    """Visible root-table rows (live now, or at an MVCC *snapshot*).
-
-    Without deletes and without a snapshot every physical row is
-    visible, so the base is the band ``RowRange(0, num_rows)`` — no
-    per-query row-id array.  Only after a delete or at a snapshot does
-    the base become a sorted array of live row ids."""
-    table = db.table(root)
-    if snapshot is not None or table.has_deletes:
-        return np.flatnonzero(table.live_mask(snapshot)).astype(np.int64)
-    return RowRange(0, table.num_rows)
 
 
 def baseline_filter_steps(logical: LogicalPlan,
@@ -242,8 +226,8 @@ class PruneCounters:
 #: The cost gate: run the pruned path only when the verdicts promise at
 #: least this fraction of blocks skipped (accepted blocks count half — a
 #: proven-accepted block still scans, it only skips its filter chain).
-#: Below the threshold, verdict bookkeeping and the position-path morsel
-#: shapes cost more than the skipped blocks recoup (the Q3-family
+#: Below the threshold, verdict bookkeeping and fragmented survivor
+#: morsels cost more than the skipped blocks recoup (the Q3-family
 #: regression), so the scan runs exactly as if pruning were off.
 GATE_MIN_FRACTION = 0.25
 
@@ -379,7 +363,7 @@ class BoundQuery:
 
     def scan_pipeline(self) -> List[Operator]:
         """Phase-2 pipeline: filters/probes then the Measure Index."""
-        return [*self.filter_ops(), GroupCombine(self.leaf.axes)]
+        return [*self.filter_ops(), Visible(), GroupCombine(self.leaf.axes)]
 
     def aggregate_pipeline(self, use_array: bool) -> List[Operator]:
         """Phase-3 pipeline over already-scanned morsels."""
@@ -400,7 +384,7 @@ class BoundQuery:
 
     def projection_pipeline(self) -> List[Operator]:
         """Pure SPJ: filters then projection collection."""
-        return [*self.filter_ops(),
+        return [*self.filter_ops(), Visible(),
                 Project(self.logical.projection_columns)]
 
     # -- decisions ----------------------------------------------------------
@@ -439,20 +423,39 @@ class BoundQuery:
 
     # -- data binding --------------------------------------------------------
 
-    def base_positions(self, db: Database) -> RowBase:
-        """Visible root-table rows (live now, or at the MVCC snapshot):
-        a :class:`~repro.engine.slice.RowRange` band unless deletes or a
-        snapshot force a row-id array (see :func:`visible_positions`)."""
-        return visible_positions(db, self.logical.root, self.snapshot)
+    def visibility(self, db: Database) -> Optional[np.ndarray]:
+        """The root table's visibility mask over its physical rows (live
+        now, or at the plan's MVCC snapshot), or ``None`` when every
+        physical row is visible — no deletes and no snapshot.
+
+        Every scan covers the physical band ``[0, num_rows)``; deletes
+        and snapshots only hide rows inside it, so they never turn the
+        band into a row-id array."""
+        table = db.table(self.logical.root)
+        if self.snapshot is None and not table.has_deletes:
+            return None
+        return table.live_mask(self.snapshot)
 
     def morsel(self, db: Database,
-               positions: Union[None, RowRange, np.ndarray]) -> Morsel:
+               positions: Union[None, RowRange, np.ndarray],
+               visible: Optional[np.ndarray] = None) -> Morsel:
         """A morsel over *positions*: ``None`` is the identity morsel
         (every physical root row, in order — zero-copy column views, and
         the first refinement skips its position gather), a ``RowRange``
-        a contiguous band (still views), an array a positional gather."""
+        a contiguous band (still views), an array a positional gather.
+
+        *visible* is the table-wide :meth:`visibility` mask; the morsel
+        carries its cut of it only when some of its rows are hidden."""
+        if visible is not None:
+            if isinstance(positions, RowRange):
+                visible = visible[positions.start:positions.stop]
+            elif positions is not None:
+                visible = visible[positions]
+            if visible.all():
+                visible = None
         return Morsel(positions, universal_provider(
-            db, self.logical.root, self.logical.paths, positions))
+            db, self.logical.root, self.logical.paths, positions),
+            visible=visible)
 
     # -- data skipping -------------------------------------------------------
 
@@ -513,7 +516,7 @@ class BoundQuery:
         """Per-zone-block prune verdicts, or ``None`` when nothing is
         checkable.  Returns ``(states, block_rows, gated, aux)`` — *aux*
         is the cached entry's one-slot list for derived survivor ranges
-        (see :meth:`prune_base`), ``None`` when nothing was cached.
+        (see :meth:`prune_ranges`), ``None`` when nothing was cached.
 
         Memoized twice: per plan against the root table's mutation
         stamp (warm plans skip even the store lookup), and in the
@@ -564,7 +567,7 @@ class BoundQuery:
                                            + GATE_RUN_PENALTY * runs))
                 if states is not None:
                     # the one-slot aux list rides in the cached value:
-                    # prune_base fills it with the derived survivor
+                    # prune_ranges fills it with the derived survivor
                     # ranges + block tallies on first ranged use, so
                     # every later cold compile of this signature skips
                     # the run scan too (same key, same stamp set); the
@@ -676,122 +679,68 @@ class BoundQuery:
         if self.prune_enabled:
             self._block_states(db)
 
-    def prune_base(self, db: Database, base: RowBase,
-                   counters: Optional[PruneCounters] = None):
-        """Drop base rows whose zone block cannot pass the filters.
+    def prune_ranges(self, db: Database,
+                     counters: Optional[PruneCounters] = None
+                     ) -> List[tuple]:
+        """The root-table row ranges left to scan after zone-map pruning.
 
-        Returns ``(surviving_positions, accept_mask, ranges)``.  An
-        identity base (a ``RowRange`` — no deletes, the common scan)
-        always comes back as *ranges* ``[(row_start, row_stop,
-        accepted), …]``: the runs of kept blocks when the verdicts
-        apply, the whole band ``[(0, n, False)]`` when pruning is off,
-        cost-gated or has nothing to act on.  Ranges are never
-        materialized as position arrays, so morsels over them keep
-        zero-copy contiguous column views (``accepted`` runs are
-        additionally proven to pass every filter by zone map alone).
-        For a row-id array base ``ranges`` is ``None`` and the survivors
-        are a filtered position array with an aligned ``accept_mask``
-        (or ``None``).  Counters (block units) feed ``ExecutionStats``.
+        Returns ``[(row_start, row_stop, accepted), …]``: the runs of
+        kept blocks when the verdicts apply, the whole band ``[(0, n,
+        False)]`` when pruning is off, cost-gated or has nothing to act
+        on.  Ranges are never materialized as position arrays, so
+        morsels over them keep zero-copy contiguous column views
+        (``accepted`` runs are additionally proven to pass every filter
+        by zone map alone).  Verdicts summarise physical rows, so they
+        hold for any visible subset: deletes and snapshots are applied
+        per morsel afterwards (:meth:`visibility`).  Counters (block
+        units) feed ``ExecutionStats``.
         """
-        whole = ([(base.start, base.stop, False)]
-                 if isinstance(base, RowRange) else None)
-        if not self.prune_enabled or len(base) == 0:
-            return base, None, whole
+        nrows = db.table(self.logical.root).num_rows
+        whole = [(0, nrows, False)]
+        if not self.prune_enabled or nrows == 0:
+            return whole
         states, block_rows, gated, aux = self._block_states(db)
         if states is None:
-            return base, None, whole
-        nrows = db.table(self.logical.root).num_rows
-        if gated:
+            return whole
+        if gated or bool((states == PRUNE_SCAN).all()):
             # the cost gate: too few skippable blocks to recoup the
-            # pruned path's own bookkeeping — run the plain scan (this
-            # also covers the all-SCAN case, payoff zero)
+            # pruned path's own bookkeeping — run the plain scan; with
+            # nothing to skip or accept, stay off the hot path entirely
             if counters is not None:
                 counters.blocks_scanned += len(states)
-                counters.gated += 1
+                counters.gated += int(gated)
                 counters.pruned = True
-            return base, None, whole
-        if bool((states == PRUNE_SCAN).all()):
-            # nothing to skip or accept: stay off the hot path entirely
-            if counters is not None:
-                counters.blocks_scanned += len(states)
-                counters.pruned = True
-            return base, None, whole
+            return whole
+        # survivors are exactly the kept blocks' row ranges — derived
+        # purely from the verdicts, so they live in the zonestate entry's
+        # aux slot (same key, same stamp set): repeated cold compiles of
+        # this signature skip the run scan and the counter tallies
+        derived = aux[0] if aux is not None else None
+        if derived is None:
+            skipped = accepted = scanned = 0
+            ranges: List[tuple] = []
+            for s, e in _state_runs(states):
+                state = states[s]
+                n = e - s
+                if state == PRUNE_SKIP:
+                    skipped += n
+                    continue
+                if state == PRUNE_ACCEPT:
+                    accepted += n
+                else:
+                    scanned += n
+                ranges.append((s * block_rows, min(e * block_rows, nrows),
+                               state == PRUNE_ACCEPT))
+            derived = (tuple(ranges), skipped, accepted, scanned)
+            if aux is not None:
+                aux[0] = derived
+        ranges, skipped, accepted, scanned = derived
         if counters is not None:
             counters.pruned = True
-        ranged = len(base) == nrows
-        if not ranged and self.snapshot is None:
-            # deletes present — but if every deleted slot lies in a
-            # *skipped* block (old data dropped, recent band queried),
-            # the kept blocks are still fully visible and the ranged
-            # fast path stays sound.  The per-block deletion summary is
-            # stamped like the min/max maps, so it can never miss a
-            # fresh delete.
-            dzm = zone_maps_for(
-                db, store=query_cache_for(db),
-                block_rows=self.zone_block_rows).deletions(self.logical.root)
-            if (len(dzm.deleted_any) == len(states)
-                    and not bool(np.any(dzm.deleted_any
-                                        & (states != PRUNE_SKIP)))):
-                ranged = True
-        if ranged:
-            # survivors are exactly the kept blocks' row ranges — derived
-            # purely from the verdicts, so they live in the zonestate
-            # entry's aux slot (same key, same stamp set): repeated cold
-            # compiles of this signature skip the run scan and the
-            # counter tallies entirely
-            derived = aux[0] if aux is not None else None
-            if derived is None:
-                skipped = accepted = scanned = 0
-                ranges: List[tuple] = []
-                for s, e in _state_runs(states):
-                    state = states[s]
-                    n = e - s
-                    if state == PRUNE_SKIP:
-                        skipped += n
-                        continue
-                    if state == PRUNE_ACCEPT:
-                        accepted += n
-                    else:
-                        scanned += n
-                    ranges.append((s * block_rows,
-                                   min(e * block_rows, nrows),
-                                   state == PRUNE_ACCEPT))
-                derived = (tuple(ranges), skipped, accepted, scanned)
-                if aux is not None:
-                    aux[0] = derived
-            ranges, skipped, accepted, scanned = derived
-            if counters is not None:
-                counters.blocks_skipped += skipped
-                counters.blocks_accepted += accepted
-                counters.blocks_scanned += scanned
-            return base, None, list(ranges)
-        blocks = base // block_rows
-        pos_state = states[blocks]
-        if counters is not None:
-            present = np.bincount(blocks, minlength=len(states)) > 0
-            counters.blocks_skipped += int(
-                np.count_nonzero(present & (states == PRUNE_SKIP)))
-            counters.blocks_accepted += int(
-                np.count_nonzero(present & (states == PRUNE_ACCEPT)))
-            counters.blocks_scanned += int(
-                np.count_nonzero(present & (states == PRUNE_SCAN)))
-        keep = pos_state != PRUNE_SKIP
-        if not keep.all():
-            base = base[keep]
-            pos_state = pos_state[keep]
-        accept = None
-        if (pos_state == PRUNE_ACCEPT).any():
-            accept = pos_state == PRUNE_ACCEPT
-        return base, accept, None
-
-    @staticmethod
-    def _split(arr: np.ndarray, parts: int,
-               morsel_rows: int) -> List[np.ndarray]:
-        """Partition + chunk, identically for positions and any array
-        aligned with them (same lengths in, same boundaries out)."""
-        return [chunk
-                for part in MorselDispatcher.partition(arr, parts)
-                for chunk in MorselDispatcher.chunk(part, morsel_rows)]
+            counters.blocks_skipped += skipped
+            counters.blocks_accepted += accepted
+            counters.blocks_scanned += scanned
+        return list(ranges)
 
     @staticmethod
     def partition_ranges(ranges: Sequence[tuple],
@@ -872,9 +821,10 @@ class BoundQuery:
 
     def _morsels_from_ranges(self, db: Database, ranges: Sequence[tuple],
                              parts: int, morsel_rows: int,
-                             allow_identity: bool) -> List[Morsel]:
+                             allow_identity: bool,
+                             visible: Optional[np.ndarray]) -> List[Morsel]:
         """Morsels over contiguous bands (pruning survivors, or the whole
-        identity base as one band).
+        table as one band).
 
         A piece covering the whole table is the identity morsel; any
         other lone piece carries a :class:`~repro.engine.slice.RowRange`,
@@ -885,7 +835,8 @@ class BoundQuery:
         parallelism never drops below *parts*): gathering a few thousand
         positions is far cheaper than a pipeline instance per band.
         Pipelines that must not alias storage (projections) get owned
-        position arrays throughout.
+        position arrays throughout.  Each morsel carries its cut of the
+        *visible* mask (see :meth:`morsel`).
         """
         cap = (min(COALESCE_ROWS, morsel_rows) if morsel_rows > 0
                else COALESCE_ROWS)
@@ -910,53 +861,35 @@ class BoundQuery:
                     positions = None
                 else:
                     positions = RowRange(start, stop)
-            morsel = self.morsel(db, positions)
+            morsel = self.morsel(db, positions, visible)
             morsel.prefiltered = all(a for _, _, a in group)
             morsels.append(morsel)
         return morsels
 
-    def _position_morsels(self, db: Database, positions: np.ndarray,
-                          accept: Optional[np.ndarray], parts: int,
-                          morsel_rows: int) -> List[Morsel]:
-        """Morsels over a row-id array base (after deletes, or at a
-        snapshot); *accept* is the aligned prune accept mask, and a
-        morsel made entirely of accepted rows is ``prefiltered``."""
-        chunks = self._split(positions, parts, morsel_rows)
-        accept_chunks = (self._split(accept, parts, morsel_rows)
-                         if accept is not None else None)
-        morsels = []
-        for i, chunk in enumerate(chunks):
-            morsel = self.morsel(db, chunk)
-            if (accept_chunks is not None
-                    and bool(accept_chunks[i].all())):
-                morsel.prefiltered = True
-            morsels.append(morsel)
-        return morsels
-
-    def make_morsels(self, db: Database, base: RowBase,
+    def make_morsels(self, db: Database, visible: Optional[np.ndarray],
                      parts: int, morsel_rows: int,
                      allow_identity: bool = True,
                      prune: Optional[PruneCounters] = None) -> List[Morsel]:
-        """Prune *base* against the zone maps, then cut it into morsels.
+        """Prune the root table against the zone maps, then cut the
+        surviving bands into morsels.
 
         Blocks no row of which can pass are dropped, and morsels made
         entirely of fully-accepted blocks are marked ``prefiltered`` so
         the filter chain passes them through untouched; *prune* collects
-        the block counters.  An identity base — pruned, cost-gated or
-        unpruned alike — stays contiguous *ranges* (zero-copy views, see
-        :meth:`_morsels_from_ranges`); only a row-id array base (deletes,
-        snapshots) becomes position morsels.  ``allow_identity`` must be
-        False for pipelines whose *outputs* could pass a fetched slice
-        through unchanged (projections): range slices are views of live
-        column storage, and a result must never alias buffers that later
-        in-place updates rewrite.  Aggregating pipelines always reduce
-        into owned arrays, so they keep the zero-copy fast path.
+        the block counters.  Pruned, cost-gated or unpruned alike, the
+        scan stays contiguous *ranges* (zero-copy views, see
+        :meth:`_morsels_from_ranges`); *visible* (:meth:`visibility`)
+        hides deleted or snapshot-invisible rows inside them.
+        ``allow_identity`` must be False for pipelines whose *outputs*
+        could pass a fetched slice through unchanged (projections):
+        range slices are views of live column storage, and a result must
+        never alias buffers that later in-place updates rewrite.
+        Aggregating pipelines always reduce into owned arrays, so they
+        keep the zero-copy fast path.
         """
-        base, accept, ranges = self.prune_base(db, base, prune)
-        if ranges is not None:
-            return self._morsels_from_ranges(db, ranges, parts,
-                                             morsel_rows, allow_identity)
-        return self._position_morsels(db, base, accept, parts, morsel_rows)
+        return self._morsels_from_ranges(
+            db, self.prune_ranges(db, prune), parts, morsel_rows,
+            allow_identity, visible)
 
     def referenced_columns(self) -> List[BoundColumn]:
         """Every column the full-tuple variants must materialize."""
@@ -993,15 +926,17 @@ class BoundQuery:
         Pruning happens *before* partitioning so every worker derives
         the same surviving rows and therefore identical shard
         boundaries; block counters are reported by shard 0 only (all
-        shards compute the same verdicts).  An identity base partitions
-        as ranges, so each shard scans contiguous ``RowRange`` bands of
-        zero-copy views; only a row-id array base (deletes, snapshots)
-        is split positionally.
+        shards compute the same verdicts).  Shards are row-balanced cuts
+        of the surviving ranges, so each scans contiguous ``RowRange``
+        bands of zero-copy views, with deletes and snapshots hidden by
+        the visibility mask.
         """
         self.hydrate(db)
         counters = PruneCounters()
-        base, accept, ranges = self.prune_base(
-            db, self.base_positions(db), counters)
+        range_parts = self.partition_ranges(self.prune_ranges(db, counters),
+                                            nshards)
+        if shard >= len(range_parts):  # shard 0 always runs
+            return ShardOutcome()
         if self.scan == "row":
             rows = self.chunk_rows
             factory = self.row_pipeline
@@ -1011,21 +946,9 @@ class BoundQuery:
         else:
             rows = self.morsel_rows
             factory = lambda: self.column_pipeline(bool(use_array))  # noqa: E731
-        allow_identity = self.scan != "projection"
-        if ranges is not None:
-            range_parts = self.partition_ranges(ranges, nshards)
-            if shard >= len(range_parts):  # shard 0 always runs
-                return ShardOutcome()
-            morsels = self._morsels_from_ranges(db, range_parts[shard], 1,
-                                                rows, allow_identity)
-        else:
-            parts = MorselDispatcher.partition(base, nshards)
-            if shard >= len(parts):  # shard 0 always runs
-                return ShardOutcome()
-            my_accept = (MorselDispatcher.partition(accept, nshards)[shard]
-                         if accept is not None else None)
-            morsels = self._position_morsels(db, parts[shard], my_accept,
-                                             1, rows)
+        morsels = self._morsels_from_ranges(
+            db, range_parts[shard], 1, rows, self.scan != "projection",
+            self.visibility(db))
         state = self.reorder_state() if self.adaptive else None
         reorders_before = state.reorders if state is not None else 0
         results = MorselDispatcher("serial").run(morsels, factory)
@@ -1068,8 +991,7 @@ class BaselineBoundQuery:
 
     def base_positions(self, db: Database) -> np.ndarray:
         # the baselines' hash-probe providers work on row ids only
-        base = visible_positions(db, self.logical.root)
-        return base.as_positions() if isinstance(base, RowRange) else base
+        return np.flatnonzero(db.table(self.logical.root).live_mask())
 
     def morsel(self, db: Database, positions: np.ndarray) -> Morsel:
         from ..baselines.common import fact_provider

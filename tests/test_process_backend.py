@@ -32,7 +32,6 @@ from repro.engine import (
     sharding,
 )
 from repro.engine.operators import BACKENDS, MorselDispatcher, PredicateFilter
-from repro.engine.sharding import visible_positions
 from repro.baselines import (
     FusedEngine,
     MaterializingEngine,
@@ -276,19 +275,17 @@ def shard_morsel_kinds(monkeypatch, bound, db, nshards):
 
 
 class TestRangeBase:
-    def test_visible_positions_range_unless_deletes_or_snapshot(
+    def test_visibility_mask_only_after_deletes_or_snapshot(
             self, tiny_star_mvcc):
-        base = visible_positions(tiny_star_mvcc, "lineorder")
-        assert isinstance(base, RowRange)
-        assert (base.start, base.stop) == (0, 8)
-        at_snapshot = visible_positions(tiny_star_mvcc, "lineorder",
-                                        snapshot=0)
-        assert isinstance(at_snapshot, np.ndarray)
-        assert at_snapshot.tolist() == list(range(8))
+        sql = "SELECT count(*) AS n FROM lineorder"
+        engine = AStoreEngine(tiny_star_mvcc)
+        assert engine.compile(sql).visibility(tiny_star_mvcc) is None
+        at_snapshot = engine.compile(sql, snapshot=0).visibility(
+            tiny_star_mvcc)
+        assert at_snapshot.tolist() == [True] * 8
         tiny_star_mvcc.table("lineorder").delete([1, 5], version=1)
-        live = visible_positions(tiny_star_mvcc, "lineorder")
-        assert isinstance(live, np.ndarray)
-        assert live.tolist() == [0, 2, 3, 4, 6, 7]
+        live = engine.compile(sql).visibility(tiny_star_mvcc)
+        assert np.flatnonzero(live).tolist() == [0, 2, 3, 4, 6, 7]
 
     @pytest.mark.parametrize("query_id, pruning, verdict", [
         ("Q1.1", True, "skipped"),
@@ -307,14 +304,15 @@ class TestRangeBase:
         # one shard scans the survivor band, or the identity morsel
         assert kinds == [RowRange if verdict == "skipped" else type(None)]
 
-    def test_deletes_fall_back_to_position_morsels(self, tiny_star,
-                                                   monkeypatch):
+    def test_deletes_keep_range_bands(self, tiny_star, monkeypatch):
         tiny_star.table("lineorder").delete([2])
-        bound = AStoreEngine(tiny_star).compile(
-            "SELECT d_year, count(*) AS n FROM lineorder, date "
-            "GROUP BY d_year")
+        sql = ("SELECT d_year, count(*) AS n FROM lineorder, date "
+               "GROUP BY d_year")
+        bound = AStoreEngine(tiny_star).compile(sql)
         kinds, _ = shard_morsel_kinds(monkeypatch, bound, tiny_star, 2)
-        assert kinds and set(kinds) == {np.ndarray}
+        assert kinds == [RowRange, RowRange]
+        kinds, outcome = shard_morsel_kinds(monkeypatch, bound, tiny_star, 1)
+        assert kinds == [type(None)] and outcome.selected == 7
 
     @pytest.mark.parametrize("pruning", [True, False])
     def test_cost_gated_family_matches_serial(self, ssb_air, process_engine,

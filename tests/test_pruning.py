@@ -24,7 +24,6 @@ from repro.core.statistics import (
     ColumnZoneMap,
     StampedStore,
     build_column_zone_map,
-    build_deletion_zone_map,
     default_zone_block_rows,
     zone_maps_for,
 )
@@ -72,12 +71,6 @@ class TestZoneMapBuild:
     def test_dict_column_not_mappable(self):
         column = DictColumn("v", values=["a", "b", "a"])
         assert build_column_zone_map(column, block_rows=2) is None
-
-    def test_deletion_summary(self, tiny_star):
-        table = tiny_star.table("lineorder")
-        table.delete([5])
-        dzm = build_deletion_zone_map(table, block_rows=4)
-        assert dzm.deleted_any.tolist() == [False, True]
 
     def test_default_block_rows_bounds(self):
         assert default_zone_block_rows(0) == 1024
@@ -234,8 +227,8 @@ class TestZoneMapFreshness:
             assert engine.query(NEEDLE_SQL).scalar() == 0
 
     def test_deletes_confined_to_skipped_blocks(self):
-        # deletions living only in blocks the query skips anyway keep
-        # the ranged fast path sound (the deletion zone map proves it)
+        # deletions in blocks the query skips anyway: the survivor
+        # bands carry no visibility mask at all
         from repro.datagen import generate_ssb
 
         db = generate_ssb(sf=0.002, seed=26)
@@ -250,8 +243,8 @@ class TestZoneMapFreshness:
             assert result.stats.morsels_skipped > 0
 
     def test_pruning_with_deleted_rows_matches(self, ssb_air):
-        # deletes make the base non-identity: the position-array prune
-        # path must agree with the unpruned engine
+        # deletes in every block: each survivor band carries a
+        # visibility mask, and must agree with the unpruned engine
         from repro.datagen import generate_ssb
 
         db = generate_ssb(sf=0.002, seed=25)

@@ -2,8 +2,8 @@
 
 Pins the contracts of summary maintenance:
 
-* ``Table`` journals what each stamped write touched (columns, deletion
-  bits, physical rows) and barriers the journal on consolidation and
+* ``Table`` journals what each stamped write touched (columns and
+  physical rows) and barriers the journal on consolidation and
   column swaps; deletes ignore repeated positions and updates reject
   out-of-range ones, so journaled positions are always valid;
 * a summary served after a write is patched from the previous one —
@@ -29,7 +29,6 @@ from repro.core.statistics import (
     StampedStore,
     build_column_code_set_map,
     build_column_zone_map,
-    build_deletion_zone_map,
     zone_maps_for,
 )
 from repro.core.types import DataType
@@ -76,8 +75,6 @@ def assert_summaries_fresh(db, zones, table="lineorder"):
         assert same_summary(zones.code_set(table, name),
                             build_column_code_set_map(column, block_rows,
                                                       domain)), name
-    assert same_summary(zones.deletions(table),
-                        build_deletion_zone_map(tab, block_rows))
 
 
 def dense_code_sets(codes, block_rows, domain):
@@ -149,11 +146,11 @@ class TestJournal:
         entries = table.journal_since(start, table.mutation_count)
         assert [e.count for e in entries] == [start + 1, start + 2, start + 3]
         update, delete, insert = entries
-        assert update.columns == {"a"} and not update.deletions
+        assert update.columns == {"a"}
         assert update.positions.tolist() == [3]
-        assert delete.columns == frozenset() and delete.deletions
+        assert delete.columns == frozenset()
         assert sorted(delete.positions.tolist()) == [4, 5]
-        assert insert.columns == {"a", "b"} and insert.deletions
+        assert insert.columns == {"a", "b"}
         assert sorted(insert.positions.tolist()) == [4, 5, 10]
 
     def test_barriers_cut_the_journal(self):
