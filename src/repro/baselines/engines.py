@@ -177,17 +177,22 @@ class BaselineEngine:
 
     def _gather_sharded(self, logical: LogicalPlan, dim_filters,
                         hash_tables, stats: ExecutionStats):
-        """Ship the portable baseline plan to shard workers and merge."""
-        backend = self._shard_backend
-        if backend is not None and backend.is_stale(self.db):
-            release_shard_backend(backend)
-            backend = self._shard_backend = None
-        if backend is None:
-            self._shard_backend = acquire_shard_backend(self.db, self.workers)
+        """Ship the portable baseline plan to shard workers and merge
+        (one shard runs here, with no pool and no arena)."""
         plan = BaselineBoundQuery(
             shape=self.name, logical=logical, dim_filters=dim_filters,
             hash_tables=hash_tables, block_rows=self._block_rows())
-        outcomes = self._shard_backend.run(plan, nshards=self.workers)
+        if self.workers <= 1:
+            outcomes = [plan.run_shard(self.db, 0, 1, None)]
+        else:
+            backend = self._shard_backend
+            if backend is not None and backend.is_stale(self.db):
+                release_shard_backend(backend)
+                backend = self._shard_backend = None
+            if backend is None:
+                self._shard_backend = acquire_shard_backend(self.db,
+                                                            self.workers)
+            outcomes = self._shard_backend.run(plan, nshards=self.workers)
         fold_outcomes(outcomes, stats, agg_labels=("gather",))
         return merge_outcome_states(outcomes)
 

@@ -15,8 +15,9 @@ Subcommands::
 
 ``query``/``ssb`` accept ``--backend
 {serial,thread,process,remote}`` and ``--workers N`` — the ``process``
-backend shards the fact table over worker processes attached to a
-shared-memory column arena, and the ``remote`` backend scatters shards
+backend shards the fact table N ways over the calling process and N − 1
+worker processes attached to a shared-memory column arena, and the
+``remote`` backend scatters shards
 to ``astore node`` processes named by ``--nodes host:port,...`` (with
 per-node deadlines, retry, and re-shard on node loss) — plus
 ``--no-cache`` to disable the mutation-stamped query cache and
@@ -60,6 +61,10 @@ _GENERATORS = {
     "tpch": generate_tpch,
 }
 
+_WORKERS_HELP = ("horizontal fact-table shards (Section 5); the process "
+                "backend runs N shards on N-1 pool processes plus the "
+                "calling one, and N=1 inline with no pool")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -81,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("sql", help="the SPJGA query text")
     query.add_argument("--variant", choices=sorted(VARIANTS),
                        default="AIRScan_C_P_G")
-    query.add_argument("--workers", type=int, default=1)
+    query.add_argument("--workers", type=int, default=1,
+                       help=_WORKERS_HELP)
     query.add_argument("--backend", choices=sorted(BACKENDS),
                        default="serial",
                        help="execution backend (process = shared-memory "
@@ -122,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssb.add_argument("--repeat", type=int, default=3)
     ssb.add_argument("--variant", choices=sorted(VARIANTS),
                      default="AIRScan_C_P_G")
-    ssb.add_argument("--workers", type=int, default=1)
+    ssb.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     ssb.add_argument("--backend", choices=sorted(BACKENDS),
                      default="serial")
     ssb.add_argument("--nodes", default=None, metavar="HOST:PORT,...",
@@ -146,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how many flights to run (first is cold)")
     cache.add_argument("--variant", choices=sorted(VARIANTS),
                        default="AIRScan_C_P_G")
-    cache.add_argument("--workers", type=int, default=1)
+    cache.add_argument("--workers", type=int, default=1,
+                       help=_WORKERS_HELP)
     cache.add_argument("--backend", choices=sorted(BACKENDS),
                        default="serial")
     cache.add_argument("--no-serve", action="store_true",
@@ -184,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "sharing one listening socket and one "
                             "cross-process query store")
     serve.add_argument("--backend-workers", type=int, default=1,
-                       help="shard workers inside each server's engine "
-                            "(the old serve --workers meaning)")
+                       help="shards inside each server's engine, as "
+                            "query --workers (the old serve --workers "
+                            "meaning)")
     serve.add_argument("--fleet-data", choices=("arena", "copy"),
                        default="arena",
                        help="fleet data placement: one shared-memory "

@@ -188,6 +188,18 @@ class ColumnArena:
     def closed(self) -> bool:
         return self._shm is None
 
+    def attach(self) -> "AttachedDatabase":
+        """The exporting process's own read-only view of the arena.
+
+        The views sit on this arena's mapping rather than a second one:
+        every page was resident here since the export, and a second
+        mapping would count each page the views touch twice in this
+        process's resident set.  The arena keeps ownership; the views
+        are invalid once :meth:`close` unmaps the segment."""
+        if self._shm is None:
+            raise StorageError("arena is closed")
+        return attach_database(self.manifest, segment=self._shm)
+
     def close(self) -> None:
         """Release the segment: close the mapping and unlink from
         ``/dev/shm``.  Idempotent; workers must have detached (their views
@@ -230,12 +242,15 @@ class AttachedDatabase:
 
     Holds the shared-memory mapping open for as long as the rebuilt
     :attr:`db` is in use; :meth:`close` drops the mapping (the owner is
-    responsible for unlinking).  ``zone_maps`` are the parent's exported
-    zone-map summaries as ``(store_key, value)`` pairs over zero-copy
-    views — the attaching side decides which store to seed with them.
+    responsible for unlinking; with ``shm=None`` the mapping belongs to
+    the exporting arena and :meth:`close` leaves it alone).
+    ``zone_maps`` are the parent's exported zone-map summaries as
+    ``(store_key, value)`` pairs over zero-copy views — the attaching
+    side decides which store to seed with them.
     """
 
-    def __init__(self, db: Database, shm: shared_memory.SharedMemory,
+    def __init__(self, db: Database,
+                 shm: Optional[shared_memory.SharedMemory],
                  zone_maps: Optional[List[tuple]] = None):
         self.db = db
         self.zone_maps: List[tuple] = list(zone_maps or ())
@@ -253,7 +268,9 @@ class AttachedDatabase:
         self.close()
 
 
-def attach_database(manifest: ArenaManifest) -> AttachedDatabase:
+def attach_database(manifest: ArenaManifest,
+                    segment: Optional[shared_memory.SharedMemory] = None
+                    ) -> AttachedDatabase:
     """Rebuild a read-only :class:`Database` over the shared segment.
 
     Every fixed-width array is a zero-copy, non-writable view into the
@@ -262,9 +279,12 @@ def attach_database(manifest: ArenaManifest) -> AttachedDatabase:
     :meth:`AttachedDatabase.close` its mapping and leave unlinking to the
     exporting process.  (Spawned workers share the parent's resource
     tracker, so attaching registers nothing new and a worker exit never
-    tears the segment down under the parent.)
+    tears the segment down under the parent.)  With *segment* — an
+    already-open mapping, see :meth:`ColumnArena.attach` — the views sit
+    on that mapping and the attachment does not own it.
     """
-    shm = shared_memory.SharedMemory(name=manifest.segment)
+    shm = (segment if segment is not None
+           else shared_memory.SharedMemory(name=manifest.segment))
 
     def view(key: str) -> np.ndarray:
         spec = manifest.buffers[key]
@@ -309,7 +329,8 @@ def attach_database(manifest: ArenaManifest) -> AttachedDatabase:
                                      view(keys[0]), view(keys[1]),
                                      extra["exact"])
         zone_maps.append((store_key, value))
-    return AttachedDatabase(db, shm, zone_maps)
+    return AttachedDatabase(db, None if segment is not None else shm,
+                            zone_maps)
 
 
 def _wrap_column(entry: dict, data: np.ndarray):

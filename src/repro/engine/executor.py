@@ -69,6 +69,7 @@ from .sharding import (
     LeafProducts,
     ProcessShardBackend,
     PruneCounters,
+    ShardOutcome,
     acquire_shard_backend,
     build_predicate_filter,
     fold_outcomes,
@@ -88,7 +89,10 @@ class EngineOptions:
     * ``use_array_aggregation`` — ``True``/``False``/``"auto"`` (the
       cache-model decision of Section 4.3);
     * ``workers`` — horizontal fact-table partitions (shards) processed
-      independently and merged (Section 5); 1 = serial;
+      independently and merged (Section 5); 1 = serial.  On the
+      ``process`` backend N shards take N − 1 pool processes, because
+      the coordinator runs shard 0 itself; ``workers=1`` runs inline,
+      with no arena and no pool;
     * ``parallel_backend`` — a :data:`repro.engine.operators.BACKENDS`
       name: ``"serial"`` (the default, as on the CLI), ``"thread"``, or
       ``"process"`` (portable bound plans over shared-memory shards);
@@ -762,6 +766,38 @@ class AStoreEngine:
                 self._shard_backend = None
         release_shard_backend(backend)
 
+    def _shard_outcomes(self, bound: BoundQuery, nshards: int,
+                        use_array: Optional[bool], stats: ExecutionStats,
+                        report: Dict[str, int]) -> List[ShardOutcome]:
+        """Run *bound* on a checked-out shard backend, degrading to
+        serial shards over the private database if its workers die."""
+        backend = self._checkout_backend()
+        try:
+            if getattr(backend, "distributed", False):
+                # distributed backends report their failure-path
+                # counters (retries, re-shards, node losses, local
+                # degrades) per run; their shard count defaults to the
+                # node count when workers was left at 1
+                nshards = backend.workers
+                outcomes = backend.run(bound, nshards=nshards,
+                                       use_array=use_array, report=report)
+            else:
+                outcomes = backend.run(bound, nshards=nshards,
+                                       use_array=use_array)
+        except ShardExecutionError:
+            # the pool (or node set) died under this query: evict the
+            # broken backend and degrade to serial shards — same plan,
+            # same shard boundaries, same answer, no hang
+            self._drop_backend_slot(backend)
+            stats.shard_fallbacks += 1
+            return [bound.run_shard(self.db, shard, nshards, use_array)
+                    for shard in range(nshards)]
+        except BaseException:
+            release_shard_backend(backend)
+            raise
+        release_shard_backend(backend)
+        return outcomes
+
     def _run_sharded(self, bound: BoundQuery,
                      stats: ExecutionStats) -> QueryResult:
         """Run the bound plan over horizontal shards in worker processes.
@@ -782,33 +818,13 @@ class AStoreEngine:
                 bound.estimated_selected(stats.rows_scanned))
             agg_labels = ("aggregate",)
         nshards = self.options.workers
-        backend = self._checkout_backend()
         report: Dict[str, int] = {}
-        try:
-            if getattr(backend, "distributed", False):
-                # distributed backends report their failure-path
-                # counters (retries, re-shards, node losses, local
-                # degrades) per run; their shard count defaults to the
-                # node count when workers was left at 1
-                nshards = backend.workers
-                outcomes = backend.run(bound, nshards=nshards,
-                                       use_array=use_array, report=report)
-            else:
-                outcomes = backend.run(bound, nshards=nshards,
-                                       use_array=use_array)
-        except ShardExecutionError:
-            # the pool (or node set) died under this query: evict the
-            # broken backend and degrade to serial shards — same plan,
-            # same shard boundaries, same answer, no hang
-            self._drop_backend_slot(backend)
-            stats.shard_fallbacks += 1
-            outcomes = [bound.run_shard(self.db, shard, nshards, use_array)
-                        for shard in range(nshards)]
-        except BaseException:
-            release_shard_backend(backend)
-            raise
+        if nshards <= 1 and self.options.parallel_backend == "process":
+            # one shard needs neither a pool nor an arena: run it here
+            outcomes = [bound.run_shard(self.db, 0, 1, use_array)]
         else:
-            release_shard_backend(backend)
+            outcomes = self._shard_outcomes(bound, nshards, use_array,
+                                            stats, report)
         stats.remote_retries += report.get("retries", 0)
         stats.remote_reshards += report.get("reshards", 0)
         stats.remote_nodes_lost += report.get("nodes_lost", 0)

@@ -65,15 +65,13 @@ class PredicateFilter:
         self.packed = Bitmap.from_bool_array(self._mask)
         self._prefix: Optional[np.ndarray] = None
 
-    def probe(self, positions: np.ndarray,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
+    def probe(self, positions: np.ndarray) -> np.ndarray:
         """Which of the given dimension positions pass the predicate.
 
-        With *out* (a bool array of matching length, e.g. a scratch
-        buffer) the gather writes in place instead of allocating."""
-        if out is None:
-            return self._mask[positions]
-        return np.take(self._mask, positions, out=out)
+        Fancy indexing, not ``np.take``: *positions* is often a
+        read-only arena view (a shard's FK column band), and ``np.take``
+        copies a non-writeable index array before gathering."""
+        return self._mask[positions]
 
     def pass_counts(self) -> np.ndarray:
         """Prefix sums of the mask: ``pass_counts()[j]`` = passes among
@@ -412,9 +410,7 @@ class AIRProbe(FilterLike):
 
     def mask(self, morsel: Morsel) -> np.ndarray:
         if self.mode == "vector":
-            positions = morsel.provider.positions_for(self.dim)
-            return self.payload.probe(
-                positions, out=local_pool().bool_mask(len(positions)))
+            return self.payload.probe(morsel.provider.positions_for(self.dim))
         if self.mode == "predicate":
             return evaluate_predicate(self.payload, morsel.provider)
         positions = morsel.provider.positions_for(self.dim)
@@ -435,8 +431,8 @@ class MaskFilter(FilterLike):
     def mask(self, morsel: Morsel) -> np.ndarray:
         if morsel.positions is None:
             return self._mask  # identity morsel: already aligned
-        return np.take(self._mask, morsel.positions,
-                       out=local_pool().bool_mask(len(morsel)))
+        # fancy indexing: np.take would copy read-only positions first
+        return self._mask[morsel.positions]
 
 
 class Visible(Operator):

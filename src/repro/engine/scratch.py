@@ -1,14 +1,21 @@
 """Scratch buffers for the morsel hot path: per-thread, or per-lease.
 
-Every morsel trip through a pipeline used to allocate a fresh boolean
-mask per filter-like operator (the probe gather, the existence check,
-the MVCC mask gather).  With small morsels the allocator — not the
-kernel work — dominates the profile.  This module keeps one growable
-buffer per ``(dtype, slot)`` pair **per execution context**, so the
-serial backend reuses the same masks across every morsel of a query,
-each thread of the ``thread`` backend owns its own set, and a
-``process`` shard worker keeps its buffers warm across queries for the
-lifetime of the worker.
+Two hot-path kernels write into reusable buffers instead of allocating
+per morsel: the ``exists`` probe's keep-mask
+(:class:`~repro.engine.operators.AIRProbe`) and the hash aggregate's
+dense-domain code offsets
+(:func:`~repro.engine.aggregate.hash_aggregate`).  With small morsels
+the allocator — not the kernel work — would dominate their profile.
+This module keeps one growable buffer per ``(dtype, slot)`` pair **per
+execution context**, so the serial backend reuses the same buffers
+across every morsel of a query, each thread of the ``thread`` backend
+owns its own set, and a ``process`` shard worker keeps its buffers
+warm across queries for the lifetime of the worker.
+
+The predicate-vector probe and the MVCC mask gather are not users:
+they gather with fancy indexing, because ``np.take`` — the only gather
+that writes into a buffer — copies a read-only index array first, and
+shard positions are often read-only arena views.
 
 Lifetime discipline (the reason this is safe):
 

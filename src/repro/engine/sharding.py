@@ -17,7 +17,8 @@ that shape inside one interpreter; this module realizes it across
   same physical arrays as the parent.
 
 :class:`ProcessShardBackend` owns the arena plus a persistent spawn pool
-and maps :class:`ShardTask`\\ s over it; per-shard partial states
+and maps :class:`ShardTask`\\ s over it while the coordinator runs shard 0
+itself over its own attachment; per-shard partial states
 (:class:`~repro.engine.aggregate.AggregationState`, gather states, or
 projection chunks) and per-operator timings come back as
 :class:`ShardOutcome` values that the caller merges in shard order —
@@ -1132,21 +1133,40 @@ _ATTACHED: Optional[AttachedDatabase] = None
 _PLANS: "OrderedDict[int, object]" = OrderedDict()
 
 
-def _worker_attach(manifest) -> None:
-    """Pool initializer: attach the shared arena once per worker.
+def _seed_zone_maps(attached: AttachedDatabase) -> AttachedDatabase:
+    """Seed an attached database's cache with the exporter's zone maps.
 
-    The parent's exported zone maps seed the attached database's cache
-    (stamped with the attached tables' — immutable — mutation counts),
-    so worker-side pruning starts from the exact summaries the parent
+    Stamped with the attached tables' — immutable — mutation counts, so
+    shard-side pruning starts from the exact summaries the parent
     built, zero-copy.
     """
-    global _ATTACHED
-    _ATTACHED = attach_database(manifest)
-    cache = query_cache_for(_ATTACHED.db)
-    for store_key, value in _ATTACHED.zone_maps:
+    cache = query_cache_for(attached.db)
+    for store_key, value in attached.zone_maps:
         table = store_key[1]
-        stamps = ((table, _ATTACHED.db.table(table).mutation_count),)
+        stamps = ((table, attached.db.table(table).mutation_count),)
         cache.put("zone", store_key, value, stamps, value.nbytes)
+    return attached
+
+
+def _worker_attach(manifest) -> None:
+    """Pool initializer: attach the shared arena once per worker."""
+    global _ATTACHED
+    _ATTACHED = _seed_zone_maps(attach_database(manifest))
+
+
+def _lru_plan(plans: "OrderedDict[int, object]", seq: int,
+              plan_bytes: Optional[bytes]):
+    """The hydrated plan *seq* from *plans*, unpickled from *plan_bytes*
+    on a miss (``None`` when it is absent and no bytes came with it);
+    the least recently used plan beyond ``WORKER_PLAN_CAPACITY`` goes."""
+    plan = plans.get(seq)
+    if plan is not None:
+        plans.move_to_end(seq)
+    elif plan_bytes is not None:
+        plan = plans[seq] = pickle.loads(plan_bytes)
+        while len(plans) > WORKER_PLAN_CAPACITY:
+            plans.popitem(last=False)
+    return plan
 
 
 def _worker_run(task: ShardTask) -> Union[ShardOutcome, PlanMiss]:
@@ -1154,15 +1174,9 @@ def _worker_run(task: ShardTask) -> Union[ShardOutcome, PlanMiss]:
     single-threaded, so the LRU needs no lock)."""
     if _ATTACHED is None:  # pragma: no cover - initializer always runs
         raise ExecutionError("shard worker has no attached database")
-    plan = _PLANS.get(task.plan_seq)
-    if plan is not None:
-        _PLANS.move_to_end(task.plan_seq)
-    elif task.plan_bytes is None:
+    plan = _lru_plan(_PLANS, task.plan_seq, task.plan_bytes)
+    if plan is None:
         return PlanMiss(task.plan_seq)
-    else:
-        plan = _PLANS[task.plan_seq] = pickle.loads(task.plan_bytes)
-        while len(_PLANS) > WORKER_PLAN_CAPACITY:
-            _PLANS.popitem(last=False)
     return plan.run_shard(_ATTACHED.db, task.shard, task.nshards,
                           task.use_array)
 
@@ -1188,6 +1202,15 @@ class ProcessShardBackend:
     expose it as their own ``close()``.  Use :func:`acquire_shard_backend`
     / :func:`release_shard_backend` to share one backend (one arena, one
     pool) across all engines over the same database.
+
+    ``workers`` is the shard count.  The coordinator runs shard 0
+    itself (leader participation), so the pool holds ``workers - 1``
+    processes; with one worker there is no pool and every shard runs
+    in the calling thread.  The coordinator's shards read the backend's
+    own attachment of the arena through its own unpickled plan copies,
+    exactly as a pool worker does, so every shard of a run reads one
+    point-in-time snapshot and the caller's plan object is never
+    hydrated or mutated.
     """
 
     _plan_seq = itertools.count()
@@ -1203,7 +1226,7 @@ class ProcessShardBackend:
         # only resent to a worker that misses.  Weak keys drop the memo
         # with the plan.  The memo lock keeps concurrent serving threads
         # from racing the lookup-then-serialize sequence, and guards the
-        # task-traffic counters.
+        # task-traffic counters and the coordinator's shard state.
         self._plan_pickles: "weakref.WeakKeyDictionary" = (
             weakref.WeakKeyDictionary())
         self._memo_lock = threading.Lock()
@@ -1214,15 +1237,27 @@ class ProcessShardBackend:
         # (summaries built after the export are rebuilt worker-side)
         self.arena = ColumnArena.export(
             db, zone_entries=fresh_zone_entries(db, query_cache_for(db)))
-        ctx = multiprocessing.get_context("spawn")
-        # a futures executor rather than multiprocessing.Pool: when a
-        # worker dies mid-task (OOM kill, SIGKILL, segfault) Pool.map
-        # waits forever for a result that will never come, while the
-        # executor surfaces BrokenProcessPool — which run() maps to the
-        # typed ShardExecutionError the engine degrades on
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=ctx,
-            initializer=_worker_attach, initargs=(self.arena.manifest,))
+        # the coordinator's side of the arena: views over the export's
+        # own mapping (no new resident pages), plan copies by plan_seq,
+        # and a count of its shard runs reading them, which close()
+        # waits out before unmapping the segment
+        self._attached = _seed_zone_maps(self.arena.attach())
+        self._plans: "OrderedDict[int, object]" = OrderedDict()
+        self._leading = 0
+        self._closed = False
+        self._idle = threading.Condition(self._memo_lock)
+        self._pool: Optional[ProcessPoolExecutor] = None
+        if self.workers > 1:
+            # a futures executor rather than multiprocessing.Pool: when
+            # a worker dies mid-task (OOM kill, SIGKILL, segfault)
+            # Pool.map waits forever for a result that will never come,
+            # while the executor surfaces BrokenProcessPool — which
+            # run() maps to the typed ShardExecutionError the engine
+            # degrades on
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers - 1,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_worker_attach, initargs=(self.arena.manifest,))
 
     def is_stale(self, db: Database) -> bool:
         """Has *db* been mutated since this backend's arena was exported?"""
@@ -1242,15 +1277,15 @@ class ProcessShardBackend:
         concurrent callers multiplex over the one worker pool (the
         pool's task queue interleaves their shard tasks).
 
-        Only a plan's first run on this backend ships its bytes; later
-        tasks name it by ``plan_seq``.  A worker that does not hold the
-        plan answers :class:`PlanMiss`, and that shard is resubmitted
-        once, with the bytes."""
-        pool = self._pool
-        if pool is None:
-            raise ExecutionError("process shard backend is closed")
+        Shards 1.. go to the pool first; shard 0 then runs in the
+        calling thread while they do, and the pool's replies are
+        collected last.  Only a plan's first run on this backend ships
+        its bytes; later tasks name it by ``plan_seq``.  A worker that
+        does not hold the plan answers :class:`PlanMiss`, and that
+        shard is resubmitted once, with the bytes."""
         nshards = nshards or self.workers
         with self._memo_lock:
+            pool = self._pool
             memo = self._plan_pickles.get(plan)
             first = memo is None
             if first:
@@ -1258,20 +1293,23 @@ class ProcessShardBackend:
                         pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL))
                 self._plan_pickles[plan] = memo
         seq, plan_bytes = memo
+        led = 1 if pool is not None else nshards
         tasks = [ShardTask(seq, shard, nshards, use_array,
                            plan_bytes if first else None)
-                 for shard in range(nshards)]
+                 for shard in range(led, nshards)]
         try:
-            outcomes = self._map(pool, tasks)
-            missed = [i for i, outcome in enumerate(outcomes)
+            futures = self._submit(pool, tasks)
+            outcomes = self._lead(seq, plan_bytes, led, nshards, use_array)
+            pooled = [future.result() for future in futures]
+            missed = [i for i, outcome in enumerate(pooled)
                       if isinstance(outcome, PlanMiss)]
             if missed:
-                resent = self._map(
+                resent = self._submit(
                     pool, [replace(tasks[i], plan_bytes=plan_bytes)
                            for i in missed], misses=len(missed))
-                for i, outcome in zip(missed, resent):
-                    outcomes[i] = outcome
-            return outcomes
+                for i, future in zip(missed, resent):
+                    pooled[i] = future.result()
+            return outcomes + pooled
         except BrokenProcessPool as exc:
             # a worker died mid-query: self-evict from the registry so
             # the next acquire exports a fresh pool, then raise the
@@ -1289,10 +1327,38 @@ class ProcessShardBackend:
                     "process shard backend is closed") from exc
             raise
 
-    def _map(self, pool: ProcessPoolExecutor, tasks: List[ShardTask],
-             misses: int = 0) -> list:
-        """Submit *tasks*, count their traffic, and wait for the
-        replies in task order (*misses*: the PlanMisses being resent)."""
+    def _lead(self, seq: int, plan_bytes: bytes, led: int, nshards: int,
+              use_array: Optional[bool]) -> List[ShardOutcome]:
+        """Run shards ``0..led-1`` in the calling thread, over the
+        coordinator's attachment and its own copy of plan *seq*.
+
+        The run counts as leading until it returns, so close() cannot
+        unmap the views under it.  Each outcome crosses the same pickle
+        boundary as a worker's reply: projection chunks and gathered
+        values may be views of the arena, and the caller merges them
+        after this backend may already be closed."""
+        with self._memo_lock:
+            if self._closed:
+                raise ExecutionError("process shard backend is closed")
+            plan = _lru_plan(self._plans, seq, plan_bytes)
+            self._leading += 1
+        try:
+            return [pickle.loads(pickle.dumps(
+                        plan.run_shard(self._attached.db, shard, nshards,
+                                       use_array),
+                        protocol=pickle.HIGHEST_PROTOCOL))
+                    for shard in range(led)]
+        finally:
+            with self._memo_lock:
+                self._leading -= 1
+                self._idle.notify_all()
+
+    def _submit(self, pool: Optional[ProcessPoolExecutor],
+                tasks: List[ShardTask], misses: int = 0) -> list:
+        """Submit *tasks* and count their traffic (*misses*: the
+        PlanMisses being resent); the futures come back in task order."""
+        if not tasks:
+            return []
         sizes = [len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
                  for task in tasks]
         with self._memo_lock:
@@ -1301,14 +1367,14 @@ class ProcessShardBackend:
             self._traffic["plan_ships"] += sum(
                 task.plan_bytes is not None for task in tasks)
             self._traffic["plan_misses"] += misses
-        futures = [pool.submit(_worker_run, task) for task in tasks]
-        return [future.result() for future in futures]
+        return [pool.submit(_worker_run, task) for task in tasks]
 
     def traffic(self) -> Dict[str, int]:
         """Task-traffic counters since the pool started: ``tasks``
         submitted, their pickled ``task_bytes``, ``plan_ships`` (tasks
         that carried plan bytes) and ``plan_misses`` (workers that did
-        not hold a referenced plan)."""
+        not hold a referenced plan).  Shards the coordinator runs itself
+        are not tasks and are not counted."""
         with self._memo_lock:
             return dict(self._traffic)
 
@@ -1321,17 +1387,26 @@ class ProcessShardBackend:
                 _SHARED_BACKENDS.pop(key, None)
 
     def close(self) -> None:
-        """Terminate the workers and release the shared segment."""
-        pool, self._pool = self._pool, None
+        """Terminate the workers and release the shared segment.
+
+        Pool workers are terminated, not drained: close() must not wait
+        on stuck shards.  A shard the coordinator is running is waited
+        out, because its views die with the segment mapping."""
+        with self._memo_lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
         if pool is not None:
-            # terminate, don't drain: close() must not wait on stuck
-            # shards, and the executor has no terminate() of its own
+            # the executor has no terminate() of its own
             procs = list(getattr(pool, "_processes", {}).values())
             pool.shutdown(wait=False, cancel_futures=True)
             for proc in procs:
                 with contextlib.suppress(Exception):
                     proc.terminate()
             pool.shutdown(wait=True)
+        with self._memo_lock:
+            while self._leading:
+                self._idle.wait()
+            self._plans.clear()
         self.arena.close()
 
     def __enter__(self) -> "ProcessShardBackend":
@@ -1357,6 +1432,9 @@ GUARDED_BY = {
     "_SHARED_BACKENDS": "_REGISTRY_LOCK",
     "ProcessShardBackend.refs": "_REGISTRY_LOCK",
     "ProcessShardBackend._traffic": "self._memo_lock",
+    "ProcessShardBackend._plans": "self._memo_lock",
+    "ProcessShardBackend._leading": "self._memo_lock",
+    "ProcessShardBackend._closed": "self._memo_lock",
 }
 
 

@@ -340,9 +340,11 @@ class TestProcessPoolDeath:
             first = engine.query(SQL_YEAR)
             assert client_rows(first) == truth
             assert first.stats.shard_fallbacks == 0
-            # SIGKILL one pool worker: the next sharded run must surface
-            # as a typed fallback, not a hang or a raw BrokenProcessPool
+            # SIGKILL the one pool worker (the coordinator runs shard 0
+            # itself): the next sharded run must surface as a typed
+            # fallback, not a hang or a raw BrokenProcessPool
             pool = engine._shard_backend._pool
+            assert len(pool._processes) == 1
             victim = next(iter(pool._processes))
             os.kill(victim, signal.SIGKILL)
             # the pool notices the death asynchronously; a shard run fast

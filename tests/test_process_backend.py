@@ -11,11 +11,13 @@ Pins the PR's three contracts:
   and no shared-memory segment survives engine close.
 """
 
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 import threading
+import time
 from collections import OrderedDict
 from types import SimpleNamespace
 
@@ -32,6 +34,7 @@ from repro.engine import (
     sharding,
 )
 from repro.engine.operators import BACKENDS, MorselDispatcher, PredicateFilter
+from repro.errors import ExecutionError
 from repro.baselines import (
     FusedEngine,
     MaterializingEngine,
@@ -83,6 +86,15 @@ class TestColumnArena:
         arena.close()  # idempotent
         assert segment not in ColumnArena.live_segments()
         assert segment not in shm_segments()
+
+    def test_exporter_attach_reuses_the_export_mapping(self, tiny_star):
+        with ColumnArena.export(tiny_star) as arena:
+            attached = arena.attach()
+            values = attached.db.table("lineorder")["lo_revenue"].values()
+            assert not values.flags.writeable
+            attached.close()  # the mapping is the arena's: still readable
+            assert np.array_equal(
+                values, tiny_star.table("lineorder")["lo_revenue"].values())
 
     def test_deletes_and_mvcc_vectors_travel(self, tiny_star_mvcc):
         tiny_star_mvcc.table("lineorder").delete([1, 5], version=3)
@@ -274,6 +286,156 @@ def shard_morsel_kinds(monkeypatch, bound, db, nshards):
     return kinds, outcomes[0]
 
 
+def strict_take(monkeypatch):
+    """Record every ``numpy.take`` given a non-writeable index array,
+    which it copies before gathering.  (Recorded, not raised: a
+    traceback through arena views must not be rendered after the
+    segment is unmapped.)"""
+    take, copied = np.take, []
+
+    def guarded(a, indices, *args, **kwargs):
+        if isinstance(indices, np.ndarray) and not indices.flags.writeable:
+            copied.append(len(indices))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", guarded)
+    return copied
+
+
+def spy_run_shard(monkeypatch):
+    """Record ``(plan, db, shard, selected)`` for every shard this
+    process runs (spawned pool workers are not patched)."""
+    ran = []
+    run_shard = sharding.BoundQuery.run_shard
+
+    def spy(self, db, shard, nshards, use_array):
+        outcome = run_shard(self, db, shard, nshards, use_array)
+        ran.append((self, db, shard, outcome.selected))
+        return outcome
+
+    monkeypatch.setattr(sharding.BoundQuery, "run_shard", spy)
+    return ran
+
+
+class TestReadOnlyProbes:
+    def test_probe_of_read_only_positions_matches(self):
+        rng = np.random.default_rng(5)
+        pf = PredicateFilter(rng.random(500) < 0.3)
+        positions = rng.integers(0, 500, 4000)
+        view = positions.view()
+        view.flags.writeable = False
+        assert np.array_equal(pf.probe(view), pf.probe(positions))
+        assert np.array_equal(pf.probe(view), pf.mask[positions])
+
+    @pytest.mark.parametrize("query_id", ["Q3.1", "Q2.1"])
+    def test_shards_over_the_arena_gather_without_copies(
+            self, ssb_air, monkeypatch, query_id):
+        sql = SSB_QUERIES[query_id]
+        serial = AStoreEngine(ssb_air, EngineOptions(
+            use_cache=False)).query(sql).rows()
+        probed = []
+        probe = PredicateFilter.probe
+
+        def spy_probe(self, positions):
+            probed.append(positions.flags.writeable)
+            return probe(self, positions)
+
+        with ColumnArena.export(ssb_air) as arena, \
+                attach_database(arena.manifest) as attached:
+            ran = spy_run_shard(monkeypatch)
+            copied = strict_take(monkeypatch)
+            monkeypatch.setattr(PredicateFilter, "probe", spy_probe)
+            # one process shard runs in the calling thread over the
+            # read-only arena views; unpruned, its first probe gathers
+            # at the FK column band itself, which np.take would copy
+            with AStoreEngine(attached.db, EngineOptions(
+                    parallel_backend="process", workers=1,
+                    use_pruning=False, use_cache=False)) as engine:
+                rows = engine.query(sql).rows()
+            monkeypatch.undo()
+        assert [(db, shard) for _, db, shard, _ in ran] == [
+            (attached.db, 0)]
+        assert probed[0] is False
+        assert copied == []
+        assert rows == serial
+
+
+class TestLeaderParticipation:
+    def test_coordinator_runs_shard_zero_over_its_attachment(
+            self, ssb_air, monkeypatch):
+        sql = SSB_QUERIES["Q2.1"]
+        serial = AStoreEngine(ssb_air).query(sql).rows()
+        ran = spy_run_shard(monkeypatch)
+        with AStoreEngine(ssb_air, EngineOptions(
+                parallel_backend="process", workers=2)) as engine:
+            backend = engine._checkout_backend()
+            sharding.release_shard_backend(backend)
+            before = backend.traffic()["tasks"]
+            result = engine.query(sql)
+            assert result.rows() == serial
+            assert len(backend._pool._processes) == 1
+            assert backend.traffic()["tasks"] - before == 1
+            # shard 0 ran here, over the coordinator's own attachment and
+            # its own plan copy (the cached plan is never hydrated)
+            [(plan, db, shard, selected)] = ran
+            assert db is backend._attached.db and shard == 0
+            assert plan is not engine.compile(sql)
+            assert 0 < selected < result.stats.rows_selected
+
+    def test_one_worker_exports_no_arena_and_starts_no_pool(
+            self, tiny_star, ssb_raw):
+        sql = ("SELECT d_year, count(*) AS n FROM lineorder, date "
+               "GROUP BY d_year ORDER BY d_year")
+        segments = ColumnArena.live_segments()
+        children = len(multiprocessing.active_children())
+        with AStoreEngine(tiny_star, EngineOptions(
+                parallel_backend="process", workers=1)) as engine:
+            assert (engine.query(sql).rows()
+                    == AStoreEngine(tiny_star).query(sql).rows())
+            assert engine._shard_backend is None
+        with FusedEngine(ssb_raw, backend="process", workers=1) as fused:
+            sql = SSB_QUERIES["Q2.1"]
+            assert (fused.query(sql).rows()
+                    == FusedEngine(ssb_raw).query(sql).rows())
+            assert fused._shard_backend is None
+        assert ColumnArena.live_segments() == segments
+        assert len(multiprocessing.active_children()) == children
+
+    def test_close_waits_out_a_running_coordinator_shard(
+            self, tiny_star, monkeypatch):
+        sql = "SELECT d_year, count(*) AS n FROM lineorder, date GROUP BY d_year"
+        plan = AStoreEngine(tiny_star).compile(sql)
+        backend = sharding.ProcessShardBackend(tiny_star, 2)
+        started, events = threading.Event(), []
+        run_shard = sharding.BoundQuery.run_shard
+
+        def slow(self, db, shard, nshards, use_array):
+            started.set()
+            time.sleep(0.3)
+            events.append("shard 0 done")
+            return run_shard(self, db, shard, nshards, use_array)
+
+        monkeypatch.setattr(sharding.BoundQuery, "run_shard", slow)
+        errors = []
+
+        def query():
+            try:
+                backend.run(plan)
+            except ExecutionError as exc:  # its pool shard was cancelled
+                errors.append(exc)
+
+        runner = threading.Thread(target=query)
+        runner.start()
+        assert started.wait(30)
+        backend.close()
+        events.append("closed")
+        runner.join(30)
+        assert events == ["shard 0 done", "closed"]
+        assert backend.arena.closed
+        with pytest.raises(ExecutionError, match="closed"):
+            backend.run(plan)
+
+
 class TestRangeBase:
     def test_visibility_mask_only_after_deletes_or_snapshot(
             self, tiny_star_mvcc):
@@ -356,8 +518,10 @@ class TestPlanReferenceTasks:
 
     def test_warm_flight_sends_only_references(self, ssb_air):
         flight = list(SSB_QUERIES.values())
+        # two shards: the coordinator runs shard 0, so one task per query
+        # (counted as deltas: the backend is shared with process_engine)
         with AStoreEngine(ssb_air, EngineOptions(
-                parallel_backend="process", workers=1)) as engine:
+                parallel_backend="process", workers=2)) as engine:
             first = [engine.query(sql).rows() for sql in flight]
             backend = engine._shard_backend
             warm = backend.traffic()
@@ -366,7 +530,7 @@ class TestPlanReferenceTasks:
             tasks = after["tasks"] - warm["tasks"]
             assert tasks == len(flight)
             assert after["plan_ships"] == warm["plan_ships"]
-            assert after["plan_misses"] == 0
+            assert after["plan_misses"] == warm["plan_misses"]
             assert after["task_bytes"] - warm["task_bytes"] < 1024 * tasks
             # a worker that lost its plans answers PlanMiss, and the
             # shard is resent once with the plan bytes
@@ -375,21 +539,23 @@ class TestPlanReferenceTasks:
                 {}).result()
             assert engine.query(flight[0]).rows() == first[0]
             final = backend.traffic()
-            assert final["plan_misses"] == 1
+            assert final["plan_misses"] == after["plan_misses"] + 1
             assert final["plan_ships"] == after["plan_ships"] + 1
 
     def test_concurrent_runs_count_every_task(self, process_engine):
         flight = [SSB_QUERIES[q] for q in ("Q1.1", "Q2.1", "Q3.1", "Q4.1")]
-        for sql in flight:  # compiled, cached and shipped once
-            process_engine.query(sql)
+        # compiled, cached and shipped once
+        expected = {sql: process_engine.query(sql).rows() for sql in flight}
         backend = process_engine._shard_backend
         before = backend.traffic()
-        errors = []
+        errors, wrong = [], []
 
         def client():
             try:
                 for sql in flight * 2:
-                    process_engine.query(sql)
+                    # concurrent runs share the coordinator's plan copies
+                    if process_engine.query(sql).rows() != expected[sql]:
+                        wrong.append(sql)
             except BaseException as exc:  # re-raised below
                 errors.append(exc)
 
@@ -405,11 +571,14 @@ class TestPlanReferenceTasks:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in clients)
         assert not errors, errors
+        assert not wrong
         after = backend.traffic()
         misses = after["plan_misses"] - before["plan_misses"]
-        # two shards per run, plus one resend per miss; nothing lost
+        # nshards - 1 tasks per run (the coordinator runs shard 0), plus
+        # one resend per miss; nothing lost
+        nshards = process_engine.options.workers
         assert (after["tasks"] - before["tasks"]
-                == 2 * len(clients) * len(flight) * 2 + misses)
+                == (nshards - 1) * len(clients) * len(flight) * 2 + misses)
         assert after["plan_ships"] - before["plan_ships"] == misses
 
 
