@@ -59,6 +59,7 @@ from ..engine.sharding import (
     fold_outcomes,
     merge_outcome_states,
     release_shard_backend,
+    run_process_shards,
 )
 from ..errors import PlanError
 from ..plan.binder import LogicalPlan
@@ -177,14 +178,12 @@ class BaselineEngine:
 
     def _gather_sharded(self, logical: LogicalPlan, dim_filters,
                         hash_tables, stats: ExecutionStats):
-        """Ship the portable baseline plan to shard workers and merge
-        (one shard runs here, with no pool and no arena)."""
+        """Ship the portable baseline plan to shard workers and merge."""
         plan = BaselineBoundQuery(
             shape=self.name, logical=logical, dim_filters=dim_filters,
             hash_tables=hash_tables, block_rows=self._block_rows())
-        if self.workers <= 1:
-            outcomes = [plan.run_shard(self.db, 0, 1, None)]
-        else:
+
+        def pooled():
             backend = self._shard_backend
             if backend is not None and backend.is_stale(self.db):
                 release_shard_backend(backend)
@@ -192,7 +191,10 @@ class BaselineEngine:
             if backend is None:
                 self._shard_backend = acquire_shard_backend(self.db,
                                                             self.workers)
-            outcomes = self._shard_backend.run(plan, nshards=self.workers)
+            return self._shard_backend.run(plan, nshards=self.workers)
+
+        outcomes = run_process_shards(plan, self.db, self.workers, None,
+                                      pooled)
         fold_outcomes(outcomes, stats, agg_labels=("gather",))
         return merge_outcome_states(outcomes)
 

@@ -75,6 +75,7 @@ from .sharding import (
     fold_outcomes,
     merge_outcome_states,
     release_shard_backend,
+    run_process_shards,
 )
 
 
@@ -819,12 +820,16 @@ class AStoreEngine:
             agg_labels = ("aggregate",)
         nshards = self.options.workers
         report: Dict[str, int] = {}
-        if nshards <= 1 and self.options.parallel_backend == "process":
-            # one shard needs neither a pool nor an arena: run it here
-            outcomes = [bound.run_shard(self.db, 0, 1, use_array)]
+
+        def pooled() -> List[ShardOutcome]:
+            return self._shard_outcomes(bound, nshards, use_array, stats,
+                                        report)
+
+        if self.options.parallel_backend == "process":
+            outcomes = run_process_shards(bound, self.db, nshards, use_array,
+                                          pooled)
         else:
-            outcomes = self._shard_outcomes(bound, nshards, use_array,
-                                            stats, report)
+            outcomes = pooled()
         stats.remote_retries += report.get("retries", 0)
         stats.remote_reshards += report.get("reshards", 0)
         stats.remote_nodes_lost += report.get("nodes_lost", 0)

@@ -41,7 +41,7 @@ from collections import OrderedDict
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -1203,11 +1203,11 @@ class ProcessShardBackend:
     / :func:`release_shard_backend` to share one backend (one arena, one
     pool) across all engines over the same database.
 
-    ``workers`` is the shard count.  The coordinator runs shard 0
-    itself (leader participation), so the pool holds ``workers - 1``
-    processes; with one worker there is no pool and every shard runs
-    in the calling thread.  The coordinator's shards read the backend's
-    own attachment of the arena through its own unpickled plan copies,
+    ``workers`` is the shard count, at least two (one shard runs
+    inline, see :func:`run_process_shards`).  The coordinator runs
+    shard 0 itself (leader participation), so the pool holds
+    ``workers - 1`` processes.  Shard 0 reads the backend's own
+    attachment of the arena through its own unpickled plan copy,
     exactly as a pool worker does, so every shard of a run reads one
     point-in-time snapshot and the caller's plan object is never
     hydrated or mutated.
@@ -1216,7 +1216,10 @@ class ProcessShardBackend:
     _plan_seq = itertools.count()
 
     def __init__(self, db: Database, workers: int):
-        self.workers = max(1, int(workers))
+        if int(workers) < 2:
+            raise ValueError("a process shard backend needs two or more "
+                             "shards; run one shard inline")
+        self.workers = int(workers)
         self.stamp = database_stamp(db)
         self.refs = 0
         self._registry_key: Optional[tuple] = None
@@ -1241,23 +1244,20 @@ class ProcessShardBackend:
         # own mapping (no new resident pages), plan copies by plan_seq,
         # and a count of its shard runs reading them, which close()
         # waits out before unmapping the segment
-        self._attached = _seed_zone_maps(self.arena.attach())
+        self._attached: Optional[AttachedDatabase] = _seed_zone_maps(
+            self.arena.attach())
         self._plans: "OrderedDict[int, object]" = OrderedDict()
         self._leading = 0
-        self._closed = False
         self._idle = threading.Condition(self._memo_lock)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        if self.workers > 1:
-            # a futures executor rather than multiprocessing.Pool: when
-            # a worker dies mid-task (OOM kill, SIGKILL, segfault)
-            # Pool.map waits forever for a result that will never come,
-            # while the executor surfaces BrokenProcessPool — which
-            # run() maps to the typed ShardExecutionError the engine
-            # degrades on
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers - 1,
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=_worker_attach, initargs=(self.arena.manifest,))
+        # a futures executor rather than multiprocessing.Pool: when a
+        # worker dies mid-task (OOM kill, SIGKILL, segfault) Pool.map
+        # waits forever for a result that will never come, while the
+        # executor surfaces BrokenProcessPool — which run() maps to the
+        # typed ShardExecutionError the engine degrades on
+        self._pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
+            max_workers=self.workers - 1,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_worker_attach, initargs=(self.arena.manifest,))
 
     def is_stale(self, db: Database) -> bool:
         """Has *db* been mutated since this backend's arena was exported?"""
@@ -1286,6 +1286,8 @@ class ProcessShardBackend:
         nshards = nshards or self.workers
         with self._memo_lock:
             pool = self._pool
+            if pool is None:
+                raise ExecutionError("process shard backend is closed")
             memo = self._plan_pickles.get(plan)
             first = memo is None
             if first:
@@ -1293,13 +1295,12 @@ class ProcessShardBackend:
                         pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL))
                 self._plan_pickles[plan] = memo
         seq, plan_bytes = memo
-        led = 1 if pool is not None else nshards
         tasks = [ShardTask(seq, shard, nshards, use_array,
                            plan_bytes if first else None)
-                 for shard in range(led, nshards)]
+                 for shard in range(1, nshards)]
         try:
             futures = self._submit(pool, tasks)
-            outcomes = self._lead(seq, plan_bytes, led, nshards, use_array)
+            led = self._lead(seq, plan_bytes, nshards, use_array)
             pooled = [future.result() for future in futures]
             missed = [i for i, outcome in enumerate(pooled)
                       if isinstance(outcome, PlanMiss)]
@@ -1309,7 +1310,7 @@ class ProcessShardBackend:
                            for i in missed], misses=len(missed))
                 for i, future in zip(missed, resent):
                     pooled[i] = future.result()
-            return outcomes + pooled
+            return [led] + pooled
         except BrokenProcessPool as exc:
             # a worker died mid-query: self-evict from the registry so
             # the next acquire exports a fresh pool, then raise the
@@ -1327,38 +1328,35 @@ class ProcessShardBackend:
                     "process shard backend is closed") from exc
             raise
 
-    def _lead(self, seq: int, plan_bytes: bytes, led: int, nshards: int,
-              use_array: Optional[bool]) -> List[ShardOutcome]:
-        """Run shards ``0..led-1`` in the calling thread, over the
-        coordinator's attachment and its own copy of plan *seq*.
+    def _lead(self, seq: int, plan_bytes: bytes, nshards: int,
+              use_array: Optional[bool]) -> ShardOutcome:
+        """Run shard 0 in the calling thread, over the coordinator's
+        attachment and its own copy of plan *seq*.
 
         The run counts as leading until it returns, so close() cannot
-        unmap the views under it.  Each outcome crosses the same pickle
+        unmap the views under it.  The outcome crosses the same pickle
         boundary as a worker's reply: projection chunks and gathered
         values may be views of the arena, and the caller merges them
         after this backend may already be closed."""
         with self._memo_lock:
-            if self._closed:
+            if self._pool is None:
                 raise ExecutionError("process shard backend is closed")
             plan = _lru_plan(self._plans, seq, plan_bytes)
+            db = self._attached.db
             self._leading += 1
         try:
-            return [pickle.loads(pickle.dumps(
-                        plan.run_shard(self._attached.db, shard, nshards,
-                                       use_array),
-                        protocol=pickle.HIGHEST_PROTOCOL))
-                    for shard in range(led)]
+            return pickle.loads(pickle.dumps(
+                plan.run_shard(db, 0, nshards, use_array),
+                protocol=pickle.HIGHEST_PROTOCOL))
         finally:
             with self._memo_lock:
                 self._leading -= 1
                 self._idle.notify_all()
 
-    def _submit(self, pool: Optional[ProcessPoolExecutor],
-                tasks: List[ShardTask], misses: int = 0) -> list:
+    def _submit(self, pool: ProcessPoolExecutor, tasks: List[ShardTask],
+                misses: int = 0) -> list:
         """Submit *tasks* and count their traffic (*misses*: the
         PlanMisses being resent); the futures come back in task order."""
-        if not tasks:
-            return []
         sizes = [len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
                  for task in tasks]
         with self._memo_lock:
@@ -1393,7 +1391,6 @@ class ProcessShardBackend:
         on stuck shards.  A shard the coordinator is running is waited
         out, because its views die with the segment mapping."""
         with self._memo_lock:
-            self._closed = True
             pool, self._pool = self._pool, None
         if pool is not None:
             # the executor has no terminate() of its own
@@ -1407,6 +1404,9 @@ class ProcessShardBackend:
             while self._leading:
                 self._idle.wait()
             self._plans.clear()
+            # the attached database (and the zone maps seeded into its
+            # query cache) are views of the mapping about to go
+            self._attached = None
         self.arena.close()
 
     def __enter__(self) -> "ProcessShardBackend":
@@ -1434,8 +1434,23 @@ GUARDED_BY = {
     "ProcessShardBackend._traffic": "self._memo_lock",
     "ProcessShardBackend._plans": "self._memo_lock",
     "ProcessShardBackend._leading": "self._memo_lock",
-    "ProcessShardBackend._closed": "self._memo_lock",
+    "ProcessShardBackend._pool": "self._memo_lock",
+    "ProcessShardBackend._attached": "self._memo_lock",
 }
+
+
+def run_process_shards(plan, db: Database, nshards: int,
+                       use_array: Optional[bool],
+                       pooled: Callable[[], List[ShardOutcome]]
+                       ) -> List[ShardOutcome]:
+    """The outcomes of *plan* over *nshards* process shards.
+
+    One shard runs here, over *db*, with no arena export and no pool (a
+    :class:`ProcessShardBackend` needs two shards); more come from
+    *pooled*, which runs them on a checked-out backend."""
+    if nshards <= 1:
+        return [plan.run_shard(db, 0, 1, use_array)]
+    return pooled()
 
 
 def acquire_shard_backend(db: Database, workers: int) -> ProcessShardBackend:

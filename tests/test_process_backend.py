@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import ColumnArena, attach_database
-from repro.core.column import StringColumn
+from repro.core.column import DictColumn, FixedColumn, StringColumn
 from repro.engine import (
     AStoreEngine,
     EngineOptions,
@@ -286,20 +286,51 @@ def shard_morsel_kinds(monkeypatch, bound, db, nshards):
     return kinds, outcomes[0]
 
 
-def strict_take(monkeypatch):
-    """Record every ``numpy.take`` given a non-writeable index array,
-    which it copies before gathering.  (Recorded, not raised: a
+def strict_take(monkeypatch, db):
+    """Record every gather given a non-writeable index array, which
+    ``numpy.take`` — the function or the ``ndarray`` method — copies
+    before gathering.  The method is caught on every column array of
+    *db* and every view sliced from one.  (Recorded, not raised: a
     traceback through arena views must not be rendered after the
     segment is unmapped.)"""
     take, copied = np.take, []
 
-    def guarded(a, indices, *args, **kwargs):
+    def record(indices):
         if isinstance(indices, np.ndarray) and not indices.flags.writeable:
             copied.append(len(indices))
+
+    def guarded(a, indices, *args, **kwargs):
+        record(indices)
         return take(a, indices, *args, **kwargs)
 
+    class StrictTake(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            record(indices)
+            return super().take(indices, *args, **kwargs)
+
+    for table in db.tables.values():
+        for column in table.columns.values():
+            for part in (column, getattr(column, "_codes", None),
+                         getattr(column, "_addr", None)):
+                if isinstance(part, FixedColumn):
+                    monkeypatch.setattr(part, "_data",
+                                        part._data.view(StrictTake))
     monkeypatch.setattr(np, "take", guarded)
     return copied
+
+
+def spy_column_gathers(monkeypatch):
+    """Record, per positional column gather, whether its positions
+    were writeable."""
+    writeable = []
+    for cls, name in ((FixedColumn, "take"), (DictColumn, "take"),
+                      (DictColumn, "take_codes"), (StringColumn, "take")):
+        def spy(self, positions, _method=getattr(cls, name)):
+            writeable.append(positions.flags.writeable)
+            return _method(self, positions)
+
+        monkeypatch.setattr(cls, name, spy)
+    return writeable
 
 
 def spy_run_shard(monkeypatch):
@@ -327,12 +358,23 @@ class TestReadOnlyProbes:
         assert np.array_equal(pf.probe(view), pf.probe(positions))
         assert np.array_equal(pf.probe(view), pf.mask[positions])
 
-    @pytest.mark.parametrize("query_id", ["Q3.1", "Q2.1"])
+    @pytest.mark.parametrize("variant, sql, reader", [
+        ("AIRScan_C_P_G", SSB_QUERIES["Q3.1"], "probe"),
+        ("AIRScan_C_P_G", SSB_QUERIES["Q2.1"], "probe"),
+        # predicate mode: dimension predicates fetch their columns at
+        # the FK band instead of probing a predicate vector
+        ("AIRScan_C", SSB_QUERIES["Q3.1"], "column"),
+        ("AIRScan_R", SSB_QUERIES["Q2.1"], "column"),
+        # projections gather dimension columns at owned positions
+        ("AIRScan_C_P_G",
+         "SELECT lo_orderkey, c_nation, d_year FROM lineorder, customer, "
+         "date ORDER BY lo_orderkey LIMIT 100", "owned"),
+    ], ids=["C_P_G-Q3.1", "C_P_G-Q2.1", "C-Q3.1", "R-Q2.1",
+            "C_P_G-projection"])
     def test_shards_over_the_arena_gather_without_copies(
-            self, ssb_air, monkeypatch, query_id):
-        sql = SSB_QUERIES[query_id]
-        serial = AStoreEngine(ssb_air, EngineOptions(
-            use_cache=False)).query(sql).rows()
+            self, ssb_air, monkeypatch, variant, sql, reader):
+        serial = AStoreEngine.variant(ssb_air, variant,
+                                      use_cache=False).query(sql).rows()
         probed = []
         probe = PredicateFilter.probe
 
@@ -343,19 +385,27 @@ class TestReadOnlyProbes:
         with ColumnArena.export(ssb_air) as arena, \
                 attach_database(arena.manifest) as attached:
             ran = spy_run_shard(monkeypatch)
-            copied = strict_take(monkeypatch)
+            copied = strict_take(monkeypatch, attached.db)
+            gathered = spy_column_gathers(monkeypatch)
             monkeypatch.setattr(PredicateFilter, "probe", spy_probe)
             # one process shard runs in the calling thread over the
-            # read-only arena views; unpruned, its first probe gathers
-            # at the FK column band itself, which np.take would copy
-            with AStoreEngine(attached.db, EngineOptions(
-                    parallel_backend="process", workers=1,
-                    use_pruning=False, use_cache=False)) as engine:
+            # read-only arena views; unpruned, its first dimension read
+            # takes the FK column band itself as positions, which
+            # np.take would copy
+            with AStoreEngine.variant(
+                    attached.db, variant, parallel_backend="process",
+                    workers=1, use_pruning=False,
+                    use_cache=False) as engine:
                 rows = engine.query(sql).rows()
             monkeypatch.undo()
         assert [(db, shard) for _, db, shard, _ in ran] == [
             (attached.db, 0)]
-        assert probed[0] is False
+        if reader == "probe":
+            assert probed[0] is False
+        elif reader == "column":
+            assert False in gathered
+        else:
+            assert gathered and all(gathered)
         assert copied == []
         assert rows == serial
 
@@ -401,6 +451,12 @@ class TestLeaderParticipation:
         assert ColumnArena.live_segments() == segments
         assert len(multiprocessing.active_children()) == children
 
+    def test_backend_needs_two_shards(self, tiny_star):
+        segments = ColumnArena.live_segments()
+        with pytest.raises(ValueError, match="two or more"):
+            sharding.ProcessShardBackend(tiny_star, 1)
+        assert ColumnArena.live_segments() == segments
+
     def test_close_waits_out_a_running_coordinator_shard(
             self, tiny_star, monkeypatch):
         sql = "SELECT d_year, count(*) AS n FROM lineorder, date GROUP BY d_year"
@@ -432,6 +488,7 @@ class TestLeaderParticipation:
         runner.join(30)
         assert events == ["shard 0 done", "closed"]
         assert backend.arena.closed
+        assert backend._attached is None  # nothing reaches dead views
         with pytest.raises(ExecutionError, match="closed"):
             backend.run(plan)
 
