@@ -10,7 +10,7 @@ from ..loader import FUNC_NODES, ModuleSource, Project, ancestors
 from ..model import Finding
 
 # Modules forming the network surface the chaos harness must dominate.
-_TARGET_BASENAMES = {"distributed.py", "membership.py", "serve.py", "fleet.py"}
+_TARGET_BASENAMES = {"serve.py"}
 
 # Raw I/O operations (socket / pipe / fd-handoff) that must only be
 # reachable through chaos-covered code.
@@ -36,38 +36,35 @@ class ChaosCoverageChecker(Checker):
     title = "network I/O is dominated by a chaos_point site"
     contract = """
     The deterministic chaos harness (ASTORE_CHAOS=kill|delay|drop|
-    corrupt|error|flap@site) can only exercise failure paths that pass
-    through a chaos_point()/chaos_point_async() call.  In the network
-    modules (engine/distributed.py, membership.py, serve.py, fleet.py
-    — or any module declaring CHAOS_SCOPE = True), every raw socket /
-    pipe / fd-handoff operation (send*/recv*/connect/create_connection/
-    send_handle/recv_handle) must sit in a function that contains a
-    chaos site or calls a chaos-bearing helper, or be reachable only
-    through callers that are covered.  Frame helpers taking a `site`
-    parameter (send_frame/recv_frame) only extend coverage to call
-    sites that actually pass one — a site-less frame call is
-    statically chaos-bearing but dynamically dead.
+    error@site) can only exercise failure paths that pass through a
+    chaos_point()/chaos_point_async() call.  In the network module
+    (engine/serve.py — or any module declaring CHAOS_SCOPE = True),
+    every raw socket / pipe / fd-handoff operation (send*/recv*/connect/
+    create_connection/send_handle/recv_handle) must sit in a function
+    that contains a chaos site or calls a chaos-bearing helper, or be
+    reachable only through callers that are covered.  Frame helpers
+    taking a `site` parameter (send_frame/recv_frame) only extend
+    coverage to call sites that actually pass one — a site-less frame
+    call is statically chaos-bearing but dynamically dead.
     """
     prevents = """
-    PR 8's harness pins every distributed failure path in tests; a raw
-    I/O call outside a chaos site silently shrinks that coverage — the
-    path exists in production but no test can inject its failure.
-    PR 10's analyzer found the membership join/refresh client socket
-    and the fleet fd-handoff path uncovered, which is why the
-    membership.request and fleet.handoff sites exist.
+    The harness pins the serve layer's failure paths (request deadline,
+    overload shedding) in tests; a raw I/O call outside a chaos site
+    silently shrinks that coverage — the path exists in production but
+    no test can inject its failure.
     """
     example_bad = """
-    def _membership_request(address, message):
+    def _forward(address, line):
         with socket.create_connection(address) as sock:   # no site
-            send_frame(sock, message)                     # site-less
-            return recv_frame(sock)
+            sock.sendall(line)
+            return sock.recv(4096)
     """
     example_fix = """
-    def _membership_request(address, message):
-        chaos_point("membership.request", payload=message)
+    def _forward(address, line):
+        chaos_point("serve.request")
         with socket.create_connection(address) as sock:
-            send_frame(sock, message)
-            return recv_frame(sock)
+            sock.sendall(line)
+            return sock.recv(4096)
     """
 
     def check(self, module: ModuleSource, project: Project) -> Iterator[Finding]:

@@ -36,11 +36,10 @@ class LockDisciplineChecker(Checker):
     __init__/__new__ are exempt: the object is not yet published.
     """
     prevents = """
-    PR 5 fixed three latent races of exactly this class (result-tier
-    aliasing, scratch-buffer aliasing under asyncio, shard-backend
-    lifecycle races); PR 10's analyzer caught two more (an unlocked
-    check-then-act on the cache registry and a duplicate-link race in
-    the remote backend's membership refresh).
+    Three latent races of exactly this class were fixed by hand
+    (result-tier aliasing, scratch-buffer aliasing under asyncio,
+    shard-backend lifecycle races); the analyzer then caught an
+    unlocked check-then-act on the cache registry.
     """
     example_bad = """
     GUARDED_BY = {"_CACHES": "_CACHES_LOCK"}

@@ -63,8 +63,8 @@ class PlanPortabilityChecker(Checker):
     title = "classes marked __portable__ must not reach unpicklable state"
     contract = """
     A class carrying `__portable__ = True` (BoundQuery, OpSpec,
-    LeafFilterSpec, the bound-expression tree, ...) crosses process and
-    node boundaries by pickle.  Its annotated fields may only reference
+    LeafFilterSpec, the bound-expression tree, ...) crosses process
+    boundaries by pickle.  Its annotated fields may only reference
     portable classes, builtins/typing/numpy shapes — never runtime
     handles (Callable, Thread, Lock, socket, file objects) or project
     classes not themselves marked portable.  Methods of a portable
@@ -74,10 +74,10 @@ class PlanPortabilityChecker(Checker):
     declaration and never serialized.
     """
     prevents = """
-    PR 2's contract that queries compile to picklable BoundQuery
-    artifacts is what lets PR 6's fleet and PR 8's remote nodes ship
-    plans instead of SQL; one stray lambda on a spec breaks every
-    backend beyond serial at once.
+    The contract that queries compile to picklable BoundQuery
+    artifacts is what lets the process backend ship plans to its
+    shard workers instead of SQL; one stray lambda on a spec breaks
+    every backend beyond serial at once.
     """
     example_bad = """
     class LeafFilterSpec:

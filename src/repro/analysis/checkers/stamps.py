@@ -9,7 +9,7 @@ from ..framework import Checker
 from ..loader import ModuleSource, Project, enclosing_function
 from ..model import Finding
 
-# The per-table mutation state every cache/arena/fleet freshness check
+# The per-table mutation state every cache/arena freshness check
 # hangs off.  _mutation_count is itself a buffer: nobody outside the
 # consecrated modules may forge a stamp either, nor rewrite the mutation
 # journal that block summaries patch from.
@@ -50,15 +50,14 @@ class StampProtocolChecker(Checker):
     rule_id = "stamp-protocol"
     title = "mutation buffers change only via entry points that bump the stamp"
     contract = """
-    Every freshness decision in the system — the QueryCache tiers, the
-    shared-memory fleet store, arena revalidation, remote StampLane
-    fencing — compares (table, mutation_count) stamps.  The deletion /
+    Every freshness decision in the system — the QueryCache tiers and
+    arena revalidation — compares (table, mutation_count) stamps.  The deletion /
     free-slot / MVCC-version / row-count buffers (and the stamp itself)
     may therefore only be written inside the consecrated mutation
     modules (core/table.py, core/compaction.py); and within those, any
     public entry point that writes a buffer must also bump
     _mutation_count before returning.  A write that skips the bump
-    serves stale answers fleet-wide; a write outside the entry points
+    serves stale answers from every tier; a write outside the entry points
     bypasses MVCC versioning entirely.  Where the module keeps a
     mutation journal (a method writes _journal), every public entry
     point that bumps the stamp must also journal what it touched or
@@ -67,11 +66,10 @@ class StampProtocolChecker(Checker):
     under a fresh stamp.
     """
     prevents = """
-    The stamp protocol is load-bearing since PR 3 (QueryCache), and
-    doubly so since PR 6 (cross-process shared store) and PR 8 (remote
-    stamp fencing).  PR 10's analyzer caught Table.add_column mutating
-    row bookkeeping without a bump — a schema change every cache tier
-    would have ignored.
+    The stamp protocol is load-bearing for every QueryCache tier and
+    for the process backend's arena revalidation.  The analyzer caught
+    Table.add_column mutating row bookkeeping without a bump — a schema
+    change every cache tier would have ignored.
     """
     example_bad = """
     def add_column(self, name, column):        # in core/table.py
@@ -121,7 +119,7 @@ class StampProtocolChecker(Checker):
                 func.lineno,
                 f"mutation entry point {func.name!r} writes "
                 f"{', '.join(written)} but never bumps _mutation_count; "
-                f"every cache tier and remote stamp fence will miss this "
+                f"every cache tier and the shard arena will miss this "
                 f"mutation",
                 symbol=func.name,
             )

@@ -9,25 +9,19 @@ Subcommands::
     astore ssb ssb.npz                       # run all 13 SSB queries
     astore cache ssb.npz                     # per-tier cache hit statistics
     astore serve ssb.npz --port 7433         # asyncio line-protocol server
-    astore node ssb.npz --port 7533          # one remote shard node
     astore compact ssb.npz                   # clustering-preserving re-sort
     astore validate ssb.npz                  # referential-integrity check
 
-``query``/``ssb`` accept ``--backend
-{serial,thread,process,remote}`` and ``--workers N`` — the ``process``
+``query``/``ssb``/``cache``/``serve`` accept ``--backend
+{async,process,serial,thread}`` and ``--workers N`` — the ``process``
 backend shards the fact table N ways over the calling process and N − 1
-worker processes attached to a shared-memory column arena, and the
-``remote`` backend scatters shards
-to ``astore node`` processes named by ``--nodes host:port,...`` (with
-per-node deadlines, retry, and re-shard on node loss) — plus
-``--no-cache`` to disable the mutation-stamped query cache and
-``--no-pruning`` to disable zone-map data skipping.  ``serve --workers N``
-(N > 1) starts a *fleet* of N server processes sharing one listening
-socket and one cross-process query store (``--fleet-data``,
-``--no-shared-store``); per-server shard workers are set with
-``--backend-workers``.  ``cache`` can bound the result (serving) tier
-with ``--result-ttl``/``--result-entries``, and ``cache --shared`` runs
-a cross-process shared-store demonstration.  ``query
+worker processes attached to a shared-memory column arena — and
+``query``/``ssb`` take ``--no-cache`` to disable the mutation-stamped
+query cache and ``--no-pruning`` to disable zone-map data skipping.
+``serve`` is one process: an asyncio server over one engine, with a
+per-request deadline (``--request-timeout``) and an overload front
+door (``--max-pending``).  ``cache`` can bound the result (serving)
+tier with ``--result-ttl``/``--result-entries``.  ``query
 --breakdown`` additionally prints the stage and per-operator timing
 breakdowns plus the prune verdict counts (blocks skipped / fully
 accepted / scanned, and whether the cost gate bypassed the verdict
@@ -91,13 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--backend", choices=sorted(BACKENDS),
                        default="serial",
                        help="execution backend (process = shared-memory "
-                            "shard workers; remote = distributed shard "
-                            "nodes, see --nodes)")
-    query.add_argument("--nodes", default=None, metavar="HOST:PORT,...",
-                       help="remote backend: shard node addresses")
-    query.add_argument("--node-timeout", type=float, default=30.0,
-                       help="remote backend: per-node request deadline "
-                            "in seconds")
+                            "shard workers)")
     query.add_argument("--explain", action="store_true",
                        help="print the plan instead of executing")
     query.add_argument("--breakdown", action="store_true",
@@ -131,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     ssb.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     ssb.add_argument("--backend", choices=sorted(BACKENDS),
                      default="serial")
-    ssb.add_argument("--nodes", default=None, metavar="HOST:PORT,...",
-                     help="remote backend: shard node addresses")
-    ssb.add_argument("--node-timeout", type=float, default=30.0,
-                     help="remote backend: per-node request deadline "
-                          "in seconds")
     ssb.add_argument("--no-cache", action="store_true",
                      help="disable the mutation-stamped query cache")
     ssb.add_argument("--no-pruning", action="store_true",
@@ -165,17 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--result-entries", type=int, default=0, metavar="N",
                        help="cap the result tier at N entries "
                             "(0 = shared default)")
-    cache.add_argument("--shared", action="store_true",
-                       help="demonstrate the cross-process shared store: "
-                            "run the flight in two subprocesses sharing "
-                            "one shm-backed query store and report the "
-                            "second process's shared-tier hits")
 
     serve = sub.add_parser(
         "serve",
         help="serve concurrent queries over TCP (newline-delimited JSON "
-             "or raw SQL in, JSON out; PING/STATS/SHUTDOWN admin lines); "
-             "--workers N>1 grows a multi-process fleet")
+             "or raw SQL in, JSON out; PING/STATS/SHUTDOWN admin lines)")
     serve.add_argument("database", help="a .npz archive from 'generate'")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7433,
@@ -187,21 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sync execution backend the async engine "
                             "multiplexes over")
     serve.add_argument("--workers", type=int, default=1,
-                       help="server processes; N > 1 starts a fleet "
-                            "sharing one listening socket and one "
-                            "cross-process query store")
-    serve.add_argument("--backend-workers", type=int, default=1,
-                       help="shards inside each server's engine, as "
-                            "query --workers (the old serve --workers "
-                            "meaning)")
-    serve.add_argument("--fleet-data", choices=("arena", "copy"),
-                       default="arena",
-                       help="fleet data placement: one shared-memory "
-                            "arena (read-only, default) or a private "
-                            "writable copy per worker")
-    serve.add_argument("--no-shared-store", action="store_true",
-                       help="fleet: disable the cross-process shared "
-                            "query store")
+                       help=_WORKERS_HELP)
     serve.add_argument("--max-concurrency", type=int, default=0,
                        help="bound on concurrently executing queries "
                             "(0 = derive from the core count)")
@@ -214,40 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "field)")
     serve.add_argument("--no-serve-cache", action="store_true",
                        help="disable the result (serving) tier")
-    serve.add_argument("--nodes", default=None, metavar="HOST:PORT,...",
-                       help="--backend remote: static shard node "
-                            "addresses (or use --membership-port)")
-    serve.add_argument("--node-timeout", type=float, default=30.0,
-                       help="--backend remote: per-node request deadline "
-                            "in seconds")
-    serve.add_argument("--membership-port", type=int, default=None,
-                       metavar="PORT",
-                       help="host a cluster membership view on this port "
-                            "(0 = pick a free one); shard nodes join with "
-                            "'astore node --join', crashed nodes fall "
-                            "out, restarted ones rejoin")
     serve.add_argument("--max-pending", type=int, default=0, metavar="N",
                        help="overload front door: shed requests with a "
                             "structured {\"overloaded\": true} error once "
                             "N are in flight (0 = no bound)")
-
-    node = sub.add_parser(
-        "node",
-        help="serve fact-table shards of a database copy to a remote-"
-             "backend coordinator (the worker half of --backend remote)")
-    node.add_argument("database", help="a .npz archive from 'generate'")
-    node.add_argument("--host", default="127.0.0.1")
-    node.add_argument("--port", type=int, default=0,
-                      help="TCP port (0 = pick a free one)")
-    node.add_argument("--chaos", default="",
-                      help="arm deterministic fault-injection rules in "
-                           "this node (action@site[:first][xcount]"
-                           "[=value]; see repro.engine.chaos)")
-    node.add_argument("--join", default="", metavar="HOST:PORT",
-                      help="announce this node to a coordinator's "
-                           "membership port; the join reply's stamps "
-                           "seed the node's lane (rejoin catch-up) and "
-                           "SIGTERM deregisters before exiting 0")
 
     compact = sub.add_parser(
         "compact",
@@ -306,20 +239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
 
-def _remote_overrides(args) -> dict:
-    """EngineOptions overrides for ``--backend remote`` (``--nodes``
-    required; workers defaults to the node count unless raised)."""
-    if getattr(args, "backend", "") != "remote":
-        return {}
-    if not getattr(args, "nodes", None):
-        raise AStoreError("--backend remote needs --nodes host:port,...")
-    nodes = tuple(n.strip() for n in args.nodes.split(",") if n.strip())
-    overrides = {"remote_nodes": nodes, "node_timeout": args.node_timeout}
-    if args.workers <= 1:
-        overrides["workers"] = len(nodes)
-    return overrides
-
-
 def _dispatch(args) -> int:
     if args.command == "generate":
         db = _GENERATORS[args.benchmark](sf=args.sf, seed=args.seed)
@@ -331,13 +250,10 @@ def _dispatch(args) -> int:
 
     if args.command == "query":
         db = load_database(args.database)
-        overrides = _remote_overrides(args)
-        workers = overrides.pop("workers", args.workers)
-        with AStoreEngine.variant(db, args.variant, workers=workers,
+        with AStoreEngine.variant(db, args.variant, workers=args.workers,
                                   parallel_backend=args.backend,
                                   use_cache=not args.no_cache,
-                                  use_pruning=not args.no_pruning,
-                                  **overrides) as engine:
+                                  use_pruning=not args.no_pruning) as engine:
             if args.explain:
                 print(engine.explain(args.sql))
                 return 0
@@ -396,13 +312,10 @@ def _dispatch(args) -> int:
         from .workloads import SSB_QUERIES
 
         db = load_database(args.database)
-        overrides = _remote_overrides(args)
-        workers = overrides.pop("workers", args.workers)
-        with AStoreEngine.variant(db, args.variant, workers=workers,
+        with AStoreEngine.variant(db, args.variant, workers=args.workers,
                                   parallel_backend=args.backend,
                                   use_cache=not args.no_cache,
-                                  use_pruning=not args.no_pruning,
-                                  **overrides) as engine:
+                                  use_pruning=not args.no_pruning) as engine:
             rows = []
             for query_id, sql in SSB_QUERIES.items():
                 seconds, result = best_of(lambda: engine.query(sql),
@@ -439,19 +352,6 @@ def _dispatch(args) -> int:
 
     if args.command == "serve":
         return _dispatch_serve(args)
-
-    if args.command == "node":
-        from .engine.chaos import install_chaos
-        from .engine.distributed import run_node
-
-        if args.chaos:
-            install_chaos(args.chaos)
-        try:
-            run_node(args.database, host=args.host, port=args.port,
-                     join=args.join)
-        except KeyboardInterrupt:
-            print("astore node: interrupted, shutting down")
-        return 0
 
     if args.command == "validate":
         db = load_database(args.database)
@@ -523,152 +423,29 @@ def _dispatch_lint(args) -> int:
 
 
 def _dispatch_serve(args) -> int:
-    """``astore serve``: the asyncio line-protocol query server.
-
-    ``--workers 1`` (default) runs a single in-process server;
-    ``--workers N`` for N > 1 starts a fleet of N server processes over
-    one listening socket and one cross-process shared query store.
-    """
+    """``astore serve``: the asyncio line-protocol query server (one
+    process; ``--workers`` is the engine's shard count, as on
+    ``query``)."""
     import asyncio
     from dataclasses import replace as dataclasses_replace
 
     from .engine.serve import run_server
 
-    overrides = {}
-    if args.backend == "remote":
-        if args.nodes:
-            nodes = tuple(n.strip() for n in args.nodes.split(",")
-                          if n.strip())
-            overrides["remote_nodes"] = nodes
-            if args.backend_workers <= 1:
-                overrides["workers"] = len(nodes)
-        elif args.membership_port is None:
-            raise AStoreError("serve --backend remote needs --nodes "
-                              "host:port,... or --membership-port")
-        overrides["node_timeout"] = args.node_timeout
     options = dataclasses_replace(
         VARIANTS[args.variant],
         parallel_backend=args.backend,
-        workers=args.backend_workers,
+        workers=args.workers,
         cache_results=not args.no_serve_cache,
-        **overrides,
     )
-    if args.workers > 1:
-        from .engine.fleet import run_fleet
-
-        db = (load_database(args.database)
-              if args.fleet_data == "arena" else None)
-        membership_server = None
-        if args.membership_port is not None:
-            # the supervisor hosts the membership view; every fleet
-            # worker follows it through options.membership
-            from .engine.membership import MembershipServer
-            from .engine.sharding import database_stamp
-
-            stamps_fn = ((lambda: database_stamp(db)) if db is not None
-                         else (lambda: ()))
-            membership_server = MembershipServer(
-                host=args.host, port=args.membership_port,
-                stamps_fn=stamps_fn).start()
-            options = dataclasses_replace(
-                options, membership=membership_server.address)
-            print(f"astore serve: membership view on "
-                  f"{membership_server.address}")
-        try:
-            return run_fleet(
-                db, database_path=args.database, options=options,
-                host=args.host, port=args.port, workers=args.workers,
-                max_concurrency=args.max_concurrency or None,
-                data_mode=args.fleet_data,
-                shared_store=not args.no_shared_store,
-                request_timeout=args.request_timeout or None,
-                max_pending=args.max_pending)
-        finally:
-            if membership_server is not None:
-                membership_server.close()
-
     db = load_database(args.database)
     try:
         asyncio.run(run_server(
             db, options=options, host=args.host, port=args.port,
             max_concurrency=args.max_concurrency or None,
             request_timeout=args.request_timeout or None,
-            max_pending=args.max_pending,
-            membership_port=args.membership_port))
+            max_pending=args.max_pending))
     except KeyboardInterrupt:
         print("astore serve: interrupted, shutting down")
-    return 0
-
-
-def _shared_cache_flight(database, store_name, query_ids, variant, conn):
-    """Subprocess body for ``astore cache --shared``: run one SSB flight
-    with the query cache backed by *store_name* and report tier stats.
-
-    Top-level so the ``spawn`` start method can pickle it.
-    """
-    from .workloads import SSB_QUERIES
-
-    db = load_database(database)
-    with AStoreEngine.variant(db, variant, cache_results=True,
-                              shared_store=store_name) as engine:
-        for query_id in query_ids:
-            engine.query(SSB_QUERIES[query_id])
-        counters = engine.cache.counters()
-    import os as _os
-
-    conn.send({"pid": _os.getpid(), "counters": counters})
-    conn.close()
-
-
-def _dispatch_cache_shared(args, query_ids) -> int:
-    """``astore cache --shared``: two spawned processes, one flight each,
-    over a single shm-backed :class:`SharedQueryStore`.  The second
-    process's plan/result tiers should hit the store, not recompute."""
-    import multiprocessing
-
-    from .bench import host_note
-    from .core.shmcache import SharedQueryStore, store_available
-
-    if not store_available():
-        print("error: shared query store unavailable on this platform",
-              file=sys.stderr)
-        return 1
-    ctx = multiprocessing.get_context("spawn")
-    store = SharedQueryStore.create()
-    print(host_note())
-    try:
-        rows = []
-        for flight_no in (1, 2):
-            parent, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_shared_cache_flight,
-                args=(args.database, store.segment, query_ids,
-                      args.variant, child))
-            proc.start()
-            child.close()
-            report = parent.recv()
-            proc.join()
-            counters = report["counters"]
-            rows.append([
-                flight_no, report["pid"],
-                counters.get("plan.shared_hits", 0),
-                counters.get("result.shared_hits", 0),
-                counters.get("plan.shared_misses", 0)
-                + counters.get("result.shared_misses", 0)])
-        totals = store.counters()
-    finally:
-        store.close()  # owner close unlinks the segment + lock file
-    print(format_table(
-        f"cross-process shared store over {args.database} "
-        f"({len(query_ids)}-query flight per process)",
-        ["flight", "pid", "plan sh hits", "result sh hits", "sh misses"],
-        rows))
-    print(f"store: {totals['stores']} stores, {totals['hits']} hits, "
-          f"{totals['misses']} misses, {totals['entries']} entries, "
-          f"{totals['data_bytes_used'] / 1024:.0f} KiB used")
-    if rows[1][2] + rows[1][3] == 0:
-        print("error: second process saw no shared hits", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -679,8 +456,6 @@ def _dispatch_cache(args) -> int:
 
     query_ids = ([q.strip() for q in args.queries.split(",")]
                  if args.queries else list(SSB_QUERIES))
-    if args.shared:
-        return _dispatch_cache_shared(args, query_ids)
     db = load_database(args.database)
     flights = []
     with AStoreEngine.variant(db, args.variant, workers=args.workers,
@@ -707,8 +482,8 @@ def _dispatch_cache(args) -> int:
         ["flight", "cache", "ms"], flights))
     print(format_table(
         "query cache tiers",
-        ["tier", "entries", "hits", "misses", "sh hits", "sh miss",
-         "hit %", "invalidated", "expired", "KiB", "built", "patched"],
+        ["tier", "entries", "hits", "misses", "hit %", "invalidated",
+         "expired", "KiB", "built", "patched"],
         stats_rows))
     return 0
 

@@ -24,7 +24,7 @@ class Bitmap:
     operations (AND/OR/NOT, population count, gather) are NumPy-vectorized.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     __slots__ = ("_words", "_nbits")
 

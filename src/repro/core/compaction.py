@@ -16,8 +16,8 @@ verb) runs :func:`compact_database`:
 3. eagerly rebuild the table's block summaries into the serving store.
 
 The consolidation bumps the table's mutation stamp (and, through AIR
-rewrites, the stamps of referencing children), so every cache tier,
-shard worker, and fleet process revalidates — a racing reader can see
+rewrites, the stamps of referencing children), so every cache tier
+and shard worker revalidates — a racing reader can see
 the pre- or post-compaction database, never a mix.
 """
 

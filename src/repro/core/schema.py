@@ -47,7 +47,7 @@ class ReferencePath:
     ``lineitem → order → customer → nation → region``.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     references: tuple
 
@@ -250,7 +250,7 @@ class Database:
         declared), rewrites incoming AIR references, and rebuilds the
         block summaries in *store* (when given).  Every mutation stamp
         the operation touches is bumped by the underlying consolidation,
-        so cache tiers and fleet workers revalidate.  Returns a summary
+        so cache tiers and shard workers revalidate.  Returns a summary
         dict; see :func:`repro.core.compaction.compact_database`.
         """
         from .compaction import compact_database

@@ -10,14 +10,10 @@ It also owns the **zone maps** behind the engine's block-level data
 skipping: per-block min/max summaries of a table's fixed-width columns
 and code-set summaries of its coded columns, built lazily per column and
 stamped with ``Table.mutation_count`` so a mutated table can never
-satisfy a lookup with a stale summary.  Zone maps live in any
-mutation-stamped store honouring the ``get(tier, key, db)`` /
-``put(tier, key, value, stamps, nbytes)`` protocol — the engine passes
-its shared
-:class:`~repro.engine.cache.QueryCache` (the ``"zone"`` tier), process
-workers pass the cache of their attached database (seeded zero-copy from
-the arena manifest), and library users fall back to a private per-database
-store created here.
+satisfy a lookup with a stale summary.  Zone maps live in the ``"zone"``
+tier of a :class:`~repro.engine.cache.QueryCache`: the engine passes
+the shared cache of its database, and process workers pass the cache of
+their attached database (seeded zero-copy from the arena manifest).
 
 Each summary kind has one per-block summariser, called with every block
 by a full build and with the blocks a write touched by a patch: after a
@@ -28,9 +24,8 @@ rebuilding it, and the result equals the full build.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -531,66 +526,11 @@ class ZoneMaps:
             self._store.put_summary(key, value, stamps, value.nbytes, patched)
 
 
-class StampedStore:
-    """A minimal mutation-stamped store with the QueryCache protocol.
-
-    The fallback used when no shared query cache is supplied — entries
-    revalidate their ``(table, mutation_count)`` stamps on every lookup,
-    exactly like the engine's cache tiers, and the last summary of each
-    key is remembered for patching (:meth:`previous_summary`).
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[tuple, Tuple[object, tuple]] = {}
-        self._previous: Dict[tuple, Tuple[object, tuple]] = {}
-
-    def get(self, tier: str, key: tuple, db: Database):
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        value, stamps = entry
-        for name, count in stamps:
-            try:
-                table = db.table(name)
-            except Exception:
-                table = None
-            if table is None or table.mutation_count != count:
-                self._entries.pop(key, None)
-                return None
-        return value
-
-    def put(self, tier: str, key: tuple, value, stamps, nbytes: int = 0):
-        self._entries[key] = (value, tuple(stamps))
-        return True
-
-    def put_summary(self, key: tuple, value, stamps, nbytes: int,
-                    patched: bool) -> None:
-        self._previous[key] = (value, tuple(stamps))
-        self.put("zone", key, value, stamps, nbytes)
-
-    def previous_summary(self, key: tuple):
-        return self._previous.get(key)
-
-    def items(self) -> List[Tuple[tuple, object]]:
-        return list((key, value) for key, (value, _) in self._entries.items())
-
-
-_FALLBACK_STORES: "weakref.WeakKeyDictionary[Database, StampedStore]" = (
-    weakref.WeakKeyDictionary())
-
-
-def zone_maps_for(db: Database, store=None, block_rows: int = 0) -> ZoneMaps:
-    """Zone maps of *db* backed by *store* (or a per-database fallback).
-
-    The engine passes its shared query cache so zone-map builds show up
-    as a regular cache tier (``astore cache``); without one, a private
-    stamped store per database object keeps the same invalidation
-    guarantees.
-    """
-    if store is None:
-        store = _FALLBACK_STORES.get(db)
-        if store is None:
-            store = _FALLBACK_STORES[db] = StampedStore()
+def zone_maps_for(db: Database, store, block_rows: int = 0) -> ZoneMaps:
+    """Zone maps of *db* backed by *store*, a
+    :class:`~repro.engine.cache.QueryCache`, so zone-map builds show up
+    as a regular cache tier (``astore cache``) and revalidate their
+    mutation stamps like every other tier."""
     return ZoneMaps(db, store, block_rows)
 
 
@@ -600,20 +540,11 @@ def fresh_zone_entries(db: Database, store) -> List[Tuple[tuple, object]]:
     Returns ``(key, value)`` pairs whose stamps match the live database;
     unprunable markers are skipped (workers re-derive them for free).
     """
-    out: List[Tuple[tuple, object]] = []
-    if store is None:
-        return out
-    if hasattr(store, "tier_items"):
-        items: Iterable = store.tier_items("zone", db)
-    else:
-        items = [(key, store.get("zone", key, db)) for key, _ in store.items()]
-    for key, value in items:
-        if isinstance(value, (ColumnZoneMap, ColumnCodeSetMap)):
-            out.append((key, value))
-    return out
+    return [(key, value) for key, value in store.tier_items("zone", db)
+            if isinstance(value, (ColumnZoneMap, ColumnCodeSetMap))]
 
 
-def rebuild_zone_maps(db: Database, table: str, store=None) -> int:
+def rebuild_zone_maps(db: Database, table: str, store) -> int:
     """Proactively bring every summary of *table* up to date.
 
     Compaction bumps mutation stamps (a journal barrier), which already

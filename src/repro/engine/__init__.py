@@ -3,22 +3,7 @@
 from .aggregate import AggregationState, array_aggregate, finalize, hash_aggregate
 from .cache import QueryCache, query_cache_for, table_stamps
 from .chaos import chaos_point, clear_chaos, install_chaos
-from .distributed import (
-    LocalNodes,
-    RemoteShardBackend,
-    ShardNode,
-    run_node,
-    start_local_nodes,
-)
 from .executor import AStoreEngine, EngineOptions, VARIANTS, rewrite_for_options
-from .membership import (
-    ClusterView,
-    Member,
-    MembershipClient,
-    MembershipServer,
-    announce_join,
-    announce_leave,
-)
 from .scratch import PoolLease, ScratchPool, lease_pool, local_pool
 from .serve import AsyncEngine, QueryServer, ServeStats, run_server, serve_tcp
 from .expression import evaluate_measure, evaluate_predicate, like_to_regex
@@ -66,10 +51,6 @@ __all__ = [
     "lease_pool", "PoolLease", "QueryServer", "run_server",
     "serve_tcp", "ServeStats", "BoundQuery",
     "chaos_point", "clear_chaos", "install_chaos",
-    "LocalNodes", "RemoteShardBackend", "ShardNode", "run_node",
-    "start_local_nodes",
-    "ClusterView", "Member", "MembershipClient", "MembershipServer",
-    "announce_join", "announce_leave",
     "build_axes", "chain_map", "combine_codes", "dimension_provider",
     "LeafFilterSpec", "LeafProducts", "ProcessShardBackend",
     "PruneCounters", "ReorderState", "RowRange", "ShardOutcome",

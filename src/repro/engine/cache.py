@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import pickle
 import threading
 import time
 import weakref
@@ -61,13 +60,6 @@ from ..sqlparser.parser import parse
 #: :mod:`repro.core.statistics`) — stamped and invalidated like every
 #: compile tier, but keyed by data layout rather than by query.
 TIERS = ("plan", "leaf", "axis", "zone", "result")
-
-#: Tiers mirrored into an attached cross-process
-#: :class:`~repro.core.shmcache.SharedQueryStore`: plans and results
-#: travel as pickles with deterministic keys; the leaf/axis/zone tiers
-#: stay per-process (their keys embed process-local objects and their
-#: values are cheap to rebuild relative to a result or a whole plan).
-SHARED_TIERS = ("plan", "result")
 
 Stamps = Tuple[Tuple[str, int], ...]
 
@@ -90,11 +82,6 @@ class TierStats:
     expirations: int = 0
     bytes: int = 0
     entries: int = 0
-    #: second-level lookups against an attached cross-process store:
-    #: a shared hit follows a local miss (a sibling worker's entry
-    #: answered), a shared miss means both levels came up empty
-    shared_hits: int = 0
-    shared_misses: int = 0
 
     @property
     def lookups(self) -> int:
@@ -147,8 +134,6 @@ class QueryCache:
             tier: OrderedDict() for tier in TIERS}
         self._stats: Dict[str, TierStats] = {
             tier: TierStats() for tier in TIERS}
-        #: optional cross-process second level (see attach_shared_store)
-        self._shared = None
         #: the last summary stored under each zone-map key, fresh or
         #: not, with its stamps: what a post-mutation miss patches
         self._summaries: Dict[tuple, Tuple[object, Stamps]] = {}
@@ -171,100 +156,17 @@ class QueryCache:
             return min(self.max_entries, self.max_result_entries)
         return self.max_entries
 
-    # -- the cross-process second level --------------------------------------
-
-    def attach_shared_store(self, store) -> None:
-        """Attach a :class:`~repro.core.shmcache.SharedQueryStore` as
-        the second level behind the :data:`SHARED_TIERS`: local misses
-        consult it (promoting hits into the local tier), local stores
-        publish to it, and locally observed invalidations broadcast the
-        new mutation stamps to every sibling process."""
-        with self._lock:
-            self._shared = store
-
-    def shared_store(self):
-        """The attached shared store, or ``None``."""
-        with self._lock:
-            return self._shared
-
-    def _shared_get(self, tier: str, key: tuple, db: Database):  # astore: holds[self._lock]
-        store = self._shared
-        if store is None or tier not in SHARED_TIERS:
-            return None
-        if tier == "result" and self.result_ttl_seconds > 0:
-            # the store does not track entry age; a TTL-bounded serving
-            # tier must not resurrect results of unknown vintage
-            return None
-        stats = self._stats[tier]
-        try:
-            found = store.get(_shared_token(tier, key), db)
-        except Exception:
-            found = None
-        if found is None:
-            stats.shared_misses += 1
-            return None
-        stamps, payload = found
-        try:
-            value, nbytes = self._decode_shared(tier, key, payload)
-        except Exception:
-            stats.shared_misses += 1
-            return None
-        # promote: the next repeat is a local dict lookup, no unpickle
-        self._store_local(tier, key, value, stamps, nbytes)
-        stats.shared_hits += 1
-        return value
-
-    def _decode_shared(self, tier: str, key: tuple, payload: bytes):
-        value = pickle.loads(payload)
-        if tier == "result":
-            # unpickled arrays come back writable; re-freeze before the
-            # entry can be served (put() would reject it otherwise)
-            value = value.freeze()
-            nbytes = sum(int(getattr(col, "nbytes", 0))
-                         for col in value.columns.values())
-        else:
-            value.cache_key = key  # what run_compiled serves results under
-            nbytes = bound_nbytes(value)
-        return value, nbytes
-
-    def _publish_shared(self, tier: str, key: tuple, value,  # astore: holds[self._lock]
-                        stamps: Stamps) -> None:
-        store = self._shared
-        if store is None or tier not in SHARED_TIERS or stamps is None:
-            return
-        try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return  # an unpicklable artifact just stays process-local
-        try:
-            store.put(_shared_token(tier, key), stamps, payload)
-        except Exception:
-            pass
-
-    def _broadcast_stamps(self, db: Database) -> None:  # astore: holds[self._lock]
-        """Tell sibling processes about a locally observed mutation."""
-        store = self._shared
-        if store is not None:
-            try:
-                store.publish_stamps(db)
-            except Exception:
-                pass
-
     # -- core protocol ------------------------------------------------------
 
     def get(self, tier: str, key: tuple, db: Database):
-        """The cached value, or ``None`` on a miss or a stale entry.
-
-        With a shared store attached, a local miss on a shared tier
-        falls through to the cross-process second level — a sibling
-        worker's compile or execution answers instead of a redo."""
+        """The cached value, or ``None`` on a miss or a stale entry."""
         with self._lock:
             entries = self._tiers[tier]
             stats = self._stats[tier]
             entry = entries.get(key)
             if entry is None:
                 stats.misses += 1
-                return self._shared_get(tier, key, db)
+                return None
             if (tier == "result" and self.result_ttl_seconds > 0
                     and self._clock() - entry.created
                     > self.result_ttl_seconds):
@@ -278,10 +180,7 @@ class QueryCache:
                 stats.bytes -= entry.nbytes
                 stats.invalidations += 1
                 stats.misses += 1
-                # whoever observes a mutation first tells the fleet, so
-                # no sibling can keep serving shared pre-mutation entries
-                self._broadcast_stamps(db)
-                return self._shared_get(tier, key, db)
+                return None
             entries.move_to_end(key)
             stats.hits += 1
             return entry.value
@@ -292,9 +191,7 @@ class QueryCache:
 
         Result-tier values must be frozen (read-only column arrays, see
         :meth:`QueryResult.freeze`): a writable entry would let one
-        served caller mutate what every later caller is handed.  Shared
-        tiers are additionally published (pickled) to an attached
-        shared store, so sibling processes skip the same work."""
+        served caller mutate what every later caller is handed."""
         if tier == "result" and not _result_is_frozen(value):
             raise ValueError(
                 "result-tier entries must be frozen QueryResults "
@@ -302,29 +199,24 @@ class QueryCache:
         with self._lock:
             if tier == "result" and nbytes > self.max_result_entry_bytes:
                 return False
-            self._store_local(tier, key, value, stamps, nbytes)
-            self._stats[tier].stores += 1
-            self._publish_shared(tier, key, value, stamps)
+            entries = self._tiers[tier]
+            stats = self._stats[tier]
+            old = entries.pop(key, None)
+            if old is not None:
+                stats.bytes -= old.nbytes
+            entries[key] = _Entry(value, stamps, nbytes,
+                                  created=self._clock())
+            stats.bytes += nbytes
+            stats.stores += 1
+            budget = (self.result_budget_bytes if tier == "result"
+                      else None)
+            while len(entries) > self._entry_cap(tier) or (
+                    budget is not None and stats.bytes > budget
+                    and len(entries) > 1):
+                _, evicted = entries.popitem(last=False)
+                stats.bytes -= evicted.nbytes
+                stats.evictions += 1
             return True
-
-    def _store_local(self, tier: str, key: tuple, value, stamps: Stamps,  # astore: holds[self._lock]
-                     nbytes: int) -> None:
-        """Insert into the local tier and apply its entry/byte bounds
-        (shared by :meth:`put` and shared-hit promotion)."""
-        entries = self._tiers[tier]
-        stats = self._stats[tier]
-        old = entries.pop(key, None)
-        if old is not None:
-            stats.bytes -= old.nbytes
-        entries[key] = _Entry(value, stamps, nbytes, created=self._clock())
-        stats.bytes += nbytes
-        budget = (self.result_budget_bytes if tier == "result" else None)
-        while len(entries) > self._entry_cap(tier) or (
-                budget is not None and stats.bytes > budget
-                and len(entries) > 1):
-            _, evicted = entries.popitem(last=False)
-            stats.bytes -= evicted.nbytes
-            stats.evictions += 1
 
     def put_summary(self, key: tuple, value, stamps: Stamps, nbytes: int,
                     patched: bool) -> None:
@@ -385,9 +277,6 @@ class QueryCache:
         for tier, stats in self.stats().items():
             out[f"{tier}.hits"] = stats.hits
             out[f"{tier}.misses"] = stats.misses
-            if tier in SHARED_TIERS:
-                out[f"{tier}.shared_hits"] = stats.shared_hits
-                out[f"{tier}.shared_misses"] = stats.shared_misses
         return out
 
     #: display labels for the zone tier's entry kinds, by key prefix
@@ -428,25 +317,23 @@ class QueryCache:
                 entries, nbytes = kinds.pop(prefix)
                 built, patched = counts.get(label, ("", ""))
                 rows.append([f"  zone/{label}", entries, "", "", "", "",
-                             "", "", "", nbytes / 1024.0, built, patched])
+                             "", nbytes / 1024.0, built, patched])
         for prefix in sorted(kinds):
             entries, nbytes = kinds[prefix]
             rows.append([f"  zone/{prefix}", entries, "", "", "", "",
-                         "", "", "", nbytes / 1024.0, "", ""])
+                         "", nbytes / 1024.0, "", ""])
         return rows
 
     def stats_rows(self) -> List[list]:
-        """``[tier, entries, hits, misses, shared hits, shared misses,
-        hit %, invalidated, expired, KiB, built, patched]`` rows for
-        :func:`repro.bench.format_table` (shared columns are zero
-        without an attached store).  The zone tier is followed by
-        :meth:`zone_kind_rows` breaking its entries down by summary
-        kind; only those rows fill the built / patched columns."""
+        """``[tier, entries, hits, misses, hit %, invalidated, expired,
+        KiB, built, patched]`` rows for :func:`repro.bench.format_table`.
+        The zone tier is followed by :meth:`zone_kind_rows` breaking its
+        entries down by summary kind; only those rows fill the built /
+        patched columns."""
         rows = []
         for tier, stats in self.stats().items():
             rows.append([
                 tier, stats.entries, stats.hits, stats.misses,
-                stats.shared_hits, stats.shared_misses,
                 100.0 * stats.hit_rate, stats.invalidations,
                 stats.expirations, stats.bytes / 1024.0, "", "",
             ])
@@ -467,15 +354,6 @@ class QueryCache:
             if hits + misses:
                 rates[tier] = hits / (hits + misses)
         return rates
-
-
-def _shared_token(tier: str, key: tuple) -> str:
-    """The cross-process key of a shared-tier entry.
-
-    Plan/result keys are ``(fingerprint_hex, snapshot)`` — built from
-    deterministic ``repr``s, so the same query text hashes to the same
-    token in every worker process."""
-    return f"{tier}|{key!r}"
 
 
 def _result_is_frozen(value) -> bool:
@@ -533,16 +411,15 @@ _CACHES: "weakref.WeakKeyDictionary[Database, QueryCache]" = (
 _CACHES_LOCK = threading.Lock()
 
 #: Lock contract, machine-checked by ``astore lint`` (lock-discipline).
-#: The tier dicts, their stats, and the shared-store handle all move
-#: together under the cache's reentrant lock; the process-wide registry
-#: has its own (the unlocked get-or-create here was a check-then-act
-#: race: two threads resolving the same database could mint two caches,
-#: splitting single-flight and stamp-broadcast state between them).
+#: The tier dicts and their stats move together under the cache's
+#: reentrant lock; the process-wide registry has its own (the unlocked
+#: get-or-create here was a check-then-act race: two threads resolving
+#: the same database could mint two caches, splitting single-flight
+#: state between them).
 GUARDED_BY = {
     "_CACHES": "_CACHES_LOCK",
     "QueryCache._tiers": "self._lock",
     "QueryCache._stats": "self._lock",
-    "QueryCache._shared": "self._lock",
     "QueryCache._summaries": "self._lock",
     "QueryCache._summary_counts": "self._lock",
 }

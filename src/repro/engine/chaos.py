@@ -1,25 +1,17 @@
-"""Deterministic fault injection for the distributed/serving stack.
+"""Deterministic fault injection for the serving front door.
 
 A *chaos rule* arms one named call site with one fault action:
 
 * ``kill``    — ``os._exit(137)``: the process dies exactly where a
-  SIGKILL would land (a shard node mid-query, a fleet worker on spawn);
+  SIGKILL would land (a serve process mid-request);
 * ``delay``   — sleep ``value`` seconds (past a deadline, if the test
   arranges one);
 * ``drop``    — raise :class:`ChaosDrop` (a ``ConnectionError``): the
-  connection is torn exactly as if the peer vanished;
-* ``corrupt`` — flip the leading bytes of the payload passing through
-  the site, so the receiver sees garbage instead of a pickle;
-* ``error``   — raise :class:`ChaosError`: a generic internal failure;
-* ``flap``    — alternate :class:`ChaosDrop` and success on consecutive
-  hits within the rule's window: a link that is down, up, down, up —
-  the deterministic version of a flapping node, which is what drives a
-  membership view through suspect and back without ever reaching dead.
+  request fails exactly as if its connection vanished;
+* ``error``   — raise :class:`ChaosError`: a generic internal failure.
 
 Sites are plain strings drawn from :data:`KNOWN_SITES`
-(``node.request``, ``node.response``, ``coordinator.send``,
-``serve.request``, ``fleet.worker``, ``membership.heartbeat``,
-``node.register``, ``coordinator.admit`` ...); code under test calls
+(``serve.request`` and ``coordinator.admit``); code under test calls
 :func:`chaos_point` (or :func:`chaos_point_async` on an event loop) at
 each site and is otherwise unaffected — with no rules installed a chaos
 point is a dict lookup.  A spec naming a site outside the registry (or
@@ -36,10 +28,11 @@ reproducible.  The spec grammar is::
 ``first`` is the 1-based hit at which the rule starts firing (default
 1), ``count`` how many consecutive hits fire (default 1; 0 = every hit
 from ``first`` on), ``value`` the delay in seconds.  Examples:
-``kill@node.request:3`` (die on the 3rd request), ``delay@node.run:1x0=0.4``
-(delay every execution 0.4 s), ``drop@node.response`` (drop the first
-response).  Specs travel to spawned processes through the
-``ASTORE_CHAOS`` environment variable, loaded lazily on first use.
+``kill@serve.request:3`` (die on the 3rd request),
+``delay@serve.request:1x0=0.4`` (delay every request 0.4 s),
+``drop@coordinator.admit`` (shed the first request).  Specs travel to
+spawned processes through the ``ASTORE_CHAOS`` environment variable,
+loaded lazily on first use.
 """
 
 from __future__ import annotations
@@ -54,29 +47,19 @@ from ..errors import ChaosSpecError
 
 ENV_VAR = "ASTORE_CHAOS"
 
-_ACTIONS = ("kill", "delay", "drop", "corrupt", "error", "flap")
+_ACTIONS = ("kill", "delay", "drop", "error")
 
 #: Every call site the production code arms — a rule naming anything
 #: else is a spec typo, and a typo'd site would otherwise just never
 #: fire (the worst possible failure mode for a chaos test).
 KNOWN_SITES = frozenset({
-    "node.request",          # shard node: request received, not yet run
-    "node.run",              # shard node: about to execute a shard
-    "node.response",         # shard node: response frame leaving
-    "node.register",         # membership server: a join announcement
-    "coordinator.send",      # coordinator: request frame leaving
-    "coordinator.recv",      # coordinator: response frame arriving
     "coordinator.admit",     # serve front door: request admission
-    "membership.heartbeat",  # membership prober: one heartbeat probe
-    "membership.request",    # membership client: join/members round trip
     "serve.request",         # serve layer: a query request accepted
-    "fleet.worker",          # fleet worker process: just spawned
-    "fleet.handoff",         # fleet supervisor: fd handoff to a worker
 })
 
 
 class ChaosDrop(ConnectionError):
-    """An injected connection loss (the ``drop``/``flap`` actions)."""
+    """An injected connection loss (the ``drop`` action)."""
 
 
 class ChaosError(RuntimeError):
@@ -97,13 +80,7 @@ class ChaosRule:
     def due(self, hit: int) -> bool:
         if hit < self.first:
             return False
-        if self.count != 0 and hit >= self.first + self.count:
-            return False
-        # flap = down, up, down, up...: only every other hit in the
-        # window actually fails, starting with the first
-        if self.action == "flap":
-            return (hit - self.first) % 2 == 0
-        return True
+        return self.count == 0 or hit < self.first + self.count
 
 
 def parse_rules(spec: str) -> List[ChaosRule]:
@@ -171,15 +148,6 @@ def format_rules(rules: Sequence[ChaosRule]) -> str:
     return ";".join(parts)
 
 
-def _corrupt(payload):
-    if isinstance(payload, (bytes, bytearray)) and payload:
-        data = bytearray(payload)
-        for i in range(min(8, len(data))):
-            data[i] ^= 0xFF
-        return bytes(data)
-    return payload
-
-
 class ChaosController:
     """Per-process rule set + per-site hit counters (thread-safe).
 
@@ -213,21 +181,17 @@ class ChaosController:
                 self.fired.append((site, rule.action, hit))
             return due
 
-    def fire(self, site: str, payload=None, sleeper=time.sleep):
-        """Trigger any rules due at *site*; returns the (possibly
-        corrupted) payload.  ``kill`` never returns."""
+    def fire(self, site: str, sleeper=time.sleep) -> None:
+        """Trigger any rules due at *site*.  ``kill`` never returns."""
         for rule in self._advance(site):
             if rule.action == "kill":
                 os._exit(137)
             elif rule.action == "delay":
                 sleeper(rule.value)
-            elif rule.action in ("drop", "flap"):
+            elif rule.action == "drop":
                 raise ChaosDrop(f"chaos: connection dropped at {site}")
             elif rule.action == "error":
                 raise ChaosError(f"chaos: injected failure at {site}")
-            elif rule.action == "corrupt":
-                payload = _corrupt(payload)
-        return payload
 
 
 _CONTROLLER: Optional[ChaosController] = None
@@ -261,19 +225,17 @@ def chaos_fired() -> List[Tuple[str, str, int]]:
     return list(controller().fired)
 
 
-def chaos_point(site: str, payload=None):
-    """A named fault-injection site; returns *payload* (corrupted if a
-    ``corrupt`` rule fired).  No-op unless rules are armed."""
-    return controller().fire(site, payload)
+def chaos_point(site: str) -> None:
+    """A named fault-injection site.  No-op unless rules are armed."""
+    controller().fire(site)
 
 
-async def chaos_point_async(site: str, payload=None):
+async def chaos_point_async(site: str) -> None:
     """:func:`chaos_point` for event-loop sites: delays use
     ``asyncio.sleep`` so an injected stall never blocks the loop."""
     import asyncio
 
     pending: List[float] = []
-    payload = controller().fire(site, payload, sleeper=pending.append)
+    controller().fire(site, sleeper=pending.append)
     for seconds in pending:
         await asyncio.sleep(seconds)
-    return payload

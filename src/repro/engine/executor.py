@@ -118,11 +118,7 @@ class EngineOptions:
       default, :func:`repro.core.statistics.default_zone_block_rows`);
     * ``leaf_ship_bytes`` — packed predicate vectors larger than this
       ship to process workers as rebuild recipes instead of bits
-      (worker-side leaf processing over the shared arena);
-    * ``shared_store`` — segment name of a cross-process
-      :class:`~repro.core.shmcache.SharedQueryStore` to attach as the
-      second level behind the query cache's plan/result tiers (empty =
-      per-process caching only; serving-fleet workers set this).
+      (worker-side leaf processing over the shared arena).
     """
 
     scan: str = "column"
@@ -143,21 +139,6 @@ class EngineOptions:
     adaptive_filters: bool = True
     zone_block_rows: int = 0
     leaf_ship_bytes: int = 64 << 10
-    shared_store: str = ""
-    remote_nodes: Tuple[str, ...] = ()
-    node_timeout: float = 30.0
-    node_retries: int = 2
-    #: membership server address (host:port) — replaces the static
-    #: remote_nodes list with a live cluster view when set
-    membership: str = ""
-    #: hedge a shard request to a second live node after this many
-    #: seconds without an answer (0 = no hedging)
-    node_hedge: float = 0.0
-    #: per-node circuit breaker: open after this many consecutive
-    #: request failures...
-    breaker_threshold: int = 3
-    #: ...and allow one half-open probe after this many seconds
-    breaker_reset: float = 2.0
 
 
 #: The five query processors of the paper's Table 6.
@@ -251,12 +232,6 @@ class AStoreEngine:
             self.cache.configure_result_tier(
                 ttl_seconds=self.options.result_ttl_seconds or None,
                 max_entries=self.options.result_cache_entries or None)
-        if self.cache is not None and self.options.shared_store:
-            # fleet workers: one process-wide mapping per segment, shared
-            # by every engine over it; the fleet supervisor owns/unlinks
-            from ..core.shmcache import attach_store
-            self.cache.attach_shared_store(
-                attach_store(self.options.shared_store))
 
     @classmethod
     def variant(cls, db: Database, name: str, **overrides) -> "AStoreEngine":
@@ -746,14 +721,8 @@ class AStoreEngine:
                 release_shard_backend(backend)
                 backend = self._shard_backend = None
             if backend is None:
-                if self.options.parallel_backend == "remote":
-                    from .distributed import acquire_remote_backend
-
-                    backend = self._shard_backend = acquire_remote_backend(
-                        self.db, self.options)
-                else:
-                    backend = self._shard_backend = acquire_shard_backend(
-                        self.db, self.options.workers)
+                backend = self._shard_backend = acquire_shard_backend(
+                    self.db, self.options.workers)
             backend.retain()
             return backend
 
@@ -768,27 +737,18 @@ class AStoreEngine:
         release_shard_backend(backend)
 
     def _shard_outcomes(self, bound: BoundQuery, nshards: int,
-                        use_array: Optional[bool], stats: ExecutionStats,
-                        report: Dict[str, int]) -> List[ShardOutcome]:
+                        use_array: Optional[bool],
+                        stats: ExecutionStats) -> List[ShardOutcome]:
         """Run *bound* on a checked-out shard backend, degrading to
         serial shards over the private database if its workers die."""
         backend = self._checkout_backend()
         try:
-            if getattr(backend, "distributed", False):
-                # distributed backends report their failure-path
-                # counters (retries, re-shards, node losses, local
-                # degrades) per run; their shard count defaults to the
-                # node count when workers was left at 1
-                nshards = backend.workers
-                outcomes = backend.run(bound, nshards=nshards,
-                                       use_array=use_array, report=report)
-            else:
-                outcomes = backend.run(bound, nshards=nshards,
-                                       use_array=use_array)
+            outcomes = backend.run(bound, nshards=nshards,
+                                   use_array=use_array)
         except ShardExecutionError:
-            # the pool (or node set) died under this query: evict the
-            # broken backend and degrade to serial shards — same plan,
-            # same shard boundaries, same answer, no hang
+            # the pool died under this query: evict the broken backend
+            # and degrade to serial shards — same plan, same shard
+            # boundaries, same answer, no hang
             self._drop_backend_slot(backend)
             stats.shard_fallbacks += 1
             return [bound.run_shard(self.db, shard, nshards, use_array)
@@ -819,22 +779,9 @@ class AStoreEngine:
                 bound.estimated_selected(stats.rows_scanned))
             agg_labels = ("aggregate",)
         nshards = self.options.workers
-        report: Dict[str, int] = {}
-
-        def pooled() -> List[ShardOutcome]:
-            return self._shard_outcomes(bound, nshards, use_array, stats,
-                                        report)
-
-        if self.options.parallel_backend == "process":
-            outcomes = run_process_shards(bound, self.db, nshards, use_array,
-                                          pooled)
-        else:
-            outcomes = pooled()
-        stats.remote_retries += report.get("retries", 0)
-        stats.remote_reshards += report.get("reshards", 0)
-        stats.remote_nodes_lost += report.get("nodes_lost", 0)
-        stats.remote_local_shards += report.get("local_shards", 0)
-        stats.remote_nodes_joined += report.get("nodes_joined", 0)
+        outcomes = run_process_shards(
+            bound, self.db, nshards, use_array,
+            lambda: self._shard_outcomes(bound, nshards, use_array, stats))
         fold_outcomes(outcomes, stats, agg_labels)
 
         if bound.scan == "projection":

@@ -48,7 +48,7 @@ class GroupAxis:
     (dictionary code, offset integer, or sorted-unique rank).
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     keys: Tuple[GroupKey, ...]
     card: int

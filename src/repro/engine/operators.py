@@ -56,7 +56,7 @@ class PredicateFilter:
     positional gather, ``mask[air_positions]``.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     __slots__ = ("packed", "_mask", "_prefix")
 
@@ -782,26 +782,6 @@ class ProcessBackend(ExecutionBackend):
             "closures; route through repro.engine.sharding")
 
 
-class RemoteBackend(ExecutionBackend):
-    """Distributed shard marker: plans scatter to remote shard nodes.
-
-    The machinery — shard nodes serving pickled bound plans over TCP, a
-    coordinator with per-node deadlines, retry with backoff, and
-    re-shard on node loss — lives in :mod:`repro.engine.distributed`;
-    like :class:`ProcessBackend` this entry only claims the name so the
-    engine routes it through the sharded (non-inline) path.
-    """
-
-    name = "remote"
-    inline = False
-
-    def run_tasks(self, tasks):
-        raise ExecutionError(
-            "the remote backend executes portable bound plans on shard "
-            "nodes, not task closures; route through "
-            "repro.engine.distributed")
-
-
 class AsyncBackend(ExecutionBackend):
     """Serving marker: many concurrent queries multiplex on one engine.
 
@@ -831,7 +811,7 @@ class AsyncBackend(ExecutionBackend):
 BACKENDS: Dict[str, ExecutionBackend] = {
     backend.name: backend
     for backend in (SerialBackend(), ThreadBackend(), ProcessBackend(),
-                    RemoteBackend(), AsyncBackend())
+                    AsyncBackend())
 }
 
 

@@ -44,11 +44,6 @@ class ExecutionStats:
     filters_reordered: int = 0   # micro-adaptive order changes observed
     used_array_aggregation: bool = False
     shard_fallbacks: int = 0     # sharded runs degraded to serial (dead pool)
-    remote_retries: int = 0      # node requests retried (backoff+jitter)
-    remote_reshards: int = 0     # shards re-scattered off a lost/stale node
-    remote_nodes_lost: int = 0   # nodes declared dead during this query
-    remote_local_shards: int = 0  # shards the coordinator ran on its own copy
-    remote_nodes_joined: int = 0  # nodes that (re)joined the scatter set
     filter_modes: Dict[str, str] = field(default_factory=dict)
     operator_seconds: Dict[str, float] = field(default_factory=dict)
     cache_events: Dict[str, int] = field(default_factory=dict)

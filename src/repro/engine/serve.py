@@ -242,11 +242,10 @@ class QueryServer:
     ``{"id", "rows", "columns", "ms", "cached"}`` on success or
     ``{"id", "error"}`` on failure.  Admin lines: ``PING`` answers
     ``PONG``, ``STATS`` answers a JSON snapshot (pid, serve counters,
-    cache tiers, shared-store counters — what the fleet bench and smoke
-    aggregate per worker), ``SHUTDOWN`` stops the server after
-    responding (the hook CI uses for a clean teardown), and a JSON
-    object with an ``"update"`` key applies a mutation (fleet tests
-    race these against queries).  Stopping *drains*: requests already
+    cache tiers), ``SHUTDOWN`` stops the server after responding (the
+    hook CI uses for a clean teardown), and a JSON object with an
+    ``"update"`` or ``"compact"`` key applies a mutation or a
+    compaction.  Stopping *drains*: requests already
     read when SHUTDOWN arrives finish and answer before their
     connections close; only idle connections are closed immediately.
 
@@ -260,8 +259,7 @@ class QueryServer:
     """
 
     engine: AsyncEngine
-    #: the listening asyncio server — ``None`` in fd-handoff fleet mode,
-    #: where connections arrive via :meth:`handle_socket` instead
+    #: the listening asyncio server
     server: Optional["asyncio.AbstractServer"] = None
     shutdown_event: "asyncio.Event" = field(default_factory=asyncio.Event)
     requests: int = 0
@@ -287,8 +285,6 @@ class QueryServer:
     _writers: set = field(default_factory=set)
     #: connections with a request mid-flight (read but not yet answered)
     _busy: set = field(default_factory=set)
-    #: handler tasks for adopted (handed-off) connections
-    _tasks: set = field(default_factory=set)
 
     @property
     def address(self) -> tuple:
@@ -320,26 +316,7 @@ class QueryServer:
             writer.close()
         if self.server is not None:
             await self.server.wait_closed()
-        if self._tasks:  # adopted-connection handlers (fd-handoff mode)
-            _, pending = await asyncio.wait(
-                list(self._tasks), timeout=max(1.0, self.drain_seconds))
-            for task in pending:
-                task.cancel()
         await self.engine.aclose()
-
-    async def handle_socket(self, sock) -> None:
-        """Adopt an already-accepted connection (fd-handoff fleet mode:
-        the supervisor accepts and ships the fd; we serve it with the
-        same handler, drain rules included)."""
-        loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader(loop=loop)
-        protocol = asyncio.StreamReaderProtocol(reader, loop=loop)
-        transport, _ = await loop.connect_accepted_socket(
-            lambda: protocol, sock)
-        writer = asyncio.StreamWriter(transport, protocol, reader, loop)
-        task = asyncio.create_task(self._handle(reader, writer))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
 
     async def _handle(self, reader: "asyncio.StreamReader",
                       writer: "asyncio.StreamWriter") -> None:
@@ -383,7 +360,7 @@ class QueryServer:
                 await writer.wait_closed()
 
     def stats_payload(self) -> dict:
-        """The ``STATS`` response: this worker's serve/cache counters."""
+        """The ``STATS`` response: the server's serve/cache counters."""
         payload = {
             "pid": os.getpid(),
             "requests": self.requests,
@@ -396,13 +373,8 @@ class QueryServer:
         cache = self.engine.engine.cache
         if cache is not None:
             payload["cache"] = {
-                tier: {"hits": stats.hits, "misses": stats.misses,
-                       "shared_hits": stats.shared_hits,
-                       "shared_misses": stats.shared_misses}
+                tier: {"hits": stats.hits, "misses": stats.misses}
                 for tier, stats in cache.stats().items()}
-            store = cache.shared_store()
-            if store is not None and not store.closed:
-                payload["shared_store"] = store.counters()
         return payload
 
     async def _admit(self) -> bool:
@@ -507,13 +479,10 @@ class QueryServer:
 
     def _apply_update(self, payload: dict, request_id) -> bytes:
         """``{"update": {"table", "positions", "values"}}``: apply a
-        point mutation and broadcast the new stamps to the fleet.
+        point mutation.
 
-        Mutation counts bump before the stamp broadcast, so from this
-        response onward no worker can serve a pre-mutation shared entry
-        for the touched tables (per-process tiers invalidate on their
-        own stamps as usual).  Arena-attached workers are read-only and
-        answer with an error instead."""
+        The mutation count bumps before this response, so from here on
+        no cache tier can serve a pre-mutation entry for the table."""
         import numpy as np
 
         try:
@@ -528,12 +497,6 @@ class QueryServer:
             return _encode({"id": request_id,
                             "error": f"update failed: {exc!r}"})
         self.requests += 1
-        cache = self.engine.engine.cache
-        if cache is not None:
-            store = cache.shared_store()
-            if store is not None and not store.closed:
-                with contextlib.suppress(Exception):
-                    store.publish_stamps(self.engine.engine.db)
         return _encode({"id": request_id, "ok": True,
                         "table": spec["table"],
                         "mutation_count": table.mutation_count})
@@ -541,14 +504,11 @@ class QueryServer:
     def _apply_compact(self, payload: dict, request_id) -> bytes:
         """``{"compact": "<table>"}``: the update admin's maintenance
         re-sort — drop deleted slots, restore the table's declared
-        clustering, rebuild its block summaries into this worker's zone
-        tier, and broadcast the new stamps to the fleet.
+        clustering, and rebuild its block summaries into the zone tier.
 
         Like updates, the consolidation bumps every touched table's
-        mutation count *before* the stamp broadcast and before this
-        response, so no worker — local or sibling — can serve a
-        pre-compaction cached answer afterwards.  Arena-attached workers
-        are read-only and answer with an error instead."""
+        mutation count before this response, so no cache tier can serve
+        a pre-compaction answer afterwards."""
         try:
             name = payload["compact"]
             db = self.engine.engine.db
@@ -559,12 +519,6 @@ class QueryServer:
             return _encode({"id": request_id,
                             "error": f"compact failed: {exc!r}"})
         self.requests += 1
-        cache = self.engine.engine.cache
-        if cache is not None:
-            store = cache.shared_store()
-            if store is not None and not store.closed:
-                with contextlib.suppress(Exception):
-                    store.publish_stamps(db)
         return _encode({"id": request_id, "ok": True, "table": name,
                         "rows": info["rows"], "dropped": info["dropped"],
                         "clustered": info["clustered"],
@@ -577,22 +531,17 @@ def _encode(payload: dict) -> bytes:
 
 
 async def serve_tcp(engine: AsyncEngine, host: str = "127.0.0.1",
-                    port: int = 0, sock=None,
+                    port: int = 0,
                     request_timeout: Optional[float] = None,
                     max_pending: int = 0) -> QueryServer:
     """Start the line-protocol server (``port=0`` picks a free port).
 
-    Pass a pre-bound *sock* instead of host/port to serve a socket the
-    caller prepared (the fleet's ``SO_REUSEPORT`` workers do).  Returns
-    the running :class:`QueryServer`; callers ``await
+    Returns the running :class:`QueryServer`; callers ``await
     server.wait_closed()`` to serve until a SHUTDOWN request arrives.
     """
     holder = QueryServer(engine=engine, request_timeout=request_timeout,
                          max_pending=max_pending)
-    if sock is not None:
-        holder.server = await asyncio.start_server(holder._handle, sock=sock)
-    else:
-        holder.server = await asyncio.start_server(holder._handle, host, port)
+    holder.server = await asyncio.start_server(holder._handle, host, port)
     return holder
 
 
@@ -601,34 +550,9 @@ async def run_server(db: Database, options: Optional[EngineOptions] = None,
                      max_concurrency: Optional[int] = None,
                      request_timeout: Optional[float] = None,
                      max_pending: int = 0,
-                     membership_port: Optional[int] = None,
                      announce=print) -> None:
     """``astore serve``: build the engine, listen, serve until SHUTDOWN
-    (or cancellation, e.g. KeyboardInterrupt in the CLI).
-
-    With *membership_port* set (0 = pick a free port) the serve process
-    also hosts the cluster's :class:`~repro.engine.membership
-    .MembershipServer`: shard nodes ``astore node --join`` it, and the
-    engine's remote backend follows the resulting view — crashed nodes
-    fall out, restarted ones rejoin, and the join reply's stamps give a
-    restarted node its catch-up fencing.
-    """
-    from dataclasses import replace
-
-    membership_server = None
-    if membership_port is not None:
-        from .membership import MembershipServer
-        from .sharding import database_stamp
-
-        membership_server = MembershipServer(
-            host=host, port=membership_port,
-            stamps_fn=lambda: database_stamp(db)).start()
-        if options is None:
-            options = EngineOptions(parallel_backend="remote",
-                                    cache_results=True)
-        options = replace(options, membership=membership_server.address)
-        announce(f"astore serve: membership view on "
-                 f"{membership_server.address}")
+    (or cancellation, e.g. KeyboardInterrupt in the CLI)."""
     engine = AsyncEngine(db, options=options, max_concurrency=max_concurrency)
     server = await serve_tcp(engine, host, port,
                              request_timeout=request_timeout,
@@ -642,7 +566,5 @@ async def run_server(db: Database, options: Optional[EngineOptions] = None,
         await server.wait_closed()
     finally:
         await server.stop()
-        if membership_server is not None:
-            membership_server.close()
     announce(f"astore serve: stopped after {server.requests} requests "
              f"({server.failures} failed)")

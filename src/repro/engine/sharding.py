@@ -105,7 +105,7 @@ class LeafFilterSpec:
     worker-side scan instead of a per-plan pickle payload.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     first_dim: str
     predicate: BoundExpression
@@ -143,7 +143,7 @@ class LeafProducts:
     and :meth:`hydrate` rebuilds any that are missing.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     filters: Dict[str, PredicateFilter] = field(default_factory=dict)
     filter_density: Dict[str, float] = field(default_factory=dict)
@@ -271,7 +271,7 @@ class BoundQuery:
     :class:`~repro.engine.result.ExecutionStats`.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     variant: str
     scan: str                        # "column" | "row" | "projection"
@@ -974,7 +974,7 @@ class BaselineBoundQuery:
     list.  ``shape`` selects the engine's DAG form.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     shape: str                       # "materializing"|"fused"|"vectorized-pipeline"
     logical: LogicalPlan
@@ -1029,7 +1029,7 @@ class ShardOutcome:
     results never depend on scheduling.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     finishes: Dict[str, object] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)

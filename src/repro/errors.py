@@ -39,11 +39,6 @@ class ExecutionError(AStoreError):
     """A runtime failure while executing a physical plan."""
 
 
-class MembershipError(AStoreError):
-    """A cluster-membership operation failed (join refused, membership
-    server unreachable, malformed announcement)."""
-
-
 class ChaosSpecError(AStoreError, ValueError):
     """A chaos-rule spec is malformed: unknown action or site, bad
     trigger, or a ``=value`` on an action that takes none.  Subclasses
@@ -51,8 +46,8 @@ class ChaosSpecError(AStoreError, ValueError):
 
 
 class ShardExecutionError(ExecutionError):
-    """A shard backend lost workers mid-query (a pool process died, a
-    remote node vanished) — the plan itself is fine and the engine may
+    """A shard backend lost workers mid-query (a pool process died) —
+    the plan itself is fine and the engine may
     degrade to the serial backend instead of surfacing a hang or a raw
     ``BrokenProcessPool``."""
 

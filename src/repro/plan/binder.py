@@ -44,7 +44,7 @@ from .expressions import (
 class AggSpec:
     """One aggregate output: ``func(expr) AS name`` (COUNT(*) has no expr)."""
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     func: str
     expr: Optional[BoundExpression]
@@ -55,7 +55,7 @@ class AggSpec:
 class GroupKey:
     """One grouping column and its output name."""
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     column: BoundColumn
     name: str
@@ -65,7 +65,7 @@ class GroupKey:
 class OrderKey:
     """One ORDER BY key, referring to an output column by name."""
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     output: str
     descending: bool
@@ -75,7 +75,7 @@ class OrderKey:
 class LogicalPlan:
     """A bound SPJGA query over a star/snowflake schema."""
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     root: str
     tables: Tuple[str, ...]

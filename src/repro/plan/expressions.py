@@ -15,7 +15,7 @@ from typing import Optional, Tuple, Union
 class BoundColumn:
     """A column resolved to its owning table."""
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     table: str
     name: str
@@ -27,14 +27,14 @@ class BoundColumn:
 @dataclass(frozen=True)
 class BoundLiteral:
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
     value: Union[int, float, str]
 
 
 @dataclass(frozen=True)
 class BoundArith:
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
     op: str  # + - * / %
     left: "BoundExpression"
     right: "BoundExpression"
@@ -43,7 +43,7 @@ class BoundArith:
 @dataclass(frozen=True)
 class BoundCompare:
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
     op: str  # = <> < <= > >=
     left: "BoundExpression"
     right: "BoundExpression"
@@ -52,7 +52,7 @@ class BoundCompare:
 @dataclass(frozen=True)
 class BoundBetween:
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
     expr: "BoundExpression"
     low: "BoundExpression"
     high: "BoundExpression"
@@ -62,7 +62,7 @@ class BoundBetween:
 @dataclass(frozen=True)
 class BoundIn:
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
     expr: "BoundExpression"
     values: Tuple[Union[int, float, str], ...]
     negated: bool = False
@@ -71,7 +71,7 @@ class BoundIn:
 @dataclass(frozen=True)
 class BoundLike:
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
     expr: "BoundExpression"
     pattern: str
     negated: bool = False
@@ -80,21 +80,21 @@ class BoundLike:
 @dataclass(frozen=True)
 class BoundAnd:
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
     terms: Tuple["BoundExpression", ...]
 
 
 @dataclass(frozen=True)
 class BoundOr:
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
     terms: Tuple["BoundExpression", ...]
 
 
 @dataclass(frozen=True)
 class BoundNot:
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
     term: "BoundExpression"
 
 
@@ -147,7 +147,7 @@ class ColumnInterval:
     without evaluating the predicate.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     column: BoundColumn
     lo: Optional[float] = None
@@ -220,7 +220,7 @@ class CodeSetPredicate:
     codes at verdict time, which is exactly where min/max maps go blind.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     column: BoundColumn
     values: Tuple[Union[int, float, str], ...]

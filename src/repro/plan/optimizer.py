@@ -87,7 +87,7 @@ class OpSpec:
     count where no summary applies.
     """
 
-    __portable__ = True  # pickled across process/node boundaries (astore lint)
+    __portable__ = True  # pickled across process boundaries (astore lint)
 
     op: str
     detail: str = ""

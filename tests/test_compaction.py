@@ -12,13 +12,13 @@ Pins this PR's contracts:
 * the declared clustering spec survives an npz save/load round trip;
 * ``Database.compact`` re-sorts a churned table back into its declared
   clustering, rebuilds the summaries, restores the skip counts of the
-  fresh layout, and bumps the mutation stamp so no cache tier or fleet
+  fresh layout, and bumps the mutation stamp so no cache tier or shard
   worker can serve a pre-compaction answer;
 * the 13-query pruning differential holds on deletion-heavy / churned
   blocks across the serial, thread, and process backends, before and
   after compaction;
 * the serving layer's ``{"compact": ...}`` admin verb compacts in
-  place, republishes stamps, and keeps answering correctly.
+  place, bumps the stamps, and keeps answering correctly.
 """
 
 import asyncio
@@ -30,7 +30,6 @@ import pytest
 from repro.core.statistics import (
     CODE_SET_FOLD_CAP,
     ColumnCodeSetMap,
-    StampedStore,
     build_column_code_set_map,
     rebuild_zone_maps,
     zone_maps_for,
@@ -40,7 +39,7 @@ from repro.core.compaction import clustering_sort_order
 from repro.core.types import DataType
 from repro.datagen import generate_ssb
 from repro.engine import AStoreEngine
-from repro.engine.cache import query_cache_for
+from repro.engine.cache import QueryCache, query_cache_for
 from repro.engine.serve import AsyncEngine, serve_tcp
 from repro.engine.sharding import _code_set_verdicts
 from repro.errors import StorageError
@@ -139,7 +138,7 @@ class TestCodeSetMap:
         assert empty.tolist() == [True, False]  # dirty block: scan
 
     def test_zone_store_serves_code_sets(self, ssb_air):
-        zones = zone_maps_for(ssb_air, store=StampedStore(), block_rows=1024)
+        zones = zone_maps_for(ssb_air, store=QueryCache(), block_rows=1024)
         csm = zones.code_set("lineorder", "lo_orderdate")
         assert csm is not None and csm.nblocks > 0
         assert zones.code_set("lineorder", "lo_orderdate") is csm  # memoized

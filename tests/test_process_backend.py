@@ -8,12 +8,17 @@ Pins the PR's three contracts:
   rows on the ``serial``, ``thread``, and ``process`` backends (A-Store
   and baselines alike);
 * **arena hygiene** — attached databases are zero-copy and read-only,
-  and no shared-memory segment survives engine close.
+  and no shared-memory segment survives engine close;
+* **pool death** — a SIGKILLed pool worker surfaces as a typed
+  :class:`~repro.errors.ShardExecutionError`, the engine degrades that
+  query to serial shards (``shard_fallbacks``), and the next query gets
+  a fresh pool.
 """
 
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -665,3 +670,41 @@ class TestDatagenCrossProcessDeterminism:
                 capture_output=True, text=True, check=True)
             digests.add(out.stdout.strip())
         assert len(digests) == 1
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX SIGKILL")
+class TestProcessPoolDeath:
+    SQL = ("SELECT d_year, sum(lo_revenue) AS revenue "
+           "FROM lineorder, date GROUP BY d_year")
+
+    def test_worker_sigkill_degrades_to_serial(self, ssb_air):
+        with AStoreEngine(ssb_air, EngineOptions(
+                parallel_backend="process", workers=2,
+                use_cache=False)) as engine:
+            with AStoreEngine(ssb_air, EngineOptions(
+                    parallel_backend="serial", use_cache=False)) as serial:
+                truth = serial.query(self.SQL).rows()
+            first = engine.query(self.SQL)
+            assert first.rows() == truth
+            assert first.stats.shard_fallbacks == 0
+            # SIGKILL the one pool worker (the coordinator runs shard 0
+            # itself): the next sharded run must surface as a typed
+            # fallback, not a hang or a raw BrokenProcessPool
+            pool = engine._shard_backend._pool
+            assert len(pool._processes) == 1
+            victim = next(iter(pool._processes))
+            os.kill(victim, signal.SIGKILL)
+            # the pool notices the death asynchronously; a shard run fast
+            # enough to finish on the survivor first would degrade one
+            # query later, so wait until the pool knows it is broken
+            deadline = time.monotonic() + 10
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            degraded = engine.query(self.SQL)
+            assert degraded.rows() == truth
+            assert degraded.stats.shard_fallbacks == 1
+            # the broken backend was evicted: the next query runs on a
+            # fresh pool, cleanly
+            recovered = engine.query(self.SQL)
+            assert recovered.rows() == truth
+            assert recovered.stats.shard_fallbacks == 0

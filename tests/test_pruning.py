@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.statistics import (
     ColumnZoneMap,
-    StampedStore,
     build_column_zone_map,
     default_zone_block_rows,
     zone_maps_for,
@@ -82,14 +81,14 @@ class TestZoneMapBuild:
 
 class TestZoneMapStore:
     def test_lazy_build_and_reuse(self, tiny_star):
-        store = StampedStore()
+        store = QueryCache()
         zones = zone_maps_for(tiny_star, store=store, block_rows=4)
         a = zones.column("lineorder", "lo_quantity")
         b = zones.column("lineorder", "lo_quantity")
         assert isinstance(a, ColumnZoneMap) and a is b  # memoized
 
     def test_mutation_invalidates(self, tiny_star):
-        store = StampedStore()
+        store = QueryCache()
         zones = zone_maps_for(tiny_star, store=store, block_rows=4)
         before = zones.column("lineorder", "lo_quantity")
         assert before.maxs.max() == 40
@@ -100,7 +99,7 @@ class TestZoneMapStore:
         assert after.maxs.max() == 99
 
     def test_unprunable_column_cached_as_marker(self, tiny_star):
-        store = StampedStore()
+        store = QueryCache()
         zones = zone_maps_for(tiny_star, store=store, block_rows=4)
         assert zones.column("date", "d_month") is None
         assert zones.column("date", "d_month") is None  # marker hit

@@ -265,6 +265,9 @@ class TestQueryCacheMechanics:
         rows = engine.cache.stats_rows()
         assert [row[0] for row in rows] == [
             "plan", "leaf", "axis", "zone", "result"]
+        # tier, entries, hits, misses, hit %, invalidated, expired, KiB,
+        # built, patched
+        assert {len(row) for row in rows} == {10}
 
 
 class TestScratchPool:

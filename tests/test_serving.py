@@ -1,7 +1,7 @@
 """Concurrency-correct serving: the async engine, the TCP server, and
 the aliasing/race bugfixes this PR demonstrates under test.
 
-Four contracts:
+Contracts:
 
 * **served-result isolation** — result-tier hits are frozen, per-caller
   copies: no caller can mutate what another caller (or the cache) sees;
@@ -14,11 +14,19 @@ Four contracts:
   backend;
 * **concurrent serving** — N async clients running the 13 SSB queries
   agree with serial ground truth, cancellation leaves the engine
-  reusable, and adaptive-filter statistics stay coherent.
+  reusable, and adaptive-filter statistics stay coherent;
+* **the front door** — a request past its deadline answers a structured
+  ``{"timeout": true}`` error, and past ``max_pending`` (or under an
+  armed ``coordinator.admit`` rule) a structured ``{"overloaded":
+  true}`` shed, while admitted requests stay exact;
+* **the chaos harness** — rule specs parse, round-trip and fire on
+  exact hits, and every literal site the source arms is registered.
 """
 
+import ast
 import asyncio
 import json
+import pathlib
 import sys
 import threading
 import time
@@ -26,10 +34,22 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import AStoreEngine, AsyncEngine, EngineOptions
 from repro.engine import sharding
+from repro.engine.chaos import (
+    KNOWN_SITES,
+    ChaosController,
+    ChaosDrop,
+    ChaosError,
+    clear_chaos,
+    format_rules,
+    install_chaos,
+    parse_rules,
+)
 from repro.engine.scratch import ScratchPool, lease_pool, local_pool
 from repro.engine.serve import serve_tcp
+from repro.errors import AStoreError, ChaosSpecError
 from repro.workloads import SSB_QUERIES
 
 from .conftest import build_tiny_star
@@ -583,8 +603,7 @@ class TestGracefulDrainAndAdmin:
             assert "executed" in payload["serve"]
             assert set(payload["cache"]) >= {"plan", "result"}
             for tier in payload["cache"].values():
-                assert {"hits", "misses", "shared_hits",
-                        "shared_misses"} <= set(tier)
+                assert {"hits", "misses"} <= set(tier)
             writer.close()
             await server.stop()
 
@@ -624,3 +643,250 @@ class TestGracefulDrainAndAdmin:
             await server.stop()
 
         asyncio.run(main())
+
+
+# -- the front door: request deadline and overload shedding --------------------
+
+
+@pytest.fixture
+def disarmed_chaos():
+    yield
+    clear_chaos()
+
+
+@pytest.mark.usefixtures("disarmed_chaos")
+class TestServeDeadline:
+    def test_timeout_ms_answers_structured_error(self, tiny_star):
+        install_chaos("delay@serve.request:1x0=0.5")
+
+        async def main():
+            engine = AsyncEngine(tiny_star, options=EngineOptions(
+                parallel_backend="serial", cache_results=False))
+            server = await serve_tcp(engine, "127.0.0.1", 0)
+            host, port = server.address
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write((json.dumps(
+                    {"id": 1, "sql": SQL_YEAR, "timeout_ms": 50})
+                    + "\n").encode())
+                await writer.drain()
+                timed_out = json.loads(await reader.readline())
+                clear_chaos()
+                writer.write((json.dumps(
+                    {"id": 2, "sql": SQL_YEAR, "timeout_ms": 30_000})
+                    + "\n").encode())
+                await writer.drain()
+                answered = json.loads(await reader.readline())
+                writer.close()
+            finally:
+                await server.stop()
+            return timed_out, answered, server.failures
+
+        timed_out, answered, failures = asyncio.run(main())
+        assert timed_out["timeout"] is True and timed_out["id"] == 1
+        assert "deadline exceeded" in timed_out["error"]
+        assert answered["id"] == 2 and answered["rows"]
+        assert failures == 1
+
+    def test_server_wide_deadline_from_run_server_param(self, tiny_star):
+        install_chaos("delay@serve.request:1x0=0.5")
+
+        async def main():
+            engine = AsyncEngine(tiny_star, options=EngineOptions(
+                parallel_backend="serial", cache_results=False))
+            server = await serve_tcp(engine, "127.0.0.1", 0,
+                                     request_timeout=0.05)
+            host, port = server.address
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write((SQL_YEAR + "\n").encode())
+                await writer.drain()
+                response = json.loads(await reader.readline())
+                writer.close()
+            finally:
+                await server.stop()
+            return response
+
+        response = asyncio.run(main())
+        assert response["timeout"] is True
+
+
+@pytest.mark.usefixtures("disarmed_chaos")
+class TestOverloadFrontDoor:
+    def test_chaos_admit_forces_a_structured_shed(self):
+        db = build_tiny_star()
+        with AStoreEngine(db, EngineOptions(parallel_backend="serial",
+                                            use_cache=False)) as probe:
+            expected = [list(row) for row in probe.query(SQL_YEAR).rows()]
+        install_chaos("error@coordinator.admit:1")
+
+        async def main():
+            engine = AsyncEngine(db)
+            server = await serve_tcp(engine, "127.0.0.1", 0)
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(json.dumps({"sql": SQL_YEAR, "id": 1}).encode()
+                         + b"\n")
+            await writer.drain()
+            shed = json.loads(await reader.readline())
+            assert shed["id"] == 1 and shed["overloaded"] is True
+            assert "error" in shed and "rows" not in shed
+            # the rule is spent: the retry is admitted and exact
+            writer.write(json.dumps({"sql": SQL_YEAR, "id": 2}).encode()
+                         + b"\n")
+            await writer.drain()
+            ok = json.loads(await reader.readline())
+            assert ok["id"] == 2 and ok["rows"] == expected
+            writer.write(b"STATS\n")
+            await writer.drain()
+            stats = json.loads(await reader.readline())
+            assert stats["shed"] == 1
+            writer.close()
+            await server.stop()
+            assert server.shed == 1
+
+        asyncio.run(main())
+
+    def test_max_pending_sheds_but_accepted_requests_stay_exact(self):
+        db = build_tiny_star()
+        with AStoreEngine(db, EngineOptions(parallel_backend="serial",
+                                            use_cache=False)) as probe:
+            expected = [list(row) for row in probe.query(SQL_YEAR).rows()]
+        # every admitted request stalls 0.5 s inside the engine, so the
+        # second arrival finds max_pending=1 already in flight
+        install_chaos("delay@serve.request:1x0=0.5")
+
+        async def main():
+            engine = AsyncEngine(db, EngineOptions(
+                parallel_backend="serial", use_cache=False))
+            server = await serve_tcp(engine, "127.0.0.1", 0, max_pending=1)
+            host, port = server.address
+            slow_reader, slow_writer = await asyncio.open_connection(
+                host, port)
+            slow_writer.write(json.dumps(
+                {"sql": SQL_YEAR, "id": "slow"}).encode() + b"\n")
+            await slow_writer.drain()
+            await asyncio.sleep(0.1)  # the slow request is in flight
+            fast_reader, fast_writer = await asyncio.open_connection(
+                host, port)
+            fast_writer.write(json.dumps(
+                {"sql": SQL_YEAR, "id": "fast"}).encode() + b"\n")
+            await fast_writer.drain()
+            shed = json.loads(await fast_reader.readline())
+            assert shed["id"] == "fast" and shed["overloaded"] is True
+            assert "max_pending=1" in shed["error"]
+            # the admitted request is untouched by the shed
+            slow = json.loads(await slow_reader.readline())
+            assert slow["id"] == "slow" and slow["rows"] == expected
+            # capacity freed: the retry is admitted and exact
+            fast_writer.write(json.dumps(
+                {"sql": SQL_YEAR, "id": "retry"}).encode() + b"\n")
+            await fast_writer.drain()
+            retry = json.loads(await fast_reader.readline())
+            assert retry["id"] == "retry" and retry["rows"] == expected
+            slow_writer.close()
+            fast_writer.close()
+            await server.stop()
+            assert server.shed == 1
+
+        asyncio.run(main())
+
+
+# -- the chaos harness ---------------------------------------------------------
+
+
+class TestChaosRules:
+    def test_parse_format_round_trip(self):
+        spec = ("kill@serve.request:3;delay@serve.request:1x0=0.4;"
+                "drop@coordinator.admit")
+        rules = parse_rules(spec)
+        assert [r.action for r in rules] == ["kill", "delay", "drop"]
+        assert rules[0].first == 3 and rules[0].count == 1
+        assert rules[1].count == 0 and rules[1].value == 0.4
+        assert parse_rules(format_rules(rules)) == rules
+
+    @pytest.mark.parametrize("bad", ["explode@x", "kill@", "kill", "@site"])
+    def test_bad_specs_raise(self, bad):
+        with pytest.raises(ValueError):
+            parse_rules(bad)
+
+    def test_rules_fire_on_exact_hits(self):
+        controller = ChaosController(parse_rules("drop@serve.request:2"))
+        controller.fire("serve.request")  # hit 1: not due
+        with pytest.raises(ChaosDrop):
+            controller.fire("serve.request")  # hit 2: due
+        controller.fire("serve.request")  # hit 3: spent
+        assert controller.fired == [("serve.request", "drop", 2)]
+
+    def test_unbounded_error_rule(self):
+        controller = ChaosController(parse_rules("error@coordinator.admit:1x0"))
+        for _ in range(3):
+            with pytest.raises(ChaosError):
+                controller.fire("coordinator.admit")
+
+    def test_delay_uses_injected_sleeper(self):
+        controller = ChaosController(parse_rules("delay@serve.request=0.25"))
+        slept = []
+        controller.fire("serve.request", sleeper=slept.append)
+        assert slept == [0.25]
+
+
+class TestChaosSpecEdges:
+    def test_unknown_site_is_a_typed_error(self):
+        with pytest.raises(ChaosSpecError, match="unknown site"):
+            parse_rules("kill@serve.nonexistent")
+        # the typed error is both an AStoreError and a ValueError
+        try:
+            parse_rules("kill@serve.nonexistent")
+        except ChaosSpecError as exc:
+            assert isinstance(exc, AStoreError)
+            assert isinstance(exc, ValueError)
+
+    @pytest.mark.parametrize("spec", [
+        "kill@serve.request=1",
+        "drop@coordinator.admit=0.5",
+        "error@serve.request=2",
+    ])
+    def test_value_on_non_delay_action_is_rejected(self, spec):
+        with pytest.raises(ChaosSpecError, match="only the delay action"):
+            parse_rules(spec)
+
+    def test_first_combined_with_count(self):
+        (rule,) = parse_rules("error@serve.request:3x5")
+        assert (rule.first, rule.count) == (3, 5)
+        assert [rule.due(hit) for hit in range(1, 10)] == [
+            False, False, True, True, True, True, True, False, False]
+
+    @pytest.mark.parametrize("spec", [
+        "kill@serve.request:x",          # non-integer trigger
+        "delay@serve.request=abc",       # non-numeric value
+        "delay@serve.request:1.5",       # fractional hit index
+    ])
+    def test_malformed_triggers_and_values_raise(self, spec):
+        with pytest.raises(ChaosSpecError):
+            parse_rules(spec)
+
+
+def _armed_sites(root: pathlib.Path) -> set:
+    """Every literal site passed to ``chaos_point``/``chaos_point_async``
+    under *root*."""
+    sites = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None))
+            arg = node.args[0]
+            if (name in ("chaos_point", "chaos_point_async")
+                    and isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str)):
+                sites.add(arg.value)
+    return sites
+
+
+def test_known_sites_are_exactly_the_armed_sites():
+    # a registered site nothing arms can never fire, and an armed site
+    # missing from the registry cannot be targeted by a spec
+    assert _armed_sites(pathlib.Path(repro.__file__).parent) == KNOWN_SITES

@@ -26,7 +26,6 @@ from repro.core import Table
 from repro.core.column import AIRColumn, FixedColumn
 from repro.core.statistics import (
     CODE_SET_FOLD_CAP,
-    StampedStore,
     build_column_code_set_map,
     build_column_zone_map,
     zone_maps_for,
@@ -34,7 +33,7 @@ from repro.core.statistics import (
 from repro.core.types import DataType
 from repro.datagen import generate_ssb
 from repro.engine import AStoreEngine
-from repro.engine.cache import query_cache_for
+from repro.engine.cache import QueryCache, query_cache_for
 from repro.errors import StorageError
 from repro.workloads import SSB_QUERIES
 
@@ -191,7 +190,7 @@ class TestJournal:
 class TestPatchedSummaries:
     def test_untouched_summaries_are_reused_as_is(self):
         db = generate_ssb(sf=0.002, seed=5)
-        zones = zone_maps_for(db, store=StampedStore())
+        zones = zone_maps_for(db, store=QueryCache())
         custkey = zones.code_set("lineorder", "lo_custkey")
         quantity = zones.column("lineorder", "lo_quantity")
         fact = db.table("lineorder")
@@ -202,7 +201,7 @@ class TestPatchedSummaries:
 
     def test_parent_update_keeps_code_sets_parent_growth_rebuilds(self):
         db = generate_ssb(sf=0.002, seed=5)
-        zones = zone_maps_for(db, store=StampedStore())
+        zones = zone_maps_for(db, store=QueryCache())
         custkey = zones.code_set("lineorder", "lo_custkey")
         customer = db.table("customer")
         customer.update([0], {"c_region": [customer["c_region"].get(1)]})
