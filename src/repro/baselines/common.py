@@ -83,8 +83,11 @@ class HashJoinProvider:
         values = column.values() if pos is None else column.take(pos)
         return ArraySlice(values)
 
-    def rebase(self, positions: np.ndarray) -> "HashJoinProvider":
-        if self._positions is not None:
+    def rebase(self, positions: np.ndarray,
+               gathered: Optional[np.ndarray] = None) -> "HashJoinProvider":
+        if gathered is not None:
+            positions = gathered
+        elif self._positions is not None:
             positions = self._positions[positions]
         return HashJoinProvider(self._db, self._base, self._chains,
                                 self._hash_tables, positions)

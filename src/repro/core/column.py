@@ -60,7 +60,9 @@ class Column:
         """Physically permute: new column = old column gathered by *mapping*.
 
         Used by consolidation; *mapping* lists, for each new position, the
-        old position whose value it takes, and may shrink the column.
+        old position whose value it takes, and may shrink the column.  The
+        caller guarantees every entry is a valid position
+        (:meth:`~repro.core.table.Table.consolidate` checks its order).
         """
         raise NotImplementedError
 
@@ -137,11 +139,14 @@ class FixedColumn(Column):
         self._data[positions] = np.asarray(values, dtype=self.dtype.numpy_dtype)
 
     def reorder(self, mapping: np.ndarray) -> None:
-        new = self._data[: self._n][mapping]
-        self._n = len(new)
-        cap = max(int(self._n * _GROWTH_FACTOR), _MIN_CAPACITY)
-        self._data = np.empty(cap, dtype=self.dtype.numpy_dtype)
-        self._data[: self._n] = new
+        # one gather straight into the new buffer: consolidation has
+        # already checked *mapping* lists valid rows, and a bounds-checked
+        # take would stage through a temporary of the same size
+        n = len(mapping)
+        data = np.empty(max(int(n * _GROWTH_FACTOR), _MIN_CAPACITY),
+                        dtype=self.dtype.numpy_dtype)
+        np.take(self._data[: self._n], mapping, out=data[:n], mode="clip")
+        self._data, self._n = data, n
 
     @property
     def nbytes(self) -> int:

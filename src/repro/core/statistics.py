@@ -460,7 +460,7 @@ class ZoneMaps:
         if name not in tab:
             return None
         stamps = ((table, tab.mutation_count),)  # read before the build
-        previous, touched = self._prior(key, stamps, name)
+        previous, touched = self.prior(key, stamps, (name,))
         zm = build_column_zone_map(tab[name], block_rows, previous, touched)
         self._store_summary(key, zm, stamps, previous is not None)
         return zm
@@ -492,7 +492,7 @@ class ZoneMaps:
             domain = parent.num_rows
         elif isinstance(column, DictColumn):
             domain = column.cardinality
-        previous, touched = self._prior(key, stamps, name)
+        previous, touched = self.prior(key, stamps, (name,))
         if previous is not None and previous.domain != domain:
             previous = None
         csm = build_column_code_set_map(column, block_rows, domain,
@@ -500,21 +500,27 @@ class ZoneMaps:
         self._store_summary(key, csm, tuple(stamps), previous is not None)
         return csm
 
-    def _prior(self, key: tuple, stamps, column: str):
+    def prior(self, key: tuple, stamps, columns, pinned: bool = False):
         """The store's last summary under *key* and the sorted blocks
-        its table's journal entries wrote *column* at since, or
-        ``(None, None)`` when the journal cannot bridge the gap."""
+        the journal of its table (``stamps[0]``) wrote any of *columns*
+        at since, or ``(None, None)`` when the journal cannot bridge the
+        gap.  With *pinned*, every other table in *stamps* must also be
+        unchanged since that summary."""
         remembered = self._store.previous_summary(key)
         if remembered is None:
             return None, None
         previous, built_stamps = remembered
+        built = dict(built_stamps)
+        if pinned and any(built.get(t) != c for t, c in stamps[1:]):
+            return None, None
         table, now = stamps[0]
-        built = dict(built_stamps).get(table)
-        entries = (None if built is None
-                   else self._db.table(table).journal_since(built, now))
+        since = built.get(table)
+        entries = (None if since is None
+                   else self._db.table(table).journal_since(since, now))
         if entries is None:
             return None, None
-        positions = [e.positions for e in entries if column in e.columns]
+        positions = [e.positions for e in entries
+                     if not e.columns.isdisjoint(columns)]
         if not positions:
             return previous, np.empty(0, dtype=np.int64)
         return previous, np.unique(np.concatenate(positions) // previous.block_rows)

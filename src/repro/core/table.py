@@ -12,11 +12,14 @@ of every array.  Update handling follows the paper:
 * **consolidation** compacts the arrays and returns the old→new position
   mapping so the catalog can rewrite incoming AIR references.
 
-Every mutation bumps the table's ``mutation_count`` stamp — the one
+Every mutation bumps the table's ``mutation_count`` stamp — the
 freshness test of every cache tier — and records what it touched in a
-bounded **mutation journal** (:meth:`Table.journal_since`), so block
-summaries can re-summarise only the blocks and columns a write touched
-instead of rebuilding the whole table.
+bounded **mutation journal** (:meth:`Table.journal_since`).  Three
+consumers read it: block summaries re-summarise only the blocks and
+columns a write touched instead of rebuilding the whole table; prune
+verdicts re-verdict only the blocks where a write touched a checked
+column; and cached plans outlive a write that touched no column they
+encode (the query cache's plan-tier bridge).
 
 Optionally the table tracks per-slot insert/delete versions for MVCC
 snapshot reads (Section 4.4's real-time analytics scenario).

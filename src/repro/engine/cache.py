@@ -36,7 +36,13 @@ stamps the shared-memory arena already uses:
 Every entry records the ``(table, mutation_count)`` stamps of the
 tables it was computed from and is revalidated on lookup — an update to
 ``customer`` evicts customer-derived filters and axes but leaves
-``date``-only artifacts warm.  One cache is shared per database object
+``date``-only artifacts warm.  An entry may additionally *declare* the
+columns of one table it encodes (a plan: the fact table and its GROUP
+BY columns); a moved stamp of that table then still counts as fresh
+when the table's mutation journal (:meth:`Table.journal_since`) bridges
+the gap and no journaled write touched a declared column.  Only the
+plan tier declares; every other tier — the result tier above all —
+keeps exact stamps.  One cache is shared per database object
 (:func:`query_cache_for`), so a harness line-up of ten engine variants
 over the same database shares dimension scans and axes between them.
 """
@@ -50,7 +56,7 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core import Database
 from ..sqlparser.parser import parse
@@ -62,6 +68,10 @@ from ..sqlparser.parser import parse
 TIERS = ("plan", "leaf", "axis", "zone", "result")
 
 Stamps = Tuple[Tuple[str, int], ...]
+
+#: ``(table, encoded columns)``: the one table whose stamp an entry lets
+#: the journal bridge, and the columns of it the entry's value encodes.
+Bridge = Tuple[str, FrozenSet[str]]
 
 
 def table_stamps(db: Database, tables: Iterable[str]) -> Stamps:
@@ -94,14 +104,15 @@ class TierStats:
 
 
 class _Entry:
-    __slots__ = ("value", "stamps", "nbytes", "created")
+    __slots__ = ("value", "stamps", "nbytes", "created", "bridge")
 
     def __init__(self, value, stamps: Stamps, nbytes: int,
-                 created: float = 0.0):
+                 created: float = 0.0, bridge: Optional[Bridge] = None):
         self.value = value
         self.stamps = stamps
         self.nbytes = nbytes
         self.created = created
+        self.bridge = bridge
 
 
 class QueryCache:
@@ -134,9 +145,11 @@ class QueryCache:
             tier: OrderedDict() for tier in TIERS}
         self._stats: Dict[str, TierStats] = {
             tier: TierStats() for tier in TIERS}
-        #: the last summary stored under each zone-map key, fresh or
-        #: not, with its stamps: what a post-mutation miss patches
-        self._summaries: Dict[tuple, Tuple[object, Stamps]] = {}
+        #: the last summary stored under each zone key, fresh or not,
+        #: with its stamps: what a post-mutation miss patches (LRU-bounded
+        #: like a tier: verdict keys carry query literals)
+        self._summaries: "OrderedDict[tuple, Tuple[object, Stamps]]" = (
+            OrderedDict())
         #: summaries stored per zone key kind: [built, patched]
         self._summary_counts: Dict[str, List[int]] = {}
 
@@ -186,12 +199,19 @@ class QueryCache:
             return entry.value
 
     def put(self, tier: str, key: tuple, value, stamps: Stamps,
-            nbytes: int = 0) -> bool:
+            nbytes: int = 0, bridge: Optional[Bridge] = None) -> bool:
         """Store *value*; returns False when it exceeds the tier's caps.
+
+        *bridge* declares the ``(table, columns)`` the value encodes of
+        one of its stamped tables (see the module docstring); only the
+        plan tier may declare one.
 
         Result-tier values must be frozen (read-only column arrays, see
         :meth:`QueryResult.freeze`): a writable entry would let one
         served caller mutate what every later caller is handed."""
+        if bridge is not None and tier != "plan":
+            raise ValueError(
+                f"only plan-tier entries may bridge a stamp, not {tier!r}")
         if tier == "result" and not _result_is_frozen(value):
             raise ValueError(
                 "result-tier entries must be frozen QueryResults "
@@ -205,7 +225,7 @@ class QueryCache:
             if old is not None:
                 stats.bytes -= old.nbytes
             entries[key] = _Entry(value, stamps, nbytes,
-                                  created=self._clock())
+                                  created=self._clock(), bridge=bridge)
             stats.bytes += nbytes
             stats.stores += 1
             budget = (self.result_budget_bytes if tier == "result"
@@ -225,6 +245,9 @@ class QueryCache:
         derived from a previous summary or built from scratch."""
         with self._lock:
             self._summaries[key] = (value, stamps)
+            self._summaries.move_to_end(key)
+            while len(self._summaries) > self.max_entries:
+                self._summaries.popitem(last=False)
             counts = self._summary_counts.setdefault(key[0], [0, 0])
             counts[1 if patched else 0] += 1
             self.put("zone", key, value, stamps, nbytes)
@@ -246,13 +269,30 @@ class QueryCache:
 
     @staticmethod
     def _fresh(entry: _Entry, db: Database) -> bool:
+        """Whether *entry*'s value still holds for the live database.
+
+        Every stamp must match, except the bridged table's: its moved
+        stamp is fresh when the journal accounts for every mutation
+        since (no barrier, no overflow) and none of them wrote a column
+        the entry encodes.  A bridged stamp is advanced, so the next
+        lookup compares exactly again."""
         for name, count in entry.stamps:
             try:
                 table = db.table(name)
             except Exception:
                 return False
-            if table.mutation_count != count:
+            now = table.mutation_count
+            if now == count:
+                continue
+            if entry.bridge is None or entry.bridge[0] != name:
                 return False
+            written = table.journal_since(count, now)
+            if written is None or any(
+                    not e.columns.isdisjoint(entry.bridge[1])
+                    for e in written):
+                return False
+            entry.stamps = tuple((n, now if n == name else c)
+                                 for n, c in entry.stamps)
         return True
 
     def clear(self) -> None:

@@ -316,8 +316,10 @@ class AStoreEngine:
         With the query cache active, a repeated (or merely textually
         different but structurally identical) query returns the *same*
         bound-plan object, revalidated against the mutation stamps of
-        every table it touches; ``leaf_seconds`` then reflects the
-        lookup, not a recompile.
+        every table it touches — exactly for the dimensions, through the
+        mutation journal for the fact table (a write that touched no
+        column the plan encodes keeps it); ``leaf_seconds`` then
+        reflects the lookup, not a recompile.
 
         Note for concurrent callers: a cached plan is shared, so the
         ``leaf_seconds``/``cache_events`` bookkeeping stamped on here is
@@ -356,10 +358,14 @@ class AStoreEngine:
         events = {"plan_misses": 1}
         bound = self._compile(self.plan(stmt), snapshot, events)
         bound.cache_key = key
+        # dimension stamps stay exact; a fact-only write that the journal
+        # accounts for and that wrote no column the plan encodes leaves
+        # the plan as it would compile now (see BoundQuery.encoded_columns)
         self.cache.put("plan", key, bound,
                        tuple(sorted((name, pre_stamps[name])
                                     for name in set(bound.logical.tables))),
-                       bound_nbytes(bound))
+                       bound_nbytes(bound),
+                       bridge=(bound.logical.root, bound.encoded_columns()))
         return bound, bound.leaf_seconds, dict(events)
 
     def _compile(self, physical: PhysicalPlan, snapshot: Optional[int],

@@ -171,9 +171,10 @@ class Morsel:
         if self.visible is not None:
             keep = keep & self.visible
         idx = np.flatnonzero(keep)
+        positions = idx if self.positions is None else self.positions[idx]
         return Morsel(
-            idx if self.positions is None else self.positions[idx],
-            self.provider.rebase(idx),
+            positions,
+            self.provider.rebase(idx, positions),
             codes=None if self.codes is None else self.codes[idx],
         )
 
@@ -210,9 +211,10 @@ class OverlayProvider:
             return ArraySlice(self._overlay[key])
         return self._base.fetch(table, name)
 
-    def rebase(self, idx: np.ndarray) -> "OverlayProvider":
+    def rebase(self, idx: np.ndarray,
+               gathered: Optional[np.ndarray] = None) -> "OverlayProvider":
         return OverlayProvider(
-            self._base.rebase(idx),
+            self._base.rebase(idx, gathered),
             {key: values[idx] for key, values in self._overlay.items()},
         )
 

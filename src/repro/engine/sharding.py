@@ -41,7 +41,8 @@ from collections import OrderedDict
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -189,9 +190,10 @@ def _state_runs(states: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _code_set_verdicts(csm, member: np.ndarray):
-    """``(empty, full)`` per-block verdicts of a membership predicate
-    against a :class:`~repro.core.statistics.ColumnCodeSetMap`.
+def _code_set_verdicts(csm, member: np.ndarray, blocks=slice(None)):
+    """``(empty, full)`` verdicts of a membership predicate against a
+    :class:`~repro.core.statistics.ColumnCodeSetMap`, for the selected
+    *blocks* (every block by default).
 
     A block is *empty* when its bitmap shares no bit with the passing
     codes (sound even folded: folding only merges codes, so a shared
@@ -200,17 +202,51 @@ def _code_set_verdicts(csm, member: np.ndarray):
     codes.  Dirty blocks (out-of-domain codes present) get no verdict.
     """
     pass_bits = csm.fold_mask(member)
-    empty = ~np.bitwise_and(csm.bits, pass_bits[None, :]).any(axis=1)
+    bits, dirty = csm.bits[blocks], csm.dirty[blocks]
+    empty = ~np.bitwise_and(bits, pass_bits[None, :]).any(axis=1)
     if csm.exact:
         # packbits pads with zero bits, so the pad region of csm.bits
         # never intersects ~pass_bits' (set) pad bits
-        full = ~np.bitwise_and(csm.bits, ~pass_bits[None, :]).any(axis=1)
+        full = ~np.bitwise_and(bits, ~pass_bits[None, :]).any(axis=1)
     else:
-        full = np.zeros(csm.nblocks, dtype=bool)
-    if csm.dirty.any():
-        empty &= ~csm.dirty
-        full &= ~csm.dirty
+        full = np.zeros(len(bits), dtype=bool)
+    if dirty.any():
+        empty &= ~dirty
+        full &= ~dirty
     return empty, full
+
+
+class BlockVerdicts(NamedTuple):
+    """One ``zonestate`` entry: the per-block prune verdicts of a
+    predicate signature, with what the entry was derived under.
+
+    ``domains`` holds the dictionary cardinality of each ``codes-eq``
+    column (``-1`` when not dictionary-coded): the only fact-table
+    quantity a verdict depends on beyond the per-block summaries, so a
+    change to it means no block's old verdict can be kept.  ``aux`` is
+    the one-slot list :meth:`BoundQuery.prune_ranges` fills with the
+    derived survivor ranges; every new entry gets a fresh one."""
+
+    states: np.ndarray
+    block_rows: int
+    gated: bool
+    aux: list
+    domains: Tuple[int, ...]
+
+
+def _gate(states: np.ndarray) -> bool:
+    """The cost gate's verdict on *states*: expected payoff — skipped
+    blocks plus half weight for proven-accepted ones — must beat a
+    floor fraction of the table plus a penalty per maximal survivor run
+    (fragmented survivors trade the zero-copy identity scan for
+    scattered morsels, so fragmentation is priced explicitly)."""
+    payoff = (np.count_nonzero(states == PRUNE_SKIP)
+              + 0.5 * np.count_nonzero(states == PRUNE_ACCEPT))
+    survivors = (states != PRUNE_SKIP).astype(np.int8)
+    runs = (int(np.count_nonzero(np.diff(survivors) == 1))
+            + int(survivors[0]))
+    return bool(payoff < (GATE_MIN_FRACTION * len(states)
+                          + GATE_RUN_PENALTY * runs))
 
 
 @dataclass
@@ -303,6 +339,24 @@ class BoundQuery:
         """Dense aggregation-array size (product of axis cardinalities)."""
         return (total_groups([axis.card for axis in self.leaf.axes])
                 if self.leaf.axes else 1)
+
+    def encoded_columns(self) -> FrozenSet[str]:
+        """The root-table columns whose values this plan bakes in.
+
+        Dimension content (predicate vectors, group axes) is stamped
+        exactly; of the fact table, a plan encodes only the value domain
+        of its GROUP BY keys on the fact table
+        (:func:`~repro.engine.grouping.build_axes`).  Everything else it
+        took from fact data is an estimate that orders conjuncts or picks
+        the aggregation layout, never rows: the sampled conjunct
+        selectivities and ``use_array_hint``.  Fact predicates keep their
+        literals (dictionary codes are resolved at verdict and scan
+        time), and the binder's root choice by row count only firms up
+        as the root grows.  A fact write that touches none of these
+        columns therefore leaves the plan as it would compile now."""
+        root = self.logical.root
+        return frozenset(key.column.name for axis in self.leaf.axes
+                         for key in axis.keys if key.column.table == root)
 
     def hydrate(self, db: Database) -> None:
         """Rebuild lazily-shipped leaf filters against *db* (no-op when
@@ -513,18 +567,49 @@ class BoundQuery:
                 return ref.child_column
         return None
 
-    def _block_states(self, db: Database):
+    @staticmethod
+    def _step_columns(steps: List[tuple]) -> FrozenSet[str]:
+        """The root-table columns the verdicts of *steps* summarise:
+        interval and code-set columns, and the probes' FK columns."""
+        return frozenset(step[1] if step[0] == "codes" else step[1].column.name
+                         for step in steps)
+
+    def _step_domains(self, db: Database,
+                      steps: List[tuple]) -> Tuple[int, ...]:
+        """The dictionary cardinality of each ``codes-eq`` column (see
+        :class:`BlockVerdicts`)."""
+        from ..core.column import DictColumn
+
+        table = db.table(self.logical.root)
+        domains = []
+        for step in steps:
+            if step[0] == "codes-eq":
+                column = table[step[1].column.name]
+                domains.append(column.cardinality
+                               if isinstance(column, DictColumn) else -1)
+        return tuple(domains)
+
+    def _block_states(self, db: Database, store=None):
         """Per-zone-block prune verdicts, or ``None`` when nothing is
         checkable.  Returns ``(states, block_rows, gated, aux)`` — *aux*
         is the cached entry's one-slot list for derived survivor ranges
         (see :meth:`prune_ranges`), ``None`` when nothing was cached.
 
         Memoized twice: per plan against the root table's mutation
-        stamp (warm plans skip even the store lookup), and in the
-        database's shared stamped store keyed by the *predicate
-        signature* — so repeated cold compiles of the same (or a
-        same-shaped) query share one verdict evaluation, invalidated by
-        the stamps of every table it derived from.
+        stamp (warm plans skip even the store lookup), and in *store*
+        (the database's shared query cache by default) keyed by the
+        *predicate signature* — so repeated cold compiles of the same
+        (or a same-shaped) query share one verdict evaluation,
+        invalidated by the stamps of every table it derived from.
+
+        A miss after a fact-only write is *patched* like a block
+        summary: when the dimension stamps are unchanged and the root's
+        journal bridges the gap, only the blocks holding rows a
+        journaled write wrote a checked column at, and the blocks past
+        the old end of the table, are re-verdicted (a delete, or an
+        update of an unchecked measure, re-verdicts none).  A changed
+        block size or code domain, a barrier or a moved dimension stamp
+        computes every block.  Patched states equal the full ones.
 
         ``gated`` is the cost gate's decision, made from the verdicts
         themselves: when the expected payoff — skipped blocks plus half
@@ -542,59 +627,77 @@ class BoundQuery:
         gated = False
         aux: Optional[list] = None
         if steps:
-            store = query_cache_for(db)
+            store = query_cache_for(db) if store is None else store
             key = ("zonestate", root, self.zone_block_rows, signature)
             hit = store.get("zone", key, db)
-            if hit is not None:
-                states, block_rows, gated, aux = hit
-            else:
+            if hit is None:
                 stamps = table_stamps(db, involved)  # read before compute
-                states, block_rows = self._compute_block_states(
-                    db, steps, complete)
-                if states is not None and len(states):
-                    # the cost gate prices the verdicts before anyone
-                    # acts on them: expected payoff — skipped blocks
-                    # plus half weight for proven-accepted ones — must
-                    # beat a floor fraction of the table plus a penalty
-                    # per maximal survivor run (fragmented survivors
-                    # trade the zero-copy identity scan for scattered
-                    # morsels, so fragmentation is priced explicitly)
-                    payoff = (np.count_nonzero(states == PRUNE_SKIP)
-                              + 0.5 * np.count_nonzero(states == PRUNE_ACCEPT))
-                    survivors = (states != PRUNE_SKIP).astype(np.int8)
-                    runs = (int(np.count_nonzero(np.diff(survivors) == 1))
-                            + int(survivors[0]))
-                    gated = bool(payoff < (GATE_MIN_FRACTION * len(states)
-                                           + GATE_RUN_PENALTY * runs))
-                if states is not None:
-                    # the one-slot aux list rides in the cached value:
-                    # prune_ranges fills it with the derived survivor
-                    # ranges + block tallies on first ranged use, so
-                    # every later cold compile of this signature skips
-                    # the run scan too (same key, same stamp set); the
-                    # gate verdict rides along for the same reason
-                    aux = [None]
-                    store.put("zone", key,
-                              (states, block_rows, gated, aux),
-                              stamps, states.nbytes)
+                hit = self._verdicts(db, steps, complete, store, key, stamps)
+            if hit is not None:
+                states, block_rows, gated, aux = hit[:4]
         self.__dict__["_prune_states"] = (weakref.ref(db), stamp,
                                           states, block_rows, gated, aux)
         return states, block_rows, gated, aux
 
-    def _compute_block_states(self, db: Database, steps: List[tuple],
-                              complete: bool):
-        if not steps:
-            return None, 0
+    def _verdicts(self, db: Database, steps: List[tuple], complete: bool,
+                  store, key: tuple, stamps) -> Optional[BlockVerdicts]:
+        """Compute (or patch) and store the verdicts of *key*; ``None``
+        when nothing is checkable or the table is empty."""
         root = self.logical.root
-        zones = zone_maps_for(db, store=query_cache_for(db),
-                              block_rows=self.zone_block_rows)
+        zones = zone_maps_for(db, store=store, block_rows=self.zone_block_rows)
         block_rows = zones.block_rows_for(root)
         nrows = db.table(root).num_rows
         if nrows == 0:
-            return None, 0
+            return None
         nblocks = -(-nrows // block_rows)
-        states = np.full(
-            nblocks, PRUNE_ACCEPT if complete else PRUNE_SCAN, dtype=np.int8)
+        domains = self._step_domains(db, steps)
+        # the root's stamp first: the journal bridges it, the rest pin
+        previous, touched = zones.prior(
+            key, sorted(stamps, key=lambda stamp: stamp[0] != root),
+            self._step_columns(steps), pinned=True)
+        if previous is not None and (previous.block_rows != block_rows
+                                     or previous.domains != domains):
+            previous = None
+        states = None
+        if previous is not None:
+            old = len(previous.states)
+            touched = np.union1d(touched, np.arange(old, nblocks))
+            # even with nothing touched this brings the summaries the
+            # steps read current (a cheap patch), so the zone tier — and
+            # an arena export of it — never lags the verdicts
+            patch = self._compute_block_states(db, zones, steps, complete,
+                                               nblocks, touched)
+            if patch is None:
+                previous = None
+            elif len(touched):
+                states = np.empty(nblocks, dtype=np.int8)
+                states[:old] = previous.states
+                states[touched] = patch
+            else:
+                states = previous.states
+        if previous is None:
+            states = self._compute_block_states(db, zones, steps, complete,
+                                                nblocks)
+        if states is None:
+            return None
+        verdicts = BlockVerdicts(states, block_rows, _gate(states), [None],
+                                 domains)
+        store.put_summary(key, verdicts, stamps, states.nbytes,
+                          patched=previous is not None)
+        return verdicts
+
+    def _compute_block_states(self, db: Database, zones, steps: List[tuple],
+                              complete: bool, nblocks: int,
+                              blocks: Optional[np.ndarray] = None
+                              ) -> Optional[np.ndarray]:
+        """The verdicts of the selected *blocks* (every block by
+        default) from the current summaries, or ``None`` when no step
+        is checkable."""
+        root = self.logical.root
+        sel = slice(None) if blocks is None else blocks
+        states = np.full(nblocks if blocks is None else len(blocks),
+                         PRUNE_ACCEPT if complete else PRUNE_SCAN,
+                         dtype=np.int8)
         checked = 0
         for step in steps:
             if step[0] == "interval":
@@ -603,14 +706,16 @@ class BoundQuery:
                 if zm is None or zm.nblocks != nblocks:
                     np.minimum(states, PRUNE_SCAN, out=states)
                     continue
+                mins, maxs = zm.mins[sel], zm.maxs[sel]
                 lo = -np.inf if iv.lo is None else iv.lo
                 hi = np.inf if iv.hi is None else iv.hi
-                empty = (zm.maxs < lo) | (zm.mins > hi)
-                full = (iv.exact & (zm.mins >= lo) & (zm.maxs <= hi)
-                        if iv.exact else np.zeros(nblocks, dtype=bool))
+                empty = (maxs < lo) | (mins > hi)
+                full = (iv.exact & (mins >= lo) & (maxs <= hi)
+                        if iv.exact else np.zeros(len(states), dtype=bool))
             elif step[0] == "codes-eq":
                 cs = step[1]
-                verdicts = self._code_set_eq_verdicts(db, zones, cs, nblocks)
+                verdicts = self._code_set_eq_verdicts(db, zones, cs, nblocks,
+                                                      sel)
                 if verdicts is None:
                     np.minimum(states, PRUNE_SCAN, out=states)
                     continue
@@ -622,7 +727,7 @@ class BoundQuery:
                         and csm.domain == len(pf.mask)):
                     # membership summary: sound on arbitrary (scattered)
                     # pass sets — the second-generation path
-                    empty, full = _code_set_verdicts(csm, pf.mask)
+                    empty, full = _code_set_verdicts(csm, pf.mask, sel)
                 else:
                     # first-generation fallback: the FK-range pass count,
                     # useful only when the block's references are dense
@@ -631,8 +736,8 @@ class BoundQuery:
                         np.minimum(states, PRUNE_SCAN, out=states)
                         continue
                     counts = pf.pass_counts()
-                    lo_pos = zm.mins.astype(np.int64)
-                    hi_pos = zm.maxs.astype(np.int64)
+                    lo_pos = zm.mins[sel].astype(np.int64)
+                    hi_pos = zm.maxs[sel].astype(np.int64)
                     # blocks whose FK range strays outside the dimension
                     # (stale values in deleted slots) are scanned, not
                     # judged
@@ -646,13 +751,15 @@ class BoundQuery:
             states[~full] = np.minimum(states[~full], PRUNE_SCAN)
             states[empty] = PRUNE_SKIP
         if not checked:
-            return None, 0
-        return states, block_rows
+            return None
+        return states
 
-    def _code_set_eq_verdicts(self, db: Database, zones, cs, nblocks: int):
+    def _code_set_eq_verdicts(self, db: Database, zones, cs, nblocks: int,
+                              blocks=slice(None)):
         """SKIP/ACCEPT verdicts of one fact-table equality/IN predicate
-        against the column's code-set summary, or ``None`` when the
-        column is not dictionary-coded (or the summary is stale-shaped).
+        against the column's code-set summary, for the selected
+        *blocks*, or ``None`` when the column is not dictionary-coded
+        (or the summary is stale-shaped).
         """
         from ..core.column import DictColumn
 
@@ -670,7 +777,7 @@ class BoundQuery:
             return None
         member = np.zeros(csm.domain, dtype=bool)
         member[codes[codes >= 0]] = True
-        return _code_set_verdicts(csm, member)
+        return _code_set_verdicts(csm, member, blocks)
 
     def warm_zone_maps(self, db: Database) -> None:
         """Build (or revalidate) the zone maps this plan prunes with.

@@ -196,9 +196,16 @@ class PositionalProvider:
         values = column.values() if pos is None else column.take(pos)
         return ArraySlice(values)
 
-    def rebase(self, positions: np.ndarray) -> "PositionalProvider":
-        """A new provider over a subset/reordering of base rows."""
-        if isinstance(self._positions, RowRange):
+    def rebase(self, positions: np.ndarray,
+               gathered: Optional[np.ndarray] = None) -> "PositionalProvider":
+        """A new provider over a subset/reordering of base rows.
+
+        *positions* index this provider's rows; a caller that already
+        holds their base-row ids (a refining morsel) passes them as
+        *gathered* so they are not gathered a second time."""
+        if gathered is not None:
+            positions = gathered
+        elif isinstance(self._positions, RowRange):
             positions = self._positions.take(positions)
         elif self._positions is not None:
             positions = self._positions[positions]

@@ -9,7 +9,9 @@ Pins this PR's contracts:
   bookkeeping (``ExecutionStats.prune_gated``), and never changes
   results;
 * ``Table.consolidate(order)`` validates the permutation it is handed;
-* the declared clustering spec survives an npz save/load round trip;
+* the declared clustering spec survives an npz save/load round trip,
+  and the one-argsort sort order equals ``np.lexsort`` over the spec's
+  keys (dict-coded, object-valued, AIR-parent, wide and float keys);
 * ``Database.compact`` re-sorts a churned table back into its declared
   clustering, rebuilds the summaries, restores the skip counts of the
   fresh layout, and bumps the mutation stamp so no cache tier or shard
@@ -26,6 +28,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.statistics import (
     CODE_SET_FOLD_CAP,
@@ -36,6 +40,8 @@ from repro.core.statistics import (
 )
 from repro.core.column import DictColumn, FixedColumn
 from repro.core.compaction import clustering_sort_order
+from repro.core import Database
+from repro.core.column import AIRColumn
 from repro.core.types import DataType
 from repro.datagen import generate_ssb
 from repro.engine import AStoreEngine
@@ -233,6 +239,112 @@ class TestClusteringSpec:
                                       db.clustering["lineorder"])
         assert len(order) == table.num_live
         assert len(np.unique(order)) == len(order)
+
+
+def lexsort_reference(db, table_name, spec):
+    """The live rows ordered by ``np.lexsort`` over the spec's keys,
+    decoded value by value: own columns at the live rows, AIR columns by
+    their parent key, other tables' columns through the AIR reference."""
+    tab = db.table(table_name)
+    live = np.flatnonzero(tab.live_mask())
+    keys = []
+    for item in spec:
+        tname, _, cname = item.partition(".")
+        if tname == table_name:
+            column = tab[cname]
+            ref = db.reference_for(table_name, cname)
+            if isinstance(column, AIRColumn) and ref.parent_key is not None:
+                values = db.table(ref.parent_table)[ref.parent_key].take(
+                    column.values()[live])
+            else:
+                values = column.take(live)
+        else:
+            (ref,) = [r for r in db.outgoing(table_name)
+                      if r.parent_table == tname]
+            values = db.table(tname)[cname].take(
+                tab[ref.child_column].values()[live])
+        if values.dtype.kind == "O":
+            values = np.unique(values, return_inverse=True)[1]
+        keys.append(values)
+    return live[np.lexsort(keys[::-1])]
+
+
+#: sort keys of the property below: dict-coded and object-valued strings,
+#: AIR-parent attributes, wide integers (ranked, or wide enough together
+#: to force the composite's re-rank) and floats with NaN and -0.0
+SORT_KEYS = ("dim.grp", "dim.name", "dim.wide", "f.fk", "f.code", "f.label",
+             "f.big", "f.mid", "f.flt")
+
+
+class TestSortOrderMatchesLexsort:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_lexsort_reference(self, data):
+        n = data.draw(st.integers(1, 80), label="rows")
+        ndim = data.draw(st.integers(1, 12), label="dims")
+        ints = lambda lo, hi, size: data.draw(st.lists(
+            st.integers(lo, hi), min_size=size, max_size=size))
+        db = Database("sortkeys")
+        db.create_table("dim", {
+            "k": np.arange(ndim, dtype=np.int64) * 7 + 3,
+            "grp": np.array(ints(0, 3, ndim), dtype=np.int64),
+            "name": [f"n{v}" for v in ints(0, 2, ndim)],
+            "wide": np.array(ints(-(1 << 63), (1 << 63) - 1, ndim),
+                             dtype=np.int64),
+        })
+        floats = st.sampled_from([0.5, -0.0, 0.0, np.nan, -2.0, 1e300])
+        db.create_table("f", {
+            "fk": np.array(ints(0, ndim - 1, n), dtype=np.int64) * 7 + 3,
+            "code": [f"c{v}" for v in ints(0, 2, n)],
+            "label": [f"l{v}" for v in ints(0, 10 ** 6, n)],
+            "big": np.array(ints(0, 1 << 40, n), dtype=np.int64),
+            "mid": np.array(ints(-(1 << 29), 1 << 29, n), dtype=np.int64),
+            "flt": np.array(data.draw(st.lists(floats, min_size=n,
+                                               max_size=n))),
+        })
+        db.add_reference("f", "fk", "dim", "k")
+        db.airify()
+        victims = data.draw(st.lists(st.integers(0, n - 1), max_size=n // 2))
+        db.table("f").delete(victims)
+        spec = data.draw(st.lists(st.sampled_from(SORT_KEYS), min_size=1,
+                                  max_size=6, unique=True), label="spec")
+        assert np.array_equal(clustering_sort_order(db, "f", spec),
+                              lexsort_reference(db, "f", spec))
+
+    def test_epoch_compacts_like_the_lexsort_reference(self):
+        # one mixed_rw-shaped epoch (appends, slot-reusing appends,
+        # measure updates, deletes, a dimension update), then compact
+        # one copy and consolidate the other in the lexsort order
+        pattern = ("append", "update", "delete", "update", "append",
+                   "customer", "append", "update", "append", "update",
+                   "append", "delete")
+        copies = [generate_ssb(sf=0.01, seed=21) for _ in range(2)]
+        for db in copies:
+            fact, customer = db.table("lineorder"), db.table("customer")
+            rng = np.random.default_rng(5)
+            for op in pattern:
+                if op == "customer":
+                    customer.update(rng.choice(customer.num_rows, 20,
+                                               replace=False),
+                                    {"c_region": ["ASIA"] * 20})
+                    continue
+                positions = rng.choice(np.flatnonzero(fact.live_mask()),
+                                       300, replace=False)
+                if op == "append":
+                    fact.insert(fact.gather(positions))
+                elif op == "update":
+                    fact.update(positions, {"lo_revenue": rng.integers(
+                        0, 10 ** 6, len(positions))})
+                else:
+                    fact.delete(positions)
+        compacted, reference = copies
+        compacted.compact("lineorder")
+        reference.consolidate("lineorder", order=lexsort_reference(
+            reference, "lineorder", reference.clustering["lineorder"]))
+        a, b = compacted.table("lineorder"), reference.table("lineorder")
+        assert a.num_rows == b.num_rows
+        for name in a.column_names:
+            assert np.array_equal(a[name].values(), b[name].values()), name
 
 
 # -- compaction ---------------------------------------------------------------

@@ -9,6 +9,8 @@ Pins the PR's contracts:
 * **exact invalidation** — an insert/update/delete that bumps a table's
   ``mutation_count`` drops every cache tier derived from that table
   (and only those), so post-mutation queries match a cache-free engine;
+  plans are the one exception, kept across a fact write that touched no
+  fact column they encode (the result tier never is);
 * **hot-path hygiene** — scratch-buffer reuse and identity morsels
   never leak between queries or pipelines.
 """
@@ -208,6 +210,99 @@ class TestMutationInvalidation:
                     == uncached.query(sql, snapshot=snapshot).rows())
         warm = engine.query(sql, snapshot=4)
         assert warm.stats.cache_events.get("result_hits") == 1
+
+
+FACT_GROUP_SQL = ("SELECT lo_discount, count(*) AS n FROM lineorder "
+                  "GROUP BY lo_discount ORDER BY lo_discount")
+
+FACT_WRITES = {
+    "append": lambda fact: fact.insert({
+        "lo_orderkey": [9], "lo_custkey": [0], "lo_orderdate": [0],
+        "lo_revenue": [1000], "lo_discount": [2], "lo_quantity": [1]}),
+    "delete": lambda fact: fact.delete([0, 4]),
+    "revenue": lambda fact: fact.update([1, 5], {"lo_revenue": [7, 9]}),
+}
+
+
+class TestFactOnlyWrites:
+    """A plan encodes dimension content and the value domain of its fact
+    GROUP BY columns, nothing else of the fact table: a fact write that
+    touches no encoded column keeps the plan (through the journal), one
+    that does, or a barrier, recompiles it, and results stay exact."""
+
+    @pytest.mark.parametrize("write", sorted(FACT_WRITES))
+    def test_plan_survives_a_fact_write(self, write):
+        db = build_tiny_star()
+        engine = fresh_engine(db)
+        engine.query(MUTATING_SQL)
+        FACT_WRITES[write](db.table("lineorder"))
+        after = engine.query(MUTATING_SQL)
+        assert after.stats.cache_events.get("plan_hits") == 1
+        assert after.rows() == fresh_engine(
+            db, use_cache=False).query(MUTATING_SQL).rows()
+
+    def test_write_to_a_fact_group_column_recompiles(self):
+        db = build_tiny_star()
+        engine = fresh_engine(db)
+        engine.query(FACT_GROUP_SQL)
+        # 9 is outside the axis domain the plan encoded (1..4)
+        db.table("lineorder").update([3], {"lo_discount": [9]})
+        after = engine.query(FACT_GROUP_SQL)
+        assert after.stats.cache_events.get("plan_misses") == 1
+        assert after.rows() == fresh_engine(
+            db, use_cache=False).query(FACT_GROUP_SQL).rows()
+
+    def test_append_recompiles_a_fact_group_plan(self):
+        db = build_tiny_star()
+        engine = fresh_engine(db)
+        engine.query(FACT_GROUP_SQL)
+        FACT_WRITES["append"](db.table("lineorder"))
+        assert (engine.query(FACT_GROUP_SQL).stats.cache_events
+                .get("plan_misses") == 1)
+
+    def test_compaction_recompiles(self):
+        db = build_tiny_star()
+        engine = fresh_engine(db)
+        engine.query(MUTATING_SQL)
+        db.table("lineorder").delete([2])
+        db.compact("lineorder")
+        after = engine.query(MUTATING_SQL)
+        assert after.stats.cache_events.get("plan_misses") == 1
+        assert after.rows() == fresh_engine(
+            db, use_cache=False).query(MUTATING_SQL).rows()
+
+    def test_result_tier_is_never_bridged(self):
+        db = build_tiny_star()
+        engine = fresh_engine(db, cache_results=True)
+        engine.query(MUTATING_SQL)
+        assert (engine.query(MUTATING_SQL).stats.cache_events
+                .get("result_hits") == 1)
+        FACT_WRITES["append"](db.table("lineorder"))
+        after = engine.query(MUTATING_SQL)
+        assert after.stats.cache_events.get("result_hits") is None
+        assert after.stats.cache_events.get("plan_hits") == 1
+        assert after.rows() == fresh_engine(
+            db, use_cache=False).query(MUTATING_SQL).rows()
+        with pytest.raises(ValueError):
+            QueryCache().put("result", ("k",), object(), (),
+                             bridge=("lineorder", frozenset()))
+
+    def test_verdicts_patched_after_an_append(self):
+        from repro.datagen import generate_ssb
+
+        db = generate_ssb(sf=0.01, seed=3)
+        engine = fresh_engine(db)
+        sql = SSB_QUERIES["Q1.1"]
+        engine.query(sql)
+        fact = db.table("lineorder")
+        fact.insert(fact.gather(np.arange(0, fact.num_rows, 101)))
+        after = engine.query(sql)
+        assert after.stats.cache_events.get("plan_hits") == 1
+        assert after.rows() == fresh_engine(
+            db, use_cache=False, use_pruning=False).query(sql).rows()
+        (row,) = [r for r in engine.cache.stats_rows()
+                  if r[0] == "  zone/verdicts"]
+        assert row[-1] > 0
 
 
 class TestQueryCacheMechanics:
