@@ -73,10 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--sf", type=float, default=0.01,
                      help="scale factor (SF=1 is the official size)")
     gen.add_argument("--seed", type=int, default=42)
-    gen.add_argument("--out", required=True, help="output .npz path")
+    gen.add_argument("--out", required=True, help="output database image path")
 
     query = sub.add_parser("query", help="run one SQL query")
-    query.add_argument("database", help="a .npz archive from 'generate'")
+    query.add_argument("database", help="a database image from 'generate'")
     query.add_argument("sql", help="the SPJGA query text")
     query.add_argument("--variant", choices=sorted(VARIANTS),
                        default="AIRScan_C_P_G")
@@ -106,13 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser(
         "explain",
         help="print the operator DAG and optimizer decisions for a query")
-    explain.add_argument("database", help="a .npz archive from 'generate'")
+    explain.add_argument("database", help="a database image from 'generate'")
     explain.add_argument("sql", help="the SPJGA query text")
     explain.add_argument("--variant", choices=sorted(VARIANTS),
                          default="AIRScan_C_P_G")
 
     ssb = sub.add_parser("ssb", help="run the 13 SSB queries")
-    ssb.add_argument("database", help="a .npz archive of an SSB database")
+    ssb.add_argument("database", help="a database image of SSB data")
     ssb.add_argument("--repeat", type=int, default=3)
     ssb.add_argument("--variant", choices=sorted(VARIANTS),
                      default="AIRScan_C_P_G")
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cache",
         help="run SSB flights through the query cache and print per-tier "
              "hit/miss/bytes statistics")
-    cache.add_argument("database", help="a .npz archive of an SSB database")
+    cache.add_argument("database", help="a database image of SSB data")
     cache.add_argument("--queries", default=None,
                        help="comma-separated SSB query ids (default: all)")
     cache.add_argument("--rounds", type=int, default=2,
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve concurrent queries over TCP (newline-delimited JSON "
              "or raw SQL in, JSON out; PING/STATS/SHUTDOWN admin lines)")
-    serve.add_argument("database", help="a .npz archive from 'generate'")
+    serve.add_argument("database", help="a database image from 'generate'")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7433,
                        help="TCP port (0 = pick a free one)")
@@ -186,17 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
         "compact",
         help="clustering-preserving compaction: drop deleted slots, "
              "re-sort into the declared clustering order, rebuild block "
-             "summaries, and rewrite the archive")
-    compact.add_argument("database", help="a .npz archive from 'generate'")
+             "summaries, and rewrite the image")
+    compact.add_argument("database", help="a database image from 'generate'")
     compact.add_argument("--table", default=None,
                          help="table to compact (default: every root/"
                               "fact table)")
     compact.add_argument("--out", metavar="PATH",
-                         help="output archive (default: rewrite the "
+                         help="output image (default: rewrite the "
                               "input in place)")
 
     val = sub.add_parser("validate", help="check referential integrity")
-    val.add_argument("database", help="a .npz archive")
+    val.add_argument("database", help="a database image")
 
     lint = sub.add_parser(
         "lint",

@@ -1,4 +1,4 @@
-"""Shared-memory column arenas: zero-copy database export for worker processes.
+"""Column arenas: one byte layout for shared memory and for the disk image.
 
 The process shard backend (Section 5 at real cores) needs every worker to
 see the loaded database without copying it.  A :class:`ColumnArena` packs
@@ -12,6 +12,12 @@ that cannot be shared (dictionaries and string heaps, which are copied);
 :func:`attach_database` rebuilds an equivalent read-only ``Database`` in
 another process whose NumPy arrays are views into the segment — attaching
 is O(columns), independent of row count.
+
+The same layout is the on-disk database image (:mod:`repro.io.persist`):
+:func:`layout_database` is the one walk that lists a database's buffers
+and assigns their 64-byte-aligned offsets, and :func:`rebuild_database`
+is the one rebuild of tables from views over a buffer — a shared segment
+here, a copy-on-write file mapping when an image is loaded.
 
 Lifecycle: the exporting process owns the segment.  Workers attach and
 ``close()`` their mapping; only the owner's :meth:`ColumnArena.close`
@@ -31,6 +37,7 @@ import numpy as np
 
 from ..errors import StorageError
 from .column import AIRColumn, DictColumn, FixedColumn, StringColumn
+from .dictionary import Dictionary
 from .schema import Database
 from .table import Table
 from .types import DataType
@@ -40,7 +47,7 @@ _ALIGN = 64  # cache-line alignment for every buffer
 
 @dataclass(frozen=True)
 class BufferSpec:
-    """Location of one fixed-width buffer inside the shared segment."""
+    """Location of one fixed-width buffer inside the arena."""
 
     offset: int
     shape: Tuple[int, ...]
@@ -64,11 +71,79 @@ class ArenaManifest:
     db_name: str = "db"
     tables: Dict[str, dict] = field(default_factory=dict)
     references: List[tuple] = field(default_factory=list)
+    clustering: Dict[str, tuple] = field(default_factory=dict)
     zone_maps: List[tuple] = field(default_factory=list)
 
 
 def _buffer_key(table: str, name: str) -> str:
     return f"{table}//{name}"
+
+
+def layout_database(db: Database, zone_entries: Optional[List[tuple]] = None
+                    ) -> Tuple[ArenaManifest, List[Tuple[str, np.ndarray]], int]:
+    """The one layout walk: a manifest whose buffer map gives every
+    fixed-width buffer of *db* a 64-byte-aligned offset, the ``(key,
+    array)`` buffers in offset order, and their total size in bytes.
+    *zone_entries* are as for :meth:`ColumnArena.export`."""
+    from .statistics import ColumnCodeSetMap, ColumnZoneMap
+
+    plan: List[Tuple[str, np.ndarray]] = []
+    manifest = ArenaManifest(segment="", db_name=db.name,
+                             clustering=dict(db.clustering))
+
+    for table_name, table in db.tables.items():
+        entry: dict = {"num_rows": table.num_rows, "mvcc": table._mvcc,
+                       "free_slots": list(table._free_slots), "columns": []}
+        plan.append((_buffer_key(table_name, "$deleted"), table._deleted))
+        if table._mvcc:
+            plan.append((_buffer_key(table_name, "$insert_version"),
+                         table._insert_version))
+            plan.append((_buffer_key(table_name, "$delete_version"),
+                         table._delete_version))
+        for col_name, column in table.columns.items():
+            if isinstance(column, AIRColumn):
+                layout = {"layout": "air", "referenced_table": column.referenced_table}
+                data = column.values()
+            elif isinstance(column, DictColumn):
+                layout = {"layout": "dict", "dictionary": list(column.dictionary.values)}
+                data = column.codes()
+            elif isinstance(column, StringColumn):
+                layout = {"layout": "string", "heap": list(column._heap)}
+                data = column._addr.values()
+            elif isinstance(column, FixedColumn):
+                layout, data = {"layout": "fixed", "dtype": column.dtype.value}, column.values()
+            else:
+                raise StorageError(
+                    f"cannot lay out column type {type(column).__name__}")
+            entry["columns"].append({"name": col_name, **layout})
+            plan.append((_buffer_key(table_name, col_name), data))
+        manifest.tables[table_name] = entry
+
+    for ref in db.references:
+        manifest.references.append(
+            (ref.child_table, ref.child_column,
+             ref.parent_table, ref.parent_key))
+
+    for i, (store_key, value) in enumerate(zone_entries or ()):
+        if isinstance(value, ColumnZoneMap):
+            keys = (f"$zm{i}//min", f"$zm{i}//max")
+            plan.append((keys[0], value.mins))
+            plan.append((keys[1], value.maxs))
+            manifest.zone_maps.append(
+                (store_key, "column", value.block_rows, keys))
+        elif isinstance(value, ColumnCodeSetMap):
+            keys = (f"$zm{i}//bits", f"$zm{i}//dirty")
+            plan.append((keys[0], value.bits))
+            plan.append((keys[1], value.dirty))
+            manifest.zone_maps.append(
+                (store_key, "codes", value.block_rows, keys,
+                 {"domain": value.domain, "exact": value.exact}))
+
+    offset = 0
+    for key, array in plan:
+        manifest.buffers[key] = BufferSpec(offset, array.shape, array.dtype.str)
+        offset += -(-array.nbytes // _ALIGN) * _ALIGN
+    return manifest, plan, offset
 
 
 class ColumnArena:
@@ -98,77 +173,8 @@ class ColumnArena:
         arrays ride in the same segment so attached databases prune
         from the exact zone maps the parent built, zero-copy.
         """
-        from .statistics import ColumnCodeSetMap, ColumnZoneMap
-
-        plan: List[Tuple[str, np.ndarray]] = []
-        manifest = ArenaManifest(segment="", db_name=db.name)
-
-        for table_name, table in db.tables.items():
-            entry: dict = {
-                "num_rows": table.num_rows,
-                "mvcc": table._mvcc,
-                "free_slots": list(table._free_slots),
-                "columns": [],
-            }
-            plan.append((_buffer_key(table_name, "$deleted"), table._deleted))
-            if table._mvcc:
-                plan.append((_buffer_key(table_name, "$insert_version"),
-                             table._insert_version))
-                plan.append((_buffer_key(table_name, "$delete_version"),
-                             table._delete_version))
-            for col_name, column in table.columns.items():
-                key = _buffer_key(table_name, col_name)
-                if isinstance(column, AIRColumn):
-                    entry["columns"].append({
-                        "name": col_name, "layout": "air",
-                        "referenced_table": column.referenced_table})
-                    plan.append((key, column.values()))
-                elif isinstance(column, DictColumn):
-                    entry["columns"].append({
-                        "name": col_name, "layout": "dict",
-                        "dictionary": column.dictionary})
-                    plan.append((key, column.codes()))
-                elif isinstance(column, StringColumn):
-                    entry["columns"].append({
-                        "name": col_name, "layout": "string",
-                        "heap": list(column._heap)})
-                    plan.append((key, column._addr.values()))
-                elif isinstance(column, FixedColumn):
-                    entry["columns"].append({
-                        "name": col_name, "layout": "fixed",
-                        "dtype": column.dtype.value})
-                    plan.append((key, column.values()))
-                else:
-                    raise StorageError(
-                        f"cannot export column layout {type(column).__name__}")
-            manifest.tables[table_name] = entry
-
-        for ref in db.references:
-            manifest.references.append(
-                (ref.child_table, ref.child_column,
-                 ref.parent_table, ref.parent_key))
-
-        for i, (store_key, value) in enumerate(zone_entries or ()):
-            if isinstance(value, ColumnZoneMap):
-                keys = (f"$zm{i}//min", f"$zm{i}//max")
-                plan.append((keys[0], value.mins))
-                plan.append((keys[1], value.maxs))
-                manifest.zone_maps.append(
-                    (store_key, "column", value.block_rows, keys))
-            elif isinstance(value, ColumnCodeSetMap):
-                keys = (f"$zm{i}//bits", f"$zm{i}//dirty")
-                plan.append((keys[0], value.bits))
-                plan.append((keys[1], value.dirty))
-                manifest.zone_maps.append(
-                    (store_key, "codes", value.block_rows, keys,
-                     {"domain": value.domain, "exact": value.exact}))
-
-        offset = 0
-        for key, array in plan:
-            manifest.buffers[key] = BufferSpec(
-                offset, array.shape, array.dtype.str)
-            offset += -(-array.nbytes // _ALIGN) * _ALIGN
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
+        manifest, plan, size = layout_database(db, zone_entries)
+        shm = shared_memory.SharedMemory(create=True, size=max(size, 1))
         manifest.segment = shm.name
         for key, array in plan:
             spec = manifest.buffers[key]
@@ -285,35 +291,52 @@ def attach_database(manifest: ArenaManifest,
     """
     shm = (segment if segment is not None
            else shared_memory.SharedMemory(name=manifest.segment))
+    db, zone_maps = rebuild_database(manifest, shm.buf)
+    return AttachedDatabase(db, None if segment is not None else shm,
+                            zone_maps)
 
-    def view(key: str) -> np.ndarray:
+
+def rebuild_database(manifest: ArenaManifest, buffer, base: int = 0,
+                     writeable: bool = False) -> Tuple[Database, List[tuple]]:
+    """The one column rebuild: a :class:`Database` whose arrays are plain
+    ``ndarray`` views of *buffer* at ``base + offset`` (O(columns), no
+    row is read), plus the zone-map summaries as ``(store_key, value)``
+    pairs.  Views are read-only unless *writeable*; every table buffer
+    must have the dtype its layout stores and one slot per row."""
+    def view(key: str, dtype=None, rows: int = 0) -> np.ndarray:
         spec = manifest.buffers[key]
-        array = np.ndarray(spec.shape, dtype=spec.dtype,
-                           buffer=shm.buf, offset=spec.offset)
-        array.flags.writeable = False
+        array = np.ndarray(spec.shape, dtype=spec.dtype, buffer=buffer,
+                           offset=base + spec.offset)
+        if dtype is not None and (array.dtype, array.shape) != (dtype, (rows,)):
+            raise StorageError(f"buffer {key!r} does not match its table")
+        array.flags.writeable = writeable
         return array
 
     db = Database(manifest.db_name)
     for table_name, entry in manifest.tables.items():
         table = Table(table_name, mvcc=entry["mvcc"])
+        rows = entry["num_rows"]
         for col_entry in entry["columns"]:
-            data = view(_buffer_key(table_name, col_entry["name"]))
-            table.add_column(_wrap_column(col_entry, data))
-        # attach-time restore: the worker-side table mirrors the arena's
-        # exported point-in-time buffers; these writes are construction,
-        # and the arena's staleness is tracked by database_stamp, not here
-        table._nrows = entry["num_rows"]  # astore: ignore[stamp-protocol]
-        table._deleted = view(_buffer_key(table_name, "$deleted"))  # astore: ignore[stamp-protocol]
-        table._free_slots = list(entry["free_slots"])  # astore: ignore[stamp-protocol]
+            key = _buffer_key(table_name, col_entry["name"])
+            table.add_column(_wrap_column(
+                col_entry, lambda dtype: view(key, dtype, rows)))
+        # restore on a fresh table: the rebuilt table mirrors the laid-out
+        # point-in-time buffers; these writes are construction, and an
+        # arena's staleness is tracked by database_stamp, not here
+        table._nrows = rows  # astore: ignore[stamp-protocol]
+        table._deleted = view(  # astore: ignore[stamp-protocol]
+            _buffer_key(table_name, "$deleted"), np.bool_, rows)
+        table._free_slots = [int(p) for p in entry["free_slots"]]  # astore: ignore[stamp-protocol]
         if entry["mvcc"]:
             table._insert_version = view(  # astore: ignore[stamp-protocol]
-                _buffer_key(table_name, "$insert_version"))
+                _buffer_key(table_name, "$insert_version"), np.int64, rows)
             table._delete_version = view(  # astore: ignore[stamp-protocol]
-                _buffer_key(table_name, "$delete_version"))
+                _buffer_key(table_name, "$delete_version"), np.int64, rows)
         db.add_table(table)
     for child_table, child_column, parent_table, parent_key in \
             manifest.references:
         db.add_reference(child_table, child_column, parent_table, parent_key)
+    db.clustering.update(manifest.clustering)
 
     from .statistics import ColumnCodeSetMap, ColumnZoneMap
 
@@ -329,19 +352,21 @@ def attach_database(manifest: ArenaManifest,
                                      view(keys[0]), view(keys[1]),
                                      extra["exact"])
         zone_maps.append((store_key, value))
-    return AttachedDatabase(db, None if segment is not None else shm,
-                            zone_maps)
+    return db, zone_maps
 
 
-def _wrap_column(entry: dict, data: np.ndarray):
+def _wrap_column(entry: dict, view):
+    """One column of *entry*'s layout over ``view(dtype)``, its stored dtype."""
     layout = entry["layout"]
     name = entry["name"]
     if layout == "air":
-        return AIRColumn.wrap_air(name, entry["referenced_table"], data)
+        return AIRColumn.wrap_air(name, entry["referenced_table"],
+                                  view(np.int64))
     if layout == "dict":
-        return DictColumn.wrap(name, entry["dictionary"], data)
+        return DictColumn.wrap(name, Dictionary(entry["dictionary"]), view(np.int32))
     if layout == "string":
-        return StringColumn.wrap(name, entry["heap"], data)
+        return StringColumn.wrap(name, entry["heap"], view(np.int64))
     if layout == "fixed":
-        return FixedColumn.wrap(name, DataType(entry["dtype"]), data)
+        dtype = DataType(entry["dtype"])
+        return FixedColumn.wrap(name, dtype, view(dtype.numpy_dtype))
     raise StorageError(f"unknown column layout {layout!r} in manifest")

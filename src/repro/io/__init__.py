@@ -1,4 +1,4 @@
-"""Persistence (npz archives) and CSV import/export."""
+"""Persistence (database images) and CSV import/export."""
 
 from .csvio import dump_csv, load_csv
 from .persist import load_database, save_database

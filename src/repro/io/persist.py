@@ -1,138 +1,110 @@
-"""Database persistence: save/load the array-family storage to disk.
+"""Database persistence: the database image.
 
-The on-disk format is one ``.npz`` archive per database: every column's
-backing array plus a JSON manifest describing tables, column layouts,
-dictionaries, string heaps, and references.  Loading rebuilds the exact
-in-memory structures — including AIR columns — without re-running
-``airify()``.
+An image is the arena layout of :mod:`repro.core.arena` on disk: an
+8-byte magic, the length of a JSON header (never pickle: a file is
+outside input), the header — version, tables with column layouts,
+dictionaries and string heaps as value lists, references, clustering,
+buffer map — then, from the next 64-byte boundary, every fixed-width
+buffer raw at its arena offset.  Loading maps the file copy-on-write
+and rebuilds the tables as views of it (AIR columns too, no
+``airify()``): O(columns), no row read, and writes to the loaded
+database land in private memory, never in the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
+import os
+import struct
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from ..core import Database, Table
-from ..core.column import (
-    AIRColumn,
-    DictColumn,
-    FixedColumn,
-    StringColumn,
-)
-from ..core.dictionary import Dictionary
-from ..core.types import DataType
-from ..errors import StorageError
+from ..core import Database
+from ..core.arena import ArenaManifest, BufferSpec, layout_database, rebuild_database
+from ..errors import SchemaError, StorageError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_MAGIC = b"ASTOREDB"
+_PREAMBLE = struct.Struct("<8sQ")  # magic, header length in bytes
 
 
 def save_database(db: Database, path: Union[str, Path]) -> None:
-    """Serialize *db* to a single ``.npz`` archive at *path*.
+    """Write *db* as a database image at *path*.
 
     Deleted rows are preserved (the deletion vector is stored), so a
     loaded database resumes exactly where the saved one stopped — free
-    slots included.  MVCC version vectors are stored when present.
+    slots included; MVCC version vectors are stored when present.  The
+    image is written to a sibling file that then replaces *path*, so a
+    database still mapped from the old file keeps reading it.
     """
     path = Path(path)
-    arrays: dict = {}
-    manifest: dict = {"version": FORMAT_VERSION, "name": db.name,
-                      "tables": {}, "references": []}
-
-    for table_name, table in db.tables.items():
-        entry: dict = {"num_rows": table.num_rows, "mvcc": table._mvcc,
-                       "columns": []}
-        arrays[f"{table_name}//$deleted"] = table._deleted
-        entry["free_slots"] = list(table._free_slots)
-        if table._mvcc:
-            arrays[f"{table_name}//$insert_version"] = table._insert_version
-            arrays[f"{table_name}//$delete_version"] = table._delete_version
-        for col_name, column in table.columns.items():
-            key = f"{table_name}//{col_name}"
-            if isinstance(column, AIRColumn):
-                entry["columns"].append({
-                    "name": col_name, "layout": "air",
-                    "referenced_table": column.referenced_table})
-                arrays[key] = column.values()
-            elif isinstance(column, DictColumn):
-                entry["columns"].append({
-                    "name": col_name, "layout": "dict",
-                    "dictionary": list(column.dictionary.values)})
-                arrays[key] = column.codes()
-            elif isinstance(column, StringColumn):
-                entry["columns"].append({
-                    "name": col_name, "layout": "string",
-                    "heap": list(column._heap)})
-                arrays[key] = column._addr.values()
-            elif isinstance(column, FixedColumn):
-                entry["columns"].append({
-                    "name": col_name, "layout": "fixed",
-                    "dtype": column.dtype.value})
-                arrays[key] = column.values()
-            else:
-                raise StorageError(
-                    f"cannot persist column layout {type(column).__name__}")
-        manifest["tables"][table_name] = entry
-
-    for ref in db.references:
-        manifest["references"].append({
-            "child_table": ref.child_table, "child_column": ref.child_column,
-            "parent_table": ref.parent_table, "parent_key": ref.parent_key})
-    manifest["clustering"] = {
-        name: list(spec) for name, spec in db.clustering.items()}
-
-    arrays["$manifest"] = np.frombuffer(
-        json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+    manifest, plan, size = layout_database(db)
+    header = json.dumps({
+        "version": FORMAT_VERSION, "name": manifest.db_name,
+        "tables": manifest.tables, "references": manifest.references,
+        "clustering": manifest.clustering, "buffers": {
+            key: [spec.offset, spec.shape, spec.dtype]
+            for key, spec in manifest.buffers.items()},
+    }).encode("utf-8")
+    base = -(-(_PREAMBLE.size + len(header)) // 64) * 64
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_PREAMBLE.pack(_MAGIC, len(header)) + header)
+            for key, array in plan:
+                fh.seek(base + manifest.buffers[key].offset)
+                fh.write(np.ascontiguousarray(array).data)
+            fh.truncate(base + size)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_database(path: Union[str, Path]) -> Database:
-    """Load a database previously written by :func:`save_database`."""
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        manifest = json.loads(bytes(archive["$manifest"]).decode("utf-8"))
-        if manifest.get("version") != FORMAT_VERSION:
-            raise StorageError(
-                f"unsupported archive version {manifest.get('version')!r}")
-        db = Database(manifest["name"])
-        for table_name, entry in manifest["tables"].items():
-            table = Table(table_name, mvcc=entry["mvcc"])
-            for col_entry in entry["columns"]:
-                data = archive[f"{table_name}//{col_entry['name']}"]
-                table.add_column(_rebuild_column(col_entry, data))
-            table._deleted = archive[f"{table_name}//$deleted"].astype(bool)  # astore: ignore[stamp-protocol]
-            table._free_slots = [int(p) for p in entry["free_slots"]]  # astore: ignore[stamp-protocol]
-            if entry["mvcc"]:
-                # restoring archived buffers on a fresh table, not mutating
-                table._insert_version = archive[  # astore: ignore[stamp-protocol]
-                    f"{table_name}//$insert_version"].astype(np.int64)
-                table._delete_version = archive[  # astore: ignore[stamp-protocol]
-                    f"{table_name}//$delete_version"].astype(np.int64)
-            db.add_table(table)
-        for ref in manifest["references"]:
-            db.add_reference(ref["child_table"], ref["child_column"],
-                             ref["parent_table"], ref["parent_key"])
-        for name, spec in manifest.get("clustering", {}).items():
-            db.clustering[name] = tuple(spec)
-    return db
+    """Map the image at *path* copy-on-write and rebuild its database.
 
-
-def _rebuild_column(entry: dict, data: np.ndarray):
-    layout = entry["layout"]
-    name = entry["name"]
-    if layout == "air":
-        return AIRColumn(name, entry["referenced_table"], data=data)
-    if layout == "dict":
-        return DictColumn(name, dictionary=Dictionary(entry["dictionary"]),
-                          codes=data.astype(np.int32))
-    if layout == "string":
-        column = StringColumn(name)
-        column._heap = list(entry["heap"])
-        column._addr = FixedColumn(name + "$addr", DataType.INT64, data=data)
-        return column
-    if layout == "fixed":
-        return FixedColumn(name, DataType(entry["dtype"]), data=data)
-    raise StorageError(f"unknown column layout {layout!r} in archive")
+    Raises :class:`StorageError` for anything that is not a whole image
+    of this version: an old ``.npz`` archive, a truncated file, a buffer
+    past the end of the file, a malformed header.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        magic, header_len = _PREAMBLE.unpack(
+            fh.read(_PREAMBLE.size).ljust(_PREAMBLE.size, b"\0"))
+        if magic != _MAGIC:
+            raise StorageError(f"{path} is not a database image; regenerate "
+                               "it with 'astore generate'")
+        base = -(-(_PREAMBLE.size + header_len) // 64) * 64
+        if base > size:
+            raise StorageError(f"{path}: truncated database image")
+        try:
+            header = json.loads(fh.read(header_len))
+            if header["version"] != FORMAT_VERSION:
+                raise StorageError(f"{path}: unsupported image version "
+                                   f"{header['version']!r}")
+            manifest = ArenaManifest(
+                segment="", db_name=header["name"], tables=header["tables"],
+                references=[tuple(ref) for ref in header["references"]],
+                clustering={name: tuple(spec) for name, spec
+                            in header["clustering"].items()})
+            end = base  # a whole image ends where its last buffer's padding does
+            for key, (offset, shape, dtype) in header["buffers"].items():
+                spec = BufferSpec(int(offset), tuple(map(int, shape)), dtype)
+                nbytes = math.prod(spec.shape) * np.dtype(dtype).itemsize
+                if spec.offset < 0 or min(spec.shape, default=0) < 0:
+                    raise StorageError(f"{path}: buffer {key!r} is malformed")
+                end = max(end, base + spec.offset + -(-nbytes // 64) * 64)
+                manifest.buffers[key] = spec
+            if end != size:
+                raise StorageError(f"{path}: image is {size} bytes, its buffer "
+                                   f"map needs {end} (truncated or damaged?)")
+            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+            return rebuild_database(manifest, mapping, base, writeable=True)[0]
+        except (LookupError, TypeError, ValueError, AttributeError, SchemaError) as exc:
+            raise StorageError(f"{path}: malformed database image header "
+                               f"({exc!r})") from exc
