@@ -1,13 +1,11 @@
 """Static invariant analysis (``astore lint``).
 
-Nine PRs of engine growth rest on conventions that, until now, lived
-only in docs/architecture.md and review memory: registry state is only
-touched under its declared lock (PR 5 fixed three races born from
-violating this), everything reachable from a portable bound plan must
-pickle (PR 2), every data mutation bumps the ``(table,
-mutation_count)`` stamps (PRs 3/6/8), every network I/O path passes a
-chaos site (PR 8), and ``async def`` bodies never block the event loop
-(PR 5).  This package turns those conventions into machine-checked
+The engine rests on conventions that once lived only in
+docs/architecture.md and review memory: registry state is only touched
+under its declared lock, everything reachable from a portable bound
+plan must pickle, every data mutation bumps the ``(table,
+mutation_count)`` stamps, and ``async def`` bodies never block the
+event loop.  This package turns those conventions into machine-checked
 rules over Python's ``ast``:
 
 * :mod:`~repro.analysis.loader` — source loading: parse trees with
@@ -17,9 +15,9 @@ rules over Python's ``ast``:
   committed :class:`Baseline`;
 * :mod:`~repro.analysis.framework` — the :class:`Checker` protocol and
   :func:`run_lint`;
-* :mod:`~repro.analysis.checkers` — the five project rules:
+* :mod:`~repro.analysis.checkers` — the four project rules:
   ``lock-discipline``, ``plan-portability``, ``stamp-protocol``,
-  ``chaos-coverage``, ``async-hygiene``.
+  ``async-hygiene``.
 
 Suppress a single finding with a trailing ``# astore: ignore[rule-id]``
 comment; declare a function that runs with a lock already held with

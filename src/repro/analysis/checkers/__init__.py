@@ -1,10 +1,9 @@
-"""The five project invariant checkers."""
+"""The four project invariant checkers."""
 
 from typing import List
 
 from ..framework import Checker
 from .async_hygiene import AsyncHygieneChecker
-from .chaos import ChaosCoverageChecker
 from .locks import LockDisciplineChecker
 from .portability import PlanPortabilityChecker
 from .stamps import StampProtocolChecker
@@ -15,6 +14,5 @@ def all_checkers() -> List[Checker]:
         LockDisciplineChecker(),
         PlanPortabilityChecker(),
         StampProtocolChecker(),
-        ChaosCoverageChecker(),
         AsyncHygieneChecker(),
     ]

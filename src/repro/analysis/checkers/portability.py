@@ -63,7 +63,7 @@ class PlanPortabilityChecker(Checker):
     title = "classes marked __portable__ must not reach unpicklable state"
     contract = """
     A class carrying `__portable__ = True` (BoundQuery, OpSpec,
-    LeafFilterSpec, the bound-expression tree, ...) crosses process
+    LeafProducts, the bound-expression tree, ...) crosses process
     boundaries by pickle.  Its annotated fields may only reference
     portable classes, builtins/typing/numpy shapes — never runtime
     handles (Callable, Thread, Lock, socket, file objects) or project
@@ -80,14 +80,14 @@ class PlanPortabilityChecker(Checker):
     every backend beyond serial at once.
     """
     example_bad = """
-    class LeafFilterSpec:
+    class LeafProducts:
         __portable__ = True
-        predicate: Callable[[np.ndarray], np.ndarray]   # runtime handle
+        probes: Dict[str, Callable[[np.ndarray], np.ndarray]]   # runtime handle
     """
     example_fix = """
-    class LeafFilterSpec:
+    class LeafProducts:
         __portable__ = True
-        predicate: BoundExpression   # data, rebuilt into a callable on arrival
+        probes: Dict[str, BoundExpression]   # data, rebuilt into a callable on arrival
     """
 
     def check(self, module: ModuleSource, project: Project) -> Iterator[Finding]:

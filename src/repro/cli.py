@@ -13,7 +13,7 @@ Subcommands::
     astore validate ssb.npz                  # referential-integrity check
 
 ``query``/``ssb``/``cache``/``serve`` accept ``--backend
-{async,process,serial,thread}`` and ``--workers N`` — the ``process``
+{process,serial,thread}`` and ``--workers N`` — the ``process``
 backend shards the fact table N ways over the calling process and N − 1
 worker processes attached to a shared-memory column arena — and
 ``query``/``ssb`` take ``--no-cache`` to disable the mutation-stamped
@@ -47,6 +47,7 @@ from .core.statistics import validate_references
 from .datagen import generate_ssb, generate_tpch
 from .engine import AStoreEngine, ProcessShardBackend, VARIANTS
 from .engine.operators import BACKENDS
+from .engine.serve import parse_deadline
 from .errors import AStoreError
 from .io import dump_csv, load_database, save_database
 
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-concurrency", type=int, default=0,
                        help="bound on concurrently executing queries "
                             "(0 = derive from the core count)")
-    serve.add_argument("--request-timeout", type=float, default=0.0,
+    serve.add_argument("--request-timeout", type=_deadline, default=0.0,
                        metavar="SECONDS",
                        help="per-request deadline; a query past it "
                             "answers a structured timeout error instead "
@@ -201,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static invariant analysis: lock discipline, plan "
-             "portability, stamp protocol, chaos coverage, async "
-             "hygiene")
+             "portability, stamp protocol, async hygiene")
     lint.add_argument("root", nargs="?", default=None,
                       help="directory or file to analyze (default: the "
                            "installed repro package, with the committed "
@@ -420,6 +420,14 @@ def _dispatch_lint(args) -> int:
               f"{report.suppressed} suppressed) over {report.files} files "
               f"[rules: {', '.join(report.rules)}]")
     return 0 if report.ok else 1
+
+
+def _deadline(text: str) -> float:
+    """``--request-timeout``: a finite number of seconds ``>= 0``."""
+    try:
+        return parse_deadline(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _dispatch_serve(args) -> int:

@@ -2,7 +2,6 @@
 
 from .aggregate import AggregationState, array_aggregate, finalize, hash_aggregate
 from .cache import QueryCache, query_cache_for, table_stamps
-from .chaos import chaos_point, clear_chaos, install_chaos
 from .executor import AStoreEngine, EngineOptions, VARIANTS, rewrite_for_options
 from .scratch import PoolLease, ScratchPool, lease_pool, local_pool
 from .serve import AsyncEngine, QueryServer, ServeStats, run_server, serve_tcp
@@ -29,7 +28,6 @@ from .orderby import sort_indices
 from .result import ExecutionStats, QueryResult
 from .sharding import (
     BoundQuery,
-    LeafFilterSpec,
     LeafProducts,
     ProcessShardBackend,
     PruneCounters,
@@ -50,9 +48,8 @@ __all__ = [
     "array_aggregate", "ArraySlice", "AStoreEngine", "AsyncEngine",
     "lease_pool", "PoolLease", "QueryServer", "run_server",
     "serve_tcp", "ServeStats", "BoundQuery",
-    "chaos_point", "clear_chaos", "install_chaos",
     "build_axes", "chain_map", "combine_codes", "dimension_provider",
-    "LeafFilterSpec", "LeafProducts", "ProcessShardBackend",
+    "LeafProducts", "ProcessShardBackend",
     "PruneCounters", "ReorderState", "RowRange", "ShardOutcome",
     "DictSlice", "EngineOptions", "evaluate_measure", "evaluate_predicate",
     "ExecutionStats", "Filter", "finalize", "GroupAxis", "GroupCombine",

@@ -65,7 +65,6 @@ from .orderby import sort_indices, top_k_indices
 from .result import ExecutionStats, QueryResult
 from .sharding import (
     BoundQuery,
-    LeafFilterSpec,
     LeafProducts,
     ProcessShardBackend,
     PruneCounters,
@@ -115,10 +114,7 @@ class EngineOptions:
       chain re-orders by the pass-rates observed on earlier morsels
       (with periodic re-exploration), never changing results;
     * ``zone_block_rows`` — force a zone-map block size (0 = per-table
-      default, :func:`repro.core.statistics.default_zone_block_rows`);
-    * ``leaf_ship_bytes`` — packed predicate vectors larger than this
-      ship to process workers as rebuild recipes instead of bits
-      (worker-side leaf processing over the shared arena).
+      default, :func:`repro.core.statistics.default_zone_block_rows`).
     """
 
     scan: str = "column"
@@ -138,7 +134,6 @@ class EngineOptions:
     use_pruning: bool = True
     adaptive_filters: bool = True
     zone_block_rows: int = 0
-    leaf_ship_bytes: int = 64 << 10
 
 
 #: The five query processors of the paper's Table 6.
@@ -301,8 +296,7 @@ class AStoreEngine:
         return (f"{o.variant_name}|{o.scan}|{o.use_predicate_filter}|"
                 f"{o.use_array_aggregation}|{o.cache.llc_bytes}|"
                 f"{o.morsel_rows}|{o.chunk_rows}|{o.sample_size}|"
-                f"{o.use_pruning}|{o.adaptive_filters}|{o.zone_block_rows}|"
-                f"{o.leaf_ship_bytes}")
+                f"{o.use_pruning}|{o.adaptive_filters}|{o.zone_block_rows}")
 
     def compile(self, query, snapshot: Optional[int] = None) -> BoundQuery:
         """Compile *query* into a portable bound plan.
@@ -457,7 +451,6 @@ class AStoreEngine:
             leaf_seconds = bound.leaf_seconds
         if cache_events is None:
             cache_events = dict(bound.cache_events)
-        bound.hydrate(self.db)  # lazily-shipped leaf filters, if unpickled
         serve = (self.cache is not None and self.options.cache_results
                  and bound.cache_key is not None)
         serve_stamps = None
@@ -524,13 +517,11 @@ class AStoreEngine:
         logical = physical.logical
         leaf = LeafProducts()
         cache = self.cache
-        ship_limit = self.options.leaf_ship_bytes
         for dd in physical.dim_decisions:
             if not dd.use_filter:
                 leaf.probes[dd.first_dim] = dd.predicate
                 leaf.probe_selectivity[dd.first_dim] = dd.estimated_selectivity
                 continue
-            spec = LeafFilterSpec(dd.first_dim, dd.predicate, snapshot)
             key = involved = stamps = None
             if cache is not None:
                 # the mask gathers through the whole subtree reachable
@@ -546,19 +537,13 @@ class AStoreEngine:
                     pf, density = hit
                     leaf.filters[dd.first_dim] = pf
                     leaf.filter_density[dd.first_dim] = density
-                    if pf.nbytes > ship_limit:
-                        leaf.lazy_specs[dd.first_dim] = spec
                     _bump(events, "leaf_hits")
                     continue
-            pf = build_predicate_filter(self.db, logical.paths, spec)
+            pf = build_predicate_filter(self.db, logical.paths,
+                                        dd.first_dim, dd.predicate, snapshot)
             density = pf.density
             leaf.filters[dd.first_dim] = pf
             leaf.filter_density[dd.first_dim] = density
-            if pf.nbytes > ship_limit:
-                # a big vector crosses process boundaries as its recipe:
-                # workers rebuild it from the shared arena instead of
-                # unpickling dimension-sized payloads per plan
-                leaf.lazy_specs[dd.first_dim] = spec
             if cache is not None:
                 cache.put("leaf", key, (pf, density), stamps, pf.nbytes)
                 _bump(events, "leaf_misses")

@@ -731,9 +731,6 @@ class ExecutionBackend:
 
     name = "backend"
     inline = True
-    #: True for entries whose full behaviour needs the async serving
-    #: layer (:mod:`repro.engine.serve`); sync dispatch still works.
-    serving = False
 
     def run_tasks(self, tasks: Sequence[Callable]) -> list:
         raise NotImplementedError
@@ -784,36 +781,11 @@ class ProcessBackend(ExecutionBackend):
             "closures; route through repro.engine.sharding")
 
 
-class AsyncBackend(ExecutionBackend):
-    """Serving marker: many concurrent queries multiplex on one engine.
-
-    The real machinery lives in :mod:`repro.engine.serve`: an
-    :class:`~repro.engine.serve.AsyncEngine` accepts concurrent
-    ``await engine.query(...)`` calls on one event loop, answers exact
-    repeats from the result tier without leaving the loop, and runs
-    everything else on a bounded thread executor (each run under a
-    scratch-pool lease) — over whichever sync backend the engine was
-    configured with, including one shared persistent process shard
-    pool.  Selected *synchronously* (``parallel_backend="async"``,
-    ``--backend async``), the entry degrades to the serial inline
-    runner: a lone blocking caller gains nothing from multiplexing, so
-    plans stay portable and results identical across the sync/async
-    split.
-    """
-
-    name = "async"
-    serving = True
-
-    def run_tasks(self, tasks):
-        return [task() for task in tasks]
-
-
 #: Pluggable execution backends, keyed by the name every layer above uses
 #: (`EngineOptions.parallel_backend`, `--backend`).
 BACKENDS: Dict[str, ExecutionBackend] = {
     backend.name: backend
-    for backend in (SerialBackend(), ThreadBackend(), ProcessBackend(),
-                    AsyncBackend())
+    for backend in (SerialBackend(), ThreadBackend(), ProcessBackend())
 }
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -54,10 +55,21 @@ from typing import Dict, Optional
 
 from ..core import Database
 from ..errors import AStoreError
-from .chaos import chaos_point_async
 from .executor import AStoreEngine, EngineOptions
 from .result import QueryResult
 from .scratch import lease_pool
+
+
+def parse_deadline(value) -> float:
+    """A request deadline as a number ``>= 0`` (0 = none).  A negative
+    or non-finite value raises ``ValueError``: ``asyncio.wait_for``
+    would time out at once on it, turning a malformed request into a
+    cancelled query."""
+    deadline = float(value)
+    if not 0.0 <= deadline < math.inf:  # NaN fails every comparison
+        raise ValueError(
+            f"deadline must be a finite number >= 0, got {value!r}")
+    return deadline
 
 
 def default_concurrency() -> int:
@@ -254,8 +266,7 @@ class QueryServer:
     ``{"overloaded": true, "error": ...}`` immediately instead of
     queueing unboundedly — shedding is visible and cheap, queueing
     under overload is invisible and fatal.  Shed counts surface in
-    ``STATS`` and the ``coordinator.admit`` chaos site can force the
-    path deterministically.
+    ``STATS``.
     """
 
     engine: AsyncEngine
@@ -377,16 +388,11 @@ class QueryServer:
                 for tier, stats in cache.stats().items()}
         return payload
 
-    async def _admit(self) -> bool:
+    def _admit(self) -> bool:
         """The overload front door: every work request (query, update,
         compact) passes here before touching the engine.  Past
         ``max_pending`` in-flight requests the caller sheds instead of
-        queueing unboundedly; an armed ``coordinator.admit`` error or
-        drop rule is a forced shed (how tests pin the shed path)."""
-        try:
-            await chaos_point_async("coordinator.admit")
-        except Exception:  # noqa: BLE001 - any injected fault = shed
-            return False
+        queueing unboundedly."""
         return not (self.max_pending and self._pending >= self.max_pending)
 
     async def _respond(self, text: str) -> bytes:
@@ -409,8 +415,8 @@ class QueryServer:
                             # per-request deadline overrides the
                             # server-wide --request-timeout (0 disables
                             # for this request)
-                            timeout = (float(payload["timeout_ms"]) / 1e3
-                                       or None)
+                            timeout = (parse_deadline(payload["timeout_ms"])
+                                       / 1e3 or None)
                         sql = payload["sql"]
                 else:
                     sql = payload["sql"]  # not a dict: bad request below
@@ -419,7 +425,7 @@ class QueryServer:
                 self.failures += 1
                 return _encode({"id": request_id,
                                 "error": f"bad request: {exc}"})
-        if not await self._admit():
+        if not self._admit():
             self.shed += 1
             return _encode({
                 "id": request_id, "overloaded": True,
@@ -439,17 +445,12 @@ class QueryServer:
                            timeout: Optional[float]) -> bytes:
         self.requests += 1
         t0 = time.perf_counter()
-        async def _run():
-            # the chaos site is inside the deadline: an injected stall
-            # here is indistinguishable from a genuinely slow query
-            await chaos_point_async("serve.request")
-            return await self.engine.query(sql)
-
         try:
             if timeout:
-                result = await asyncio.wait_for(_run(), timeout)
+                result = await asyncio.wait_for(self.engine.query(sql),
+                                                timeout)
             else:
-                result = await _run()
+                result = await self.engine.query(sql)
         except asyncio.TimeoutError:
             # the deadline is the contract: answer with a structured
             # error instead of pinning the connection on a slow query

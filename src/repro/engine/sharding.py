@@ -94,36 +94,18 @@ def baseline_filter_steps(logical: LogicalPlan,
     return steps
 
 
-@dataclass(frozen=True)
-class LeafFilterSpec:
-    """The recipe for (re)building one dimension predicate vector.
-
-    Ships instead of the packed bits when the vector exceeds the
-    engine's ``leaf_ship_bytes`` threshold: a worker evaluates the
-    predicate once against its attached copy of the dimension (a
-    shared-memory view, so the scan is zero-copy) and memoizes the
-    result in its local leaf tier — large dimensions then cost one
-    worker-side scan instead of a per-plan pickle payload.
-    """
-
-    __portable__ = True  # pickled across process boundaries (astore lint)
-
-    first_dim: str
-    predicate: BoundExpression
-    snapshot: Optional[int]
-
-
-def build_predicate_filter(db: Database, paths,
-                           spec: LeafFilterSpec) -> PredicateFilter:
+def build_predicate_filter(db: Database, paths, first_dim: str,
+                           predicate: BoundExpression,
+                           snapshot: Optional[int]) -> PredicateFilter:
     """Evaluate one dimension predicate into a packed vector (the leaf
-    stage's kernel, shared by the executor and shard workers)."""
+    stage's kernel), visible rows only."""
     from .expression import evaluate_predicate
 
-    provider = dimension_provider(db, spec.first_dim, paths)
-    mask = evaluate_predicate(spec.predicate, provider)
-    dim = db.table(spec.first_dim)
-    if spec.snapshot is not None or dim.has_deletes:
-        mask = mask & dim.live_mask(spec.snapshot)
+    provider = dimension_provider(db, first_dim, paths)
+    mask = evaluate_predicate(predicate, provider)
+    dim = db.table(first_dim)
+    if snapshot is not None or dim.has_deletes:
+        mask = mask & dim.live_mask(snapshot)
     return PredicateFilter(mask)
 
 
@@ -137,11 +119,6 @@ class LeafProducts:
     the group axes (Section 4.3) with their globally-encoded group
     vectors, which is what lets per-shard aggregation states merge
     without re-encoding.
-
-    ``lazy_specs`` lists filters that cross process boundaries as
-    :class:`LeafFilterSpec` recipes instead of packed bits (worker-side
-    leaf processing); :meth:`__getstate__` swaps them out of the pickle
-    and :meth:`hydrate` rebuilds any that are missing.
     """
 
     __portable__ = True  # pickled across process boundaries (astore lint)
@@ -151,31 +128,6 @@ class LeafProducts:
     probes: Dict[str, BoundExpression] = field(default_factory=dict)
     probe_selectivity: Dict[str, float] = field(default_factory=dict)
     axes: List[GroupAxis] = field(default_factory=list)
-    lazy_specs: Dict[str, LeafFilterSpec] = field(default_factory=dict)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        if self.lazy_specs:
-            state["filters"] = {dim: pf for dim, pf in self.filters.items()
-                                if dim not in self.lazy_specs}
-        return state
-
-    def hydrate(self, db: Database, logical: LogicalPlan) -> None:
-        """Build any lazily-shipped filters against *db*, memoized in
-        the database's shared leaf tier (per worker, that is the
-        attached database's cache, so repeated plans rebuild nothing)."""
-        for dim, spec in self.lazy_specs.items():
-            if dim in self.filters:
-                continue
-            cache = query_cache_for(db)
-            involved = tuple(sorted({dim} | logical.subtree_of(dim)))
-            key = ("worker-pf", dim, involved, spec.snapshot, spec.predicate)
-            pf = cache.get("leaf", key, db)
-            if pf is None:
-                stamps = table_stamps(db, involved)
-                pf = build_predicate_filter(db, logical.paths, spec)
-                cache.put("leaf", key, pf, stamps, pf.nbytes)
-            self.filters[dim] = pf
 
 
 #: Per-block prune verdicts: drop the block / run it / run it with the
@@ -358,12 +310,6 @@ class BoundQuery:
         return frozenset(key.column.name for axis in self.leaf.axes
                          for key in axis.keys if key.column.table == root)
 
-    def hydrate(self, db: Database) -> None:
-        """Rebuild lazily-shipped leaf filters against *db* (no-op when
-        every filter travelled with the plan)."""
-        if self.leaf.lazy_specs:
-            self.leaf.hydrate(db, self.logical)
-
     # -- pipeline binding ---------------------------------------------------
 
     def reorder_state(self) -> ReorderState:
@@ -468,7 +414,7 @@ class BoundQuery:
             elif spec.op == "air-probe":
                 dim = spec.payload.first_dim
                 sel = (leaf.filter_density.get(dim)
-                       if dim in leaf.filters or dim in leaf.lazy_specs
+                       if dim in leaf.filters
                        else leaf.probe_selectivity.get(dim))
             else:
                 continue
@@ -1039,7 +985,6 @@ class BoundQuery:
         bands of zero-copy views, with deletes and snapshots hidden by
         the visibility mask.
         """
-        self.hydrate(db)
         counters = PruneCounters()
         range_parts = self.partition_ranges(self.prune_ranges(db, counters),
                                             nshards)

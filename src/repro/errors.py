@@ -39,12 +39,6 @@ class ExecutionError(AStoreError):
     """A runtime failure while executing a physical plan."""
 
 
-class ChaosSpecError(AStoreError, ValueError):
-    """A chaos-rule spec is malformed: unknown action or site, bad
-    trigger, or a ``=value`` on an action that takes none.  Subclasses
-    ``ValueError`` so pre-existing callers catching that keep working."""
-
-
 class ShardExecutionError(ExecutionError):
     """A shard backend lost workers mid-query (a pool process died) —
     the plan itself is fine and the engine may

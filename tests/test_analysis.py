@@ -30,7 +30,6 @@ RULES = (
     "lock-discipline",
     "plan-portability",
     "stamp-protocol",
-    "chaos-coverage",
     "async-hygiene",
 )
 
@@ -451,129 +450,6 @@ def test_stamp_suppression(tmp_path):
             table._deleted = buf  # astore: ignore[stamp-protocol]
         """,
         rules=["stamp-protocol"],
-    )
-    assert report.ok and report.suppressed == 1
-
-
-# -- chaos-coverage ----------------------------------------------------------
-
-
-def test_chaos_flags_uncovered_raw_io(tmp_path):
-    report = lint_source(
-        tmp_path,
-        """
-        CHAOS_SCOPE = True
-
-
-        def read_reply(sock):
-            return sock.recv(4096)
-        """,
-        rules=["chaos-coverage"],
-    )
-    assert len(report.new) == 1
-
-
-def test_chaos_scope_opt_out_by_default(tmp_path):
-    report = lint_source(
-        tmp_path,
-        """
-        def read_reply(sock):
-            return sock.recv(4096)
-        """,
-        rules=["chaos-coverage"],
-    )
-    assert report.ok  # not a network module, no CHAOS_SCOPE
-
-
-def test_chaos_own_site_covers(tmp_path):
-    report = lint_source(
-        tmp_path,
-        """
-        CHAOS_SCOPE = True
-
-
-        def chaos_point(site, payload=None):
-            pass
-
-
-        def read_reply(sock):
-            chaos_point("node.recv")
-            return sock.recv(4096)
-        """,
-        rules=["chaos-coverage"],
-    )
-    # chaos_point itself has no raw ops; read_reply is covered
-    assert report.ok
-
-
-def test_chaos_caller_coverage_propagates(tmp_path):
-    report = lint_source(
-        tmp_path,
-        """
-        CHAOS_SCOPE = True
-
-
-        def chaos_point(site, payload=None):
-            pass
-
-
-        def _recv_exact(sock, n):
-            return sock.recv(n)      # covered: only caller has a site
-
-
-        def recv_frame(sock):
-            chaos_point("coordinator.recv")
-            return _recv_exact(sock, 4)
-        """,
-        rules=["chaos-coverage"],
-    )
-    assert report.ok
-
-
-def test_chaos_siteless_frame_helper_call_does_not_cover(tmp_path):
-    source = """
-        import socket
-
-        CHAOS_SCOPE = True
-
-
-        def chaos_point(site, payload=None):
-            pass
-
-
-        def send_frame(sock, message, site=None):
-            if site:
-                chaos_point(site)
-            sock.sendall(message)
-
-
-        def sited(address, message):
-            with socket.create_connection(address) as sock:
-                send_frame(sock, message, site="coordinator.send")
-
-
-        def siteless(address, message):
-            with socket.create_connection(address) as sock:
-                send_frame(sock, message)
-    """
-    report = lint_source(tmp_path, source, rules=["chaos-coverage"])
-    # `sited` passes a site -> its create_connection is covered;
-    # `siteless` calls the helper without one -> flagged
-    assert len(report.new) == 1
-    assert report.new[0].symbol == "siteless"
-
-
-def test_chaos_suppression(tmp_path):
-    report = lint_source(
-        tmp_path,
-        """
-        CHAOS_SCOPE = True
-
-
-        def teardown(pipe):
-            return pipe.recv()  # astore: ignore[chaos-coverage]
-        """,
-        rules=["chaos-coverage"],
     )
     assert report.ok and report.suppressed == 1
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.io import load_database, save_database
 
 from .conftest import build_tiny_star
@@ -134,3 +134,18 @@ class TestCacheCommand:
         for tier in ("plan", "leaf", "axis", "result"):
             assert tier in out
         assert "cold" in out and "warm" in out
+
+
+class TestServeArguments:
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_malformed_request_timeout_is_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["serve", "db.npz", "--request-timeout", value])
+        assert exc.value.code == 2
+        assert "finite number >= 0" in capsys.readouterr().err
+
+    def test_zero_request_timeout_means_none(self):
+        args = build_parser().parse_args(
+            ["serve", "db.npz", "--request-timeout", "0"])
+        assert args.request_timeout == 0.0

@@ -10,7 +10,6 @@ Pins the PR's contracts:
 * fully-accepted blocks skip their filter chain without changing
   results; skipped-block counters surface in ``ExecutionStats``;
 * micro-adaptive filter reordering never changes results, only order;
-* the worker-side leaf path ships recipes instead of packed bits;
 * the result serving tier honours its TTL and entry cap;
 * the dense hash-aggregation fast path equals the sort-based one.
 """
@@ -315,34 +314,6 @@ class TestAdaptiveOrdering:
                 total += engine.query(
                     SSB_QUERIES["Q3.1"]).stats.filters_reordered
         assert total >= 0  # counter plumbed through (may be 0 if stable)
-
-
-# -- worker-side leaf processing ----------------------------------------------
-
-
-class TestWorkerSideLeaf:
-    def test_big_filters_ship_as_recipes(self, ssb_air):
-        with fresh_engine(ssb_air, leaf_ship_bytes=0,
-                          use_cache=False) as engine:
-            bound = engine.compile(SSB_QUERIES["Q2.1"])
-            assert set(bound.leaf.lazy_specs) == {"part", "supplier"}
-            clone = pickle.loads(pickle.dumps(bound))
-            assert clone.leaf.filters == {}  # bits did not travel
-            clone.hydrate(ssb_air)
-            for dim, pf in bound.leaf.filters.items():
-                assert np.isclose(clone.leaf.filters[dim].density, pf.density)
-
-    def test_default_threshold_ships_bits(self, ssb_air):
-        with fresh_engine(ssb_air, use_cache=False) as engine:
-            bound = engine.compile(SSB_QUERIES["Q2.1"])
-            assert bound.leaf.lazy_specs == {}
-
-    def test_process_backend_with_lazy_leaf(self, ssb_air, reference_rows):
-        with fresh_engine(ssb_air, parallel_backend="process", workers=2,
-                          leaf_ship_bytes=0, use_cache=False) as engine:
-            for qid in ("Q2.1", "Q3.1", "Q4.1"):
-                assert (engine.query(SSB_QUERIES[qid]).rows()
-                        == reference_rows[qid])
 
 
 # -- bounded result tier ------------------------------------------------------

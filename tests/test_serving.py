@@ -16,17 +16,17 @@ Contracts:
   agree with serial ground truth, cancellation leaves the engine
   reusable, and adaptive-filter statistics stay coherent;
 * **the front door** — a request past its deadline answers a structured
-  ``{"timeout": true}`` error, and past ``max_pending`` (or under an
-  armed ``coordinator.admit`` rule) a structured ``{"overloaded":
-  true}`` shed, while admitted requests stay exact;
-* **the chaos harness** — rule specs parse, round-trip and fire on
-  exact hits, and every literal site the source arms is registered.
+  ``{"timeout": true}`` error, a malformed deadline a ``bad request``,
+  and past ``max_pending`` (or on a refused admission) a structured
+  ``{"overloaded": true}`` shed, while admitted requests stay exact.
+  The slow query and the refused admission are forced with
+  ``monkeypatch`` on the engine's ``query`` and the server's admission
+  check.
 """
 
-import ast
 import asyncio
 import json
-import pathlib
+import math
 import sys
 import threading
 import time
@@ -34,22 +34,10 @@ import time
 import numpy as np
 import pytest
 
-import repro
 from repro.engine import AStoreEngine, AsyncEngine, EngineOptions
 from repro.engine import sharding
-from repro.engine.chaos import (
-    KNOWN_SITES,
-    ChaosController,
-    ChaosDrop,
-    ChaosError,
-    clear_chaos,
-    format_rules,
-    install_chaos,
-    parse_rules,
-)
 from repro.engine.scratch import ScratchPool, lease_pool, local_pool
 from repro.engine.serve import serve_tcp
-from repro.errors import AStoreError, ChaosSpecError
 from repro.workloads import SSB_QUERIES
 
 from .conftest import build_tiny_star
@@ -648,20 +636,41 @@ class TestGracefulDrainAndAdmin:
 # -- the front door: request deadline and overload shedding --------------------
 
 
-@pytest.fixture
-def disarmed_chaos():
-    yield
-    clear_chaos()
+def stall_queries(monkeypatch, engine, seconds=0.5):
+    """Make every ``engine.query`` sleep *seconds* before it delegates.
+    The server awaits the call inside its ``asyncio.wait_for``, so the
+    stall is indistinguishable from a genuinely slow query."""
+    query = engine.query
+
+    async def stalled(*args, **kwargs):
+        await asyncio.sleep(seconds)
+        return await query(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "query", stalled)
 
 
-@pytest.mark.usefixtures("disarmed_chaos")
+def refuse_admission_once(monkeypatch, server):
+    """Make the server's admission check refuse the next request, then
+    defer to the real ``max_pending`` check."""
+    admit = server._admit
+    refused = []
+
+    def refuse_once():
+        if refused:
+            return admit()
+        refused.append(True)
+        return False
+
+    monkeypatch.setattr(server, "_admit", refuse_once)
+
+
 class TestServeDeadline:
-    def test_timeout_ms_answers_structured_error(self, tiny_star):
-        install_chaos("delay@serve.request:1x0=0.5")
-
+    def test_timeout_ms_answers_structured_error(self, tiny_star,
+                                                 monkeypatch):
         async def main():
             engine = AsyncEngine(tiny_star, options=EngineOptions(
                 parallel_backend="serial", cache_results=False))
+            stall_queries(monkeypatch, engine)
             server = await serve_tcp(engine, "127.0.0.1", 0)
             host, port = server.address
             try:
@@ -671,7 +680,7 @@ class TestServeDeadline:
                     + "\n").encode())
                 await writer.drain()
                 timed_out = json.loads(await reader.readline())
-                clear_chaos()
+                monkeypatch.undo()
                 writer.write((json.dumps(
                     {"id": 2, "sql": SQL_YEAR, "timeout_ms": 30_000})
                     + "\n").encode())
@@ -688,12 +697,12 @@ class TestServeDeadline:
         assert answered["id"] == 2 and answered["rows"]
         assert failures == 1
 
-    def test_server_wide_deadline_from_run_server_param(self, tiny_star):
-        install_chaos("delay@serve.request:1x0=0.5")
-
+    def test_server_wide_deadline_from_run_server_param(self, tiny_star,
+                                                        monkeypatch):
         async def main():
             engine = AsyncEngine(tiny_star, options=EngineOptions(
                 parallel_backend="serial", cache_results=False))
+            stall_queries(monkeypatch, engine)
             server = await serve_tcp(engine, "127.0.0.1", 0,
                                      request_timeout=0.05)
             host, port = server.address
@@ -710,19 +719,52 @@ class TestServeDeadline:
         response = asyncio.run(main())
         assert response["timeout"] is True
 
+    @pytest.mark.parametrize("timeout_ms", [-1, math.nan, math.inf],
+                             ids=["negative", "nan", "infinity"])
+    def test_malformed_timeout_ms_is_a_bad_request(self, tiny_star,
+                                                   timeout_ms):
+        async def main():
+            engine = AsyncEngine(tiny_star, options=EngineOptions(
+                parallel_backend="serial", cache_results=False))
+            server = await serve_tcp(engine, "127.0.0.1", 0)
+            host, port = server.address
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                # json.dumps writes NaN and Infinity, which json.loads reads
+                writer.write((json.dumps(
+                    {"id": 1, "sql": SQL_YEAR, "timeout_ms": timeout_ms})
+                    + "\n").encode())
+                await writer.drain()
+                rejected = json.loads(await reader.readline())
+                # 0 still means "no deadline"
+                writer.write((json.dumps(
+                    {"id": 2, "sql": SQL_YEAR, "timeout_ms": 0})
+                    + "\n").encode())
+                await writer.drain()
+                answered = json.loads(await reader.readline())
+                writer.close()
+            finally:
+                await server.stop()
+            return rejected, answered, server.requests
 
-@pytest.mark.usefixtures("disarmed_chaos")
+        rejected, answered, requests = asyncio.run(main())
+        assert rejected["id"] == 1 and "timeout" not in rejected
+        assert rejected["error"].startswith("bad request")
+        assert answered["id"] == 2 and answered["rows"]
+        assert requests == 1  # the malformed request never ran
+
+
 class TestOverloadFrontDoor:
-    def test_chaos_admit_forces_a_structured_shed(self):
+    def test_refused_admission_is_a_structured_shed(self, monkeypatch):
         db = build_tiny_star()
         with AStoreEngine(db, EngineOptions(parallel_backend="serial",
                                             use_cache=False)) as probe:
             expected = [list(row) for row in probe.query(SQL_YEAR).rows()]
-        install_chaos("error@coordinator.admit:1")
 
         async def main():
             engine = AsyncEngine(db)
             server = await serve_tcp(engine, "127.0.0.1", 0)
+            refuse_admission_once(monkeypatch, server)
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(json.dumps({"sql": SQL_YEAR, "id": 1}).encode()
@@ -731,7 +773,7 @@ class TestOverloadFrontDoor:
             shed = json.loads(await reader.readline())
             assert shed["id"] == 1 and shed["overloaded"] is True
             assert "error" in shed and "rows" not in shed
-            # the rule is spent: the retry is admitted and exact
+            # the refusal is spent: the retry is admitted and exact
             writer.write(json.dumps({"sql": SQL_YEAR, "id": 2}).encode()
                          + b"\n")
             await writer.drain()
@@ -747,18 +789,19 @@ class TestOverloadFrontDoor:
 
         asyncio.run(main())
 
-    def test_max_pending_sheds_but_accepted_requests_stay_exact(self):
+    def test_max_pending_sheds_but_accepted_requests_stay_exact(
+            self, monkeypatch):
         db = build_tiny_star()
         with AStoreEngine(db, EngineOptions(parallel_backend="serial",
                                             use_cache=False)) as probe:
             expected = [list(row) for row in probe.query(SQL_YEAR).rows()]
-        # every admitted request stalls 0.5 s inside the engine, so the
-        # second arrival finds max_pending=1 already in flight
-        install_chaos("delay@serve.request:1x0=0.5")
 
         async def main():
             engine = AsyncEngine(db, EngineOptions(
                 parallel_backend="serial", use_cache=False))
+            # every admitted request stalls 0.5 s inside the engine, so
+            # the second arrival finds max_pending=1 already in flight
+            stall_queries(monkeypatch, engine)
             server = await serve_tcp(engine, "127.0.0.1", 0, max_pending=1)
             host, port = server.address
             slow_reader, slow_writer = await asyncio.open_connection(
@@ -790,103 +833,3 @@ class TestOverloadFrontDoor:
             assert server.shed == 1
 
         asyncio.run(main())
-
-
-# -- the chaos harness ---------------------------------------------------------
-
-
-class TestChaosRules:
-    def test_parse_format_round_trip(self):
-        spec = ("kill@serve.request:3;delay@serve.request:1x0=0.4;"
-                "drop@coordinator.admit")
-        rules = parse_rules(spec)
-        assert [r.action for r in rules] == ["kill", "delay", "drop"]
-        assert rules[0].first == 3 and rules[0].count == 1
-        assert rules[1].count == 0 and rules[1].value == 0.4
-        assert parse_rules(format_rules(rules)) == rules
-
-    @pytest.mark.parametrize("bad", ["explode@x", "kill@", "kill", "@site"])
-    def test_bad_specs_raise(self, bad):
-        with pytest.raises(ValueError):
-            parse_rules(bad)
-
-    def test_rules_fire_on_exact_hits(self):
-        controller = ChaosController(parse_rules("drop@serve.request:2"))
-        controller.fire("serve.request")  # hit 1: not due
-        with pytest.raises(ChaosDrop):
-            controller.fire("serve.request")  # hit 2: due
-        controller.fire("serve.request")  # hit 3: spent
-        assert controller.fired == [("serve.request", "drop", 2)]
-
-    def test_unbounded_error_rule(self):
-        controller = ChaosController(parse_rules("error@coordinator.admit:1x0"))
-        for _ in range(3):
-            with pytest.raises(ChaosError):
-                controller.fire("coordinator.admit")
-
-    def test_delay_uses_injected_sleeper(self):
-        controller = ChaosController(parse_rules("delay@serve.request=0.25"))
-        slept = []
-        controller.fire("serve.request", sleeper=slept.append)
-        assert slept == [0.25]
-
-
-class TestChaosSpecEdges:
-    def test_unknown_site_is_a_typed_error(self):
-        with pytest.raises(ChaosSpecError, match="unknown site"):
-            parse_rules("kill@serve.nonexistent")
-        # the typed error is both an AStoreError and a ValueError
-        try:
-            parse_rules("kill@serve.nonexistent")
-        except ChaosSpecError as exc:
-            assert isinstance(exc, AStoreError)
-            assert isinstance(exc, ValueError)
-
-    @pytest.mark.parametrize("spec", [
-        "kill@serve.request=1",
-        "drop@coordinator.admit=0.5",
-        "error@serve.request=2",
-    ])
-    def test_value_on_non_delay_action_is_rejected(self, spec):
-        with pytest.raises(ChaosSpecError, match="only the delay action"):
-            parse_rules(spec)
-
-    def test_first_combined_with_count(self):
-        (rule,) = parse_rules("error@serve.request:3x5")
-        assert (rule.first, rule.count) == (3, 5)
-        assert [rule.due(hit) for hit in range(1, 10)] == [
-            False, False, True, True, True, True, True, False, False]
-
-    @pytest.mark.parametrize("spec", [
-        "kill@serve.request:x",          # non-integer trigger
-        "delay@serve.request=abc",       # non-numeric value
-        "delay@serve.request:1.5",       # fractional hit index
-    ])
-    def test_malformed_triggers_and_values_raise(self, spec):
-        with pytest.raises(ChaosSpecError):
-            parse_rules(spec)
-
-
-def _armed_sites(root: pathlib.Path) -> set:
-    """Every literal site passed to ``chaos_point``/``chaos_point_async``
-    under *root*."""
-    sites = set()
-    for path in root.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else getattr(func, "attr", None))
-            arg = node.args[0]
-            if (name in ("chaos_point", "chaos_point_async")
-                    and isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)):
-                sites.add(arg.value)
-    return sites
-
-
-def test_known_sites_are_exactly_the_armed_sites():
-    # a registered site nothing arms can never fire, and an armed site
-    # missing from the registry cannot be targeted by a spec
-    assert _armed_sites(pathlib.Path(repro.__file__).parent) == KNOWN_SITES
