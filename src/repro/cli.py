@@ -2,15 +2,15 @@
 
 Subcommands::
 
-    astore generate --benchmark ssb --sf 0.01 --out ssb.npz
-    astore query ssb.npz "SELECT d_year, sum(lo_revenue) AS r
+    astore generate --benchmark ssb --sf 0.01 --out ssb.img
+    astore query ssb.img "SELECT d_year, sum(lo_revenue) AS r
                           FROM lineorder, date GROUP BY d_year" [--explain]
-    astore explain ssb.npz "SELECT ..."      # operator DAG + decisions
-    astore ssb ssb.npz                       # run all 13 SSB queries
-    astore cache ssb.npz                     # per-tier cache hit statistics
-    astore serve ssb.npz --port 7433         # asyncio line-protocol server
-    astore compact ssb.npz                   # clustering-preserving re-sort
-    astore validate ssb.npz                  # referential-integrity check
+    astore explain ssb.img "SELECT ..."      # operator DAG + decisions
+    astore ssb ssb.img                       # run all 13 SSB queries
+    astore cache ssb.img                     # per-tier cache hit statistics
+    astore serve ssb.img --port 7433         # asyncio line-protocol server
+    astore compact ssb.img                   # clustering-preserving re-sort
+    astore validate ssb.img                  # referential-integrity check
 
 ``query``/``ssb``/``cache``/``serve`` accept ``--backend
 {process,serial,thread}`` and ``--workers N`` — the ``process``

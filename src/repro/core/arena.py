@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import atexit
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
@@ -314,24 +315,19 @@ def rebuild_database(manifest: ArenaManifest, buffer, base: int = 0,
 
     db = Database(manifest.db_name)
     for table_name, entry in manifest.tables.items():
-        table = Table(table_name, mvcc=entry["mvcc"])
         rows = entry["num_rows"]
-        for col_entry in entry["columns"]:
-            key = _buffer_key(table_name, col_entry["name"])
-            table.add_column(_wrap_column(
-                col_entry, lambda dtype: view(key, dtype, rows)))
-        # restore on a fresh table: the rebuilt table mirrors the laid-out
-        # point-in-time buffers; these writes are construction, and an
-        # arena's staleness is tracked by database_stamp, not here
-        table._nrows = rows  # astore: ignore[stamp-protocol]
-        table._deleted = view(  # astore: ignore[stamp-protocol]
-            _buffer_key(table_name, "$deleted"), np.bool_, rows)
-        table._free_slots = [int(p) for p in entry["free_slots"]]  # astore: ignore[stamp-protocol]
-        if entry["mvcc"]:
-            table._insert_version = view(  # astore: ignore[stamp-protocol]
-                _buffer_key(table_name, "$insert_version"), np.int64, rows)
-            table._delete_version = view(  # astore: ignore[stamp-protocol]
-                _buffer_key(table_name, "$delete_version"), np.int64, rows)
+
+        def table_view(name: str, dtype) -> np.ndarray:
+            return view(_buffer_key(table_name, name), dtype, rows)
+
+        columns = [_wrap_column(col_entry, partial(table_view, col_entry["name"]))
+                   for col_entry in entry["columns"]]
+        versions = ((table_view("$insert_version", np.int64),
+                     table_view("$delete_version", np.int64))
+                    if entry["mvcc"] else ())
+        table = Table.wrap(table_name, columns, rows,
+                           table_view("$deleted", np.bool_),
+                           entry["free_slots"], *versions)
         db.add_table(table)
     for child_table, child_column, parent_table, parent_key in \
             manifest.references:

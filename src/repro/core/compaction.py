@@ -11,7 +11,8 @@ verb) runs :func:`compact_database`:
    :attr:`~repro.core.schema.Database.clustering` order (value order,
    resolving parent-table attributes through one AIR hop) with one
    stable argsort over a composite key the spec's keys fold into —
-   exactly the ``np.lexsort`` order, see :func:`clustering_sort_order`;
+   exactly the ``np.lexsort`` order, see :func:`composite_sort_order`,
+   which the SSB generator also uses to lay out its fresh load;
 2. :meth:`~repro.core.schema.Database.consolidate` with that explicit
    order — drops deleted slots, lays rows out clustered, and rewrites
    every incoming AIR reference;
@@ -25,7 +26,7 @@ the pre- or post-compaction database, never a mix.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -85,17 +86,17 @@ def _key_route(db: Database, table_name: str,
 
 
 def _sort_keys(db: Database, table_name: str, live: np.ndarray, spec):
-    """The spec's sort keys at the *live* rows as ``(codes, radix)``
-    pairs (see :func:`_dense_codes`), outermost first, one at a time.
+    """The spec's sort keys at the *live* rows, outermost first, one at
+    a time (for :func:`composite_sort_order`).
 
     A key read through an AIR column is encoded over the parent's rows
-    and then gathered, so its offset and radix come from the small
-    parent array.  Consecutive keys read through the same AIR column (a
-    dimension hierarchy such as mfgr > category > brand) fold over the
-    parent's rows and are densely ranked there, so the fact table
-    gathers one combined key instead of one per level — the same order,
-    since the rank is order-preserving and injective on the level
-    tuple."""
+    and then gathered, so its rank comes from the small parent array.
+    Consecutive keys read through the same AIR column (a dimension
+    hierarchy such as mfgr > category > brand) fold over the parent's
+    rows (:func:`_composite_key`) and are densely ranked there, so the
+    fact table gathers one combined key instead of one per level — the
+    same order, since the rank is order-preserving and injective on the
+    level tuple."""
     tab = db.table(table_name)
     routes = [_key_route(db, table_name, item) for item in spec]
     start = 0
@@ -103,20 +104,21 @@ def _sort_keys(db: Database, table_name: str, live: np.ndarray, spec):
         air, column = routes[start]
         stop = start + 1
         if air is None:
-            yield _dense_codes(_row_keys(column, live))
+            yield _row_keys(column, live)
             start = stop
             continue
         while stop < len(routes) and routes[stop][0] == air:
             stop += 1
         rows = np.arange(len(column), dtype=np.int64)
-        parent, radix = None, 1
-        for _, level in routes[start:stop]:
-            parent, radix = _fold(parent, radix,
-                                  *_dense_codes(_row_keys(level, rows)))
+        parent, _ = _composite_key(_row_keys(level, rows)
+                                  for _, level in routes[start:stop])
         if stop - start > 1:
-            uniq, parent = np.unique(parent, return_inverse=True)
-            radix = max(1, len(uniq))
-        yield parent[np.asarray(tab[air].values())[live]], radix
+            parent = np.unique(parent, return_inverse=True)[1]
+        # the narrowest signed dtype that holds the codes: the fact-side
+        # gather and the fold read fewer bytes
+        parent = parent.astype(
+            np.min_scalar_type(-int(parent.max(initial=0)) - 1))
+        yield parent[np.asarray(tab[air].values())[live]]
         start = stop
 
 
@@ -128,14 +130,15 @@ _COMPOSITE_LIMIT = 1 << 62
 def _dense_codes(keys: np.ndarray) -> Tuple[np.ndarray, int]:
     """Order-preserving codes ``0 .. radix-1`` for *keys* and their
     radix: an integer key offset by its minimum when its span is small
-    enough to fold, any other key ranked by ``np.unique`` (which orders
-    like a sort, NaNs last and equal)."""
+    enough to fold (*keys* itself, in its own dtype, when its minimum is
+    0), any other key ranked by ``np.unique`` (which orders like a sort,
+    NaNs last and equal)."""
     if keys.dtype.kind == "i" and len(keys):
         lo, hi = int(keys.min()), int(keys.max())
         if hi - lo < _COMPOSITE_LIMIT:
-            codes = keys.astype(np.int64)
-            codes -= lo
-            return codes, hi - lo + 1
+            if lo:
+                keys = np.subtract(keys, lo, dtype=np.int64)
+            return keys, hi - lo + 1
     uniq, codes = np.unique(keys, return_inverse=True)
     return codes.astype(np.int64, copy=False), max(1, len(uniq))
 
@@ -160,30 +163,52 @@ def _fold(composite: Optional[np.ndarray], radix: int, codes: np.ndarray,
     return composite, radix * key_radix
 
 
+def _composite_key(keys: Iterable[np.ndarray]) -> Tuple[np.ndarray, int]:
+    """Fold raw sort *keys* (equal-length arrays, outermost first) into
+    one int64 composite and its radix.
+
+    Each key is offset to ``0 .. radix-1`` (or ranked, see
+    :func:`_dense_codes`) and the running composite is scaled by that
+    radix, re-ranked when the next radix would overflow.  The encoding
+    is order-preserving and injective on key tuples.  *keys* may be a
+    generator: at most the composite and one key are alive at a time.
+    """
+    composite, radix = None, 1
+    for key in keys:
+        key = np.asarray(key)
+        codes, key_radix = _dense_codes(key)
+        if composite is None and codes is key:
+            codes = codes.astype(np.int64)  # the composite is scaled in place
+        composite, radix = _fold(composite, radix, codes, key_radix)
+    if composite is None:
+        raise ValueError("a composite key needs at least one key")
+    return composite, radix
+
+
+def composite_sort_order(keys: Iterable[np.ndarray]) -> np.ndarray:
+    """The stable permutation ordering rows by *keys*, outermost first:
+    one stable argsort over their :func:`_composite_key`, which is
+    exactly ``np.lexsort(keys[::-1])``.  The generator's load order and
+    compaction's re-sort both come from here."""
+    composite, _ = _composite_key(keys)
+    return np.argsort(composite, kind="stable")
+
+
 def clustering_sort_order(db: Database, table_name: str,
                           spec) -> np.ndarray:
     """The live rows of *table_name* ordered by the clustering *spec*.
 
     *spec* is a sequence of ``"table.column"`` keys, outermost first.
     Returns physical positions suitable for
-    :meth:`~repro.core.schema.Database.consolidate`'s ``order``.
-
-    The keys fold, outermost first and one at a time, into one int64
-    composite (each key offset to ``0 .. radix-1`` and the composite
-    scaled by that radix; re-ranked when the next radix would
-    overflow), so the order is one stable argsort.  The encoding is
-    order-preserving and injective on key tuples, so the permutation is
-    exactly ``np.lexsort``'s over the same keys, and at most the
-    composite and one resolved key are alive at a time.
+    :meth:`~repro.core.schema.Database.consolidate`'s ``order``: the
+    spec's keys in value order, resolved one at a time, through
+    :func:`composite_sort_order`.
     """
     tab = db.table(table_name)
     live = np.flatnonzero(tab.live_mask()).astype(np.int64)
     if not spec:
         return live
-    composite, radix = None, 1
-    for codes, key_radix in _sort_keys(db, table_name, live, spec):
-        composite, radix = _fold(composite, radix, codes, key_radix)
-    return live[np.argsort(composite, kind="stable")]
+    return live[composite_sort_order(_sort_keys(db, table_name, live, spec))]
 
 
 def compact_database(db: Database, table_name: str, store=None) -> dict:

@@ -102,6 +102,30 @@ class Table:
             table._delete_version = np.full(table._nrows, _NO_DELETE, dtype=np.int64)
         return table
 
+    @classmethod
+    def wrap(cls, name: str, columns: Iterable[Column], num_rows: int,
+             deleted: np.ndarray, free_slots: Iterable[int] = (),
+             insert_version: Optional[np.ndarray] = None,
+             delete_version: Optional[np.ndarray] = None) -> "Table":
+        """A table over prebuilt columns and bookkeeping vectors, adopted
+        as they are: no copy and no O(rows) allocation (the image and
+        arena rebuild).  It tracks MVCC versions when *insert_version*
+        and *delete_version* are given."""
+        table = cls(name, mvcc=insert_version is not None)
+        for column in columns:
+            if len(column) != num_rows:
+                raise SchemaError(
+                    f"column {column.name!r} has {len(column)} rows, "
+                    f"table {name!r} has {num_rows}")
+            table.columns[column.name] = column
+        table._nrows = num_rows
+        table._deleted = deleted
+        table._free_slots = [int(p) for p in free_slots]
+        if table._mvcc:
+            table._insert_version = insert_version
+            table._delete_version = delete_version
+        return table
+
     def add_column(self, column: Column) -> None:
         """Attach a prebuilt column; its length must match the table."""
         if self._nrows and len(column) != self._nrows:

@@ -7,7 +7,7 @@ is reproducible from ``(generator, scale, seed)``.
 from __future__ import annotations
 
 import zlib
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,12 +42,19 @@ def zipf_keys(rng: np.random.Generator, n: int, domain: int,
     return perm[keys]
 
 
+def value_pool(values: Iterable[str]) -> np.ndarray:
+    """*values* as an object array: index it with drawn codes to build a
+    string column without formatting one string per row."""
+    values = list(values)
+    pool = np.empty(len(values), dtype=object)
+    pool[:] = values
+    return pool
+
+
 def choice_column(rng: np.random.Generator, n: int,
                   values: Sequence[str]) -> np.ndarray:
     """*n* draws (uniform) from a fixed value pool, as an object array."""
-    pool = np.empty(len(values), dtype=object)
-    pool[:] = list(values)
-    return pool[rng.integers(0, len(values), size=n)]
+    return value_pool(values)[rng.integers(0, len(values), size=n)]
 
 
 def scaled_rows(base: int, sf: float, minimum: int = 1) -> int:

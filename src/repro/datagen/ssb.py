@@ -21,7 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Database
-from .distributions import choice_column, rng_for, scaled_rows, uniform_keys
+from ..core.compaction import composite_sort_order
+from .distributions import (choice_column, rng_for, scaled_rows, uniform_keys,
+                            value_pool)
 
 REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
 
@@ -132,12 +134,18 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     mfgr_idx = rng.integers(1, 6, n_part)
     cat_idx = rng.integers(1, 6, n_part)
     brand_idx = rng.integers(1, 41, n_part)
+    # the hierarchy folded into one code per level, in hierarchy order:
+    # the codes index 5 / 25 / 1000-entry value pools, so no string is
+    # formatted per row, and the brand code is the fact table's part key
+    category = (mfgr_idx - 1) * 5 + (cat_idx - 1)
+    brand = category * 40 + (brand_idx - 1)
     db.create_table("part", {
         "p_partkey": np.arange(1, n_part + 1, dtype=np.int64),
-        "p_mfgr": [f"MFGR#{m}" for m in mfgr_idx],
-        "p_category": [f"MFGR#{m}{c}" for m, c in zip(mfgr_idx, cat_idx)],
-        "p_brand1": [f"MFGR#{m}{c}{b:02d}" for m, c, b in
-                     zip(mfgr_idx, cat_idx, brand_idx)],
+        "p_mfgr": value_pool(f"MFGR#{m}" for m in range(1, 6))[mfgr_idx - 1],
+        "p_category": value_pool(f"MFGR#{m}{c}" for m in range(1, 6)
+                                 for c in range(1, 6))[category],
+        "p_brand1": value_pool(f"MFGR#{m}{c}{b:02d}" for m in range(1, 6)
+                               for c in range(1, 6) for b in range(1, 41))[brand],
         "p_color": choice_column(rng, n_part, [
             "red", "green", "blue", "ivory", "maroon", "plum", "powder",
         ]),
@@ -161,13 +169,14 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     # band of blocks (year outermost), and within each year band the
     # part-dimension predicates of Q2.x/Q4.x cluster too, which is what
     # lets per-block code-set summaries skip for them; uniform per-row
-    # value distributions are unchanged.  The declared clustering spec
-    # is what `astore compact` restores after append/update churn.
-    order = np.lexsort((date_pos,
-                        brand_idx[partkey - 1],
-                        cat_idx[partkey - 1],
-                        mfgr_idx[partkey - 1],
-                        date_data["d_year"][date_pos]))
+    # value distributions are unchanged.  The order comes from the same
+    # composite sort that `astore compact` uses to restore the declared
+    # clustering spec after append/update churn; each fact row gathers
+    # one part key (the brand code), and the keys fold into one stable
+    # argsort: the order of year, then mfgr, category, brand, then
+    # orderdate, with ties kept in generation order.
+    order = composite_sort_order((date_data["d_year"][date_pos],
+                                  brand[partkey - 1], date_pos))
     (quantity, discount, extendedprice, date_pos, custkey, partkey,
      suppkey, supplycost, tax) = (
         arr[order] for arr in (quantity, discount, extendedprice, date_pos,

@@ -11,7 +11,8 @@ Pins this PR's contracts:
 * ``Table.consolidate(order)`` validates the permutation it is handed;
 * the declared clustering spec survives an npz save/load round trip,
   and the one-argsort sort order equals ``np.lexsort`` over the spec's
-  keys (dict-coded, object-valued, AIR-parent, wide and float keys);
+  keys (dict-coded, object-valued, AIR-parent, wide and float keys), as
+  the shared ``composite_sort_order`` does over raw integer keys;
 * ``Database.compact`` re-sorts a churned table back into its declared
   clustering, rebuilds the summaries, restores the skip counts of the
   fresh layout, and bumps the mutation stamp so no cache tier or shard
@@ -39,7 +40,8 @@ from repro.core.statistics import (
     zone_maps_for,
 )
 from repro.core.column import DictColumn, FixedColumn
-from repro.core.compaction import clustering_sort_order
+from repro.core.compaction import (clustering_sort_order,
+                                   composite_sort_order)
 from repro.core import Database
 from repro.core.column import AIRColumn
 from repro.core.types import DataType
@@ -345,6 +347,40 @@ class TestSortOrderMatchesLexsort:
         assert a.num_rows == b.num_rows
         for name in a.column_names:
             assert np.array_equal(a[name].values(), b[name].values()), name
+
+
+class TestCompositeSortOrder:
+    """The one sort behind compaction and the generator's load order,
+    over raw integer key arrays, outermost first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_lexsort(self, data):
+        n = data.draw(st.integers(0, 60), label="rows")
+        spans = st.sampled_from([
+            (0, 3, np.int8), (-5, 5, np.int16), (0, 1000, np.int32),
+            (0, 3, np.int64), (0, 1 << 40, np.int64),
+            (-(1 << 63), (1 << 63) - 1, np.int64)])
+        keys = []
+        for lo, hi, dtype in data.draw(
+                st.lists(spans, min_size=1, max_size=5), label="spans"):
+            keys.append(np.array(data.draw(st.lists(
+                st.integers(lo, hi), min_size=n, max_size=n)), dtype=dtype))
+        assert np.array_equal(composite_sort_order(keys),
+                              np.lexsort(keys[::-1]))
+
+    def test_wide_radix_product_re_ranks(self):
+        # two 2**40-wide keys overflow the composite, so the running
+        # composite is re-ranked before the third key folds in
+        rng = np.random.default_rng(3)
+        keys = [rng.integers(0, 4, 500) << 40, rng.integers(0, 1 << 40, 500),
+                rng.integers(0, 1 << 40, 500), rng.integers(0, 3, 500)]
+        assert np.array_equal(composite_sort_order(keys),
+                              np.lexsort(keys[::-1]))
+
+    def test_needs_a_key(self):
+        with pytest.raises(ValueError):
+            composite_sort_order([])
 
 
 # -- compaction ---------------------------------------------------------------
