@@ -1,4 +1,4 @@
-"""Ablations of the optimizer's design choices (DESIGN.md §5).
+"""Ablations of the optimizer's design choices.
 
 1. **Predicate ordering** — selectivity-ordered evaluation vs the worst
    (reversed) order on a query with one very selective and one barely

@@ -2,8 +2,8 @@
 
 The paper executes each query three times and reports the shortest run
 (to measure warm, memory-resident performance); :func:`best_of` does the
-same.  Hardware cycle counters are replaced by ``perf_counter_ns`` — see
-DESIGN.md's substitution table — so "cycles/tuple" becomes ns/tuple, a
+same.  Hardware cycle counters, which Python cannot read portably, are
+replaced by ``perf_counter_ns``, so "cycles/tuple" becomes ns/tuple, a
 monotone proxy with comparable ratios on one machine.
 """
 

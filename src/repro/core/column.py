@@ -95,10 +95,12 @@ class FixedColumn(Column):
     def wrap(cls, name: str, dtype: DataType, data: np.ndarray) -> "FixedColumn":
         """Zero-copy constructor over an existing backing array.
 
-        Used by the shared-memory arena: *data* (typically a read-only view
-        into a shared segment) becomes the backing array as-is, with no
-        reserved tail capacity.  Appending to a wrapped column reallocates
-        into private memory.
+        Used by the shared-memory arena (*data* typically a read-only view
+        into a shared segment) and by loaders that hand over a fresh
+        array they no longer use (the SSB generator, ``Database.airify``):
+        *data* becomes the backing array as-is, with no reserved tail
+        capacity.  Appending to a wrapped column reallocates into private
+        memory.
         """
         column = cls.__new__(cls)
         column.name = name

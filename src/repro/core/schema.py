@@ -205,9 +205,11 @@ class Database:
             parent = self.table(ref.parent_table)
             key_column = parent[ref.parent_key]
             positions = _key_to_position(key_column, column.values())
+            # a fresh array: the AIR column adopts it without a copy
             child.replace_column(
                 ref.child_column,
-                AIRColumn(ref.child_column, ref.parent_table, data=positions),
+                AIRColumn.wrap_air(ref.child_column, ref.parent_table,
+                                   positions),
             )
 
     def consolidate(self, table_name: str,
@@ -271,7 +273,8 @@ class Database:
 
 
 def _key_to_position(key_column, fk_values) -> np.ndarray:
-    """Map child FK key values onto parent array indexes."""
+    """Map child FK key values onto parent array indexes, in a fresh
+    array that shares no memory with *fk_values*."""
     keys = key_column.values()
     fk_values = np.asarray(fk_values)
     if isinstance(key_column, (DictColumn, StringColumn)) or keys.dtype.kind == "O":
@@ -297,7 +300,7 @@ def _dense_key_positions(keys: np.ndarray,
             or fk_values.dtype.kind not in "iu"
             or not bool((np.diff(keys) == 1).all())):
         return None
-    positions = fk_values.astype(np.int64) - int(keys[0])
+    positions = np.subtract(fk_values, int(keys[0]), dtype=np.int64)
     dangling = (positions < 0) | (positions >= len(keys))
     if dangling.any():
         raise SchemaError(
@@ -315,4 +318,4 @@ def _sorted_key_positions(keys: np.ndarray,
     if len(fk_values) and not np.array_equal(sorted_keys[slots], fk_values):
         bad = fk_values[sorted_keys[slots] != fk_values][0]
         raise SchemaError(f"dangling foreign key value {bad!r}")
-    return order[slots].astype(np.int64)
+    return order[slots].astype(np.int64, copy=False)

@@ -4,7 +4,8 @@ Generates the four SSB tables (``lineorder`` fact; ``date``, ``customer``,
 ``supplier``, ``part`` dimensions) with the official schema's value domains
 and cardinality ratios, at a configurable scale factor.  SF=1 corresponds
 to the official 6,000,000-row lineorder; the paper runs SF=100, this repo
-defaults to laptop scales (see DESIGN.md substitution table).
+defaults to laptop scales (SF=0.01; the end-to-end benchmark's scan
+workloads run SF=1).
 
 Value domains follow the SSB specification closely enough that the
 original predicate selectivities are preserved:
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Database
+from ..core import AIRColumn, Database, DataType, FixedColumn, Table
 from ..core.compaction import composite_sort_order
 from .distributions import (choice_column, rng_for, scaled_rows, uniform_keys,
                             value_pool)
@@ -93,9 +94,14 @@ def _is_leap(year: int) -> bool:
 def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Database:
     """Generate an SSB database at scale factor *sf*.
 
-    With ``airify=True`` (the A-Store load path) the fact table's foreign
-    keys are converted to array index references; with ``airify=False`` the
-    FKs keep their key values, as a conventional engine would store them.
+    The generator draws each fact row's customer, part, supplier and date
+    as parent array positions.  With ``airify=True`` (the A-Store load
+    path) the four foreign keys are AIR columns over those positions as
+    drawn, so :meth:`~repro.core.schema.Database.airify` has nothing left
+    to map.  With ``airify=False`` they hold the key values the positions
+    index (position + 1 for the surrogate keys, ``d_datekey`` for the
+    date), as a conventional engine would store them; ``db.airify()``
+    then maps them back to the same positions, bit for bit.
     """
     db = Database(f"ssb_sf{sf}")
 
@@ -153,15 +159,19 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
 
     n_lineorder = scaled_rows(LINEORDER_BASE, sf)
     rng = rng_for(seed, "lineorder")
+    # Each fact column is built once, into the buffer the table adopts:
+    # a draw is permuted into load order as soon as the order exists
+    # and the draw dropped before the next permutation, so at most one
+    # column is held twice at a time.  The data depends on the order of
+    # the draws from the stream (quantity, discount, extendedprice,
+    # date, customer, part, supplier, supplycost, tax), not on when each
+    # is permuted.
     quantity = rng.integers(1, 51, n_lineorder).astype(np.int32)
     discount = rng.integers(0, 11, n_lineorder).astype(np.int32)
-    extendedprice = rng.integers(90_000, 10_000_000, n_lineorder).astype(np.int64)
+    extendedprice = rng.integers(90_000, 10_000_000, n_lineorder)
     date_pos = uniform_keys(rng, n_lineorder, n_dates)
-    custkey = uniform_keys(rng, n_lineorder, n_customer) + 1
-    partkey = uniform_keys(rng, n_lineorder, n_part) + 1
-    suppkey = uniform_keys(rng, n_lineorder, n_supplier) + 1
-    supplycost = rng.integers(10_000, 100_000, n_lineorder).astype(np.int64)
-    tax = rng.integers(0, 9, n_lineorder).astype(np.int32)
+    cust_pos = uniform_keys(rng, n_lineorder, n_customer)
+    part_pos = uniform_keys(rng, n_lineorder, n_part)
     # Hierarchically clustered layout: fact rows land ordered by year,
     # then the part hierarchy (mfgr > category > brand), then orderdate
     # — the layout a yearly bulk load partitioned by product line
@@ -176,24 +186,44 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     # argsort: the order of year, then mfgr, category, brand, then
     # orderdate, with ties kept in generation order.
     order = composite_sort_order((date_data["d_year"][date_pos],
-                                  brand[partkey - 1], date_pos))
-    (quantity, discount, extendedprice, date_pos, custkey, partkey,
-     suppkey, supplycost, tax) = (
-        arr[order] for arr in (quantity, discount, extendedprice, date_pos,
-                               custkey, partkey, suppkey, supplycost, tax))
-    db.create_table("lineorder", {
-        "lo_orderkey": np.arange(1, n_lineorder + 1, dtype=np.int64),
-        "lo_custkey": custkey,
-        "lo_partkey": partkey,
-        "lo_suppkey": suppkey,
-        "lo_orderdate": date_data["d_datekey"][date_pos],
-        "lo_quantity": quantity,
-        "lo_extendedprice": extendedprice,
-        "lo_discount": discount,
-        "lo_revenue": (extendedprice * (100 - discount) // 100).astype(np.int64),
-        "lo_supplycost": supplycost,
-        "lo_tax": tax,
-    })
+                                  brand[part_pos], date_pos))
+    quantity = quantity[order]
+    discount = discount[order]
+    extendedprice = extendedprice[order]
+    date_pos = date_pos[order]
+    cust_pos = cust_pos[order]
+    part_pos = part_pos[order]
+    supp_pos = uniform_keys(rng, n_lineorder, n_supplier)[order]
+    supplycost = rng.integers(10_000, 100_000, n_lineorder)[order]
+    tax = rng.integers(0, 9, n_lineorder).astype(np.int32)[order]
+    del order
+    revenue = np.subtract(100, discount, dtype=np.int64)
+    revenue *= extendedprice
+    revenue //= 100
+
+    def fixed(name, data):
+        return FixedColumn.wrap(name, DataType(data.dtype.name), data)
+
+    def foreign(name, parent, positions):
+        if airify:
+            return AIRColumn.wrap_air(name, parent, positions)
+        if parent == "date":
+            return fixed(name, date_data["d_datekey"][positions])
+        return fixed(name, np.add(positions, 1, out=positions))
+
+    db.add_table(Table.wrap("lineorder", [
+        fixed("lo_orderkey", np.arange(1, n_lineorder + 1, dtype=np.int64)),
+        foreign("lo_custkey", "customer", cust_pos),
+        foreign("lo_partkey", "part", part_pos),
+        foreign("lo_suppkey", "supplier", supp_pos),
+        foreign("lo_orderdate", "date", date_pos),
+        fixed("lo_quantity", quantity),
+        fixed("lo_extendedprice", extendedprice),
+        fixed("lo_discount", discount),
+        fixed("lo_revenue", revenue),
+        fixed("lo_supplycost", supplycost),
+        fixed("lo_tax", tax),
+    ], n_lineorder, deleted=np.zeros(n_lineorder, dtype=bool)))
 
     db.add_reference("lineorder", "lo_custkey", "customer", "c_custkey")
     db.add_reference("lineorder", "lo_partkey", "part", "p_partkey")
@@ -202,6 +232,4 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     db.clustering["lineorder"] = (
         "date.d_year", "part.p_mfgr", "part.p_category", "part.p_brand1",
         "lineorder.lo_orderdate")
-    if airify:
-        db.airify()
     return db

@@ -1,6 +1,8 @@
 """Tests for the SSB and TPC-H data generators."""
 
 import hashlib
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -155,6 +157,56 @@ class TestSSBPinned:
                                       db.clustering["lineorder"])
         assert np.array_equal(order,
                               np.arange(db.table("lineorder").num_rows))
+
+
+class TestSSBLoad:
+    """How ``lineorder`` is built: the key-valued and the AIR load hold
+    the same data, the generated columns own separate buffers, and the
+    build holds little more than the data it returns."""
+
+    FKS = {"lo_custkey": "customer", "lo_partkey": "part",
+           "lo_suppkey": "supplier"}
+
+    def test_key_valued_load_airifies_to_the_pinned_data(self):
+        db = generate_ssb(sf=0.01, seed=1, airify=False)
+        lo = db.table("lineorder")
+        raw = {name: lo[name].values()
+               for name in (*self.FKS, "lo_orderdate")}
+        db.airify()
+        # the seed-1 digest pinned in TestSSBPinned
+        assert content_digest(db) == (
+            "a17b04da96c0422766687a4a650cf46c7b95bba87ee35a602bfe11a91e65c849")
+        for name, parent in self.FKS.items():
+            assert lo[name].referenced_table == parent
+            assert np.array_equal(raw[name], lo[name].values() + 1)
+        datekeys = db.table("date")["d_datekey"].values()
+        assert np.array_equal(raw["lo_orderdate"],
+                              datekeys[lo["lo_orderdate"].values()])
+
+    @pytest.mark.parametrize("airify", [True, False])
+    def test_generated_columns_do_not_alias(self, airify):
+        lo = generate_ssb(sf=0.002, seed=7, airify=airify).table("lineorder")
+        arrays = {name: lo[name].values() for name in lo.column_names}
+        for name, values in arrays.items():
+            assert values.flags.writeable, name
+        for a, b in combinations(arrays, 2):
+            assert not np.shares_memory(arrays[a], arrays[b]), (a, b)
+        before = {name: values.copy() for name, values in arrays.items()}
+        rows = np.arange(0, lo.num_rows, 7)
+        lo.update(rows, {"lo_extendedprice": np.full(len(rows), 1)})
+        for name in arrays:
+            if name != "lo_extendedprice":
+                assert lo[name].values().tobytes() == before[name].tobytes(), name
+        assert (lo["lo_extendedprice"].values()[rows] == 1).all()
+
+    def test_generation_peak_stays_near_the_data(self):
+        tracemalloc.start()
+        try:
+            db = generate_ssb(sf=0.05, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * db.nbytes, (peak, db.nbytes)
 
 
 class TestTPCH:
