@@ -79,9 +79,9 @@ class BaselineEngine:
     ``backend`` names a :data:`repro.engine.operators.BACKENDS` entry;
     with ``"process"`` the bound baseline plan (semi-join masks + hash
     tables, both dimension-sized) ships to workers that shard the fact
-    table horizontally over the shared-memory arena — the same portable
+    table horizontally over the exported database image — the same portable
     path the A-Store engine uses.  Engines that served process-backed
-    queries hold an arena and pool; release them with :meth:`close`.
+    queries hold an image and pool; release them with :meth:`close`.
     """
 
     name = "baseline"
@@ -94,7 +94,7 @@ class BaselineEngine:
         self._shard_backend = None
 
     def close(self) -> None:
-        """Release process-backend resources (worker pool + shared arena)."""
+        """Release process-backend resources (worker pool + exported image)."""
         backend, self._shard_backend = self._shard_backend, None
         if backend is not None:
             release_shard_backend(backend)

@@ -15,7 +15,7 @@ Subcommands::
 ``query``/``ssb``/``cache``/``serve`` accept ``--backend
 {process,serial,thread}`` and ``--workers N`` — the ``process``
 backend shards the fact table N ways over the calling process and N − 1
-worker processes attached to a shared-memory column arena — and
+worker processes attached to an exported database image — and
 ``query``/``ssb`` take ``--no-cache`` to disable the mutation-stamped
 query cache and ``--no-pruning`` to disable zone-map data skipping.
 ``serve`` is one process: an asyncio server over one engine, with a
@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=_WORKERS_HELP)
     query.add_argument("--backend", choices=sorted(BACKENDS),
                        default="serial",
-                       help="execution backend (process = shared-memory "
-                            "shard workers)")
+                       help="execution backend (process = shard workers "
+                            "over an exported image)")
     query.add_argument("--explain", action="store_true",
                        help="print the plan instead of executing")
     query.add_argument("--breakdown", action="store_true",

@@ -1,38 +1,44 @@
-"""Column arenas: one byte layout for shared memory and for the disk image.
+"""The database image: one byte layout for the disk and for process shards.
 
-The process shard backend (Section 5 at real cores) needs every worker to
-see the loaded database without copying it.  A :class:`ColumnArena` packs
-all fixed-width column buffers of a :class:`~repro.core.schema.Database` —
-:class:`~repro.core.column.FixedColumn` data, :class:`AIRColumn` positions,
-:class:`DictColumn` codes, :class:`StringColumn` heap addresses, deletion
-bits, and MVCC version vectors — into one POSIX shared-memory segment
-(``multiprocessing.shared_memory``).  The picklable :class:`ArenaManifest`
-records each buffer's offset/shape/dtype plus the variable-width payloads
-that cannot be shared (dictionaries and string heaps, which are copied);
-:func:`attach_database` rebuilds an equivalent read-only ``Database`` in
-another process whose NumPy arrays are views into the segment — attaching
-is O(columns), independent of row count.
+An image is an 8-byte magic, the length of a JSON header, the header
+(version, tables with column layouts, dictionaries and string heaps as
+value lists, references, clustering, zone-map records, buffer map), then,
+from the next 64-byte boundary, every fixed-width buffer raw at its
+offset: :class:`~repro.core.column.FixedColumn` data, :class:`AIRColumn`
+positions, :class:`DictColumn` codes, :class:`StringColumn` heap
+addresses, deletion bits, MVCC version vectors and exported zone-map
+summaries.  :func:`layout_database` is the one walk that lists a
+database's buffers and assigns their offsets, :func:`write_image` the one
+writer, and :func:`rebuild_database` the one rebuild of tables from views
+over a mapping.
 
-The same layout is the on-disk database image (:mod:`repro.io.persist`):
-:func:`layout_database` is the one walk that lists a database's buffers
-and assigns their 64-byte-aligned offsets, and :func:`rebuild_database`
-is the one rebuild of tables from views over a buffer — a shared segment
-here, a copy-on-write file mapping when an image is loaded.
+Two sinks share them.  :func:`repro.io.persist.save_database` writes an
+image to a file, which ``load_database`` maps copy-on-write.  The process
+shard backend (Section 5 at real cores) exports with
+:meth:`ColumnArena.export`: the image goes through ``write()`` into an
+anonymous memory file (``os.memfd_create``, Linux) that the exporter
+never maps, so the export adds no page to its resident set.  Workers,
+and the exporter's own shard 0, reopen it as ``/proc/<pid>/fd/<n>``, map
+it read-only and rebuild from the pickled :class:`ArenaManifest`
+(:func:`attach_database`): no JSON parse, O(columns), independent of row
+count, and only the pages a shard reads become resident.
 
-Lifecycle: the exporting process owns the segment.  Workers attach and
-``close()`` their mapping; only the owner's :meth:`ColumnArena.close`
-unlinks the segment from ``/dev/shm``.  Every live arena is tracked in a
-module registry drained by ``atexit``, so segments are released even if an
-engine is never closed explicitly.
+Lifecycle: the exporter holds the file's one descriptor until
+:meth:`ColumnArena.close`; each attachment's views hold its mapping until
+the last of them dies.  The file has no name anywhere, so the kernel
+frees it once the descriptor and every mapping are gone, even when the
+exporter is killed.
 """
 
 from __future__ import annotations
 
-import atexit
+import json
+import mmap
+import os
+import struct
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,11 +50,19 @@ from .table import Table
 from .types import DataType
 
 _ALIGN = 64  # cache-line alignment for every buffer
+IMAGE_VERSION = 2
+IMAGE_MAGIC = b"ASTOREDB"
+IMAGE_PREAMBLE = struct.Struct("<8sQ")  # magic, header length in bytes
+
+
+def image_base(header_len: int) -> int:
+    """Offset of an image's first buffer: the aligned end of its header."""
+    return -(-(IMAGE_PREAMBLE.size + header_len) // _ALIGN) * _ALIGN
 
 
 @dataclass(frozen=True)
 class BufferSpec:
-    """Location of one fixed-width buffer inside the arena."""
+    """Location of one fixed-width buffer, relative to the image base."""
 
     offset: int
     shape: Tuple[int, ...]
@@ -57,8 +71,8 @@ class BufferSpec:
 
 @dataclass
 class ArenaManifest:
-    """Everything a worker needs to attach: segment name + buffer map +
-    the non-shareable (pickled) payloads and catalog metadata.
+    """Everything a worker needs to attach: the image's path and base,
+    the buffer map, the variable-width payloads and catalog metadata.
 
     ``zone_maps`` lists the zone-map summaries that were fresh at export
     time as ``(store_key, kind, block_rows, buffer_keys)`` records
@@ -67,7 +81,8 @@ class ArenaManifest:
     workers prune without re-scanning columns.
     """
 
-    segment: str
+    path: str = ""
+    base: int = 0
     buffers: Dict[str, BufferSpec] = field(default_factory=dict)
     db_name: str = "db"
     tables: Dict[str, dict] = field(default_factory=dict)
@@ -89,7 +104,7 @@ def layout_database(db: Database, zone_entries: Optional[List[tuple]] = None
     from .statistics import ColumnCodeSetMap, ColumnZoneMap
 
     plan: List[Tuple[str, np.ndarray]] = []
-    manifest = ArenaManifest(segment="", db_name=db.name,
+    manifest = ArenaManifest(db_name=db.name,
                              clustering=dict(db.clustering))
 
     for table_name, table in db.tables.items():
@@ -147,82 +162,88 @@ def layout_database(db: Database, zone_entries: Optional[List[tuple]] = None
     return manifest, plan, offset
 
 
-class ColumnArena:
-    """One exported database: a shared segment plus its manifest.
+def write_image(fh: BinaryIO, db: Database,
+                zone_entries: Optional[List[tuple]] = None) -> ArenaManifest:
+    """Write *db* as an image to *fh*, a new binary file, through
+    ``write()`` alone, and return its manifest (``path`` is the
+    caller's to fill).  *zone_entries* are as for
+    :meth:`ColumnArena.export`."""
+    manifest, plan, size = layout_database(db, zone_entries)
+    header = json.dumps({
+        "version": IMAGE_VERSION, "name": manifest.db_name,
+        "tables": manifest.tables, "references": manifest.references,
+        "clustering": manifest.clustering, "zone_maps": manifest.zone_maps,
+        "buffers": {key: [spec.offset, spec.shape, spec.dtype]
+                    for key, spec in manifest.buffers.items()},
+    }).encode("utf-8")
+    manifest.base = image_base(len(header))
+    fh.write(IMAGE_PREAMBLE.pack(IMAGE_MAGIC, len(header)) + header)
+    for key, array in plan:
+        fh.seek(manifest.base + manifest.buffers[key].offset)
+        fh.write(np.ascontiguousarray(array).data)
+    fh.truncate(manifest.base + size)
+    return manifest
 
-    Use :meth:`export` to create, :attr:`manifest` to hand to workers,
-    and :meth:`close` (or a ``with`` block) to release the segment.
+
+class ColumnArena:
+    """One exported database: its image in an anonymous memory file
+    (``memfd_create``) plus the manifest that names it.
+
+    Use :meth:`export` to create, :attr:`manifest` to hand to workers
+    (:func:`attach_database`), and :meth:`close` (or a ``with`` block)
+    to drop the exporter's descriptor.
     """
 
     _live: Dict[str, "ColumnArena"] = {}
 
-    def __init__(self, manifest: ArenaManifest,
-                 shm: shared_memory.SharedMemory):
+    def __init__(self, manifest: ArenaManifest, fd: int):
         self.manifest = manifest
-        self._shm: Optional[shared_memory.SharedMemory] = shm
-        ColumnArena._live[manifest.segment] = self
-
-    # -- export ------------------------------------------------------------
+        self._fd: Optional[int] = fd
+        ColumnArena._live[manifest.path] = self
 
     @classmethod
     def export(cls, db: Database,
                zone_entries: Optional[List[tuple]] = None) -> "ColumnArena":
-        """Copy every fixed-width buffer of *db* into a new shared segment.
+        """Write *db*'s image into a new anonymous memory file.
 
         *zone_entries* are ``(store_key, value)`` pairs from
         :func:`repro.core.statistics.fresh_zone_entries`; their summary
-        arrays ride in the same segment so attached databases prune
-        from the exact zone maps the parent built, zero-copy.
+        arrays ride in the same image so attached databases prune from
+        the exact zone maps the exporter built, zero-copy.  The image is
+        written through ``write()``, never mapped here, so exporting
+        faults none of its pages into this process's resident set.
         """
-        manifest, plan, size = layout_database(db, zone_entries)
-        shm = shared_memory.SharedMemory(create=True, size=max(size, 1))
-        manifest.segment = shm.name
-        for key, array in plan:
-            spec = manifest.buffers[key]
-            view = np.ndarray(spec.shape, dtype=spec.dtype,
-                              buffer=shm.buf, offset=spec.offset)
-            view[...] = array
-        return cls(manifest, shm)
-
-    # -- lifecycle ---------------------------------------------------------
+        fd = os.memfd_create("astore-image")
+        try:
+            with open(fd, "wb", closefd=False) as fh:
+                manifest = write_image(fh, db, zone_entries)
+        except BaseException:
+            os.close(fd)
+            raise
+        manifest.path = f"/proc/{os.getpid()}/fd/{fd}"
+        return cls(manifest, fd)
 
     @property
     def nbytes(self) -> int:
-        """Size of the shared segment in bytes."""
-        return self._shm.size if self._shm is not None else 0
+        """Size of the image in bytes."""
+        return os.fstat(self._fd).st_size if self._fd is not None else 0
 
     @property
     def closed(self) -> bool:
-        return self._shm is None
-
-    def attach(self) -> "AttachedDatabase":
-        """The exporting process's own read-only view of the arena.
-
-        The views sit on this arena's mapping rather than a second one:
-        every page was resident here since the export, and a second
-        mapping would count each page the views touch twice in this
-        process's resident set.  The arena keeps ownership; the views
-        are invalid once :meth:`close` unmaps the segment."""
-        if self._shm is None:
-            raise StorageError("arena is closed")
-        return attach_database(self.manifest, segment=self._shm)
+        return self._fd is None
 
     def close(self) -> None:
-        """Release the segment: close the mapping and unlink from
-        ``/dev/shm``.  Idempotent; workers must have detached (their views
-        stay valid until they close their own mapping)."""
-        shm, self._shm = self._shm, None
-        ColumnArena._live.pop(self.manifest.segment, None)
-        if shm is not None:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # already unlinked elsewhere
-                pass
+        """Close the exporter's descriptor; idempotent.  The memory goes
+        with the last mapping of the image: views attached before the
+        close stay valid, and no new attach can follow it."""
+        fd, self._fd = self._fd, None
+        ColumnArena._live.pop(self.manifest.path, None)
+        if fd is not None:
+            os.close(fd)
 
     @classmethod
     def live_segments(cls) -> List[str]:
-        """Names of all not-yet-closed arenas (leak diagnostics/tests)."""
+        """Paths of all not-yet-closed arenas (leak diagnostics/tests)."""
         return sorted(cls._live)
 
     def __enter__(self) -> "ColumnArena":
@@ -231,42 +252,23 @@ class ColumnArena:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __del__(self):  # pragma: no cover - best-effort safety net
-        try:
-            self.close()
-        except Exception:
-            pass
 
-
-@atexit.register
-def _drain_live_arenas() -> None:  # pragma: no cover - process teardown
-    for arena in list(ColumnArena._live.values()):
-        arena.close()
-
-
+@dataclass
 class AttachedDatabase:
-    """A worker-side view of an exported database.
+    """A database rebuilt over a read-only mapping of an exported image.
 
-    Holds the shared-memory mapping open for as long as the rebuilt
-    :attr:`db` is in use; :meth:`close` drops the mapping (the owner is
-    responsible for unlinking; with ``shm=None`` the mapping belongs to
-    the exporting arena and :meth:`close` leaves it alone).
-    ``zone_maps`` are the parent's exported zone-map summaries as
-    ``(store_key, value)`` pairs over zero-copy views — the attaching
-    side decides which store to seed with them.
+    ``zone_maps`` are the exporter's zone-map summaries as ``(store_key,
+    value)`` pairs over zero-copy views; the attaching side decides which
+    store to seed with them.  The views hold the mapping, which is
+    unmapped with the last of them, so :meth:`close` only drops this
+    handle's references and never pulls pages from under a reader.
     """
 
-    def __init__(self, db: Database,
-                 shm: Optional[shared_memory.SharedMemory],
-                 zone_maps: Optional[List[tuple]] = None):
-        self.db = db
-        self.zone_maps: List[tuple] = list(zone_maps or ())
-        self._shm: Optional[shared_memory.SharedMemory] = shm
+    db: Optional[Database]
+    zone_maps: List[tuple]
 
     def close(self) -> None:
-        shm, self._shm = self._shm, None
-        if shm is not None:
-            shm.close()
+        self.db, self.zone_maps = None, []
 
     def __enter__(self) -> "AttachedDatabase":
         return self
@@ -275,26 +277,14 @@ class AttachedDatabase:
         self.close()
 
 
-def attach_database(manifest: ArenaManifest,
-                    segment: Optional[shared_memory.SharedMemory] = None
-                    ) -> AttachedDatabase:
-    """Rebuild a read-only :class:`Database` over the shared segment.
-
-    Every fixed-width array is a zero-copy, non-writable view into the
-    segment; dictionaries and string heaps come (copied) from the
-    manifest.  The attaching process does not own the segment: it must
-    :meth:`AttachedDatabase.close` its mapping and leave unlinking to the
-    exporting process.  (Spawned workers share the parent's resource
-    tracker, so attaching registers nothing new and a worker exit never
-    tears the segment down under the parent.)  With *segment* — an
-    already-open mapping, see :meth:`ColumnArena.attach` — the views sit
-    on that mapping and the attachment does not own it.
-    """
-    shm = (segment if segment is not None
-           else shared_memory.SharedMemory(name=manifest.segment))
-    db, zone_maps = rebuild_database(manifest, shm.buf)
-    return AttachedDatabase(db, None if segment is not None else shm,
-                            zone_maps)
+def attach_database(manifest: ArenaManifest) -> AttachedDatabase:
+    """Map the image at ``manifest.path`` read-only (``ACCESS_READ``) and
+    rebuild its database from the pickled *manifest*: every fixed-width
+    array is a zero-copy, non-writable view, no JSON is parsed, and only
+    the pages a reader touches become resident."""
+    with open(manifest.path, "rb") as fh:
+        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return AttachedDatabase(*rebuild_database(manifest, mapping, manifest.base))
 
 
 def rebuild_database(manifest: ArenaManifest, buffer, base: int = 0,

@@ -95,8 +95,8 @@ class FixedColumn(Column):
     def wrap(cls, name: str, dtype: DataType, data: np.ndarray) -> "FixedColumn":
         """Zero-copy constructor over an existing backing array.
 
-        Used by the shared-memory arena (*data* typically a read-only view
-        into a shared segment) and by loaders that hand over a fresh
+        Used by the image rebuild (*data* typically a view into a mapped
+        database image) and by loaders that hand over a fresh
         array they no longer use (the SSB generator, ``Database.airify``):
         *data* becomes the backing array as-is, with no reserved tail
         capacity.  Appending to a wrapped column reallocates into private

@@ -228,19 +228,21 @@ class Database:
             column = child[ref.child_column]
             if not isinstance(column, AIRColumn):
                 continue
-            old = column.values()
-            new = mapping[old]
-            live = child.live_mask()
-            if len(new) and (new[live] < 0).any():
-                raise SchemaError(
-                    f"consolidating {table_name!r} would break reference {ref}"
-                )
-            # deleted child rows may hold stale references; park them at 0
-            # (their slots are rewritten wholesale on reuse)
-            new = np.where(new < 0, 0, new)
+            # one fact-sized buffer: remapped, checked through a bool
+            # mask, patched in place, and adopted by the new column
+            new = mapping[column.values()]
+            dangling = new < 0
+            if dangling.any():
+                if (dangling & child.live_mask()).any():
+                    raise SchemaError(
+                        f"consolidating {table_name!r} would break "
+                        f"reference {ref}")
+                # deleted child rows may hold stale references; park them
+                # at 0 (their slots are rewritten wholesale on reuse)
+                new[dangling] = 0
             child.replace_column(
                 ref.child_column,
-                AIRColumn(ref.child_column, ref.parent_table, data=new),
+                AIRColumn.wrap_air(ref.child_column, ref.parent_table, new),
             )
         return mapping
 

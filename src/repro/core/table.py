@@ -159,7 +159,7 @@ class Table:
     def mutation_count(self) -> int:
         """Monotonic count of content mutations (inserts, deletes,
         updates, consolidations, column swaps) — lets point-in-time
-        copies such as shared-memory arenas detect staleness."""
+        copies such as exported database images detect staleness."""
         return self._mutation_count
 
     def journal_since(self, count: int,

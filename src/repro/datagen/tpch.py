@@ -12,6 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Database
+from ..core.column import AIRColumn, FixedColumn
+from ..core.table import Table
+from ..core.types import DataType
 from .distributions import rng_for, scaled_rows, uniform_keys
 from .ssb import NATION_LIST, REGIONS, REGION_OF_NATION
 
@@ -29,6 +32,12 @@ def generate_tpch(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Data
     ``lineitem`` is the root; ``orders`` chains to ``customer``, which
     chains to ``nation`` and ``region``; ``part`` and ``supplier`` hang
     directly off ``lineitem``.
+
+    The tables adopt each drawn array through :meth:`Table.wrap` rather
+    than copying it, and every foreign key is drawn as a parent array
+    position: with ``airify=True`` it is stored as an AIR column as
+    drawn, with ``airify=False`` it is shifted in place onto the
+    parent's key values.  Generation holds little more than its data.
     """
     db = Database(f"tpch_sf{sf}")
 
@@ -47,49 +56,69 @@ def generate_tpch(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Data
         ),
     })
 
+    def fixed(name, data):
+        return FixedColumn.wrap(name, DataType(data.dtype.name), data)
+
+    def serial(name, n):
+        return fixed(name, np.arange(1, n + 1, dtype=np.int64))
+
+    def foreign(name, parent, positions, first_key=1):
+        if airify:
+            return AIRColumn.wrap_air(name, parent, positions)
+        return fixed(name, np.add(positions, first_key, out=positions))
+
+    def add(name, n, columns):
+        db.add_table(Table.wrap(name, columns, n,
+                                deleted=np.zeros(n, dtype=bool)))
+
     n_customer = scaled_rows(CUSTOMER_BASE, sf)
     rng = rng_for(seed, "tpch.customer")
-    db.create_table("customer", {
-        "c_custkey": np.arange(1, n_customer + 1, dtype=np.int64),
-        "c_nationkey": uniform_keys(rng, n_customer, len(NATION_LIST)),
-        "c_acctbal": rng.uniform(-999.99, 9999.99, n_customer).round(2),
-    })
+    add("customer", n_customer, [
+        serial("c_custkey", n_customer),
+        foreign("c_nationkey", "nation",
+                uniform_keys(rng, n_customer, len(NATION_LIST)), 0),
+        fixed("c_acctbal", _cents(rng.uniform(-999.99, 9999.99, n_customer))),
+    ])
 
     n_orders = scaled_rows(ORDERS_BASE, sf)
     rng = rng_for(seed, "tpch.orders")
-    db.create_table("orders", {
-        "o_orderkey": np.arange(1, n_orders + 1, dtype=np.int64),
-        "o_custkey": uniform_keys(rng, n_orders, n_customer) + 1,
+    add("orders", n_orders, [
+        serial("o_orderkey", n_orders),
+        foreign("o_custkey", "customer",
+                uniform_keys(rng, n_orders, n_customer)),
         # the paper's adapted Fig. 3 query filters on o_price
-        "o_price": rng.integers(1, 1001, n_orders).astype(np.int64),
-        "o_orderdate": (19920101 + rng.integers(0, 7, n_orders) * 10000
-                        ).astype(np.int64),
-    })
+        fixed("o_price", rng.integers(1, 1001, n_orders)),
+        fixed("o_orderdate", _year_dates(rng.integers(0, 7, n_orders))),
+    ])
 
     n_part = scaled_rows(PART_BASE, sf)
     rng = rng_for(seed, "tpch.part")
-    db.create_table("part", {
-        "p_partkey": np.arange(1, n_part + 1, dtype=np.int64),
-        "p_retailprice": rng.uniform(900.0, 2000.0, n_part).round(2),
-    })
+    add("part", n_part, [
+        serial("p_partkey", n_part),
+        fixed("p_retailprice", _cents(rng.uniform(900.0, 2000.0, n_part))),
+    ])
 
     n_supplier = scaled_rows(SUPPLIER_BASE, sf)
     rng = rng_for(seed, "tpch.supplier")
-    db.create_table("supplier", {
-        "s_suppkey": np.arange(1, n_supplier + 1, dtype=np.int64),
-        "s_nationkey": uniform_keys(rng, n_supplier, len(NATION_LIST)),
-    })
+    add("supplier", n_supplier, [
+        serial("s_suppkey", n_supplier),
+        # no declared reference: it stays key-valued in both loads
+        fixed("s_nationkey", uniform_keys(rng, n_supplier, len(NATION_LIST))),
+    ])
 
     n_lineitem = scaled_rows(LINEITEM_BASE, sf)
     rng = rng_for(seed, "tpch.lineitem")
-    db.create_table("lineitem", {
-        "l_orderkey": uniform_keys(rng, n_lineitem, n_orders) + 1,
-        "l_partkey": uniform_keys(rng, n_lineitem, n_part) + 1,
-        "l_suppkey": uniform_keys(rng, n_lineitem, n_supplier) + 1,
-        "l_quantity": rng.integers(1, 51, n_lineitem).astype(np.int32),
-        "l_extendedprice": rng.uniform(900.0, 100_000.0, n_lineitem).round(2),
-        "l_discount": (rng.integers(0, 11, n_lineitem) / 100.0),
-    })
+    add("lineitem", n_lineitem, [
+        foreign("l_orderkey", "orders",
+                uniform_keys(rng, n_lineitem, n_orders)),
+        foreign("l_partkey", "part", uniform_keys(rng, n_lineitem, n_part)),
+        foreign("l_suppkey", "supplier",
+                uniform_keys(rng, n_lineitem, n_supplier)),
+        fixed("l_quantity", rng.integers(1, 51, n_lineitem).astype(np.int32)),
+        fixed("l_extendedprice",
+              _cents(rng.uniform(900.0, 100_000.0, n_lineitem))),
+        fixed("l_discount", np.divide(rng.integers(0, 11, n_lineitem), 100.0)),
+    ])
 
     db.add_reference("nation", "n_regionkey", "region", "r_regionkey")
     db.add_reference("customer", "c_nationkey", "nation", "n_nationkey")
@@ -98,5 +127,17 @@ def generate_tpch(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Data
     db.add_reference("lineitem", "l_partkey", "part", "p_partkey")
     db.add_reference("lineitem", "l_suppkey", "supplier", "s_suppkey")
     if airify:
-        db.airify()
+        db.airify()  # what is left: the 25-row nation -> region edge
     return db
+
+
+def _cents(values: np.ndarray) -> np.ndarray:
+    """*values* rounded to two decimals, in place."""
+    return np.round(values, 2, out=values)
+
+
+def _year_dates(years: np.ndarray) -> np.ndarray:
+    """January 1st of 1992 + *years* as ``yyyymmdd``, in place."""
+    years *= 10000
+    years += 19920101
+    return years

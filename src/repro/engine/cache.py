@@ -6,7 +6,7 @@ dimension predicate vectors (Section 4.2) and group-axis encodings
 structurally similar) queries millions of times.  This module caches
 every compile-time artifact between executions, with **exact**
 invalidation piggybacked on the per-table ``Table.mutation_count``
-stamps the shared-memory arena already uses:
+stamps the process backend's exported image already uses:
 
 * **plan tier** — whole :class:`~repro.engine.sharding.BoundQuery`
   artifacts keyed by a canonical query fingerprint (parsed-statement

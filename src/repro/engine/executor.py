@@ -16,7 +16,7 @@ shared physical layer of :mod:`repro.engine.operators`:
    :class:`~repro.engine.operators.MorselDispatcher`) or across worker
    processes (``process`` backend, via
    :class:`~repro.engine.sharding.ProcessShardBackend` and the
-   shared-memory column arena);
+   database image it exports for them);
 3. **Aggregation** — per-morsel/per-shard partial aggregation states
    merge element-wise; ORDER BY/LIMIT run during result assembly.
 
@@ -95,7 +95,7 @@ class EngineOptions:
       with no arena and no pool;
     * ``parallel_backend`` — a :data:`repro.engine.operators.BACKENDS`
       name: ``"serial"`` (the default, as on the CLI), ``"thread"``, or
-      ``"process"`` (portable bound plans over shared-memory shards);
+      ``"process"`` (portable bound plans over an exported image);
     * ``morsel_rows`` — split each column-scan partition into fixed-size
       morsels (0 = one morsel per partition, the paper's layout);
     * ``chunk_rows`` — block size of the row-wise scan variants;
@@ -205,7 +205,7 @@ class AStoreEngine:
     """A-Store's OLAP engine over a loaded (airified) database.
 
     An engine that has served ``process``-backed queries owns a
-    shared-memory arena and a worker pool; release them with
+    exported database image and a worker pool; release them with
     :meth:`close` (or use the engine as a context manager).
     """
 
@@ -243,7 +243,7 @@ class AStoreEngine:
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Release process-backend resources (worker pool + shared arena)."""
+        """Release process-backend resources (worker pool + exported image)."""
         with self._backend_lock:
             backend, self._shard_backend = self._shard_backend, None
         if backend is not None:

@@ -19,8 +19,8 @@ of the operator pipeline over every morsel on a pluggable backend
 (``serial``, ``thread``, or ``process``), and returns per-morsel
 outputs, finish values, and per-operator timings.  The ``process``
 entry is a *shard* backend: queries compile to portable bound plans
-that worker processes rebuild per shard over a shared-memory column
-arena (:mod:`repro.engine.sharding`).
+that worker processes rebuild per shard over an exported database
+image (:mod:`repro.engine.sharding`).
 """
 
 from __future__ import annotations
@@ -766,8 +766,8 @@ class ThreadBackend(ExecutionBackend):
 class ProcessBackend(ExecutionBackend):
     """Shard marker: plans are rebuilt per shard in worker processes.
 
-    The actual machinery — portable bound plans, the shared-memory column
-    arena, and the spawn worker pool — lives in
+    The actual machinery — portable bound plans, the exported database
+    image, and the spawn worker pool — lives in
     :mod:`repro.engine.sharding`; this entry only claims the name so every
     layer above can select it uniformly.
     """

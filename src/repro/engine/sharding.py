@@ -11,10 +11,12 @@ that shape inside one interpreter; this module realizes it across
   vectors, probe predicates, group axes), aggregation metadata, and the
   MVCC snapshot version.  Workers rebuild a fresh operator pipeline from
   it per shard — no closures, no live database references.
-* **Zero-copy data** — the parent exports the database's column buffers
-  once into a shared-memory :class:`~repro.core.arena.ColumnArena`;
-  each worker attaches read-only NumPy views, so shard scans read the
-  same physical arrays as the parent.
+* **Zero-copy data** — the parent exports the database once as a
+  database image in an anonymous memory file
+  (:class:`~repro.core.arena.ColumnArena`), written and never mapped
+  by the parent; each worker, and the parent's own shard 0, maps it
+  read-only and attaches NumPy views, so every shard reads the same
+  physical pages.
 
 :class:`ProcessShardBackend` owns the arena plus a persistent spawn pool
 and maps :class:`ShardTask`\\ s over it while the coordinator runs shard 0
@@ -729,7 +731,7 @@ class BoundQuery:
         """Build (or revalidate) the zone maps this plan prunes with.
 
         Called by the parent before a process-backend arena export so
-        the summaries ride in the shared segment."""
+        the summaries ride in the exported image."""
         if self.prune_enabled:
             self._block_states(db)
 
@@ -1201,7 +1203,7 @@ def _seed_zone_maps(attached: AttachedDatabase) -> AttachedDatabase:
 
 
 def _worker_attach(manifest) -> None:
-    """Pool initializer: attach the shared arena once per worker."""
+    """Pool initializer: attach the exported image once per worker."""
     global _ATTACHED
     _ATTACHED = _seed_zone_maps(attach_database(manifest))
 
@@ -1235,7 +1237,7 @@ def _worker_run(task: ShardTask) -> Union[ShardOutcome, PlanMiss]:
 
 def database_stamp(db: Database) -> Tuple[tuple, ...]:
     """A cheap point-in-time identity of a database's *content*: the
-    per-table mutation counters.  A shared-memory arena exported at stamp
+    per-table mutation counters.  An arena exported at stamp
     S serves exactly the data visible at S; any later insert/delete/
     update/consolidate changes the stamp and marks the arena stale."""
     return tuple(sorted(
@@ -1243,14 +1245,14 @@ def database_stamp(db: Database) -> Tuple[tuple, ...]:
 
 
 class ProcessShardBackend:
-    """A database exported to shared memory plus a persistent worker pool.
+    """A database exported as an image plus a persistent worker pool.
 
     Created lazily by an engine on its first process-backed query and
     held for the engine's lifetime, so the arena export and interpreter
     spawns amortize across queries.  The export is a *point-in-time
     copy*: :meth:`is_stale` compares the database's mutation stamp so
     callers re-export after writes instead of serving stale shards.
-    ``close()`` terminates the pool and unlinks the segment; engines
+    ``close()`` terminates the pool and closes the image; engines
     expose it as their own ``close()``.  Use :func:`acquire_shard_backend`
     / :func:`release_shard_backend` to share one backend (one arena, one
     pool) across all engines over the same database.
@@ -1287,20 +1289,17 @@ class ProcessShardBackend:
         self._memo_lock = threading.Lock()
         self._traffic: Dict[str, int] = dict.fromkeys(
             ("tasks", "task_bytes", "plan_ships", "plan_misses"), 0)
-        # zone maps built so far ride in the segment: workers attach the
+        # zone maps built so far ride in the image: workers attach the
         # parent's summaries zero-copy instead of re-scanning columns
         # (summaries built after the export are rebuilt worker-side)
         self.arena = ColumnArena.export(
             db, zone_entries=fresh_zone_entries(db, query_cache_for(db)))
-        # the coordinator's side of the arena: views over the export's
-        # own mapping (no new resident pages), plan copies by plan_seq,
-        # and a count of its shard runs reading them, which close()
-        # waits out before unmapping the segment
+        # the coordinator's side: an attachment exactly like a worker's,
+        # so shard 0 faults in only the pages it reads, and plan copies
+        # by plan_seq
         self._attached: Optional[AttachedDatabase] = _seed_zone_maps(
-            self.arena.attach())
+            attach_database(self.arena.manifest))
         self._plans: "OrderedDict[int, object]" = OrderedDict()
-        self._leading = 0
-        self._idle = threading.Condition(self._memo_lock)
         # a futures executor rather than multiprocessing.Pool: when a
         # worker dies mid-task (OOM kill, SIGKILL, segfault) Pool.map
         # waits forever for a result that will never come, while the
@@ -1385,25 +1384,18 @@ class ProcessShardBackend:
         """Run shard 0 in the calling thread, over the coordinator's
         attachment and its own copy of plan *seq*.
 
-        The run counts as leading until it returns, so close() cannot
-        unmap the views under it.  The outcome crosses the same pickle
-        boundary as a worker's reply: projection chunks and gathered
-        values may be views of the arena, and the caller merges them
-        after this backend may already be closed."""
+        The attachment's views hold its mapping, so a close() during the
+        run cannot unmap pages under it.  The outcome crosses the same
+        pickle boundary as a worker's reply, so no projection chunk or
+        gathered value the caller merges is a read-only image view."""
         with self._memo_lock:
             if self._pool is None:
                 raise ExecutionError("process shard backend is closed")
             plan = _lru_plan(self._plans, seq, plan_bytes)
             db = self._attached.db
-            self._leading += 1
-        try:
-            return pickle.loads(pickle.dumps(
-                plan.run_shard(db, 0, nshards, use_array),
-                protocol=pickle.HIGHEST_PROTOCOL))
-        finally:
-            with self._memo_lock:
-                self._leading -= 1
-                self._idle.notify_all()
+        return pickle.loads(pickle.dumps(
+            plan.run_shard(db, 0, nshards, use_array),
+            protocol=pickle.HIGHEST_PROTOCOL))
 
     def _submit(self, pool: ProcessPoolExecutor, tasks: List[ShardTask],
                 misses: int = 0) -> list:
@@ -1437,11 +1429,11 @@ class ProcessShardBackend:
                 _SHARED_BACKENDS.pop(key, None)
 
     def close(self) -> None:
-        """Terminate the workers and release the shared segment.
+        """Terminate the workers and close the image.
 
         Pool workers are terminated, not drained: close() must not wait
-        on stuck shards.  A shard the coordinator is running is waited
-        out, because its views die with the segment mapping."""
+        on stuck shards.  A shard the coordinator is running keeps
+        reading: its views hold their mapping until it returns."""
         with self._memo_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -1453,11 +1445,9 @@ class ProcessShardBackend:
                     proc.terminate()
             pool.shutdown(wait=True)
         with self._memo_lock:
-            while self._leading:
-                self._idle.wait()
             self._plans.clear()
-            # the attached database (and the zone maps seeded into its
-            # query cache) are views of the mapping about to go
+            # drop the attachment (and the zone maps seeded into its
+            # query cache): its mapping goes with its last view
             self._attached = None
         self.arena.close()
 
@@ -1485,7 +1475,6 @@ GUARDED_BY = {
     "ProcessShardBackend.refs": "_REGISTRY_LOCK",
     "ProcessShardBackend._traffic": "self._memo_lock",
     "ProcessShardBackend._plans": "self._memo_lock",
-    "ProcessShardBackend._leading": "self._memo_lock",
     "ProcessShardBackend._pool": "self._memo_lock",
     "ProcessShardBackend._attached": "self._memo_lock",
 }

@@ -1,14 +1,13 @@
-"""Database persistence: the database image.
+"""Database persistence: the database image in a file.
 
-An image is the arena layout of :mod:`repro.core.arena` on disk: an
-8-byte magic, the length of a JSON header (never pickle: a file is
-outside input), the header — version, tables with column layouts,
-dictionaries and string heaps as value lists, references, clustering,
-buffer map — then, from the next 64-byte boundary, every fixed-width
-buffer raw at its arena offset.  Loading maps the file copy-on-write
+The image format is :mod:`repro.core.arena`'s, written by its one
+:func:`~repro.core.arena.write_image` (the process backend's exports are
+the same bytes in an anonymous memory file).  The header is JSON, never
+pickle: a file is outside input.  Loading maps the file copy-on-write
 and rebuilds the tables as views of it (AIR columns too, no
 ``airify()``): O(columns), no row read, and writes to the loaded
-database land in private memory, never in the file.
+database land in private memory, never in the file.  Zone-map records
+in an exported image's header are not read back.
 """
 
 from __future__ import annotations
@@ -17,19 +16,16 @@ import json
 import math
 import mmap
 import os
-import struct
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from ..core import Database
-from ..core.arena import ArenaManifest, BufferSpec, layout_database, rebuild_database
+from ..core.arena import (IMAGE_MAGIC, IMAGE_PREAMBLE, IMAGE_VERSION,
+                          ArenaManifest, BufferSpec, image_base,
+                          rebuild_database, write_image)
 from ..errors import SchemaError, StorageError
-
-FORMAT_VERSION = 2
-_MAGIC = b"ASTOREDB"
-_PREAMBLE = struct.Struct("<8sQ")  # magic, header length in bytes
 
 
 def save_database(db: Database, path: Union[str, Path]) -> None:
@@ -42,23 +38,10 @@ def save_database(db: Database, path: Union[str, Path]) -> None:
     database still mapped from the old file keeps reading it.
     """
     path = Path(path)
-    manifest, plan, size = layout_database(db)
-    header = json.dumps({
-        "version": FORMAT_VERSION, "name": manifest.db_name,
-        "tables": manifest.tables, "references": manifest.references,
-        "clustering": manifest.clustering, "buffers": {
-            key: [spec.offset, spec.shape, spec.dtype]
-            for key, spec in manifest.buffers.items()},
-    }).encode("utf-8")
-    base = -(-(_PREAMBLE.size + len(header)) // 64) * 64
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_PREAMBLE.pack(_MAGIC, len(header)) + header)
-            for key, array in plan:
-                fh.seek(base + manifest.buffers[key].offset)
-                fh.write(np.ascontiguousarray(array).data)
-            fh.truncate(base + size)
+            write_image(fh, db)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -74,21 +57,21 @@ def load_database(path: Union[str, Path]) -> Database:
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        magic, header_len = _PREAMBLE.unpack(
-            fh.read(_PREAMBLE.size).ljust(_PREAMBLE.size, b"\0"))
-        if magic != _MAGIC:
+        magic, header_len = IMAGE_PREAMBLE.unpack(
+            fh.read(IMAGE_PREAMBLE.size).ljust(IMAGE_PREAMBLE.size, b"\0"))
+        if magic != IMAGE_MAGIC:
             raise StorageError(f"{path} is not a database image; regenerate "
                                "it with 'astore generate'")
-        base = -(-(_PREAMBLE.size + header_len) // 64) * 64
+        base = image_base(header_len)
         if base > size:
             raise StorageError(f"{path}: truncated database image")
         try:
             header = json.loads(fh.read(header_len))
-            if header["version"] != FORMAT_VERSION:
+            if header["version"] != IMAGE_VERSION:
                 raise StorageError(f"{path}: unsupported image version "
                                    f"{header['version']!r}")
             manifest = ArenaManifest(
-                segment="", db_name=header["name"], tables=header["tables"],
+                db_name=header["name"], tables=header["tables"],
                 references=[tuple(ref) for ref in header["references"]],
                 clustering={name: tuple(spec) for name, spec
                             in header["clustering"].items()})

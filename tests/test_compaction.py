@@ -26,6 +26,7 @@ Pins this PR's contracts:
 
 import asyncio
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,24 @@ class TestCompaction:
         summary = db.compact("lineorder")
         assert summary["dropped"] > 0 and not summary["clustered"]
         assert table.num_rows == table.num_live
+
+    def test_dimension_compaction_remaps_in_one_buffer(self):
+        # the incoming AIR column is remapped into one fact-sized buffer
+        # (plus bool masks) that the new column adopts: the parent
+        # gathered, masked and copied it through three (2.26x here)
+        db = generate_ssb(sf=0.3, seed=47)
+        sql = SSB_QUERIES["Q1.1"]
+        before = AStoreEngine(db).query(sql).rows()
+        column = db.table("lineorder")["lo_orderdate"].values().nbytes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            db.compact("date")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.3 * column, (peak - start) / column
+        assert AStoreEngine(db).query(sql).rows() == before
 
     def test_rebuild_zone_maps_counts_summaries(self):
         db = generate_ssb(sf=0.002, seed=46)

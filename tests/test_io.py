@@ -12,9 +12,11 @@ from repro import AStoreEngine
 from repro.cli import main
 from repro.core import (AIRColumn, ColumnArena, Database, DictColumn,
                         StringColumn, Table, attach_database)
+from repro.core.arena import IMAGE_PREAMBLE as _PREAMBLE
+from repro.core.statistics import fresh_zone_entries
+from repro.engine.cache import query_cache_for
 from repro.errors import StorageError
 from repro.io import dump_csv, load_csv, load_database, save_database
-from repro.io.persist import _PREAMBLE
 
 from .conftest import build_tiny_star
 
@@ -32,10 +34,17 @@ def _arena_sink(db, tmp_path):
         yield attached.db
 
 
+@contextmanager
+def _export_load_sink(db, tmp_path):
+    with ColumnArena.export(db) as arena:
+        yield load_database(arena.manifest.path)
+
+
 def roundtrips(db, tmp_path):
-    """*db* back from both sinks of the one arena layout: a saved and
-    loaded image, and a shared-memory export attached again."""
-    for sink in (_file_sink, _arena_sink):
+    """*db* back from every sink of the one image format: a saved and
+    loaded image, a process-shard export attached again, and the same
+    export read back by ``load_database``."""
+    for sink in (_file_sink, _arena_sink, _export_load_sink):
         with sink(db, tmp_path) as loaded:
             yield sink.__name__, loaded
 
@@ -47,8 +56,8 @@ def _mapping_of(array):
 
 
 class TestPersistRoundtrip:
-    """Every case runs over both sinks, so the file image and the shared
-    arena can never drift apart."""
+    """Every case runs over every sink, so the file image and the
+    exported one can never drift apart."""
 
     def test_roundtrip_preserves_rows(self, tmp_path):
         db = build_tiny_star()
@@ -125,6 +134,33 @@ class TestPersistRoundtrip:
             assert loaded.table("nothing").num_rows == 0
             assert AStoreEngine(loaded).query(
                 "SELECT count(*) AS n FROM lineorder").scalar() == 0
+
+    def test_exported_image_loads_equal_to_its_source(self, tmp_path):
+        db = build_tiny_star(mvcc=True)
+        db.table("lineorder").delete([0, 3], version=7)
+        engine = AStoreEngine(db)
+        sql = ("SELECT d_year, count(*) AS n FROM lineorder, date "
+               "WHERE lo_orderdate = d_datekey AND d_year = 1993 "
+               "GROUP BY d_year")
+        engine.query(sql)  # builds the zone maps the export carries
+        zones = fresh_zone_entries(db, query_cache_for(db))
+        assert zones
+        with ColumnArena.export(db, zones) as arena:
+            loaded = load_database(arena.manifest.path)
+        assert list(loaded.tables) == list(db.tables)
+        for name, table in db.tables.items():
+            back = loaded.table(name)
+            assert back.num_rows == table.num_rows
+            assert back._free_slots == table._free_slots
+            for snapshot in (None, 5, 9):
+                assert np.array_equal(back.live_mask(snapshot=snapshot),
+                                      table.live_mask(snapshot=snapshot))
+            for col in table.column_names:
+                assert type(back[col]) is type(table[col])
+                assert np.array_equal(back[col].values(),
+                                      table[col].values()), (name, col)
+        assert AStoreEngine(loaded).query(sql).rows() == \
+            engine.query(sql).rows()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "t.npz"

@@ -1,4 +1,4 @@
-"""Portable bound plans, shared-memory arenas, and the process backend.
+"""Portable bound plans, exported database images, and the process backend.
 
 Pins the PR's three contracts:
 
@@ -8,13 +8,16 @@ Pins the PR's three contracts:
   rows on the ``serial``, ``thread``, and ``process`` backends (A-Store
   and baselines alike);
 * **arena hygiene** — attached databases are zero-copy and read-only,
-  and no shared-memory segment survives engine close;
+  an export faults in no image page, and no image survives engine
+  close, a killed worker, or an exporter that exits without closing;
 * **pool death** — a SIGKILLed pool worker surfaces as a typed
   :class:`~repro.errors.ShardExecutionError`, the engine degrades that
   query to serial shards (``shard_fallbacks``), and the next query gets
   a fresh pool.
 """
 
+import contextlib
+import gc
 import multiprocessing
 import os
 import pickle
@@ -52,12 +55,43 @@ from .conftest import build_tiny_star
 BACKEND_NAMES = ("serial", "thread", "process")
 
 
-def shm_segments():
-    """Names of live POSIX shared-memory segments (Linux)."""
+def dev_shm_names():
+    """Entries in ``/dev/shm`` named like a shared-memory segment or an
+    image file (``psm_*``, ``astore-*``); the arena creates neither."""
     try:
-        return [n for n in os.listdir("/dev/shm") if n.startswith("psm_")]
+        return {n for n in os.listdir("/dev/shm")
+                if n.startswith(("psm_", "astore-"))}
     except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
+        return set()
+
+
+def open_images():
+    """The exported images (by inode) this process still holds: through
+    an arena's descriptor or an attachment's mapping, which keeps a
+    descriptor of its own.  Collects garbage first, so a dropped
+    attachment is gone."""
+    gc.collect()
+    found = set()
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):
+            if os.readlink(f"/proc/self/fd/{fd}").startswith(
+                    "/memfd:astore-image"):
+                found.add(os.stat(f"/proc/self/fd/{fd}").st_ino)
+    return found
+
+
+def image_of(arena):
+    """The inode of an open arena's image."""
+    return os.stat(arena.manifest.path).st_ino
+
+
+def rss_shmem_bytes():
+    """This process's resident shared-memory pages (Linux)."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("RssShmem:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no RssShmem in /proc/self/status")
 
 
 class TestColumnArena:
@@ -83,23 +117,46 @@ class TestColumnArena:
                 assert not values.flags.owndata
                 assert not values.flags.writeable
 
-    def test_close_unlinks_segment(self, tiny_star):
+    def test_close_releases_the_image(self, tiny_star):
+        names = dev_shm_names()
         arena = ColumnArena.export(tiny_star)
-        segment = arena.manifest.segment
-        assert segment in ColumnArena.live_segments()
+        path, image = arena.manifest.path, image_of(arena)
+        assert path in ColumnArena.live_segments()
+        assert image in open_images()
         arena.close()
         arena.close()  # idempotent
-        assert segment not in ColumnArena.live_segments()
-        assert segment not in shm_segments()
+        assert path not in ColumnArena.live_segments()
+        assert image not in open_images()
+        assert dev_shm_names() == names
 
-    def test_exporter_attach_reuses_the_export_mapping(self, tiny_star):
-        with ColumnArena.export(tiny_star) as arena:
-            attached = arena.attach()
-            values = attached.db.table("lineorder")["lo_revenue"].values()
-            assert not values.flags.writeable
-            attached.close()  # the mapping is the arena's: still readable
-            assert np.array_equal(
-                values, tiny_star.table("lineorder")["lo_revenue"].values())
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads RssShmem from /proc")
+    def test_export_faults_in_no_image_page(self, ssb_air):
+        gc.collect()  # no unmapping of earlier attachments mid-measure
+        before = rss_shmem_bytes()
+        with ColumnArena.export(ssb_air) as arena:
+            grown = rss_shmem_bytes() - before
+            assert grown <= 0.1 * arena.nbytes, (grown, arena.nbytes)
+            # attaching maps the image; reading one column faults in
+            # that column's pages, not the image's
+            with attach_database(arena.manifest) as attached:
+                revenue = attached.db.table("lineorder")["lo_revenue"]
+                assert rss_shmem_bytes() - before <= 0.1 * arena.nbytes
+                int(revenue.values().sum())
+                grown = rss_shmem_bytes() - before
+                assert revenue.values().nbytes <= grown
+                assert grown <= (revenue.values().nbytes
+                                 + 0.1 * arena.nbytes)
+
+    def test_attached_views_outlive_close(self, tiny_star):
+        arena = ColumnArena.export(tiny_star)
+        attached = attach_database(arena.manifest)
+        values = attached.db.table("lineorder")["lo_revenue"].values()
+        attached.close()
+        arena.close()
+        # the views hold their mapping: still readable, still equal
+        assert np.array_equal(
+            values, tiny_star.table("lineorder")["lo_revenue"].values())
 
     def test_deletes_and_mvcc_vectors_travel(self, tiny_star_mvcc):
         tiny_star_mvcc.table("lineorder").delete([1, 5], version=3)
@@ -198,10 +255,10 @@ class TestCrossBackendDifferential:
     def test_zz_no_leaked_segments_after_suite(self):
         # runs last in this class (alphabetical within-class ordering is
         # not guaranteed, but the module-scoped engine outlives it — so
-        # only *its* segment may be live, and nothing else)
+        # only *its* image may be live, and nothing else)
         live = ColumnArena.live_segments()
         assert len(live) <= 2  # process_engine + at most one baseline arena
-        assert set(shm_segments()) <= set(live)
+        assert open_images() <= {os.stat(path).st_ino for path in live}
 
 
 class TestProcessBackendSemantics:
@@ -236,13 +293,14 @@ class TestProcessBackendSemantics:
                 # the second engine reuses the first engine's arena/pool
                 assert set(ColumnArena.live_segments()) == segments_after_first
                 assert first._shard_backend is second._shard_backend
-                segment = first._shard_backend.arena.manifest.segment
+                path = first._shard_backend.arena.manifest.path
+                image = image_of(first._shard_backend.arena)
             # one holder closed: the shared backend stays alive
-            assert segment in ColumnArena.live_segments()
+            assert path in ColumnArena.live_segments()
             assert first.query(sql).rows()
-        # last holder closed: segment released
-        assert segment not in ColumnArena.live_segments()
-        assert segment not in shm_segments()
+        # last holder closed: image released
+        assert path not in ColumnArena.live_segments()
+        assert image not in open_images()
 
     def test_snapshot_reads_through_process_backend(self):
         db = build_tiny_star(mvcc=True)
@@ -258,15 +316,53 @@ class TestProcessBackendSemantics:
                     == ref.query(sql, snapshot=5).rows())
 
     def test_engine_close_releases_segment(self, tiny_star):
+        names = dev_shm_names()
         engine = AStoreEngine(tiny_star, EngineOptions(
             parallel_backend="process", workers=2))
         sql = "SELECT d_year, count(*) AS n FROM lineorder, date GROUP BY d_year"
         rows = engine.query(sql).rows()
         assert rows
-        segment = engine._shard_backend.arena.manifest.segment
+        path = engine._shard_backend.arena.manifest.path
+        image = image_of(engine._shard_backend.arena)
         engine.close()
-        assert segment not in shm_segments()
-        assert segment not in ColumnArena.live_segments()
+        assert image not in open_images()
+        assert path not in ColumnArena.live_segments()
+        assert dev_shm_names() == names
+
+    def test_exit_without_close_leaves_nothing(self, tmp_path):
+        # an exporter that reaps its workers and exits without closing:
+        # the image had no name, so nothing survives it
+        script = tmp_path / "exit_unclosed.py"
+        script.write_text(
+            "import os\n"
+            "from repro.engine import AStoreEngine, EngineOptions\n"
+            "from tests.conftest import build_tiny_star\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            "    engine = AStoreEngine(build_tiny_star(), EngineOptions(\n"
+            "        parallel_backend='process', workers=2))\n"
+            "    engine.query('SELECT count(*) AS n FROM lineorder')\n"
+            "    backend = engine._shard_backend\n"
+            "    for proc in list(backend._pool._processes.values()):\n"
+            "        proc.kill()\n"
+            "        proc.join()\n"
+            "    print(backend.arena.manifest.path, flush=True)\n"
+            "    os._exit(0)\n")
+        import repro
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        names = dev_shm_names()
+        out = subprocess.run([sys.executable, str(script)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        path = out.stdout.strip()
+        assert path.startswith("/proc/") and not os.path.exists(path)
+        assert dev_shm_names() == names
 
     def test_backend_registry_kinds(self):
         assert BACKENDS["serial"].inline
@@ -297,7 +393,7 @@ def strict_take(monkeypatch, db):
     before gathering.  The method is caught on every column array of
     *db* and every view sliced from one.  (Recorded, not raised: a
     traceback through arena views must not be rendered after the
-    segment is unmapped.)"""
+    test has let the image go.)"""
     take, copied = np.take, []
 
     def record(indices):
@@ -389,8 +485,9 @@ class TestReadOnlyProbes:
 
         with ColumnArena.export(ssb_air) as arena, \
                 attach_database(arena.manifest) as attached:
+            db = attached.db
             ran = spy_run_shard(monkeypatch)
-            copied = strict_take(monkeypatch, attached.db)
+            copied = strict_take(monkeypatch, db)
             gathered = spy_column_gathers(monkeypatch)
             monkeypatch.setattr(PredicateFilter, "probe", spy_probe)
             # one process shard runs in the calling thread over the
@@ -398,13 +495,12 @@ class TestReadOnlyProbes:
             # takes the FK column band itself as positions, which
             # np.take would copy
             with AStoreEngine.variant(
-                    attached.db, variant, parallel_backend="process",
+                    db, variant, parallel_backend="process",
                     workers=1, use_pruning=False,
                     use_cache=False) as engine:
                 rows = engine.query(sql).rows()
             monkeypatch.undo()
-        assert [(db, shard) for _, db, shard, _ in ran] == [
-            (attached.db, 0)]
+        assert [(ran_db, shard) for _, ran_db, shard, _ in ran] == [(db, 0)]
         if reader == "probe":
             assert probed[0] is False
         elif reader == "column":
@@ -462,19 +558,22 @@ class TestLeaderParticipation:
             sharding.ProcessShardBackend(tiny_star, 1)
         assert ColumnArena.live_segments() == segments
 
-    def test_close_waits_out_a_running_coordinator_shard(
+    def test_close_during_a_running_coordinator_shard_is_safe(
             self, tiny_star, monkeypatch):
         sql = "SELECT d_year, count(*) AS n FROM lineorder, date GROUP BY d_year"
         plan = AStoreEngine(tiny_star).compile(sql)
+        truth = plan.run_shard(tiny_star, 0, 2, None)
         backend = sharding.ProcessShardBackend(tiny_star, 2)
-        started, events = threading.Event(), []
+        started, closed, events = threading.Event(), threading.Event(), []
         run_shard = sharding.BoundQuery.run_shard
 
         def slow(self, db, shard, nshards, use_array):
             started.set()
-            time.sleep(0.3)
-            events.append("shard 0 done")
-            return run_shard(self, db, shard, nshards, use_array)
+            assert closed.wait(30)
+            # the backend is closed: shard 0 still reads its views
+            outcome = run_shard(self, db, shard, nshards, use_array)
+            events.append(outcome)
+            return outcome
 
         monkeypatch.setattr(sharding.BoundQuery, "run_shard", slow)
         errors = []
@@ -488,12 +587,16 @@ class TestLeaderParticipation:
         runner = threading.Thread(target=query)
         runner.start()
         assert started.wait(30)
-        backend.close()
-        events.append("closed")
-        runner.join(30)
-        assert events == ["shard 0 done", "closed"]
+        backend.close()  # does not wait for shard 0
         assert backend.arena.closed
-        assert backend._attached is None  # nothing reaches dead views
+        assert backend._attached is None  # nothing new reaches the views
+        closed.set()
+        runner.join(30)
+        assert not runner.is_alive()
+        [outcome] = events
+        assert outcome.selected == truth.selected
+        assert (pickle.dumps(outcome.finishes)
+                == pickle.dumps(truth.finishes))
         with pytest.raises(ExecutionError, match="closed"):
             backend.run(plan)
 
@@ -678,6 +781,7 @@ class TestProcessPoolDeath:
            "FROM lineorder, date GROUP BY d_year")
 
     def test_worker_sigkill_degrades_to_serial(self, ssb_air):
+        names = dev_shm_names()
         with AStoreEngine(ssb_air, EngineOptions(
                 parallel_backend="process", workers=2,
                 use_cache=False)) as engine:
@@ -708,3 +812,8 @@ class TestProcessPoolDeath:
             recovered = engine.query(self.SQL)
             assert recovered.rows() == truth
             assert recovered.stats.shard_fallbacks == 0
+        # the broken backend's image went with its eviction, the fresh
+        # one with the engine
+        assert open_images() <= {os.stat(path).st_ino
+                                 for path in ColumnArena.live_segments()}
+        assert dev_shm_names() == names
