@@ -54,12 +54,10 @@ from ..engine.operators import (
 from ..engine.result import ExecutionStats, QueryResult
 from ..engine.sharding import (
     BaselineBoundQuery,
-    acquire_shard_backend,
+    ShardBackendSlot,
     baseline_filter_steps,
     fold_outcomes,
     merge_outcome_states,
-    release_shard_backend,
-    run_process_shards,
 )
 from ..errors import PlanError
 from ..plan.binder import LogicalPlan
@@ -91,13 +89,11 @@ class BaselineEngine:
         self.db = db
         self.backend = backend
         self.workers = workers
-        self._shard_backend = None
+        self._slot = ShardBackendSlot(db, workers)
 
     def close(self) -> None:
         """Release process-backend resources (worker pool + exported image)."""
-        backend, self._shard_backend = self._shard_backend, None
-        if backend is not None:
-            release_shard_backend(backend)
+        self._slot.close()
 
     def __enter__(self) -> "BaselineEngine":
         return self
@@ -182,19 +178,7 @@ class BaselineEngine:
         plan = BaselineBoundQuery(
             shape=self.name, logical=logical, dim_filters=dim_filters,
             hash_tables=hash_tables, block_rows=self._block_rows())
-
-        def pooled():
-            backend = self._shard_backend
-            if backend is not None and backend.is_stale(self.db):
-                release_shard_backend(backend)
-                backend = self._shard_backend = None
-            if backend is None:
-                self._shard_backend = acquire_shard_backend(self.db,
-                                                            self.workers)
-            return self._shard_backend.run(plan, nshards=self.workers)
-
-        outcomes = run_process_shards(plan, self.db, self.workers, None,
-                                      pooled)
+        outcomes = self._slot.run(plan, None, stats)
         fold_outcomes(outcomes, stats, agg_labels=("gather",))
         return merge_outcome_states(outcomes)
 

@@ -259,7 +259,7 @@ def _dispatch(args) -> int:
                 return 0
             for _ in range(max(1, args.repeat)):
                 result = engine.query(args.sql)
-            backend = engine._shard_backend
+            backend = engine._slot.backend
             traffic = (backend.traffic()
                        if isinstance(backend, ProcessShardBackend) else None)
         shown = result.rows()[: args.limit]

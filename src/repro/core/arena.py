@@ -16,18 +16,23 @@ Two sinks share them.  :func:`repro.io.persist.save_database` writes an
 image to a file, which ``load_database`` maps copy-on-write.  The process
 shard backend (Section 5 at real cores) exports with
 :meth:`ColumnArena.export`: the image goes through ``write()`` into an
-anonymous memory file (``os.memfd_create``, Linux) that the exporter
-never maps, so the export adds no page to its resident set.  Workers,
-and the exporter's own shard 0, reopen it as ``/proc/<pid>/fd/<n>``, map
-it read-only and rebuild from the pickled :class:`ArenaManifest`
-(:func:`attach_database`): no JSON parse, O(columns), independent of row
-count, and only the pages a shard reads become resident.
+anonymous memory file (``os.memfd_create``, Linux) that the export does
+not map, so writing it adds no page to the exporter's resident set.
+Workers, and the exporter's own shard 0, reopen it as
+``/proc/<pid>/fd/<n>``, map it read-only and rebuild from the pickled
+:class:`ArenaManifest` (:func:`attach_database`): no JSON parse,
+O(columns), independent of row count, and only the pages a shard reads
+become resident.  The exporter's live database then adopts shard 0's
+views as its storage (:meth:`repro.core.table.Table.adopt`) and frees
+its private arrays, so the host holds the data once.
 
 Lifecycle: the exporter holds the file's one descriptor until
 :meth:`ColumnArena.close`; each attachment's views hold its mapping until
-the last of them dies.  The file has no name anywhere, so the kernel
-frees it once the descriptor and every mapping are gone, even when the
-exporter is killed.
+the last of them dies, and a database that adopted the image holds it
+as long as any of its buffers is still a view (a write copies the buffer
+it touches; a later export's adoption swaps them all).  The file has no
+name anywhere, so the kernel frees it once the descriptor and every
+mapping are gone, even when the exporter is killed.
 """
 
 from __future__ import annotations
@@ -191,7 +196,9 @@ class ColumnArena:
 
     Use :meth:`export` to create, :attr:`manifest` to hand to workers
     (:func:`attach_database`), and :meth:`close` (or a ``with`` block)
-    to drop the exporter's descriptor.
+    to drop the exporter's descriptor.  :meth:`live_segments` lists the
+    arenas not yet closed; an image a database adopted as its storage
+    outlives its arena's close and is not listed.
     """
 
     _live: Dict[str, "ColumnArena"] = {}

@@ -11,6 +11,12 @@ rarely reallocates).  Four physical layouts are provided:
   addresses kept in the array (the paper's varchar layout);
 * :class:`AIRColumn` — a foreign key stored as array indexes of the
   referenced table (the Array Index Reference itself).
+
+A backing array may be a read-only view of a database image: a column
+rebuilt over a mapped image, or one whose table adopted an exported
+image as its storage (:meth:`repro.core.table.Table.adopt`).  Writes
+copy such a buffer into private memory first, so they never reach the
+image that other readers share (copy on first write).
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ class Column:
 
     def put(self, positions: np.ndarray, values: Sequence) -> None:
         """In-place update of existing slots."""
+        raise NotImplementedError
+
+    def share(self, image: "Column") -> None:
+        """Back this column's fixed-width buffer with *image*'s, a column
+        of the same layout and values (see
+        :meth:`repro.core.table.Table.adopt`)."""
         raise NotImplementedError
 
     def reorder(self, mapping: np.ndarray) -> None:
@@ -100,7 +112,7 @@ class FixedColumn(Column):
         array they no longer use (the SSB generator, ``Database.airify``):
         *data* becomes the backing array as-is, with no reserved tail
         capacity.  Appending to a wrapped column reallocates into private
-        memory.
+        memory, and the first write to a read-only *data* copies it.
         """
         column = cls.__new__(cls)
         column.name = name
@@ -138,7 +150,14 @@ class FixedColumn(Column):
         positions = np.asarray(positions, dtype=np.int64)
         if len(positions) and (positions.min() < 0 or positions.max() >= self._n):
             raise StorageError("update position out of range")
+        self._ensure(self._n)
         self._data[positions] = np.asarray(values, dtype=self.dtype.numpy_dtype)
+
+    def share(self, image: "FixedColumn") -> None:
+        """Back this column with *image*'s buffer, which holds the same
+        values (a read-only view of an exported image); the private
+        array goes.  The next write copies it into private memory."""
+        self._data = image.values()
 
     def reorder(self, mapping: np.ndarray) -> None:
         # one gather straight into the new buffer: consolidation has
@@ -155,7 +174,12 @@ class FixedColumn(Column):
         return int(self._data.nbytes)
 
     def _ensure(self, needed: int) -> None:
+        """Make the backing array private, writeable and at least
+        *needed* slots long: a read-only (image) buffer is copied on
+        this first write, a full one grows."""
         if needed <= len(self._data):
+            if not self._data.flags.writeable:
+                self._data = self._data.copy()
             return
         cap = max(int(needed * _GROWTH_FACTOR), _MIN_CAPACITY)
         grown = np.empty(cap, dtype=self._data.dtype)
@@ -251,6 +275,10 @@ class DictColumn(Column):
     def put(self, positions: np.ndarray, values: Sequence) -> None:
         self._codes.put(positions, self.dictionary.encode(values))
 
+    def share(self, image: "DictColumn") -> None:
+        """Back the codes with *image*'s (see :meth:`FixedColumn.share`)."""
+        self._codes.share(image._codes)
+
     def reorder(self, mapping: np.ndarray) -> None:
         self._codes.reorder(mapping)
 
@@ -330,6 +358,11 @@ class StringColumn(Column):
         base = len(self._heap)
         self._heap.extend(str(v) for v in values)
         self._addr.put(positions, np.arange(base, base + len(values), dtype=np.int64))
+
+    def share(self, image: "StringColumn") -> None:
+        """Back the heap addresses with *image*'s (see
+        :meth:`FixedColumn.share`); the heap stays private."""
+        self._addr.share(image._addr)
 
     def reorder(self, mapping: np.ndarray) -> None:
         self._addr.reorder(mapping)

@@ -23,10 +23,22 @@ encode (the query cache's plan-tier bridge).
 
 Optionally the table tracks per-slot insert/delete versions for MVCC
 snapshot reads (Section 4.4's real-time analytics scenario).
+
+Every fixed-width buffer — column data, AIR positions, dictionary codes,
+string addresses, deletion bits and version vectors — may be a read-only
+view of an exported database image: a process-sharded coordinator
+*adopts* the image it exported as its storage (:meth:`Table.adopt`), so
+the host holds the data once.  Writes copy such a buffer into private
+memory first (copy on first write), so they touch only the buffers they
+change and never the image that shard readers share.  A per-table write
+lock serialises every in-place mutator with the adoption's
+check-and-swap: a write racing an export either lands before the swap
+(and the stale table is not adopted) or after it (and copies first).
 """
 
 from __future__ import annotations
 
+import threading
 from typing import (Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -42,6 +54,13 @@ _NO_DELETE = np.iinfo(np.int64).max
 #: floor rises, so summaries built before it take a full rebuild.
 JOURNAL_MAX_ENTRIES = 64
 JOURNAL_MAX_POSITIONS = 1 << 20
+
+#: Lock contract, machine-checked by ``astore lint`` (lock-discipline):
+#: the stamp is read and bumped only under the table's write lock, which
+#: every in-place mutator and :meth:`Table.adopt` hold throughout, so a
+#: stamp read sees a whole write and the adoption's stamp check and
+#: buffer swap are one step.
+GUARDED_BY = {"Table._mutation_count": "self._write_lock"}
 
 
 class JournalEntry(NamedTuple):
@@ -69,6 +88,7 @@ class Table:
         self._insert_version = np.zeros(0, dtype=np.int64)
         self._delete_version = np.zeros(0, dtype=np.int64)
         self._mutation_count = 0
+        self._write_lock = threading.Lock()
         #: ``(floor, entries)``: every mutation after stamp ``floor`` is
         #: in ``entries``.  Swapped whole on write, never mutated in
         #: place, so readers need no lock.
@@ -128,39 +148,73 @@ class Table:
 
     def add_column(self, column: Column) -> None:
         """Attach a prebuilt column; its length must match the table."""
-        if self._nrows and len(column) != self._nrows:
-            raise SchemaError(
-                f"column {column.name!r} has {len(column)} rows, "
-                f"table {self.name!r} has {self._nrows}"
-            )
-        if not self.columns:
-            self._nrows = len(column)
-            self._deleted = np.zeros(self._nrows, dtype=bool)
-            if self._mvcc:
-                self._insert_version = np.zeros(self._nrows, dtype=np.int64)
-                self._delete_version = np.full(self._nrows, _NO_DELETE, np.int64)
-        self.columns[column.name] = column
-        # a schema change is a mutation: every cache tier keyed on this
-        # table must revalidate, same as replace_column
-        self._mutation_count += 1
-        self._journal_barrier()
+        with self._write_lock:
+            if self._nrows and len(column) != self._nrows:
+                raise SchemaError(
+                    f"column {column.name!r} has {len(column)} rows, "
+                    f"table {self.name!r} has {self._nrows}"
+                )
+            if not self.columns:
+                self._nrows = len(column)
+                self._deleted = np.zeros(self._nrows, dtype=bool)
+                if self._mvcc:
+                    self._insert_version = np.zeros(self._nrows, dtype=np.int64)
+                    self._delete_version = np.full(self._nrows, _NO_DELETE,
+                                                   np.int64)
+            self.columns[column.name] = column
+            # a schema change is a mutation: every cache tier keyed on
+            # this table must revalidate, same as replace_column
+            self._mutation_count += 1
+            self._journal_barrier()
 
     def replace_column(self, name: str, column: Column) -> None:
         """Swap a column implementation (used by the AIR loader)."""
-        if name not in self.columns:
-            raise SchemaError(f"no column {name!r} in table {self.name!r}")
-        if len(column) != self._nrows:
-            raise SchemaError("replacement column length mismatch")
-        self.columns[name] = column
-        self._mutation_count += 1
-        self._journal_barrier()
+        with self._write_lock:
+            if name not in self.columns:
+                raise SchemaError(f"no column {name!r} in table {self.name!r}")
+            if len(column) != self._nrows:
+                raise SchemaError("replacement column length mismatch")
+            self.columns[name] = column
+            self._mutation_count += 1
+            self._journal_barrier()
+
+    def adopt(self, image: "Table", expected_count: int) -> bool:
+        """Take *image*'s buffers as this table's storage, if the table
+        is still at stamp *expected_count*.
+
+        *image* is this table as exported at that stamp and rebuilt over
+        a read-only mapping of the image (``attach_database``).  Every
+        fixed-width buffer — column data, AIR positions, dictionary
+        codes, string addresses, deletion bits, MVCC versions — becomes
+        a view of the image and the private arrays go; the dictionaries,
+        string heaps and free-slot list stay private.  The content does
+        not change, so neither does the stamp, and every cache entry
+        stays fresh.  Under the write lock, a write either lands first
+        (the stamp moved: nothing is adopted, ``False``) or after the
+        swap, copying the buffers it writes."""
+        with self._write_lock:
+            if self._mutation_count != expected_count:
+                return False
+            for name, column in self.columns.items():
+                column.share(image.columns[name])
+            self._share_bookkeeping(image)
+            return True
+
+    def _share_bookkeeping(self, image: "Table") -> None:
+        """The bookkeeping half of :meth:`adopt` (a storage swap, not a
+        content mutation: the stamp stays)."""
+        self._deleted = image._deleted
+        if self._mvcc:
+            self._insert_version = image._insert_version
+            self._delete_version = image._delete_version
 
     @property
     def mutation_count(self) -> int:
         """Monotonic count of content mutations (inserts, deletes,
         updates, consolidations, column swaps) — lets point-in-time
         copies such as exported database images detect staleness."""
-        return self._mutation_count
+        with self._write_lock:
+            return self._mutation_count
 
     def journal_since(self, count: int,
                       upto: int) -> Optional[Tuple[JournalEntry, ...]]:
@@ -174,7 +228,7 @@ class Table:
         since = tuple(e for e in entries if count < e.count <= upto)
         return since if len(since) == upto - count else None
 
-    def _journal_write(self, columns: Iterable[str],
+    def _journal_write(self, columns: Iterable[str],  # astore: holds[self._write_lock]
                        positions: np.ndarray) -> None:
         """Journal the mutation that just bumped the stamp."""
         floor, entries = self._journal
@@ -188,7 +242,7 @@ class Table:
             entries = entries[1:]
         self._journal = (floor, entries)
 
-    def _journal_barrier(self) -> None:
+    def _journal_barrier(self) -> None:  # astore: holds[self._write_lock]
         """Restart the journal at the current stamp: the mutation that
         just bumped it cannot be expressed as touched rows."""
         self._journal = (self._mutation_count, ())
@@ -285,35 +339,37 @@ class Table:
         if n == 0:
             return np.empty(0, dtype=np.int64)
 
-        if self._mvcc and reuse_horizon is not None:
-            eligible = [p for p in self._free_slots
-                        if self._delete_version[p] <= reuse_horizon]
-        else:
-            eligible = self._free_slots
-        reuse = min(len(eligible), n)
-        reused = np.array(eligible[:reuse], dtype=np.int64)
-        taken = set(int(p) for p in reused)
-        self._free_slots = [p for p in self._free_slots if p not in taken]
-        appended = np.arange(self._nrows, self._nrows + (n - reuse), dtype=np.int64)
+        with self._write_lock:
+            if self._mvcc and reuse_horizon is not None:
+                eligible = [p for p in self._free_slots
+                            if self._delete_version[p] <= reuse_horizon]
+            else:
+                eligible = self._free_slots
+            reuse = min(len(eligible), n)
+            reused = np.array(eligible[:reuse], dtype=np.int64)
+            taken = set(int(p) for p in reused)
+            self._free_slots = [p for p in self._free_slots if p not in taken]
+            appended = np.arange(self._nrows, self._nrows + (n - reuse), dtype=np.int64)
 
-        for name, values in rows.items():
-            values = list(values) if not isinstance(values, np.ndarray) else values
-            column = self.columns[name]
-            if reuse:
-                column.put(reused, values[:reuse])
-            if n - reuse:
-                column.append(values[reuse:])
+            for name, values in rows.items():
+                values = list(values) if not isinstance(values, np.ndarray) else values
+                column = self.columns[name]
+                if reuse:
+                    column.put(reused, values[:reuse])
+                if n - reuse:
+                    column.append(values[reuse:])
 
-        self._nrows += n - reuse
-        self._grow_bookkeeping()
-        positions = np.concatenate([reused, appended]) if reuse else appended
-        self._deleted[positions] = False
-        if self._mvcc:
-            self._insert_version[positions] = version
-            self._delete_version[positions] = _NO_DELETE
-        self._mutation_count += 1
-        self._journal_write(self.columns, positions)
-        return positions
+            self._nrows += n - reuse
+            self._grow_bookkeeping()
+            positions = np.concatenate([reused, appended]) if reuse else appended
+            self._own_bookkeeping("_deleted", "_insert_version", "_delete_version")
+            self._deleted[positions] = False
+            if self._mvcc:
+                self._insert_version[positions] = version
+                self._delete_version[positions] = _NO_DELETE
+            self._mutation_count += 1
+            self._journal_write(self.columns, positions)
+            return positions
 
     def delete(self, positions: Iterable[int], version: int = 0) -> int:
         """Lazily delete rows: set their deletion bits and free their slots.
@@ -326,26 +382,30 @@ class Table:
         # order later inserts reuse the freed slots in
         _, first = np.unique(positions, return_index=True)
         positions = positions[np.sort(first)]
-        fresh = positions[~self._deleted[positions]]
-        self._deleted[fresh] = True
-        self._free_slots.extend(int(p) for p in fresh)
-        if self._mvcc:
-            self._delete_version[fresh] = version
-        if len(fresh):
+        with self._write_lock:
+            fresh = positions[~self._deleted[positions]]
+            if not len(fresh):
+                return 0
+            self._own_bookkeeping("_deleted", "_delete_version")
+            self._deleted[fresh] = True
+            self._free_slots.extend(int(p) for p in fresh)
+            if self._mvcc:
+                self._delete_version[fresh] = version
             self._mutation_count += 1
             self._journal_write((), fresh)
-        return len(fresh)
+            return len(fresh)
 
     def update(self, positions: Iterable[int], changes: Mapping[str, Sequence]) -> None:
         """In-place update of the given columns at the given positions."""
         positions = self._checked_positions(positions, "update")
-        if len(positions) and bool(self._deleted[positions].any()):
-            raise StorageError("cannot update a deleted row")
-        for name, values in changes.items():
-            self[name].put(positions, values)
-        if len(positions) and changes:
-            self._mutation_count += 1
-            self._journal_write(changes, positions)
+        with self._write_lock:
+            if len(positions) and bool(self._deleted[positions].any()):
+                raise StorageError("cannot update a deleted row")
+            for name, values in changes.items():
+                self[name].put(positions, values)
+            if len(positions) and changes:
+                self._mutation_count += 1
+                self._journal_write(changes, positions)
 
     def _checked_positions(self, positions: Iterable[int], verb: str) -> np.ndarray:
         positions = np.asarray(list(positions) if not isinstance(positions, np.ndarray)
@@ -368,30 +428,31 @@ class Table:
         paper's Table 1), and
         :meth:`repro.core.schema.Database.consolidate` performs it.
         """
-        if order is None:
-            order = np.flatnonzero(~self._deleted).astype(np.int64)
-        else:
-            order = np.asarray(order, dtype=np.int64)
-            if len(order) != self.num_live or (
-                    len(order) and bool(self._deleted[order].any())):
+        with self._write_lock:
+            if order is None:
+                order = np.flatnonzero(~self._deleted).astype(np.int64)
+            else:
+                order = np.asarray(order, dtype=np.int64)
+                if len(order) != self.num_live or (
+                        len(order) and bool(self._deleted[order].any())):
+                    raise StorageError(
+                        "consolidate order must list exactly the live rows")
+            mapping = np.full(self._nrows, -1, dtype=np.int64)
+            mapping[order] = np.arange(len(order), dtype=np.int64)
+            if bool((mapping[~self._deleted] < 0).any()):
                 raise StorageError(
                     "consolidate order must list exactly the live rows")
-        mapping = np.full(self._nrows, -1, dtype=np.int64)
-        mapping[order] = np.arange(len(order), dtype=np.int64)
-        if bool((mapping[~self._deleted] < 0).any()):
-            raise StorageError(
-                "consolidate order must list exactly the live rows")
-        for column in self.columns.values():
-            column.reorder(order)
-        self._nrows = len(order)
-        self._deleted = np.zeros(self._nrows, dtype=bool)
-        self._free_slots.clear()
-        if self._mvcc:
-            self._insert_version = self._insert_version[order]
-            self._delete_version = self._delete_version[order]
-        self._mutation_count += 1
-        self._journal_barrier()
-        return mapping
+            for column in self.columns.values():
+                column.reorder(order)
+            self._nrows = len(order)
+            self._deleted = np.zeros(self._nrows, dtype=bool)
+            self._free_slots.clear()
+            if self._mvcc:
+                self._insert_version = self._insert_version[order]
+                self._delete_version = self._delete_version[order]
+            self._mutation_count += 1
+            self._journal_barrier()
+            return mapping
 
     # -- row access ---------------------------------------------------------
 
@@ -406,6 +467,14 @@ class Table:
         """Positional gather of several columns at once."""
         names = list(columns) if columns is not None else self.column_names
         return {name: self[name].take(positions) for name in names}
+
+    def _own_bookkeeping(self, *names: str) -> None:
+        """Copy each named bookkeeping vector that is a read-only image
+        view into private memory before a write (copy on first write)."""
+        for name in names:
+            array = getattr(self, name)
+            if not array.flags.writeable:
+                setattr(self, name, array.copy())
 
     def _grow_bookkeeping(self) -> None:
         if len(self._deleted) < self._nrows:

@@ -33,7 +33,6 @@ operators, and everything a worker process needs lives in the bound plan.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import Database
-from ..errors import ExecutionError, ShardExecutionError
+from ..errors import ExecutionError
 from ..plan.binder import LogicalPlan, bind
 from ..plan.optimizer import CacheModel, OpSpec, PhysicalPlan, optimize
 from .aggregate import AggregationState, finalize
@@ -66,15 +65,11 @@ from .result import ExecutionStats, QueryResult
 from .sharding import (
     BoundQuery,
     LeafProducts,
-    ProcessShardBackend,
     PruneCounters,
-    ShardOutcome,
-    acquire_shard_backend,
+    ShardBackendSlot,
     build_predicate_filter,
     fold_outcomes,
     merge_outcome_states,
-    release_shard_backend,
-    run_process_shards,
 )
 
 
@@ -212,12 +207,7 @@ class AStoreEngine:
     def __init__(self, db: Database, options: Optional[EngineOptions] = None):
         self.db = db
         self.options = options or EngineOptions()
-        self._shard_backend: Optional[ProcessShardBackend] = None
-        # guards the engine's shard-backend slot: concurrent queries on
-        # one engine must not double-release a stale backend (each run
-        # additionally pins the backend it checked out, see
-        # _checkout_backend)
-        self._backend_lock = threading.Lock()
+        self._slot = ShardBackendSlot(db, self.options.workers)
         # one cache is shared per database object, so every engine (and
         # variant) over the same data reuses dimension scans and axes
         self.cache: Optional[QueryCache] = (
@@ -244,10 +234,7 @@ class AStoreEngine:
 
     def close(self) -> None:
         """Release process-backend resources (worker pool + exported image)."""
-        with self._backend_lock:
-            backend, self._shard_backend = self._shard_backend, None
-        if backend is not None:
-            release_shard_backend(backend)
+        self._slot.close()
 
     def __enter__(self) -> "AStoreEngine":
         return self
@@ -691,65 +678,6 @@ class AStoreEngine:
 
     # -- sharded (process-backend) execution ----------------------------------
 
-    def _checkout_backend(self) -> ProcessShardBackend:
-        """A fresh (non-stale) shard backend, pinned for one run.
-
-        The engine-level lock makes the stale-check/release/re-acquire
-        sequence atomic — two concurrent queries on one engine can
-        never double-release the shared slot — and the extra
-        :meth:`~ProcessShardBackend.retain` reference keeps the
-        checked-out backend's pool and arena alive for the duration of
-        this run even if a concurrent query observes a mutation and
-        swaps the engine onto a fresh export mid-flight.  Callers pair
-        it with :func:`release_shard_backend`.
-        """
-        with self._backend_lock:
-            backend = self._shard_backend
-            if backend is not None and backend.is_stale(self.db):
-                # the arena is a point-in-time copy; a mutation since
-                # export means the shards would serve stale rows —
-                # re-export
-                release_shard_backend(backend)
-                backend = self._shard_backend = None
-            if backend is None:
-                backend = self._shard_backend = acquire_shard_backend(
-                    self.db, self.options.workers)
-            backend.retain()
-            return backend
-
-    def _drop_backend_slot(self, backend) -> None:
-        """Evict a failed backend from the engine slot (if it still
-        holds it) and drop this run's reference — the next sharded
-        query checks out a fresh pool instead of the broken one."""
-        with self._backend_lock:
-            if self._shard_backend is backend:
-                release_shard_backend(backend)
-                self._shard_backend = None
-        release_shard_backend(backend)
-
-    def _shard_outcomes(self, bound: BoundQuery, nshards: int,
-                        use_array: Optional[bool],
-                        stats: ExecutionStats) -> List[ShardOutcome]:
-        """Run *bound* on a checked-out shard backend, degrading to
-        serial shards over the private database if its workers die."""
-        backend = self._checkout_backend()
-        try:
-            outcomes = backend.run(bound, nshards=nshards,
-                                   use_array=use_array)
-        except ShardExecutionError:
-            # the pool died under this query: evict the broken backend
-            # and degrade to serial shards — same plan, same shard
-            # boundaries, same answer, no hang
-            self._drop_backend_slot(backend)
-            stats.shard_fallbacks += 1
-            return [bound.run_shard(self.db, shard, nshards, use_array)
-                    for shard in range(nshards)]
-        except BaseException:
-            release_shard_backend(backend)
-            raise
-        release_shard_backend(backend)
-        return outcomes
-
     def _run_sharded(self, bound: BoundQuery,
                      stats: ExecutionStats) -> QueryResult:
         """Run the bound plan over horizontal shards in worker processes.
@@ -769,10 +697,7 @@ class AStoreEngine:
             use_array = bound.decide_use_array(
                 bound.estimated_selected(stats.rows_scanned))
             agg_labels = ("aggregate",)
-        nshards = self.options.workers
-        outcomes = run_process_shards(
-            bound, self.db, nshards, use_array,
-            lambda: self._shard_outcomes(bound, nshards, use_array, stats))
+        outcomes = self._slot.run(bound, use_array, stats)
         fold_outcomes(outcomes, stats, agg_labels)
 
         if bound.scan == "projection":

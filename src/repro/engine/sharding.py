@@ -13,10 +13,13 @@ that shape inside one interpreter; this module realizes it across
   it per shard — no closures, no live database references.
 * **Zero-copy data** — the parent exports the database once as a
   database image in an anonymous memory file
-  (:class:`~repro.core.arena.ColumnArena`), written and never mapped
-  by the parent; each worker, and the parent's own shard 0, maps it
-  read-only and attaches NumPy views, so every shard reads the same
-  physical pages.
+  (:class:`~repro.core.arena.ColumnArena`); each worker, and the
+  parent's own shard 0, maps it read-only and attaches NumPy views, so
+  every shard reads the same physical pages.  The parent then adopts
+  the image as its live database's storage
+  (:meth:`~repro.core.table.Table.adopt`) over shard 0's mapping and
+  frees its private arrays, so the host holds the data once; a later
+  write copies the buffers it touches first.
 
 :class:`ProcessShardBackend` owns the arena plus a persistent spawn pool
 and maps :class:`ShardTask`\\ s over it while the coordinator runs shard 0
@@ -43,7 +46,7 @@ from collections import OrderedDict
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
@@ -1249,16 +1252,22 @@ class ProcessShardBackend:
 
     Created lazily by an engine on its first process-backed query and
     held for the engine's lifetime, so the arena export and interpreter
-    spawns amortize across queries.  The export is a *point-in-time
-    copy*: :meth:`is_stale` compares the database's mutation stamp so
-    callers re-export after writes instead of serving stale shards.
-    ``close()`` terminates the pool and closes the image; engines
-    expose it as their own ``close()``.  Use :func:`acquire_shard_backend`
-    / :func:`release_shard_backend` to share one backend (one arena, one
+    spawns amortize across queries.  Right after the export, every
+    table still at its exported stamp adopts the image as its storage
+    (:meth:`~repro.core.table.Table.adopt`): its buffers become views
+    of the coordinator's attachment and its private arrays go.  The
+    image stays the snapshot at the export's stamp — a later write
+    copies the buffers it touches before writing — and :meth:`is_stale`
+    compares the database's mutation stamp so callers re-export after
+    writes instead of serving stale shards.  ``close()`` terminates the
+    pool and closes the exporter's descriptor; the image lives on as
+    the adopted storage until the database drops it.  Engines expose
+    ``close()`` as their own.  Use :func:`acquire_shard_backend` /
+    :func:`release_shard_backend` to share one backend (one arena, one
     pool) across all engines over the same database.
 
     ``workers`` is the shard count, at least two (one shard runs
-    inline, see :func:`run_process_shards`).  The coordinator runs
+    inline, see :meth:`ShardBackendSlot.run`).  The coordinator runs
     shard 0 itself (leader participation), so the pool holds
     ``workers - 1`` processes.  Shard 0 reads the backend's own
     attachment of the arena through its own unpickled plan copy,
@@ -1299,6 +1308,11 @@ class ProcessShardBackend:
         # by plan_seq
         self._attached: Optional[AttachedDatabase] = _seed_zone_maps(
             attach_database(self.arena.manifest))
+        # ... and the live database's storage: every table still at its
+        # exported stamp swaps its private buffers for views of this same
+        # mapping, so the host holds the data once
+        for name, count in self.stamp:
+            db.table(name).adopt(self._attached.db.table(name), count)
         self._plans: "OrderedDict[int, object]" = OrderedDict()
         # a futures executor rather than multiprocessing.Pool: when a
         # worker dies mid-task (OOM kill, SIGKILL, segfault) Pool.map
@@ -1429,11 +1443,12 @@ class ProcessShardBackend:
                 _SHARED_BACKENDS.pop(key, None)
 
     def close(self) -> None:
-        """Terminate the workers and close the image.
+        """Terminate the workers and close the exporter's descriptor.
 
         Pool workers are terminated, not drained: close() must not wait
         on stuck shards.  A shard the coordinator is running keeps
-        reading: its views hold their mapping until it returns."""
+        reading: its views hold their mapping until it returns, as do
+        the buffers a database adopted."""
         with self._memo_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -1477,21 +1492,93 @@ GUARDED_BY = {
     "ProcessShardBackend._plans": "self._memo_lock",
     "ProcessShardBackend._pool": "self._memo_lock",
     "ProcessShardBackend._attached": "self._memo_lock",
+    "ShardBackendSlot._backend": "self._lock",
 }
 
 
-def run_process_shards(plan, db: Database, nshards: int,
-                       use_array: Optional[bool],
-                       pooled: Callable[[], List[ShardOutcome]]
-                       ) -> List[ShardOutcome]:
-    """The outcomes of *plan* over *nshards* process shards.
+class ShardBackendSlot:
+    """One engine's hold on the shared shard backend of its database:
+    the one checkout path of every engine family.
 
-    One shard runs here, over *db*, with no arena export and no pool (a
-    :class:`ProcessShardBackend` needs two shards); more come from
-    *pooled*, which runs them on a checked-out backend."""
-    if nshards <= 1:
-        return [plan.run_shard(db, 0, 1, use_array)]
-    return pooled()
+    :meth:`run` runs a plan's shards; a single shard runs inline over
+    the database with no export and no pool (a
+    :class:`ProcessShardBackend` needs two).  :meth:`checkout` pins a
+    fresh backend for one run, and :meth:`close` drops the engine's
+    reference.
+    """
+
+    def __init__(self, db: Database, workers: int):
+        self.db = db
+        self.workers = max(1, int(workers))
+        # guards the slot: concurrent queries on one engine must not
+        # double-release a stale backend (each run additionally pins
+        # the backend it checked out, see checkout)
+        self._lock = threading.Lock()
+        self._backend: Optional[ProcessShardBackend] = None
+
+    @property
+    def backend(self) -> Optional[ProcessShardBackend]:
+        """The backend the slot holds now, if any."""
+        with self._lock:
+            return self._backend
+
+    def checkout(self) -> ProcessShardBackend:
+        """A fresh (non-stale) shard backend, pinned for one run.
+
+        The slot lock makes the stale-check/release/re-acquire sequence
+        atomic — two concurrent queries on one engine can never
+        double-release the shared slot — and the extra
+        :meth:`~ProcessShardBackend.retain` reference keeps the
+        checked-out backend's pool and image alive for the duration of
+        this run even if a concurrent query observes a mutation and
+        swaps the slot onto a fresh export mid-flight.  Callers pair it
+        with :func:`release_shard_backend`.
+        """
+        with self._lock:
+            backend = self._backend
+            if backend is not None and backend.is_stale(self.db):
+                # the image holds the data as of its export; a mutation
+                # since means the shards would serve stale rows
+                release_shard_backend(backend)
+                backend = self._backend = None
+            if backend is None:
+                backend = self._backend = acquire_shard_backend(
+                    self.db, self.workers)
+            backend.retain()
+            return backend
+
+    def run(self, plan, use_array: Optional[bool],
+            stats) -> List[ShardOutcome]:
+        """The outcomes of *plan* over the slot's shards, in shard order.
+
+        If the pool dies under the run, the broken backend leaves the
+        slot and the run degrades to serial shards over the database —
+        same plan, same shard boundaries, same answer, no hang — counted
+        in ``stats.shard_fallbacks``."""
+        nshards = self.workers
+        if nshards == 1:
+            return [plan.run_shard(self.db, 0, 1, use_array)]
+        backend = self.checkout()
+        try:
+            return backend.run(plan, nshards=nshards, use_array=use_array)
+        except ShardExecutionError:
+            with self._lock:
+                if self._backend is backend:
+                    release_shard_backend(backend)
+                    self._backend = None
+            stats.shard_fallbacks += 1
+            return [plan.run_shard(self.db, shard, nshards, use_array)
+                    for shard in range(nshards)]
+        finally:
+            release_shard_backend(backend)
+
+    def close(self) -> None:
+        """Drop the engine's reference; the last holder of the shared
+        backend closes its pool and image."""
+        with self._lock:
+            backend, self._backend = self._backend, None
+        if backend is not None:
+            release_shard_backend(backend)
 
 
 def acquire_shard_backend(db: Database, workers: int) -> ProcessShardBackend:

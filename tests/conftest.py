@@ -1,9 +1,49 @@
-"""Shared fixtures: small seeded SSB/TPC-H databases and a tiny star schema."""
+"""Shared fixtures: small seeded SSB/TPC-H databases and a tiny star
+schema, plus a per-module guard against leaked workers and images."""
+
+import os
+import time
 
 import pytest
 
-from repro.core import Database
+from repro.core import ColumnArena, Database
 from repro.datagen import generate_ssb, generate_tpch
+
+
+def live_children():
+    """Live (non-zombie) child processes of this one, other than
+    multiprocessing's resource tracker, which lives until exit."""
+    pid = str(os.getpid())
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                state, ppid = stat.read().rsplit(")", 1)[1].split()[:2]
+            with open(f"/proc/{entry}/cmdline", "rb") as cmdline:
+                tracker = b"resource_tracker" in cmdline.read()
+        except OSError:
+            continue  # exited while we looked
+        if ppid == pid and state != "Z" and not tracker:
+            found.append(int(entry))
+    return found
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaks():
+    """Fail a module that leaves a child process running or an exported
+    image open once its own fixtures are torn down."""
+    images = set(ColumnArena.live_segments())
+    yield
+    deadline = time.monotonic() + 2.0
+    while live_children() and time.monotonic() < deadline:
+        time.sleep(0.05)  # a terminated worker may take a moment to go
+    leaked = [f"child process {pid}" for pid in live_children()]
+    leaked += [f"image {path}" for path in
+               sorted(set(ColumnArena.live_segments()) - images)]
+    if leaked:
+        pytest.fail("leaked: " + ", ".join(leaked))
 
 
 @pytest.fixture(scope="session")

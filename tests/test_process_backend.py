@@ -1,6 +1,6 @@
 """Portable bound plans, exported database images, and the process backend.
 
-Pins the PR's three contracts:
+Pins these contracts:
 
 * **plan portability** — a compiled :class:`BoundQuery` survives a pickle
   round-trip and executes identically;
@@ -9,7 +9,12 @@ Pins the PR's three contracts:
   and baselines alike);
 * **arena hygiene** — attached databases are zero-copy and read-only,
   an export faults in no image page, and no image survives engine
-  close, a killed worker, or an exporter that exits without closing;
+  close, a killed worker, or an exporter that exits without closing,
+  except the one a live database adopted, which goes with it;
+* **adoption** — the coordinator's database adopts the image as its
+  storage, a write copies only the buffers it touches and never
+  reaches the image a run reads, and a writer racing exports loses no
+  write;
 * **pool death** — a SIGKILLed pool worker surfaces as a typed
   :class:`~repro.errors.ShardExecutionError`, the engine degrades that
   query to serial shards (``shard_fallbacks``), and the next query gets
@@ -18,6 +23,7 @@ Pins the PR's three contracts:
 
 import contextlib
 import gc
+import json
 import multiprocessing
 import os
 import pickle
@@ -33,7 +39,10 @@ import numpy as np
 import pytest
 
 from repro.core import ColumnArena, attach_database
+from repro.core.arena import layout_database
 from repro.core.column import DictColumn, FixedColumn, StringColumn
+from repro.core.table import Table
+from repro.datagen import generate_ssb
 from repro.engine import (
     AStoreEngine,
     EngineOptions,
@@ -78,6 +87,47 @@ def open_images():
                     "/memfd:astore-image"):
                 found.add(os.stat(f"/proc/self/fd/{fd}").st_ino)
     return found
+
+
+def table_buffers(db, table):
+    """Every fixed-width buffer of *table* by name, as the image lays
+    them out: column data, codes, addresses, deletion bits, versions."""
+    return {key.split("//", 1)[1]: array
+            for key, array in layout_database(db)[1]
+            if key.startswith(f"{table}//")}
+
+
+def adopted_images(*dbs):
+    """The images (by inode) whose mappings back a buffer of one of
+    *dbs*: the storage a database adopted from a process-shard export."""
+    mapped = []
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            if "memfd:astore-image" in line:
+                fields = line.split()
+                start, end = (int(x, 16) for x in fields[0].split("-"))
+                mapped.append((start, end, int(fields[4])))
+    found = set()
+    for db in dbs:
+        for _, array in layout_database(db)[1]:
+            address = array.__array_interface__["data"][0]
+            found.update(inode for start, end, inode in mapped
+                         if array.nbytes and start <= address < end)
+    return found
+
+
+def python_env():
+    """The environment a child interpreter needs to import ``repro`` and
+    ``tests`` from this checkout."""
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root]
+        + env.get("PYTHONPATH", "").split(os.pathsep))
+    return env
 
 
 def image_of(arena):
@@ -252,13 +302,15 @@ class TestCrossBackendDifferential:
                     assert (sharded.query(sql).rows()
                             == reference.query(sql).rows()), (cls.name, qid)
 
-    def test_zz_no_leaked_segments_after_suite(self):
+    def test_zz_no_leaked_segments_after_suite(self, ssb_air, ssb_raw):
         # runs last in this class (alphabetical within-class ordering is
         # not guaranteed, but the module-scoped engine outlives it — so
-        # only *its* image may be live, and nothing else)
+        # only *its* image may be live; the only other images held are
+        # the ones the session databases adopted as their storage)
         live = ColumnArena.live_segments()
         assert len(live) <= 2  # process_engine + at most one baseline arena
-        assert open_images() <= {os.stat(path).st_ino for path in live}
+        assert open_images() <= ({os.stat(path).st_ino for path in live}
+                                 | adopted_images(ssb_air, ssb_raw))
 
 
 class TestProcessBackendSemantics:
@@ -282,24 +334,30 @@ class TestProcessBackendSemantics:
             assert (engine.query(sql).rows()
                     == AStoreEngine(db).query(sql).rows())
 
-    def test_engines_share_one_backend_per_database(self, tiny_star):
+    def test_engines_share_one_backend_per_database(self):
+        db = build_tiny_star()
         sql = "SELECT d_year, count(*) AS n FROM lineorder, date GROUP BY d_year"
         options = EngineOptions(parallel_backend="process", workers=2)
-        with AStoreEngine(tiny_star, options) as first:
-            with AStoreEngine(tiny_star, options) as second:
+        with AStoreEngine(db, options) as first:
+            with AStoreEngine(db, options) as second:
                 first.query(sql)
                 segments_after_first = set(ColumnArena.live_segments())
                 second.query(sql)
                 # the second engine reuses the first engine's arena/pool
                 assert set(ColumnArena.live_segments()) == segments_after_first
-                assert first._shard_backend is second._shard_backend
-                path = first._shard_backend.arena.manifest.path
-                image = image_of(first._shard_backend.arena)
+                assert first._slot.backend is second._slot.backend
+                path = first._slot.backend.arena.manifest.path
+                image = image_of(first._slot.backend.arena)
             # one holder closed: the shared backend stays alive
             assert path in ColumnArena.live_segments()
             assert first.query(sql).rows()
-        # last holder closed: image released
+        # last holder closed: its descriptor is gone, and the image
+        # lives on only as the database's adopted storage ...
         assert path not in ColumnArena.live_segments()
+        assert image in adopted_images(db)
+        assert image in open_images()
+        # ... until the database goes too
+        del first, second, db
         assert image not in open_images()
 
     def test_snapshot_reads_through_process_backend(self):
@@ -315,18 +373,23 @@ class TestProcessBackendSemantics:
             assert (engine.query(sql, snapshot=5).rows()
                     == ref.query(sql, snapshot=5).rows())
 
-    def test_engine_close_releases_segment(self, tiny_star):
+    def test_engine_close_releases_segment(self):
+        db = build_tiny_star()
         names = dev_shm_names()
-        engine = AStoreEngine(tiny_star, EngineOptions(
+        engine = AStoreEngine(db, EngineOptions(
             parallel_backend="process", workers=2))
         sql = "SELECT d_year, count(*) AS n FROM lineorder, date GROUP BY d_year"
         rows = engine.query(sql).rows()
         assert rows
-        path = engine._shard_backend.arena.manifest.path
-        image = image_of(engine._shard_backend.arena)
+        path = engine._slot.backend.arena.manifest.path
+        image = image_of(engine._slot.backend.arena)
         engine.close()
-        assert image not in open_images()
         assert path not in ColumnArena.live_segments()
+        # the only image still held is the one the live database
+        # adopted as its storage; it goes with the database
+        assert open_images() & {image} == adopted_images(db) == {image}
+        del engine, db
+        assert image not in open_images()
         assert dev_shm_names() == names
 
     def test_exit_without_close_leaves_nothing(self, tmp_path):
@@ -342,23 +405,16 @@ class TestProcessBackendSemantics:
             "    engine = AStoreEngine(build_tiny_star(), EngineOptions(\n"
             "        parallel_backend='process', workers=2))\n"
             "    engine.query('SELECT count(*) AS n FROM lineorder')\n"
-            "    backend = engine._shard_backend\n"
+            "    backend = engine._slot.backend\n"
             "    for proc in list(backend._pool._processes.values()):\n"
             "        proc.kill()\n"
             "        proc.join()\n"
             "    print(backend.arena.manifest.path, flush=True)\n"
             "    os._exit(0)\n")
-        import repro
-
-        root = os.path.dirname(os.path.dirname(os.path.dirname(
-            repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(root, "src"), root]
-            + env.get("PYTHONPATH", "").split(os.pathsep))
         names = dev_shm_names()
-        out = subprocess.run([sys.executable, str(script)], env=env,
-                             capture_output=True, text=True, timeout=120)
+        out = subprocess.run([sys.executable, str(script)],
+                             env=python_env(), capture_output=True,
+                             text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         path = out.stdout.strip()
         assert path.startswith("/proc/") and not os.path.exists(path)
@@ -449,6 +505,201 @@ def spy_run_shard(monkeypatch):
     return ran
 
 
+class TestImageAdoption:
+    """The coordinator adopts the image it exported as its database's
+    storage: one copy of the data per host, writes copy on first write."""
+
+    SQL = ("SELECT d_year, sum(lo_revenue) AS r FROM lineorder, date "
+           "GROUP BY d_year ORDER BY d_year")
+
+    @staticmethod
+    def reference(db, sql, snapshot=None):
+        return AStoreEngine(db, EngineOptions(use_cache=False)).query(
+            sql, snapshot=snapshot).rows()
+
+    def test_first_query_adopts_the_image(self, tmp_path):
+        # a fresh interpreter, so RssAnon sees only this database
+        script = tmp_path / "adopt.py"
+        script.write_text(
+            "import gc, json\n"
+            "import numpy as np\n"
+            "from repro.datagen import generate_ssb\n"
+            "from repro.engine import AStoreEngine, EngineOptions\n"
+            "from tests.test_process_backend import table_buffers\n"
+            "\n"
+            "def rss_anon():\n"
+            "    gc.collect()\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith('RssAnon:'):\n"
+            "            return int(line.split()[1]) * 1024\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            "    db = generate_ssb(sf=0.05, seed=1)\n"
+            "    before = rss_anon()\n"
+            "    with AStoreEngine(db, EngineOptions(\n"
+            "            parallel_backend='process', workers=2)) as engine:\n"
+            "        engine.query('SELECT count(*) AS n FROM lineorder')\n"
+            "        image = engine._slot.backend._attached.db\n"
+            "        mine = table_buffers(db, 'lineorder')\n"
+            "        theirs = table_buffers(image, 'lineorder')\n"
+            "        shared = sorted(k for k in mine\n"
+            "                        if np.shares_memory(mine[k], theirs[k]))\n"
+            "        print(json.dumps({'buffers': sorted(mine),\n"
+            "                          'shared': shared,\n"
+            "                          'freed': before - rss_anon(),\n"
+            "                          'nbytes': db.nbytes}))\n")
+        out = subprocess.run([sys.executable, str(script)], env=python_env(),
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout.strip().splitlines()[-1])
+        assert report["shared"] == report["buffers"]
+        assert "$deleted" in report["shared"]
+        assert report["freed"] >= 0.8 * report["nbytes"], report
+
+    def test_update_copies_only_the_updated_column(self):
+        db = generate_ssb(sf=0.005, seed=3)
+        fact = db.table("lineorder")
+        with AStoreEngine(db, EngineOptions(parallel_backend="process",
+                                            workers=2)) as engine:
+            assert engine.query(self.SQL).rows() == self.reference(
+                db, self.SQL)
+            old = engine._slot.backend
+            image, inode = old._attached.db, image_of(old.arena)
+            assert all(not array.flags.writeable
+                       for array in table_buffers(db, "lineorder").values())
+            fact.update(np.arange(0, fact.num_rows, 7),
+                        {"lo_revenue": np.full(
+                            len(range(0, fact.num_rows, 7)), 10 ** 6)})
+            mine = table_buffers(db, "lineorder")
+            theirs = table_buffers(image, "lineorder")
+            assert mine["lo_revenue"].flags.writeable
+            assert not np.shares_memory(mine["lo_revenue"],
+                                        theirs["lo_revenue"])
+            assert all(np.shares_memory(mine[k], theirs[k])
+                       for k in mine if k != "lo_revenue")
+            # the next process query re-exports, adopts the new image,
+            # and the old one goes: nothing pins it
+            del image, theirs, mine
+            assert engine.query(self.SQL).rows() == self.reference(
+                db, self.SQL)
+            assert engine._slot.backend is not old
+            assert inode not in open_images()
+            assert adopted_images(db) == {image_of(
+                engine._slot.backend.arena)}
+
+    def test_mvcc_delete_copies_the_bookkeeping_vectors(self):
+        db = build_tiny_star(mvcc=True)
+        fact = db.table("lineorder")
+        with AStoreEngine(db, EngineOptions(parallel_backend="process",
+                                            workers=2)) as engine:
+            assert engine.query(self.SQL).rows() == self.reference(
+                db, self.SQL)
+            image = engine._slot.backend._attached.db.table("lineorder")
+            fact.delete([0, 5], version=5)
+            assert fact._deleted.flags.writeable
+            assert fact._delete_version.flags.writeable
+            assert not np.shares_memory(fact._deleted, image._deleted)
+            assert not np.shares_memory(fact._delete_version,
+                                        image._delete_version)
+            assert np.shares_memory(fact._insert_version,
+                                    image._insert_version)
+            assert not image._deleted.any()
+            assert (image._delete_version == np.iinfo(np.int64).max).all()
+            for snapshot in (4, 5, None):
+                assert (engine.query(self.SQL, snapshot=snapshot).rows()
+                        == self.reference(db, self.SQL, snapshot))
+
+    def test_write_during_a_run_misses_its_shard_zero(self, monkeypatch):
+        db = build_tiny_star()
+        before = self.reference(db, self.SQL)
+        lead = sharding.ProcessShardBackend._lead
+        fact = db.table("lineorder")
+        armed = []
+
+        def write_then_lead(self, *args):
+            # the run has started: shard 1 is submitted, shard 0 not
+            # yet read; a write now must copy, not reach the image
+            if armed:
+                fact.update(np.arange(fact.num_rows),
+                            {"lo_revenue": np.full(fact.num_rows, 10 ** 6)})
+                armed.clear()
+            return lead(self, *args)
+
+        monkeypatch.setattr(sharding.ProcessShardBackend, "_lead",
+                            write_then_lead)
+        with AStoreEngine(db, EngineOptions(parallel_backend="process",
+                                            workers=2,
+                                            use_cache=False)) as engine:
+            engine.query("SELECT count(*) AS n FROM lineorder")  # adopt
+            armed.append(True)
+            assert engine.query(self.SQL).rows() == before
+            assert not armed
+            after = engine.query(self.SQL).rows()
+            assert after != before
+            assert after == self.reference(db, self.SQL)
+
+    def test_writer_racing_exports_loses_no_write(self, monkeypatch):
+        # widen the fact table's check-to-swap window, so a write that
+        # the table lock did not hold off would land in a dropped buffer
+        share = FixedColumn.share
+
+        def slow_share(self, image):
+            if self.name.startswith("lo_"):
+                time.sleep(0.001)
+            share(self, image)
+
+        monkeypatch.setattr(FixedColumn, "share", slow_share)
+        adopt, adopted = Table.adopt, []
+
+        def spy_adopt(self, image, expected_count):
+            done = adopt(self, image, expected_count)
+            if self.name == "lineorder":
+                adopted.append(done)
+            return done
+
+        monkeypatch.setattr(Table, "adopt", spy_adopt)
+        db = generate_ssb(sf=0.002, seed=5)
+        replay = generate_ssb(sf=0.002, seed=5)
+        fact = db.table("lineorder")
+        rng = np.random.default_rng(5)
+        log = [(rng.choice(fact.num_rows, 50, replace=False),
+                rng.integers(0, 10 ** 6, 50), rng.uniform(0, 0.03))
+               for _ in range(40)]
+        done = threading.Event()
+
+        def writer():
+            # bursts with pauses: some exports see no write and adopt
+            for positions, values, pause in log:
+                fact.update(positions, {"lo_revenue": values})
+                time.sleep(pause)
+            done.set()
+
+        thread = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            exports, deadline = 0, time.monotonic() + 60
+            # a backend spawns no worker until its first run: each loop
+            # is one export, attach and adoption racing the writer
+            while ((not done.is_set() or exports < 3)
+                   and time.monotonic() < deadline):
+                with sharding.ProcessShardBackend(db, 2):
+                    exports += 1
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and done.is_set()
+        # not vacuous: some exports met a pause in the writes and adopted
+        assert True in adopted
+        for positions, values, _ in log:
+            replay.table("lineorder").update(positions,
+                                             {"lo_revenue": values})
+        for name in fact.column_names:
+            assert np.array_equal(fact[name].values(),
+                                  replay.table("lineorder")[name].values())
+
+
 class TestReadOnlyProbes:
     def test_probe_of_read_only_positions_matches(self):
         rng = np.random.default_rng(5)
@@ -519,7 +770,7 @@ class TestLeaderParticipation:
         ran = spy_run_shard(monkeypatch)
         with AStoreEngine(ssb_air, EngineOptions(
                 parallel_backend="process", workers=2)) as engine:
-            backend = engine._checkout_backend()
+            backend = engine._slot.checkout()
             sharding.release_shard_backend(backend)
             before = backend.traffic()["tasks"]
             result = engine.query(sql)
@@ -543,12 +794,12 @@ class TestLeaderParticipation:
                 parallel_backend="process", workers=1)) as engine:
             assert (engine.query(sql).rows()
                     == AStoreEngine(tiny_star).query(sql).rows())
-            assert engine._shard_backend is None
+            assert engine._slot.backend is None
         with FusedEngine(ssb_raw, backend="process", workers=1) as fused:
             sql = SSB_QUERIES["Q2.1"]
             assert (fused.query(sql).rows()
                     == FusedEngine(ssb_raw).query(sql).rows())
-            assert fused._shard_backend is None
+            assert fused._slot.backend is None
         assert ColumnArena.live_segments() == segments
         assert len(multiprocessing.active_children()) == children
 
@@ -688,7 +939,7 @@ class TestPlanReferenceTasks:
         with AStoreEngine(ssb_air, EngineOptions(
                 parallel_backend="process", workers=2)) as engine:
             first = [engine.query(sql).rows() for sql in flight]
-            backend = engine._shard_backend
+            backend = engine._slot.backend
             warm = backend.traffic()
             assert [engine.query(sql).rows() for sql in flight] == first
             after = backend.traffic()
@@ -711,7 +962,7 @@ class TestPlanReferenceTasks:
         flight = [SSB_QUERIES[q] for q in ("Q1.1", "Q2.1", "Q3.1", "Q4.1")]
         # compiled, cached and shipped once
         expected = {sql: process_engine.query(sql).rows() for sql in flight}
-        backend = process_engine._shard_backend
+        backend = process_engine._slot.backend
         before = backend.traffic()
         errors, wrong = [], []
 
@@ -780,7 +1031,7 @@ class TestProcessPoolDeath:
     SQL = ("SELECT d_year, sum(lo_revenue) AS revenue "
            "FROM lineorder, date GROUP BY d_year")
 
-    def test_worker_sigkill_degrades_to_serial(self, ssb_air):
+    def test_worker_sigkill_degrades_to_serial(self, ssb_air, ssb_raw):
         names = dev_shm_names()
         with AStoreEngine(ssb_air, EngineOptions(
                 parallel_backend="process", workers=2,
@@ -794,7 +1045,7 @@ class TestProcessPoolDeath:
             # SIGKILL the one pool worker (the coordinator runs shard 0
             # itself): the next sharded run must surface as a typed
             # fallback, not a hang or a raw BrokenProcessPool
-            pool = engine._shard_backend._pool
+            pool = engine._slot.backend._pool
             assert len(pool._processes) == 1
             victim = next(iter(pool._processes))
             os.kill(victim, signal.SIGKILL)
@@ -813,7 +1064,9 @@ class TestProcessPoolDeath:
             assert recovered.rows() == truth
             assert recovered.stats.shard_fallbacks == 0
         # the broken backend's image went with its eviction, the fresh
-        # one with the engine
-        assert open_images() <= {os.stat(path).st_ino
-                                 for path in ColumnArena.live_segments()}
+        # one with the engine; the only others held are the ones the
+        # session databases adopted as their storage
+        assert open_images() <= ({os.stat(path).st_ino
+                                  for path in ColumnArena.live_segments()}
+                                 | adopted_images(ssb_air, ssb_raw))
         assert dev_shm_names() == names

@@ -286,9 +286,9 @@ class TestBackendLifecycle:
         _StubBackend.instances = []
         db = build_tiny_star()
         engine = fresh_engine(db, parallel_backend="process")
-        first = engine._checkout_backend()      # query A starts its run
+        first = engine._slot.checkout()      # query A starts its run
         db.table("lineorder").update([0], {"lo_quantity": [5]})
-        second = engine._checkout_backend()     # query B re-exports
+        second = engine._slot.checkout()     # query B re-exports
         assert second is not first
         assert not first.closed                 # A's pool still live
         sharding.release_shard_backend(first)   # A's run finishes
