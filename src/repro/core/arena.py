@@ -18,21 +18,28 @@ shard backend (Section 5 at real cores) exports with
 :meth:`ColumnArena.export`: the image goes through ``write()`` into an
 anonymous memory file (``os.memfd_create``, Linux) that the export does
 not map, so writing it adds no page to the exporter's resident set.
-Workers, and the exporter's own shard 0, reopen it as
-``/proc/<pid>/fd/<n>``, map it read-only and rebuild from the pickled
-:class:`ArenaManifest` (:func:`attach_database`): no JSON parse,
-O(columns), independent of row count, and only the pages a shard reads
-become resident.  The exporter's live database then adopts shard 0's
-views as its storage (:meth:`repro.core.table.Table.adopt`) and frees
-its private arrays, so the host holds the data once.
+Workers reopen it as ``/proc/<pid>/fd/<n>``, map it read-only and
+rebuild from the pickled :class:`ArenaManifest` (:func:`attach_database`):
+no JSON parse, O(columns), independent of row count, and only the pages
+a shard reads become resident.  The exporter maps it once
+(:meth:`ColumnArena.attach`) and rebuilds every shard-0 attachment over
+that one mapping.  The exporter's live database then adopts those views
+as its storage (:meth:`repro.core.table.Table.adopt`) and frees its
+private arrays, so the host holds the data once.
 
-Lifecycle: the exporter holds the file's one descriptor until
-:meth:`ColumnArena.close`; each attachment's views hold its mapping until
-the last of them dies, and a database that adopted the image holds it
-as long as any of its buffers is still a view (a write copies the buffer
-it touches; a later export's adoption swaps them all).  The file has no
-name anywhere, so the kernel frees it once the descriptor and every
-mapping are gone, even when the exporter is killed.
+Lifecycle: the database owns its image.  The shard layer
+(:mod:`repro.engine.sharding`) keeps at most one per database, recorded
+with the stamp it holds; every shard backend over the database at that
+stamp attaches to it, and a backend's close leaves it open.  The
+exporter's descriptor closes (:meth:`ColumnArena.close`) when the
+database goes, or when a later export at a newer stamp replaces it and
+no open backend still attaches to it.  Each attachment's views hold
+their mapping until the last of them dies, and a database that adopted
+the image holds it as long as any of its buffers is still a view (a
+write copies the buffer it touches; a later export's adoption swaps
+them all).  The file has no name anywhere, so the kernel frees it once
+the descriptor and every mapping are gone, even when the exporter is
+killed.
 """
 
 from __future__ import annotations
@@ -195,10 +202,14 @@ class ColumnArena:
     (``memfd_create``) plus the manifest that names it.
 
     Use :meth:`export` to create, :attr:`manifest` to hand to workers
-    (:func:`attach_database`), and :meth:`close` (or a ``with`` block)
-    to drop the exporter's descriptor.  :meth:`live_segments` lists the
-    arenas not yet closed; an image a database adopted as its storage
-    outlives its arena's close and is not listed.
+    (:func:`attach_database`), :meth:`attach` for the exporter's own
+    attachments, and :meth:`close` (or a ``with`` block) to drop the
+    exporter's descriptor.  A process shard backend's arena is its
+    database's image: it stays open as long as the database does, and
+    every backend over that database attaches to it.
+    :meth:`live_segments` lists the arenas not yet closed; an image a
+    database adopted as its storage outlives its arena's close and is
+    not listed.
     """
 
     _live: Dict[str, "ColumnArena"] = {}
@@ -206,6 +217,7 @@ class ColumnArena:
     def __init__(self, manifest: ArenaManifest, fd: int):
         self.manifest = manifest
         self._fd: Optional[int] = fd
+        self._mapping: Optional[mmap.mmap] = None
         ColumnArena._live[manifest.path] = self
 
     @classmethod
@@ -239,18 +251,33 @@ class ColumnArena:
     def closed(self) -> bool:
         return self._fd is None
 
+    def attach(self) -> AttachedDatabase:
+        """The database rebuilt over the exporter's one read-only mapping
+        of the image, made on the first call: every attachment the
+        exporter makes shares it, O(columns) each.  Callers serialize
+        the calls."""
+        if self._fd is None:
+            raise StorageError("cannot attach a closed arena")
+        if self._mapping is None:
+            self._mapping = _map_image(self.manifest.path)
+        return AttachedDatabase(*rebuild_database(
+            self.manifest, self._mapping, self.manifest.base))
+
     def close(self) -> None:
-        """Close the exporter's descriptor; idempotent.  The memory goes
-        with the last mapping of the image: views attached before the
-        close stay valid, and no new attach can follow it."""
-        fd, self._fd = self._fd, None
+        """Close the exporter's descriptor and drop its mapping;
+        idempotent.  The memory goes with the last mapping of the image:
+        views attached before the close stay valid, and no new attach
+        can follow it."""
+        fd, self._fd, self._mapping = self._fd, None, None
         ColumnArena._live.pop(self.manifest.path, None)
         if fd is not None:
             os.close(fd)
 
     @classmethod
     def live_segments(cls) -> List[str]:
-        """Paths of all not-yet-closed arenas (leak diagnostics/tests)."""
+        """Paths of all not-yet-closed arenas (leak diagnostics/tests):
+        the image each database exported for its shard backends, while
+        the database lives, and any arena exported directly."""
         return sorted(cls._live)
 
     def __enter__(self) -> "ColumnArena":
@@ -289,9 +316,13 @@ def attach_database(manifest: ArenaManifest) -> AttachedDatabase:
     rebuild its database from the pickled *manifest*: every fixed-width
     array is a zero-copy, non-writable view, no JSON is parsed, and only
     the pages a reader touches become resident."""
-    with open(manifest.path, "rb") as fh:
-        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    return AttachedDatabase(*rebuild_database(manifest, mapping, manifest.base))
+    return AttachedDatabase(*rebuild_database(
+        manifest, _map_image(manifest.path), manifest.base))
+
+
+def _map_image(path: str) -> mmap.mmap:
+    with open(path, "rb") as fh:
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 def rebuild_database(manifest: ArenaManifest, buffer, base: int = 0,

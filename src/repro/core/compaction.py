@@ -10,8 +10,9 @@ verb) runs :func:`compact_database`:
 1. compute the live rows' positions in the table's declared
    :attr:`~repro.core.schema.Database.clustering` order (value order,
    resolving parent-table attributes through one AIR hop) with one
-   stable argsort over a composite key the spec's keys fold into —
-   exactly the ``np.lexsort`` order, see :func:`composite_sort_order`,
+   sort of a composite key the spec's keys fold into, packed with the
+   row numbers — exactly the ``np.lexsort`` order, see
+   :func:`composite_sort_order`,
    which the SSB generator also uses to lay out its fresh load;
 2. :meth:`~repro.core.schema.Database.consolidate` with that explicit
    order — drops deleted slots, lays rows out clustered, and rewrites
@@ -187,11 +188,25 @@ def _composite_key(keys: Iterable[np.ndarray]) -> Tuple[np.ndarray, int]:
 
 def composite_sort_order(keys: Iterable[np.ndarray]) -> np.ndarray:
     """The stable permutation ordering rows by *keys*, outermost first:
-    one stable argsort over their :func:`_composite_key`, which is
     exactly ``np.lexsort(keys[::-1])``.  The generator's load order and
-    compaction's re-sort both come from here."""
-    composite, _ = _composite_key(keys)
-    return np.argsort(composite, kind="stable")
+    compaction's re-sort both come from here.
+
+    The keys fold into one :func:`_composite_key`, which is packed with
+    each row's position as ``composite << bits | row`` (``bits`` holds
+    the largest row number), sorted in place by NumPy's default sort and
+    masked back to the rows.  Packed keys are unique, so any sort gives
+    the stable order; a composite too wide to pack is first re-ranked
+    to its dense ranks, which fit whenever the row count does."""
+    composite, radix = _composite_key(keys)
+    bits = max(len(composite) - 1, 0).bit_length()
+    if radix << bits > 1 << 63:
+        composite = np.unique(composite, return_inverse=True)[1].astype(
+            np.int64, copy=False)
+    composite <<= bits
+    composite |= np.arange(len(composite), dtype=np.int64)
+    composite.sort()
+    composite &= (1 << bits) - 1
+    return composite
 
 
 def clustering_sort_order(db: Database, table_name: str,

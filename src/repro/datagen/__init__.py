@@ -1,6 +1,6 @@
 """Seeded synthetic data generators for SSB and a TPC-H subset."""
 
-from .distributions import choice_column, rng_for, scaled_rows, uniform_keys, zipf_keys
+from .distributions import choice_column, rng_for, scaled_rows, uniform_keys
 from .ssb import (
     MONTH_NAMES,
     NATION_LIST,
@@ -25,5 +25,4 @@ __all__ = [
     "rng_for",
     "scaled_rows",
     "uniform_keys",
-    "zipf_keys",
 ]

@@ -29,19 +29,6 @@ def uniform_keys(rng: np.random.Generator, n: int, domain: int) -> np.ndarray:
     return rng.integers(0, domain, size=n, dtype=np.int64)
 
 
-def zipf_keys(rng: np.random.Generator, n: int, domain: int,
-              skew: float = 1.1) -> np.ndarray:
-    """*n* foreign keys with a Zipf-like skew, clipped to ``[0, domain)``.
-
-    Used for the skewed join workloads; ranks are shuffled so hot keys are
-    spread across the domain rather than clustered at 0.
-    """
-    raw = rng.zipf(skew, size=n) - 1
-    keys = np.mod(raw, domain).astype(np.int64)
-    perm = rng.permutation(domain)
-    return perm[keys]
-
-
 def value_pool(values: Iterable[str]) -> np.ndarray:
     """*values* as an object array: index it with drawn codes to build a
     string column without formatting one string per row."""

@@ -182,9 +182,9 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     # value distributions are unchanged.  The order comes from the same
     # composite sort that `astore compact` uses to restore the declared
     # clustering spec after append/update churn; each fact row gathers
-    # one part key (the brand code), and the keys fold into one stable
-    # argsort: the order of year, then mfgr, category, brand, then
-    # orderdate, with ties kept in generation order.
+    # one part key (the brand code), and the keys fold into one packed
+    # key sorted once: the order of year, then mfgr, category, brand,
+    # then orderdate, with ties kept in generation order.
     order = composite_sort_order((date_data["d_year"][date_pos],
                                   brand[part_pos], date_pos))
     quantity = quantity[order]

@@ -19,11 +19,14 @@ that shape inside one interpreter; this module realizes it across
   the image as its live database's storage
   (:meth:`~repro.core.table.Table.adopt`) over shard 0's mapping and
   frees its private arrays, so the host holds the data once; a later
-  write copies the buffers it touches first.
+  write copies the buffers it touches first.  The image belongs to the
+  database (:class:`DatabaseImage`): every backend over the database at
+  the image's stamp, whatever its worker count, attaches to it instead
+  of exporting again.
 
-:class:`ProcessShardBackend` owns the arena plus a persistent spawn pool
-and maps :class:`ShardTask`\\ s over it while the coordinator runs shard 0
-itself over its own attachment; per-shard partial states
+:class:`ProcessShardBackend` attaches to that image and owns a
+persistent spawn pool; it maps :class:`ShardTask`\\ s over the pool while
+the coordinator runs shard 0 itself over its own attachment; per-shard partial states
 (:class:`~repro.engine.aggregate.AggregationState`, gather states, or
 projection chunks) and per-operator timings come back as
 :class:`ShardOutcome` values that the caller merges in shard order —
@@ -1247,30 +1250,110 @@ def database_stamp(db: Database) -> Tuple[tuple, ...]:
         (name, table.mutation_count) for name, table in db.tables.items()))
 
 
+@dataclass(eq=False)
+class DatabaseImage:
+    """A database's one exported image, recorded with the
+    :func:`database_stamp` it holds.
+
+    The arena keeps the exporter's descriptor, the manifest and the
+    coordinator's one mapping (:meth:`ColumnArena.attach`).  Every shard
+    backend over the database at ``stamp`` attaches to it, whatever its
+    worker count; ``holders`` counts the open ones.  The record lives as
+    long as the database: a finalizer on the database retires it, and
+    so does a later export at a newer stamp, which replaces it.  A
+    retired image's descriptor closes once no open backend holds it
+    (a holder's pool may still spawn a worker that attaches by path);
+    its pages then go with their last view.
+    """
+
+    arena: ColumnArena
+    stamp: Tuple[tuple, ...]
+    holders: int = 0
+    retired: bool = False
+
+    def release(self) -> None:  # astore: holds[_REGISTRY_LOCK]
+        """Drop one holder; close a retired image nobody holds."""
+        self.holders -= 1
+        if self.retired:
+            self.retire()
+
+    def retire(self) -> None:  # astore: holds[_REGISTRY_LOCK]
+        """Mark the image replaced (or its database gone); close its
+        descriptor once no open backend holds it."""
+        self.retired = True
+        if self.holders <= 0:
+            self.arena.close()
+
+
+def _hold_image(db: Database, stamp) -> Tuple[DatabaseImage, bool]:  # astore: holds[_REGISTRY_LOCK]
+    """*db*'s image at *stamp*, with one more holder, and whether it was
+    exported just now: the recorded image when its stamp is *stamp*,
+    else a fresh export that replaces (and retires) the recorded one.
+
+    Zone maps built so far ride in a fresh image: workers attach the
+    parent's summaries zero-copy instead of re-scanning columns
+    (summaries built after the export are rebuilt worker-side)."""
+    key = id(db)
+    image = _DATABASE_IMAGES.get(key)
+    if image is not None and image.stamp == stamp:
+        image.holders += 1
+        return image, False
+    fresh = DatabaseImage(ColumnArena.export(
+        db, zone_entries=fresh_zone_entries(db, query_cache_for(db))),
+        stamp, holders=1)
+    _DATABASE_IMAGES[key] = fresh
+    if image is None:
+        weakref.finalize(db, _retire_image, key)
+    else:
+        image.retire()
+    return fresh, True
+
+
+def database_image(db: Database) -> Optional[ColumnArena]:
+    """The arena of *db*'s current image, if it has one (leak checks)."""
+    with _REGISTRY_LOCK:
+        image = _DATABASE_IMAGES.get(id(db))
+        return None if image is None else image.arena
+
+
+def _retire_image(key: int) -> None:
+    """Finalizer: the database was garbage-collected, so its image goes
+    (once the last backend attached to it closes)."""
+    with _REGISTRY_LOCK:
+        image = _DATABASE_IMAGES.pop(key, None)
+        if image is not None:
+            image.retire()
+
+
 class ProcessShardBackend:
-    """A database exported as an image plus a persistent worker pool.
+    """A persistent worker pool over its database's image.
 
     Created lazily by an engine on its first process-backed query and
-    held for the engine's lifetime, so the arena export and interpreter
-    spawns amortize across queries.  Right after the export, every
+    held for the engine's lifetime, so interpreter spawns amortize
+    across queries.  The image belongs to the database
+    (:class:`DatabaseImage`): the backend exports only when the
+    database has none at its current stamp, and otherwise attaches its
+    shard 0 over the coordinator's existing mapping (O(columns)) and
+    points its workers at the same path.  Right after an export, every
     table still at its exported stamp adopts the image as its storage
     (:meth:`~repro.core.table.Table.adopt`): its buffers become views
-    of the coordinator's attachment and its private arrays go.  The
-    image stays the snapshot at the export's stamp — a later write
-    copies the buffers it touches before writing — and :meth:`is_stale`
-    compares the database's mutation stamp so callers re-export after
-    writes instead of serving stale shards.  ``close()`` terminates the
-    pool and closes the exporter's descriptor; the image lives on as
-    the adopted storage until the database drops it.  Engines expose
-    ``close()`` as their own.  Use :func:`acquire_shard_backend` /
-    :func:`release_shard_backend` to share one backend (one arena, one
-    pool) across all engines over the same database.
+    of the coordinator's attachment and its private arrays go; tables
+    already viewing a reused image need no second adoption.  The image
+    stays the snapshot at its stamp — a later write copies the buffers
+    it touches before writing — and :meth:`is_stale` compares the
+    database's mutation stamp so callers re-export after writes instead
+    of serving stale shards.  ``close()`` terminates the pool and drops
+    the backend's attachment; the image stays with the database.
+    Engines expose ``close()`` as their own.  Use
+    :func:`acquire_shard_backend` / :func:`release_shard_backend` to
+    share one backend (one pool) across all engines over the same
+    database and worker count.
 
     ``workers`` is the shard count, at least two (one shard runs
     inline, see :meth:`ShardBackendSlot.run`).  The coordinator runs
     shard 0 itself (leader participation), so the pool holds
     ``workers - 1`` processes.  Shard 0 reads the backend's own
-    attachment of the arena through its own unpickled plan copy,
+    attachment of the image through its own unpickled plan copy,
     exactly as a pool worker does, so every shard of a run reads one
     point-in-time snapshot and the caller's plan object is never
     hydrated or mutated.
@@ -1298,21 +1381,26 @@ class ProcessShardBackend:
         self._memo_lock = threading.Lock()
         self._traffic: Dict[str, int] = dict.fromkeys(
             ("tasks", "task_bytes", "plan_ships", "plan_misses"), 0)
-        # zone maps built so far ride in the image: workers attach the
-        # parent's summaries zero-copy instead of re-scanning columns
-        # (summaries built after the export are rebuilt worker-side)
-        self.arena = ColumnArena.export(
-            db, zone_entries=fresh_zone_entries(db, query_cache_for(db)))
-        # the coordinator's side: an attachment exactly like a worker's,
-        # so shard 0 faults in only the pages it reads, and plan copies
-        # by plan_seq
-        self._attached: Optional[AttachedDatabase] = _seed_zone_maps(
-            attach_database(self.arena.manifest))
-        # ... and the live database's storage: every table still at its
-        # exported stamp swaps its private buffers for views of this same
-        # mapping, so the host holds the data once
-        for name, count in self.stamp:
-            db.table(name).adopt(self._attached.db.table(name), count)
+        with _REGISTRY_LOCK:
+            image, exported = _hold_image(db, self.stamp)
+            try:
+                # the coordinator's side: an attachment exactly like a
+                # worker's (its zone maps seeded into a fresh query
+                # cache), so shard 0 faults in only the pages it reads,
+                # and plan copies by plan_seq
+                self._attached: Optional[AttachedDatabase] = (
+                    _seed_zone_maps(image.arena.attach()))
+            except BaseException:
+                image.release()
+                raise
+            self._image: Optional[DatabaseImage] = image
+        self.arena = image.arena
+        if exported:
+            # ... and the live database's storage: every table still at
+            # its exported stamp swaps its private buffers for views of
+            # the same mapping, so the host holds the data once
+            for name, count in self.stamp:
+                db.table(name).adopt(self._attached.db.table(name), count)
         self._plans: "OrderedDict[int, object]" = OrderedDict()
         # a futures executor rather than multiprocessing.Pool: when a
         # worker dies mid-task (OOM kill, SIGKILL, segfault) Pool.map
@@ -1325,7 +1413,7 @@ class ProcessShardBackend:
             initializer=_worker_attach, initargs=(self.arena.manifest,))
 
     def is_stale(self, db: Database) -> bool:
-        """Has *db* been mutated since this backend's arena was exported?"""
+        """Has *db* been mutated since this backend's image was exported?"""
         return database_stamp(db) != self.stamp
 
     def retain(self) -> "ProcessShardBackend":
@@ -1443,7 +1531,8 @@ class ProcessShardBackend:
                 _SHARED_BACKENDS.pop(key, None)
 
     def close(self) -> None:
-        """Terminate the workers and close the exporter's descriptor.
+        """Terminate the workers and drop the coordinator's attachment;
+        idempotent.  The image stays with its database.
 
         Pool workers are terminated, not drained: close() must not wait
         on stuck shards.  A shard the coordinator is running keeps
@@ -1464,7 +1553,10 @@ class ProcessShardBackend:
             # drop the attachment (and the zone maps seeded into its
             # query cache): its mapping goes with its last view
             self._attached = None
-        self.arena.close()
+        with _REGISTRY_LOCK:
+            image, self._image = self._image, None
+            if image is not None:
+                image.release()
 
     def __enter__(self) -> "ProcessShardBackend":
         return self
@@ -1474,12 +1566,17 @@ class ProcessShardBackend:
 
 
 #: One shared backend per (database identity, worker count): a harness
-#: sweep over ten engines exports the database once, not ten times.
+#: sweep over ten engines starts one pool, not ten.
 _SHARED_BACKENDS: Dict[tuple, ProcessShardBackend] = {}
 
-#: Guards the registry *and* every backend's refcount.  Reentrant
-#: because a construction inside ``acquire_shard_backend`` can trigger
-#: GC, which can run ``_evict_backend`` finalizers on this same thread.
+#: One image per database identity, shared by its backends of every
+#: worker count (see :class:`DatabaseImage`).
+_DATABASE_IMAGES: Dict[int, DatabaseImage] = {}
+
+#: Guards both registries, every backend's refcount and image hold, and
+#: every image's holders.  Reentrant because a construction inside
+#: ``acquire_shard_backend`` can trigger GC, which can run
+#: ``_evict_backend`` / ``_retire_image`` finalizers on this same thread.
 _REGISTRY_LOCK = threading.RLock()
 
 #: Lock contract, machine-checked by ``astore lint`` (lock-discipline).
@@ -1487,6 +1584,9 @@ _REGISTRY_LOCK = threading.RLock()
 #: because eviction decisions read the count and the registry together.
 GUARDED_BY = {
     "_SHARED_BACKENDS": "_REGISTRY_LOCK",
+    "_DATABASE_IMAGES": "_REGISTRY_LOCK",
+    "DatabaseImage.holders": "_REGISTRY_LOCK",
+    "ProcessShardBackend._image": "_REGISTRY_LOCK",
     "ProcessShardBackend.refs": "_REGISTRY_LOCK",
     "ProcessShardBackend._traffic": "self._memo_lock",
     "ProcessShardBackend._plans": "self._memo_lock",
@@ -1574,7 +1674,7 @@ class ShardBackendSlot:
 
     def close(self) -> None:
         """Drop the engine's reference; the last holder of the shared
-        backend closes its pool and image."""
+        backend closes its pool (the image stays with the database)."""
         with self._lock:
             backend, self._backend = self._backend, None
         if backend is not None:
@@ -1584,12 +1684,13 @@ class ShardBackendSlot:
 def acquire_shard_backend(db: Database, workers: int) -> ProcessShardBackend:
     """A refcounted, staleness-checked shard backend for *db*.
 
-    Engines over the same database and worker count share one arena and
-    one pool; every acquire must be paired with a
-    :func:`release_shard_backend` (engines do this in ``close()``).  A
-    backend whose arena predates a database mutation is evicted here —
-    current holders drain it via their own ``is_stale`` check — and a
-    fresh export takes its place.
+    Engines over the same database and worker count share one pool, and
+    backends of every worker count share the database's image; every
+    acquire must be paired with a :func:`release_shard_backend` (engines
+    do this in ``close()``).  A backend whose image predates a database
+    mutation is evicted here — current holders drain it via their own
+    ``is_stale`` check — and a fresh backend over a fresh export takes
+    its place.
 
     The registry lock is held across the whole
     revalidate/evict/re-export/refcount sequence.  Unlocked, the
@@ -1617,7 +1718,7 @@ def acquire_shard_backend(db: Database, workers: int) -> ProcessShardBackend:
 
 
 def release_shard_backend(backend: ProcessShardBackend) -> None:
-    """Drop one reference; the last holder closes arena and pool.
+    """Drop one reference; the last holder closes the pool.
 
     Idempotence guard: releasing an already fully-released backend is a
     no-op rather than driving the count negative (which, unlocked, was

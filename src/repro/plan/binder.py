@@ -112,13 +112,6 @@ class LogicalPlan:
                 out.update(path.tables[1:])
         return out
 
-    def path_to(self, table: str) -> ReferencePath:
-        """The reference path whose leaf is *table*."""
-        for path in self.paths:
-            if path.leaf == table:
-                return path
-        raise PlanError(f"no reference path to table {table!r}")
-
 
 def bind(query, db: Database) -> LogicalPlan:
     """Bind a SQL string or parsed statement against *db*."""

@@ -1,6 +1,7 @@
 """Shared fixtures: small seeded SSB/TPC-H databases and a tiny star
 schema, plus a per-module guard against leaked workers and images."""
 
+import gc
 import os
 import time
 
@@ -8,6 +9,11 @@ import pytest
 
 from repro.core import ColumnArena, Database
 from repro.datagen import generate_ssb, generate_tpch
+from repro.engine.sharding import database_image
+
+#: The session-scoped databases built so far: each may own one exported
+#: image (a process engine's) until the session ends.
+SESSION_DATABASES = []
 
 
 def live_children():
@@ -30,37 +36,52 @@ def live_children():
     return found
 
 
+def owned_images(*dbs):
+    """The paths of the images *dbs* own (one each, at most)."""
+    arenas = (database_image(db) for db in dbs)
+    return {arena.manifest.path for arena in arenas if arena is not None}
+
+
 @pytest.fixture(scope="module", autouse=True)
 def no_leaks():
-    """Fail a module that leaves a child process running or an exported
-    image open once its own fixtures are torn down."""
+    """Fail a module that leaves a child process running, or an exported
+    image open that no session database owns, once its own fixtures are
+    torn down.  A database owns its image until it is collected, so
+    garbage is collected first."""
     images = set(ColumnArena.live_segments())
     yield
+    gc.collect()
     deadline = time.monotonic() + 2.0
     while live_children() and time.monotonic() < deadline:
         time.sleep(0.05)  # a terminated worker may take a moment to go
     leaked = [f"child process {pid}" for pid in live_children()]
     leaked += [f"image {path}" for path in
-               sorted(set(ColumnArena.live_segments()) - images)]
+               sorted(set(ColumnArena.live_segments()) - images
+                      - owned_images(*SESSION_DATABASES))]
     if leaked:
         pytest.fail("leaked: " + ", ".join(leaked))
+
+
+def session_database(db: Database) -> Database:
+    SESSION_DATABASES.append(db)
+    return db
 
 
 @pytest.fixture(scope="session")
 def ssb_air():
     """A small AIR-loaded SSB database."""
-    return generate_ssb(sf=0.01, seed=11)
+    return session_database(generate_ssb(sf=0.01, seed=11))
 
 
 @pytest.fixture(scope="session")
 def ssb_raw():
     """The same SSB data with key-valued FKs (for the baselines)."""
-    return generate_ssb(sf=0.01, seed=11, airify=False)
+    return session_database(generate_ssb(sf=0.01, seed=11, airify=False))
 
 
 @pytest.fixture(scope="session")
 def tpch_air():
-    return generate_tpch(sf=0.004, seed=11)
+    return session_database(generate_tpch(sf=0.004, seed=11))
 
 
 def build_tiny_star(mvcc: bool = False) -> Database:

@@ -10,9 +10,10 @@ Pins this PR's contracts:
   results;
 * ``Table.consolidate(order)`` validates the permutation it is handed;
 * the declared clustering spec survives an npz save/load round trip,
-  and the one-argsort sort order equals ``np.lexsort`` over the spec's
-  keys (dict-coded, object-valued, AIR-parent, wide and float keys), as
-  the shared ``composite_sort_order`` does over raw integer keys;
+  and the one-sort order equals ``np.lexsort`` over the spec's keys
+  (dict-coded, object-valued, AIR-parent, wide and float keys), as the
+  shared ``composite_sort_order`` — one packed key, sorted once — does
+  over raw integer keys;
 * ``Database.compact`` re-sorts a churned table back into its declared
   clustering, rebuilds the summaries, restores the skip counts of the
   fresh layout, and bumps the mutation stamp so no cache tier or shard
@@ -41,7 +42,7 @@ from repro.core.statistics import (
     zone_maps_for,
 )
 from repro.core.column import DictColumn, FixedColumn
-from repro.core.compaction import (clustering_sort_order,
+from repro.core.compaction import (_composite_key, clustering_sort_order,
                                    composite_sort_order)
 from repro.core import Database
 from repro.core.column import AIRColumn
@@ -378,6 +379,55 @@ class TestCompositeSortOrder:
                 rng.integers(0, 1 << 40, 500), rng.integers(0, 3, 500)]
         assert np.array_equal(composite_sort_order(keys),
                               np.lexsort(keys[::-1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_packed_key_equals_lexsort(self, data):
+        # up to 2 000 rows, so the row numbers take up to 11 bits of the
+        # packed key; narrow spans give ties, and spans start negative
+        n = data.draw(st.integers(0, 2000), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        widths = {np.int8: 7, np.int16: 15, np.int64: 63}
+        keys = []
+        for dtype in data.draw(st.lists(st.sampled_from(list(widths)),
+                                        min_size=1, max_size=3),
+                               label="dtypes"):
+            span = 1 << data.draw(st.integers(0, widths[dtype]),
+                                  label="span bits")
+            lo = max(-span // 2, -(1 << widths[dtype]))
+            hi = min(lo + span, (1 << widths[dtype]) - 1)
+            keys.append(rng.integers(lo, hi, n, endpoint=True, dtype=dtype))
+        assert np.array_equal(composite_sort_order(keys),
+                              np.lexsort(keys[::-1]))
+
+    def test_packed_key_re_ranks_a_wide_composite(self):
+        # the keys fold without a re-rank into a 2**60-wide composite,
+        # which scaled by the 11 row bits of 2 000 rows would pass 63
+        # bits, so it is re-ranked before it is packed
+        rng = np.random.default_rng(8)
+        keys = [rng.integers(-1, 1, 2000, endpoint=True, dtype=np.int8),
+                rng.integers(0, 1 << 59, 2000)]
+        _, radix = _composite_key(keys)
+        assert radix < 1 << 62 and radix << (1999).bit_length() > 1 << 63
+        assert np.array_equal(composite_sort_order(keys),
+                              np.lexsort(keys[::-1]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dict_coded_key_through_the_spec(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2000
+        db = Database("packed")
+        db.create_table("f", {
+            "code": [f"c{v}" for v in rng.integers(0, 30, n)],
+            "small": rng.integers(-3, 3, n).astype(np.int8),
+            "wide": rng.integers(-(1 << 62), 1 << 62, n),
+        }, dict_threshold=1.0)
+        assert isinstance(db.table("f")["code"], DictColumn)
+        db.table("f").delete(rng.choice(n, 100, replace=False))
+        for spec in (["f.code", "f.small"], ["f.small", "f.code", "f.wide"]):
+            assert np.array_equal(clustering_sort_order(db, "f", spec),
+                                  lexsort_reference(db, "f", spec))
 
     def test_needs_a_key(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,10 @@ Pins these contracts:
   rows on the ``serial``, ``thread``, and ``process`` backends (A-Store
   and baselines alike);
 * **arena hygiene** — attached databases are zero-copy and read-only,
-  an export faults in no image page, and no image survives engine
-  close, a killed worker, or an exporter that exits without closing,
-  except the one a live database adopted, which goes with it;
+  an export faults in no image page, a database owns at most one image,
+  which every backend over it reuses until a write moves its stamp, and
+  no image survives its database, a killed worker, or an exporter that
+  exits without closing;
 * **adoption** — the coordinator's database adopts the image as its
   storage, a write copies only the buffers it touches and never
   reaches the image a run reads, and a writer racing exports loses no
@@ -59,7 +60,7 @@ from repro.baselines import (
 )
 from repro.workloads import SSB_QUERIES
 
-from .conftest import build_tiny_star
+from .conftest import build_tiny_star, owned_images
 
 BACKEND_NAMES = ("serial", "thread", "process")
 
@@ -304,13 +305,16 @@ class TestCrossBackendDifferential:
 
     def test_zz_no_leaked_segments_after_suite(self, ssb_air, ssb_raw):
         # runs last in this class (alphabetical within-class ordering is
-        # not guaranteed, but the module-scoped engine outlives it — so
-        # only *its* image may be live; the only other images held are
-        # the ones the session databases adopted as their storage)
-        live = ColumnArena.live_segments()
-        assert len(live) <= 2  # process_engine + at most one baseline arena
-        assert open_images() <= ({os.stat(path).st_ino for path in live}
-                                 | adopted_images(ssb_air, ssb_raw))
+        # not guaranteed): every backend so far ran over a session
+        # database, so the only open images are the one each of them
+        # owns — the 2- and 3-shard engines share ssb_air's, the
+        # baselines ssb_raw's — plus the mappings they adopted
+        held = open_images()  # collects garbage first
+        live = set(ColumnArena.live_segments())
+        owned = owned_images(ssb_air, ssb_raw)
+        assert live == owned
+        assert held <= ({os.stat(path).st_ino for path in owned}
+                        | adopted_images(ssb_air, ssb_raw))
 
 
 class TestProcessBackendSemantics:
@@ -351,14 +355,55 @@ class TestProcessBackendSemantics:
             # one holder closed: the shared backend stays alive
             assert path in ColumnArena.live_segments()
             assert first.query(sql).rows()
-        # last holder closed: its descriptor is gone, and the image
-        # lives on only as the database's adopted storage ...
-        assert path not in ColumnArena.live_segments()
+        # last holder closed: the pool is gone, but the image is the
+        # database's: its descriptor stays open and it is still the
+        # database's adopted storage ...
+        assert owned_images(db) == {path}
+        assert path in ColumnArena.live_segments()
         assert image in adopted_images(db)
         assert image in open_images()
         # ... until the database goes too
         del first, second, db
         assert image not in open_images()
+        assert path not in ColumnArena.live_segments()
+
+    def test_backends_reuse_the_database_image(self, monkeypatch):
+        # a database owns one image: a reopened engine and an engine of
+        # another worker count attach to it instead of exporting again;
+        # a write retires it, and the database takes the last one along
+        db = build_tiny_star()
+        sql = ("SELECT d_year, sum(lo_revenue) AS r FROM lineorder, date "
+               "GROUP BY d_year ORDER BY d_year")
+        serial = AStoreEngine(db, EngineOptions(use_cache=False))
+        export, exports = ColumnArena.export.__func__, []
+
+        def counted(cls, *args, **kwargs):
+            exports.append(export(cls, *args, **kwargs))
+            return exports[-1]
+
+        monkeypatch.setattr(ColumnArena, "export", classmethod(counted))
+        before = open_images()
+        held = []
+        for workers in (2, 2):
+            with AStoreEngine(db, EngineOptions(
+                    parallel_backend="process", workers=workers)) as engine:
+                assert engine.query(sql).rows() == serial.query(sql).rows()
+                held.append(open_images() - before)
+            held.append(open_images() - before)
+        with AStoreEngine(db, EngineOptions(
+                parallel_backend="process", workers=3)) as engine:
+            assert engine.query(sql).rows() == serial.query(sql).rows()
+            held.append(open_images() - before)
+            [first] = exports
+            old = image_of(first)
+            assert held == [{old}] * 5
+            db.table("lineorder").update([0, 3], {"lo_revenue": [7, 9]})
+            assert engine.query(sql).rows() == serial.query(sql).rows()
+            assert len(exports) == 2 and first.closed
+            assert open_images() - before == {image_of(exports[1])} != {old}
+        del engine, serial, db
+        assert open_images() == before
+        assert exports[1].closed
 
     def test_snapshot_reads_through_process_backend(self):
         db = build_tiny_star(mvcc=True)
@@ -384,12 +429,14 @@ class TestProcessBackendSemantics:
         path = engine._slot.backend.arena.manifest.path
         image = image_of(engine._slot.backend.arena)
         engine.close()
-        assert path not in ColumnArena.live_segments()
-        # the only image still held is the one the live database
-        # adopted as its storage; it goes with the database
+        # the engine's pool is gone; the image is the live database's:
+        # it owns the descriptor and adopted the mapping as its storage
+        assert owned_images(db) == {path}
         assert open_images() & {image} == adopted_images(db) == {image}
+        # it goes with the database
         del engine, db
         assert image not in open_images()
+        assert path not in ColumnArena.live_segments()
         assert dev_shm_names() == names
 
     def test_exit_without_close_leaves_nothing(self, tmp_path):
@@ -679,18 +726,22 @@ class TestImageAdoption:
         sys.setswitchinterval(1e-5)
         try:
             thread.start()
-            exports, deadline = 0, time.monotonic() + 60
+            loops, deadline = 0, time.monotonic() + 60
             # a backend spawns no worker until its first run: each loop
-            # is one export, attach and adoption racing the writer
-            while ((not done.is_set() or exports < 3)
+            # after a write is one export, attach and adoption racing
+            # the writer (a loop at an unchanged stamp attaches to the
+            # database's image and adopts nothing)
+            while ((not done.is_set() or loops < 3)
                    and time.monotonic() < deadline):
                 with sharding.ProcessShardBackend(db, 2):
-                    exports += 1
+                    loops += 1
             thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not thread.is_alive() and done.is_set()
-        # not vacuous: some exports met a pause in the writes and adopted
+        # not vacuous: the writer raced several exports (one adoption
+        # attempt each), and some met a pause in the writes and adopted
+        assert len(adopted) >= 3
         assert True in adopted
         for positions, values, _ in log:
             replay.table("lineorder").update(positions,
@@ -839,7 +890,9 @@ class TestLeaderParticipation:
         runner.start()
         assert started.wait(30)
         backend.close()  # does not wait for shard 0
-        assert backend.arena.closed
+        # the image stays with its database; the backend lets go of it
+        assert sharding.database_image(tiny_star) is backend.arena
+        assert not backend.arena.closed
         assert backend._attached is None  # nothing new reaches the views
         closed.set()
         runner.join(30)
@@ -1063,10 +1116,10 @@ class TestProcessPoolDeath:
             recovered = engine.query(self.SQL)
             assert recovered.rows() == truth
             assert recovered.stats.shard_fallbacks == 0
-        # the broken backend's image went with its eviction, the fresh
-        # one with the engine; the only others held are the ones the
-        # session databases adopted as their storage
-        assert open_images() <= ({os.stat(path).st_ino
-                                  for path in ColumnArena.live_segments()}
+        # the fresh backend reused the database's image: a dead pool
+        # leaves the image intact, and the only images held are the ones
+        # the session databases own and adopted as their storage
+        assert open_images() <= ({os.stat(path).st_ino for path in
+                                  owned_images(ssb_air, ssb_raw)}
                                  | adopted_images(ssb_air, ssb_raw))
         assert dev_shm_names() == names
