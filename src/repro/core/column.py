@@ -17,10 +17,18 @@ rebuilt over a mapped image, or one whose table adopted an exported
 image as its storage (:meth:`repro.core.table.Table.adopt`).  Writes
 copy such a buffer into private memory first, so they never reach the
 image that other readers share (copy on first write).
+
+Every private fixed-width buffer the storage layer makes comes from
+:func:`empty_buffer`: one of at least a huge page is a private anonymous
+mapping of its own, so it goes back to the operating system when its
+last view goes, and capacity nobody wrote to is never resident.
 """
 
 from __future__ import annotations
 
+import mmap
+import tracemalloc
+import weakref
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +39,82 @@ from .types import DataType
 
 _GROWTH_FACTOR = 1.5
 _MIN_CAPACITY = 16
+
+#: Buffers of at least one huge page get a mapping of their own.
+MAPPED_BUFFER_BYTES = 2 << 20
+
+_MAP_FLAGS = (getattr(mmap, "MAP_PRIVATE", 0)
+              | getattr(mmap, "MAP_ANONYMOUS", 0))
+_MADV_HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)
+#: tracemalloc domain of the mapped buffers: NumPy's own, so a traced
+#: run counts them where it would count the ``np.empty`` they replace
+_TRACE_DOMAIN = 389047
+_trace_calls = None
+
+
+def empty_buffer(length: int, dtype,
+                 written: Optional[int] = None) -> np.ndarray:
+    """An uninitialised, writeable 1-D array of *length* items of
+    *dtype*: the one allocator of every private fixed-width storage
+    buffer (column data, codes, addresses, AIR positions, bookkeeping).
+
+    Below :data:`MAPPED_BUFFER_BYTES` it is ``np.empty``.  At or above,
+    it is a view of a private anonymous mapping of its own: the mapping
+    is unmapped when the last view of the buffer goes, instead of
+    returning to a malloc heap that keeps its pages resident, and pages
+    nobody wrote to — a column's growth capacity — are never resident.
+    The first *written* items (default: all), which the caller is about
+    to fill, get the huge-page hint where the platform has one, so they
+    fault in 2 MiB at a time; the capacity behind them faults in
+    ordinary pages as appends reach it.  The mapping is private, not
+    shared: shared anonymous memory is shmem, which faults in 4 KiB
+    pages unless shmem huge pages are enabled.  Under
+    :mod:`tracemalloc` the mapping is traced like a NumPy allocation of
+    the same size.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = length * dtype.itemsize
+    if nbytes < MAPPED_BUFFER_BYTES or not _MAP_FLAGS:
+        return np.empty(length, dtype=dtype)
+    mapping = mmap.mmap(-1, nbytes, flags=_MAP_FLAGS)
+    hinted = nbytes if written is None else written * dtype.itemsize
+    if _MADV_HUGEPAGE is not None and hinted:
+        try:
+            mapping.madvise(_MADV_HUGEPAGE, 0, hinted)
+        except OSError:  # transparent huge pages compiled out
+            pass
+    buffer = np.frombuffer(mapping, dtype=dtype, count=length)
+    if tracemalloc.is_tracing():
+        _trace(mapping, buffer.ctypes.data, nbytes)
+    return buffer
+
+
+def _trace(mapping: mmap.mmap, address: int, nbytes: int) -> None:
+    """Register *mapping* with tracemalloc (``PyTraceMalloc_Track``, the
+    C API NumPy traces its own buffers with) until it is unmapped."""
+    global _trace_calls
+    if _trace_calls is None:
+        import ctypes
+
+        track = ctypes.pythonapi.PyTraceMalloc_Track
+        track.argtypes = [ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t]
+        untrack = ctypes.pythonapi.PyTraceMalloc_Untrack
+        untrack.argtypes = [ctypes.c_uint, ctypes.c_size_t]
+        _trace_calls = track, untrack
+    track, untrack = _trace_calls
+    if track(_TRACE_DOMAIN, address, nbytes) == 0:
+        weakref.finalize(mapping, untrack, _TRACE_DOMAIN, address)
+
+
+def private_copy(array: np.ndarray, capacity: Optional[int] = None
+                 ) -> np.ndarray:
+    """*array* copied into a fresh :func:`empty_buffer` of *capacity*
+    items (default its length) — the copy on first write of an image
+    view, and a buffer's growth."""
+    copy = empty_buffer(len(array) if capacity is None else capacity,
+                        array.dtype, written=len(array))
+    copy[: len(array)] = array
+    return copy
 
 
 class Column:
@@ -96,23 +180,28 @@ class FixedColumn(Column):
         if data is not None:
             data = np.ascontiguousarray(data, dtype=np_dtype)
             self._n = len(data)
-            cap = max(capacity, self._n, _MIN_CAPACITY)
-            self._data = np.empty(cap, dtype=np_dtype)
+            self._data = empty_buffer(max(capacity, self._n, _MIN_CAPACITY),
+                                      np_dtype, written=self._n)
             self._data[: self._n] = data
         else:
             self._n = 0
-            self._data = np.empty(max(capacity, _MIN_CAPACITY), dtype=np_dtype)
+            self._data = empty_buffer(max(capacity, _MIN_CAPACITY), np_dtype,
+                                      written=0)
 
     @classmethod
     def wrap(cls, name: str, dtype: DataType, data: np.ndarray) -> "FixedColumn":
         """Zero-copy constructor over an existing backing array.
 
         Used by the image rebuild (*data* typically a view into a mapped
-        database image) and by loaders that hand over a fresh
-        array they no longer use (the SSB generator, ``Database.airify``):
-        *data* becomes the backing array as-is, with no reserved tail
-        capacity.  Appending to a wrapped column reallocates into private
-        memory, and the first write to a read-only *data* copies it.
+        database image) and by loaders that hand over a fresh buffer
+        they no longer use (the generators, which write each column
+        straight into an :func:`empty_buffer`; ``Database.airify``;
+        consolidation's AIR remap): *data* becomes the backing array
+        as-is, with no reserved tail capacity.  Appending to a wrapped
+        column grows it into a fresh :func:`empty_buffer`, and the first
+        write to a read-only *data* copies it into one (copy on first
+        write); either way the old buffer is released with its last
+        view.
         """
         column = cls.__new__(cls)
         column.name = name
@@ -160,12 +249,16 @@ class FixedColumn(Column):
         self._data = image.values()
 
     def reorder(self, mapping: np.ndarray) -> None:
+        """Gather into a fresh :func:`empty_buffer` with growth capacity
+        (not resident until written), never in place: a reader holding
+        a view of the old buffer keeps reading the old layout, and the
+        old buffer is released with its last view."""
         # one gather straight into the new buffer: consolidation has
         # already checked *mapping* lists valid rows, and a bounds-checked
         # take would stage through a temporary of the same size
         n = len(mapping)
-        data = np.empty(max(int(n * _GROWTH_FACTOR), _MIN_CAPACITY),
-                        dtype=self.dtype.numpy_dtype)
+        data = empty_buffer(max(int(n * _GROWTH_FACTOR), _MIN_CAPACITY),
+                            self.dtype.numpy_dtype, written=n)
         np.take(self._data[: self._n], mapping, out=data[:n], mode="clip")
         self._data, self._n = data, n
 
@@ -179,12 +272,11 @@ class FixedColumn(Column):
         this first write, a full one grows."""
         if needed <= len(self._data):
             if not self._data.flags.writeable:
-                self._data = self._data.copy()
+                self._data = private_copy(self._data)
             return
-        cap = max(int(needed * _GROWTH_FACTOR), _MIN_CAPACITY)
-        grown = np.empty(cap, dtype=self._data.dtype)
-        grown[: self._n] = self._data[: self._n]
-        self._data = grown
+        self._data = private_copy(
+            self._data[: self._n],
+            max(int(needed * _GROWTH_FACTOR), _MIN_CAPACITY))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, {self.dtype.value}, n={self._n})"
@@ -393,3 +485,25 @@ def make_column(name: str, values: Sequence, dict_threshold: float = 0.1,
     if len(values) == 0 or distinct <= max(2, dict_threshold * len(values)):
         return DictColumn(name, values=values)
     return StringColumn(name, values=values)
+
+
+def make_coded_column(name: str, codes: np.ndarray, pool: Sequence,
+                      dict_threshold: float = 0.1) -> Column:
+    """``make_column(name, pool[codes])``, built from the codes.
+
+    *pool* holds distinct strings and *codes* index it.  When the column
+    is dictionary-compressed, the dictionary holds the pool values that
+    occur in first-seen order and the codes are remapped to match: the
+    same dictionary and codes as encoding ``pool[codes]`` one value at a
+    time, without a string per row.
+    """
+    codes = np.asarray(codes)
+    present, first = np.unique(codes, return_index=True)
+    if not len(codes) or len(present) > max(2, dict_threshold * len(codes)):
+        return make_column(name, np.asarray(pool, dtype=object)[codes],
+                           dict_threshold, DataType.STRING)
+    seen = present[np.argsort(first)]
+    remap = np.empty(len(pool), dtype=np.int32)
+    remap[seen] = np.arange(len(seen), dtype=np.int32)
+    return DictColumn.wrap(name, Dictionary(pool[i] for i in seen),
+                           remap[codes])

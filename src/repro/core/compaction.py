@@ -27,17 +27,22 @@ the pre- or post-compaction database, never a mix.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..errors import SchemaError
-from .column import AIRColumn, DictColumn
+from .column import AIRColumn, DictColumn, empty_buffer
 from .schema import Database
 
+#: rows per slice where a row-number array would otherwise be staged
+_SLICE = 1 << 16
 
-def _row_keys(column, rows: np.ndarray) -> np.ndarray:
-    """Value-ordered sort keys for *column* at physical positions *rows*.
+
+def _row_keys(column) -> np.ndarray:
+    """Value-ordered sort keys for every row of *column* (possibly a
+    view of the column itself: read it, never write it).
 
     Dict-coded columns must not sort by their (insertion-ordered) codes:
     the key is each row's rank in dictionary *value* order.  Any other
@@ -47,12 +52,11 @@ def _row_keys(column, rows: np.ndarray) -> np.ndarray:
         dictionary = np.asarray(column.dictionary.values, dtype=object)
         rank = np.empty(len(dictionary), dtype=np.int64)
         rank[np.argsort(dictionary, kind="stable")] = np.arange(len(dictionary))
-        return rank[np.asarray(column.codes())[rows]]
+        return rank[np.asarray(column.codes())]
     values = np.asarray(column.values())
     if values.dtype.kind == "O":
-        _, inverse = np.unique(values, return_inverse=True)
-        return inverse[rows]
-    return values[rows]
+        return np.unique(values, return_inverse=True)[1]
+    return values
 
 
 def _key_route(db: Database, table_name: str,
@@ -86,9 +90,9 @@ def _key_route(db: Database, table_name: str,
         f"clustering key {item!r} is not reachable from {table_name!r}")
 
 
-def _sort_keys(db: Database, table_name: str, live: np.ndarray, spec):
-    """The spec's sort keys at the *live* rows, outermost first, one at
-    a time (for :func:`composite_sort_order`).
+def _sort_keys(db: Database, table_name: str, spec):
+    """The spec's sort keys at every row, outermost first, one at a
+    time (for :func:`composite_sort_order`).
 
     A key read through an AIR column is encoded over the parent's rows
     and then gathered, so its rank comes from the small parent array.
@@ -105,13 +109,12 @@ def _sort_keys(db: Database, table_name: str, live: np.ndarray, spec):
         air, column = routes[start]
         stop = start + 1
         if air is None:
-            yield _row_keys(column, live)
+            yield _row_keys(column)
             start = stop
             continue
         while stop < len(routes) and routes[stop][0] == air:
             stop += 1
-        rows = np.arange(len(column), dtype=np.int64)
-        parent, _ = _composite_key(_row_keys(level, rows)
+        parent, _ = _composite_key(_row_keys(level)
                                   for _, level in routes[start:stop])
         if stop - start > 1:
             parent = np.unique(parent, return_inverse=True)[1]
@@ -119,7 +122,7 @@ def _sort_keys(db: Database, table_name: str, live: np.ndarray, spec):
         # gather and the fold read fewer bytes
         parent = parent.astype(
             np.min_scalar_type(-int(parent.max(initial=0)) - 1))
-        yield parent[np.asarray(tab[air].values())[live]]
+        yield parent[np.asarray(tab[air].values())]
         start = stop
 
 
@@ -138,7 +141,8 @@ def _dense_codes(keys: np.ndarray) -> Tuple[np.ndarray, int]:
         lo, hi = int(keys.min()), int(keys.max())
         if hi - lo < _COMPOSITE_LIMIT:
             if lo:
-                keys = np.subtract(keys, lo, dtype=np.int64)
+                keys = np.subtract(keys, lo, dtype=np.int64,
+                                   out=empty_buffer(len(keys), np.int64))
             return keys, hi - lo + 1
     uniq, codes = np.unique(keys, return_inverse=True)
     return codes.astype(np.int64, copy=False), max(1, len(uniq))
@@ -179,7 +183,9 @@ def _composite_key(keys: Iterable[np.ndarray]) -> Tuple[np.ndarray, int]:
         key = np.asarray(key)
         codes, key_radix = _dense_codes(key)
         if composite is None and codes is key:
-            codes = codes.astype(np.int64)  # the composite is scaled in place
+            # the composite is scaled in place, never in the caller's key
+            codes = empty_buffer(len(key), np.int64)
+            codes[:] = key
         composite, radix = _fold(composite, radix, codes, key_radix)
     if composite is None:
         raise ValueError("a composite key needs at least one key")
@@ -203,7 +209,9 @@ def composite_sort_order(keys: Iterable[np.ndarray]) -> np.ndarray:
         composite = np.unique(composite, return_inverse=True)[1].astype(
             np.int64, copy=False)
     composite <<= bits
-    composite |= np.arange(len(composite), dtype=np.int64)
+    for start in range(0, len(composite), _SLICE):
+        stop = min(start + _SLICE, len(composite))
+        composite[start:stop] |= np.arange(start, stop, dtype=np.int64)
     composite.sort()
     composite &= (1 << bits) - 1
     return composite
@@ -217,13 +225,18 @@ def clustering_sort_order(db: Database, table_name: str,
     Returns physical positions suitable for
     :meth:`~repro.core.schema.Database.consolidate`'s ``order``: the
     spec's keys in value order, resolved one at a time, through
-    :func:`composite_sort_order`.
+    :func:`composite_sort_order`.  The keys are read at every row, with
+    deleted rows sorted last behind an outermost key and cut off, so
+    the order is the sort's own buffer: no live-row index is gathered.
     """
-    tab = db.table(table_name)
-    live = np.flatnonzero(tab.live_mask()).astype(np.int64)
+    live = db.table(table_name).live_mask()
     if not spec:
-        return live
-    return live[composite_sort_order(_sort_keys(db, table_name, live, spec))]
+        return np.flatnonzero(live)
+    num_live = int(np.count_nonzero(live))
+    keys = _sort_keys(db, table_name, spec)
+    if num_live < len(live):
+        keys = itertools.chain([(~live).view(np.int8)], keys)
+    return composite_sort_order(keys)[:num_live]
 
 
 def compact_database(db: Database, table_name: str, store=None) -> dict:

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from .column import AIRColumn, DictColumn, StringColumn
+from .column import AIRColumn, DictColumn, StringColumn, empty_buffer
 from .table import Table
 
 
@@ -230,7 +230,13 @@ class Database:
                 continue
             # one fact-sized buffer: remapped, checked through a bool
             # mask, patched in place, and adopted by the new column
-            new = mapping[column.values()]
+            positions = column.values()
+            if len(positions) and (positions.min() < 0
+                                   or positions.max() >= len(mapping)):
+                raise SchemaError(f"reference {ref} holds a position "
+                                  f"outside {table_name!r}")
+            new = np.take(mapping, positions, mode="clip",
+                          out=empty_buffer(len(positions), np.int64))
             dangling = new < 0
             if dangling.any():
                 if (dangling & child.live_mask()).any():
@@ -276,7 +282,8 @@ class Database:
 
 def _key_to_position(key_column, fk_values) -> np.ndarray:
     """Map child FK key values onto parent array indexes, in a fresh
-    array that shares no memory with *fk_values*."""
+    buffer that shares no memory with *fk_values* (the AIR column
+    adopts it)."""
     keys = key_column.values()
     fk_values = np.asarray(fk_values)
     if isinstance(key_column, (DictColumn, StringColumn)) or keys.dtype.kind == "O":
@@ -302,7 +309,8 @@ def _dense_key_positions(keys: np.ndarray,
             or fk_values.dtype.kind not in "iu"
             or not bool((np.diff(keys) == 1).all())):
         return None
-    positions = np.subtract(fk_values, int(keys[0]), dtype=np.int64)
+    positions = np.subtract(fk_values, int(keys[0]), dtype=np.int64,
+                            out=empty_buffer(len(fk_values), np.int64))
     dangling = (positions < 0) | (positions >= len(keys))
     if dangling.any():
         raise SchemaError(
@@ -320,4 +328,5 @@ def _sorted_key_positions(keys: np.ndarray,
     if len(fk_values) and not np.array_equal(sorted_keys[slots], fk_values):
         bad = fk_values[sorted_keys[slots] != fk_values][0]
         raise SchemaError(f"dangling foreign key value {bad!r}")
-    return order[slots].astype(np.int64, copy=False)
+    return np.take(order, slots, mode="clip",
+                   out=empty_buffer(len(slots), np.int64))

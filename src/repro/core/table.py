@@ -30,7 +30,11 @@ view of an exported database image: a process-sharded coordinator
 *adopts* the image it exported as its storage (:meth:`Table.adopt`), so
 the host holds the data once.  Writes copy such a buffer into private
 memory first (copy on first write), so they touch only the buffers they
-change and never the image that shard readers share.  A per-table write
+change and never the image that shard readers share.  Private buffers
+come from :func:`repro.core.column.empty_buffer`, so a buffer a write or
+a consolidation replaces goes back to the operating system with its last
+view; the bookkeeping vectors keep growth capacity like the columns, so
+an append at the tail writes O(batch), not O(table).  A per-table write
 lock serialises every in-place mutator with the adoption's
 check-and-swap: a write racing an export either lands before the swap
 (and the stale table is not adopted) or after it (and copies first).
@@ -46,9 +50,17 @@ import numpy as np
 
 from ..errors import SchemaError, StorageError
 from .bitmap import Bitmap
-from .column import Column, make_column
+from .column import (_GROWTH_FACTOR, _MIN_CAPACITY, Column, empty_buffer,
+                     make_column, private_copy)
 
 _NO_DELETE = np.iinfo(np.int64).max
+
+#: rows per slice where a row-number array would otherwise be staged
+_SLICE = 1 << 16
+
+#: Each bookkeeping vector and the value a fresh slot starts with.
+_BOOKKEEPING = (("_deleted", bool, False), ("_insert_version", np.int64, 0),
+                ("_delete_version", np.int64, _NO_DELETE))
 
 #: Journal bounds: past either, the oldest entries fall off and the
 #: floor rises, so summaries built before it take a full rebuild.
@@ -116,21 +128,20 @@ class Table:
                 )
             table.columns[col_name] = column
         table._nrows = nrows or 0
-        table._deleted = np.zeros(table._nrows, dtype=bool)
-        if mvcc:
-            table._insert_version = np.zeros(table._nrows, dtype=np.int64)
-            table._delete_version = np.full(table._nrows, _NO_DELETE, dtype=np.int64)
+        table._fresh_bookkeeping()
         return table
 
     @classmethod
     def wrap(cls, name: str, columns: Iterable[Column], num_rows: int,
-             deleted: np.ndarray, free_slots: Iterable[int] = (),
+             deleted: Optional[np.ndarray] = None,
+             free_slots: Iterable[int] = (),
              insert_version: Optional[np.ndarray] = None,
              delete_version: Optional[np.ndarray] = None) -> "Table":
         """A table over prebuilt columns and bookkeeping vectors, adopted
         as they are: no copy and no O(rows) allocation (the image and
         arena rebuild).  It tracks MVCC versions when *insert_version*
-        and *delete_version* are given."""
+        and *delete_version* are given.  Without *deleted*, a fresh
+        deletion vector marks every row live (a generator's load)."""
         table = cls(name, mvcc=insert_version is not None)
         for column in columns:
             if len(column) != num_rows:
@@ -139,7 +150,8 @@ class Table:
                     f"table {name!r} has {num_rows}")
             table.columns[column.name] = column
         table._nrows = num_rows
-        table._deleted = deleted
+        table._deleted = (_filled(num_rows, bool, False) if deleted is None
+                          else deleted)
         table._free_slots = [int(p) for p in free_slots]
         if table._mvcc:
             table._insert_version = insert_version
@@ -156,11 +168,7 @@ class Table:
                 )
             if not self.columns:
                 self._nrows = len(column)
-                self._deleted = np.zeros(self._nrows, dtype=bool)
-                if self._mvcc:
-                    self._insert_version = np.zeros(self._nrows, dtype=np.int64)
-                    self._delete_version = np.full(self._nrows, _NO_DELETE,
-                                                   np.int64)
+                self._fresh_bookkeeping()
             self.columns[column.name] = column
             # a schema change is a mutation: every cache tier keyed on
             # this table must revalidate, same as replace_column
@@ -430,26 +438,38 @@ class Table:
         """
         with self._write_lock:
             if order is None:
-                order = np.flatnonzero(~self._deleted).astype(np.int64)
+                order = np.flatnonzero(~self._deleted)
             else:
                 order = np.asarray(order, dtype=np.int64)
-                if len(order) != self.num_live or (
-                        len(order) and bool(self._deleted[order].any())):
+                if len(order) and (order.min() < 0
+                                   or order.max() >= self._nrows):
+                    raise StorageError("consolidate order out of range")
+                # live, and as many distinct rows as are live: all of them
+                listed = np.zeros(self._nrows, dtype=bool)
+                listed[order] = True
+                if (len(order) != self.num_live
+                        or np.count_nonzero(listed) != len(order)
+                        or bool((listed & self._deleted).any())):
                     raise StorageError(
                         "consolidate order must list exactly the live rows")
-            mapping = np.full(self._nrows, -1, dtype=np.int64)
-            mapping[order] = np.arange(len(order), dtype=np.int64)
-            if bool((mapping[~self._deleted] < 0).any()):
-                raise StorageError(
-                    "consolidate order must list exactly the live rows")
+                del listed
+            # each column is gathered into a fresh buffer (readers of
+            # the old one keep the old layout), one column at a time
             for column in self.columns.values():
                 column.reorder(order)
+            mapping = _filled(self._nrows, np.int64, -1)
+            for start in range(0, len(order), _SLICE):
+                stop = min(start + _SLICE, len(order))
+                mapping[order[start:stop]] = np.arange(start, stop)
             self._nrows = len(order)
-            self._deleted = np.zeros(self._nrows, dtype=bool)
+            self._deleted = _filled(self._nrows, bool, False)
             self._free_slots.clear()
             if self._mvcc:
-                self._insert_version = self._insert_version[order]
-                self._delete_version = self._delete_version[order]
+                for name in ("_insert_version", "_delete_version"):
+                    vector = getattr(self, name)
+                    setattr(self, name, np.take(
+                        vector, order, mode="clip",
+                        out=empty_buffer(self._nrows, vector.dtype)))
             self._mutation_count += 1
             self._journal_barrier()
             return mapping
@@ -474,23 +494,48 @@ class Table:
         for name in names:
             array = getattr(self, name)
             if not array.flags.writeable:
-                setattr(self, name, array.copy())
+                setattr(self, name, private_copy(array))
+
+    def _bookkeeping(self):
+        """``(name, dtype, fill)`` of each vector this table keeps."""
+        return _BOOKKEEPING if self._mvcc else _BOOKKEEPING[:1]
+
+    def _fresh_bookkeeping(self) -> None:
+        """Every slot live, inserted at version 0 and never deleted."""
+        for name, dtype, fill in self._bookkeeping():
+            setattr(self, name, _filled(self._nrows, dtype, fill))
 
     def _grow_bookkeeping(self) -> None:
-        if len(self._deleted) < self._nrows:
-            grown = np.zeros(self._nrows, dtype=bool)
-            grown[: len(self._deleted)] = self._deleted
-            self._deleted = grown
-        if self._mvcc and len(self._insert_version) < self._nrows:
-            iv = np.zeros(self._nrows, dtype=np.int64)
-            iv[: len(self._insert_version)] = self._insert_version
-            self._insert_version = iv
-            dv = np.full(self._nrows, _NO_DELETE, dtype=np.int64)
-            dv[: len(self._delete_version)] = self._delete_version
-            self._delete_version = dv
+        """Lengthen each bookkeeping vector to ``_nrows``.  A vector is
+        a prefix view of a private buffer with growth capacity, so an
+        append at the tail fills only its own slots; a vector with no
+        room behind it (full, exactly sized, or an image view) moves
+        into a fresh buffer ``_GROWTH_FACTOR`` times the rows."""
+        for name, _, fill in self._bookkeeping():
+            vector = getattr(self, name)
+            size = len(vector)
+            if size >= self._nrows:
+                continue
+            buffer = vector.base
+            if not (isinstance(buffer, np.ndarray) and buffer.ndim == 1
+                    and buffer.dtype == vector.dtype
+                    and buffer.flags.writeable
+                    and len(buffer) >= self._nrows
+                    and buffer.ctypes.data == vector.ctypes.data):
+                buffer = private_copy(vector, max(
+                    int(self._nrows * _GROWTH_FACTOR), _MIN_CAPACITY))
+            buffer[size : self._nrows] = fill
+            setattr(self, name, buffer[: self._nrows])
 
     def __repr__(self) -> str:
         return (
             f"Table({self.name!r}, rows={self._nrows}, "
             f"live={self.num_live}, columns={len(self.columns)})"
         )
+
+
+def _filled(length: int, dtype, value) -> np.ndarray:
+    """A fresh :func:`~repro.core.column.empty_buffer` holding *value*."""
+    buffer = empty_buffer(length, dtype)
+    buffer.fill(value)
+    return buffer

@@ -1,6 +1,6 @@
 """Seeded synthetic data generators for SSB and a TPC-H subset."""
 
-from .distributions import choice_column, rng_for, scaled_rows, uniform_keys
+from .distributions import rng_for, scaled_rows, uniform_keys
 from .ssb import (
     MONTH_NAMES,
     NATION_LIST,
@@ -13,7 +13,6 @@ from .ssb import (
 from .tpch import generate_tpch
 
 __all__ = [
-    "choice_column",
     "city_of",
     "generate_ssb",
     "generate_tpch",

@@ -7,9 +7,11 @@ is reproducible from ``(generator, scale, seed)``.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Sequence
+from typing import Callable
 
 import numpy as np
+
+from ..core.column import empty_buffer
 
 
 def rng_for(seed: int, stream: str) -> np.random.Generator:
@@ -24,24 +26,43 @@ def rng_for(seed: int, stream: str) -> np.random.Generator:
     return np.random.default_rng(mixed)
 
 
+#: rows per call when a column is drawn slice by slice into its buffer
+_DRAW_SLICE = 1 << 16
+
+
+def drawn(n: int, dtype, draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """``draw(n)`` — a generator call given its size, such as
+    ``lambda k: rng.integers(1, 51, k)`` — written slice by slice into a
+    fresh :func:`~repro.core.column.empty_buffer` of *dtype*, so the
+    full-size draw is never staged in a temporary.
+
+    The values are those of the one full-size call: NumPy's bounded
+    integers take whole 32- or 64-bit outputs, a half-used 64-bit output
+    stays buffered in the bit generator across calls, and uniform
+    doubles take one output each (the generator digests in the tests
+    pin this)."""
+    buffer = empty_buffer(n, dtype)
+    for start in range(0, n, _DRAW_SLICE):
+        stop = min(start + _DRAW_SLICE, n)
+        buffer[start:stop] = draw(stop - start)
+    return buffer
+
+
 def uniform_keys(rng: np.random.Generator, n: int, domain: int) -> np.ndarray:
     """*n* foreign keys uniformly distributed over ``[0, domain)``."""
-    return rng.integers(0, domain, size=n, dtype=np.int64)
+    return drawn(n, np.int64,
+                 lambda k: rng.integers(0, domain, size=k, dtype=np.int64))
 
 
-def value_pool(values: Iterable[str]) -> np.ndarray:
-    """*values* as an object array: index it with drawn codes to build a
-    string column without formatting one string per row."""
-    values = list(values)
-    pool = np.empty(len(values), dtype=object)
-    pool[:] = values
-    return pool
-
-
-def choice_column(rng: np.random.Generator, n: int,
-                  values: Sequence[str]) -> np.ndarray:
-    """*n* draws (uniform) from a fixed value pool, as an object array."""
-    return value_pool(values)[rng.integers(0, len(values), size=n)]
+def serial_keys(n: int) -> np.ndarray:
+    """The surrogate keys ``1 .. n``, written straight into the buffer
+    their column adopts (in slices, so no key array is staged)."""
+    keys = empty_buffer(n, np.int64)
+    step = 1 << 20
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        keys[start:stop] = np.arange(start + 1, stop + 1, dtype=np.int64)
+    return keys
 
 
 def scaled_rows(base: int, sf: float, minimum: int = 1) -> int:

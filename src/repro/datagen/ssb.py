@@ -22,9 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import AIRColumn, Database, DataType, FixedColumn, Table
+from ..core.column import empty_buffer, make_coded_column, make_column
 from ..core.compaction import composite_sort_order
-from .distributions import (choice_column, rng_for, scaled_rows, uniform_keys,
-                            value_pool)
+from .distributions import (drawn, rng_for, scaled_rows, serial_keys,
+                            uniform_keys)
 
 REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
 
@@ -53,10 +54,16 @@ CUSTOMER_BASE = 30_000
 SUPPLIER_BASE = 2_000
 PART_BASE = 200_000
 
+COLORS = ["red", "green", "blue", "ivory", "maroon", "plum", "powder"]
+
 
 def city_of(nation: str, digit: int) -> str:
     """SSB city encoding: 9-char nation prefix + a digit (``UNITED KI1``)."""
     return f"{nation:<9.9}{digit}"
+
+
+#: every SSB city, indexed nation * 10 + digit
+_CITIES = [city_of(n, d) for n in NATION_LIST for d in range(10)]
 
 
 def _date_rows() -> dict:
@@ -109,29 +116,43 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     db.create_table("date", date_data)
     n_dates = len(date_data["d_datekey"])
 
+    # dimension strings are drawn as codes into small value pools and
+    # encoded from the codes (make_coded_column): no string per row
+    def dimension(name, n, columns):
+        db.add_table(Table.wrap(name, columns, n))
+
+    def coded(name, codes, pool):
+        return make_coded_column(name, codes, pool, dict_threshold=0.95)
+
+    def geography(prefix, n, rng):
+        # the nation is drawn as a NATION_LIST index, which is region-
+        # major, so the region index is the nation's // 5; a city
+        # index is nation * 10 + the drawn digit
+        nation = rng.integers(0, len(NATION_LIST), size=n)
+        city = nation * 10 + rng.integers(0, 10, n)
+        return [
+            coded(f"{prefix}_city", city, _CITIES),
+            coded(f"{prefix}_nation", nation, NATION_LIST),
+            coded(f"{prefix}_region", nation // 5, REGIONS),
+        ]
+
     n_customer = scaled_rows(CUSTOMER_BASE, sf)
-    rng = rng_for(seed, "customer")
-    c_nation = choice_column(rng, n_customer, NATION_LIST)
-    db.create_table("customer", {
-        "c_custkey": np.arange(1, n_customer + 1, dtype=np.int64),
-        "c_name": [f"Customer#{i:09d}" for i in range(1, n_customer + 1)],
-        "c_city": [city_of(n, d) for n, d in
-                   zip(c_nation, rng.integers(0, 10, n_customer))],
-        "c_nation": c_nation,
-        "c_region": [REGION_OF_NATION[n] for n in c_nation],
-    }, dict_threshold=0.95)
+    dimension("customer", n_customer, [
+        make_column("c_custkey", serial_keys(n_customer)),
+        make_column("c_name", [f"Customer#{i:09d}"
+                               for i in range(1, n_customer + 1)],
+                    dict_threshold=0.95),
+        *geography("c", n_customer, rng_for(seed, "customer")),
+    ])
 
     n_supplier = scaled_rows(SUPPLIER_BASE, sf)
-    rng = rng_for(seed, "supplier")
-    s_nation = choice_column(rng, n_supplier, NATION_LIST)
-    db.create_table("supplier", {
-        "s_suppkey": np.arange(1, n_supplier + 1, dtype=np.int64),
-        "s_name": [f"Supplier#{i:09d}" for i in range(1, n_supplier + 1)],
-        "s_city": [city_of(n, d) for n, d in
-                   zip(s_nation, rng.integers(0, 10, n_supplier))],
-        "s_nation": s_nation,
-        "s_region": [REGION_OF_NATION[n] for n in s_nation],
-    }, dict_threshold=0.95)
+    dimension("supplier", n_supplier, [
+        make_column("s_suppkey", serial_keys(n_supplier)),
+        make_column("s_name", [f"Supplier#{i:09d}"
+                               for i in range(1, n_supplier + 1)],
+                    dict_threshold=0.95),
+        *geography("s", n_supplier, rng_for(seed, "supplier")),
+    ])
 
     # part: SF=1 has 200k rows; official growth is logarithmic in SF but a
     # linear floor keeps small scales meaningful.
@@ -145,30 +166,36 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     # formatted per row, and the brand code is the fact table's part key
     category = (mfgr_idx - 1) * 5 + (cat_idx - 1)
     brand = category * 40 + (brand_idx - 1)
-    db.create_table("part", {
-        "p_partkey": np.arange(1, n_part + 1, dtype=np.int64),
-        "p_mfgr": value_pool(f"MFGR#{m}" for m in range(1, 6))[mfgr_idx - 1],
-        "p_category": value_pool(f"MFGR#{m}{c}" for m in range(1, 6)
-                                 for c in range(1, 6))[category],
-        "p_brand1": value_pool(f"MFGR#{m}{c}{b:02d}" for m in range(1, 6)
-                               for c in range(1, 6) for b in range(1, 41))[brand],
-        "p_color": choice_column(rng, n_part, [
-            "red", "green", "blue", "ivory", "maroon", "plum", "powder",
-        ]),
-    }, dict_threshold=0.95)
+    dimension("part", n_part, [
+        make_column("p_partkey", serial_keys(n_part)),
+        coded("p_mfgr", mfgr_idx - 1, [f"MFGR#{m}" for m in range(1, 6)]),
+        coded("p_category", category, [f"MFGR#{m}{c}" for m in range(1, 6)
+                                       for c in range(1, 6)]),
+        coded("p_brand1", brand, [f"MFGR#{m}{c}{b:02d}" for m in range(1, 6)
+                                  for c in range(1, 6) for b in range(1, 41)]),
+        coded("p_color", rng.integers(0, len(COLORS), size=n_part), COLORS),
+    ])
 
     n_lineorder = scaled_rows(LINEORDER_BASE, sf)
     rng = rng_for(seed, "lineorder")
-    # Each fact column is built once, into the buffer the table adopts:
-    # a draw is permuted into load order as soon as the order exists
-    # and the draw dropped before the next permutation, so at most one
-    # column is held twice at a time.  The data depends on the order of
-    # the draws from the stream (quantity, discount, extendedprice,
-    # date, customer, part, supplier, supplycost, tax), not on when each
-    # is permuted.
-    quantity = rng.integers(1, 51, n_lineorder).astype(np.int32)
-    discount = rng.integers(0, 11, n_lineorder).astype(np.int32)
-    extendedprice = rng.integers(90_000, 10_000_000, n_lineorder)
+
+    def gather(values, positions):
+        # *positions* are valid indexes of *values*, so the gather needs
+        # no bounds check and writes straight into a fresh buffer
+        return np.take(values, positions, mode="clip",
+                       out=empty_buffer(len(positions), values.dtype))
+
+    # Each fact column is written once, by the gather that permutes its
+    # draw into load order straight into the buffer the table adopts;
+    # a draw is permuted as soon as the order exists and dropped before
+    # the next permutation, so at most one column is held twice at a
+    # time.  The data depends on the order of the draws from the stream
+    # (quantity, discount, extendedprice, date, customer, part,
+    # supplier, supplycost, tax), not on when each is permuted.
+    quantity = drawn(n_lineorder, np.int32, lambda k: rng.integers(1, 51, k))
+    discount = drawn(n_lineorder, np.int32, lambda k: rng.integers(0, 11, k))
+    extendedprice = drawn(n_lineorder, np.int64,
+                          lambda k: rng.integers(90_000, 10_000_000, k))
     date_pos = uniform_keys(rng, n_lineorder, n_dates)
     cust_pos = uniform_keys(rng, n_lineorder, n_customer)
     part_pos = uniform_keys(rng, n_lineorder, n_part)
@@ -185,19 +212,23 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     # one part key (the brand code), and the keys fold into one packed
     # key sorted once: the order of year, then mfgr, category, brand,
     # then orderdate, with ties kept in generation order.
-    order = composite_sort_order((date_data["d_year"][date_pos],
-                                  brand[part_pos], date_pos))
-    quantity = quantity[order]
-    discount = discount[order]
-    extendedprice = extendedprice[order]
-    date_pos = date_pos[order]
-    cust_pos = cust_pos[order]
-    part_pos = part_pos[order]
-    supp_pos = uniform_keys(rng, n_lineorder, n_supplier)[order]
-    supplycost = rng.integers(10_000, 100_000, n_lineorder)[order]
-    tax = rng.integers(0, 9, n_lineorder).astype(np.int32)[order]
+    order = composite_sort_order((gather(date_data["d_year"], date_pos),
+                                  gather(brand, part_pos), date_pos))
+    quantity = gather(quantity, order)
+    discount = gather(discount, order)
+    extendedprice = gather(extendedprice, order)
+    date_pos = gather(date_pos, order)
+    cust_pos = gather(cust_pos, order)
+    part_pos = gather(part_pos, order)
+    supp_pos = gather(uniform_keys(rng, n_lineorder, n_supplier), order)
+    supplycost = gather(drawn(n_lineorder, np.int64,
+                              lambda k: rng.integers(10_000, 100_000, k)),
+                        order)
+    tax = gather(drawn(n_lineorder, np.int32, lambda k: rng.integers(0, 9, k)),
+                 order)
     del order
-    revenue = np.subtract(100, discount, dtype=np.int64)
+    revenue = np.subtract(100, discount, dtype=np.int64,
+                          out=empty_buffer(n_lineorder, np.int64))
     revenue *= extendedprice
     revenue //= 100
 
@@ -208,11 +239,11 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
         if airify:
             return AIRColumn.wrap_air(name, parent, positions)
         if parent == "date":
-            return fixed(name, date_data["d_datekey"][positions])
+            return fixed(name, gather(date_data["d_datekey"], positions))
         return fixed(name, np.add(positions, 1, out=positions))
 
     db.add_table(Table.wrap("lineorder", [
-        fixed("lo_orderkey", np.arange(1, n_lineorder + 1, dtype=np.int64)),
+        fixed("lo_orderkey", serial_keys(n_lineorder)),
         foreign("lo_custkey", "customer", cust_pos),
         foreign("lo_partkey", "part", part_pos),
         foreign("lo_suppkey", "supplier", supp_pos),
@@ -223,7 +254,7 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
         fixed("lo_revenue", revenue),
         fixed("lo_supplycost", supplycost),
         fixed("lo_tax", tax),
-    ], n_lineorder, deleted=np.zeros(n_lineorder, dtype=bool)))
+    ], n_lineorder))
 
     db.add_reference("lineorder", "lo_custkey", "customer", "c_custkey")
     db.add_reference("lineorder", "lo_partkey", "part", "p_partkey")

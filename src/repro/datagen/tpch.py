@@ -15,7 +15,7 @@ from ..core import Database
 from ..core.column import AIRColumn, FixedColumn
 from ..core.table import Table
 from ..core.types import DataType
-from .distributions import rng_for, scaled_rows, uniform_keys
+from .distributions import drawn, rng_for, scaled_rows, serial_keys, uniform_keys
 from .ssb import NATION_LIST, REGIONS, REGION_OF_NATION
 
 LINEITEM_BASE = 6_000_000
@@ -33,11 +33,12 @@ def generate_tpch(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Data
     chains to ``nation`` and ``region``; ``part`` and ``supplier`` hang
     directly off ``lineitem``.
 
-    The tables adopt each drawn array through :meth:`Table.wrap` rather
-    than copying it, and every foreign key is drawn as a parent array
-    position: with ``airify=True`` it is stored as an AIR column as
-    drawn, with ``airify=False`` it is shifted in place onto the
-    parent's key values.  Generation holds little more than its data.
+    Each column is drawn straight into the storage buffer its table
+    adopts through :meth:`Table.wrap` (:func:`drawn`), and every foreign
+    key is drawn as a parent array position: with ``airify=True`` it is
+    stored as an AIR column as drawn, with ``airify=False`` it is
+    shifted in place onto the parent's key values.  Generation holds
+    little more than its data.
     """
     db = Database(f"tpch_sf{sf}")
 
@@ -60,7 +61,7 @@ def generate_tpch(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Data
         return FixedColumn.wrap(name, DataType(data.dtype.name), data)
 
     def serial(name, n):
-        return fixed(name, np.arange(1, n + 1, dtype=np.int64))
+        return FixedColumn.wrap(name, DataType.INT64, serial_keys(n))
 
     def foreign(name, parent, positions, first_key=1):
         if airify:
@@ -68,8 +69,7 @@ def generate_tpch(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Data
         return fixed(name, np.add(positions, first_key, out=positions))
 
     def add(name, n, columns):
-        db.add_table(Table.wrap(name, columns, n,
-                                deleted=np.zeros(n, dtype=bool)))
+        db.add_table(Table.wrap(name, columns, n))
 
     n_customer = scaled_rows(CUSTOMER_BASE, sf)
     rng = rng_for(seed, "tpch.customer")
@@ -77,7 +77,9 @@ def generate_tpch(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Data
         serial("c_custkey", n_customer),
         foreign("c_nationkey", "nation",
                 uniform_keys(rng, n_customer, len(NATION_LIST)), 0),
-        fixed("c_acctbal", _cents(rng.uniform(-999.99, 9999.99, n_customer))),
+        fixed("c_acctbal", _cents(drawn(
+            n_customer, np.float64,
+            lambda k: rng.uniform(-999.99, 9999.99, k)))),
     ])
 
     n_orders = scaled_rows(ORDERS_BASE, sf)
@@ -87,15 +89,18 @@ def generate_tpch(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Data
         foreign("o_custkey", "customer",
                 uniform_keys(rng, n_orders, n_customer)),
         # the paper's adapted Fig. 3 query filters on o_price
-        fixed("o_price", rng.integers(1, 1001, n_orders)),
-        fixed("o_orderdate", _year_dates(rng.integers(0, 7, n_orders))),
+        fixed("o_price", drawn(n_orders, np.int64,
+                               lambda k: rng.integers(1, 1001, k))),
+        fixed("o_orderdate", _year_dates(drawn(
+            n_orders, np.int64, lambda k: rng.integers(0, 7, k)))),
     ])
 
     n_part = scaled_rows(PART_BASE, sf)
     rng = rng_for(seed, "tpch.part")
     add("part", n_part, [
         serial("p_partkey", n_part),
-        fixed("p_retailprice", _cents(rng.uniform(900.0, 2000.0, n_part))),
+        fixed("p_retailprice", _cents(drawn(
+            n_part, np.float64, lambda k: rng.uniform(900.0, 2000.0, k)))),
     ])
 
     n_supplier = scaled_rows(SUPPLIER_BASE, sf)
@@ -114,10 +119,14 @@ def generate_tpch(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Data
         foreign("l_partkey", "part", uniform_keys(rng, n_lineitem, n_part)),
         foreign("l_suppkey", "supplier",
                 uniform_keys(rng, n_lineitem, n_supplier)),
-        fixed("l_quantity", rng.integers(1, 51, n_lineitem).astype(np.int32)),
-        fixed("l_extendedprice",
-              _cents(rng.uniform(900.0, 100_000.0, n_lineitem))),
-        fixed("l_discount", np.divide(rng.integers(0, 11, n_lineitem), 100.0)),
+        fixed("l_quantity", drawn(n_lineitem, np.int32,
+                                  lambda k: rng.integers(1, 51, k))),
+        fixed("l_extendedprice", _cents(drawn(
+            n_lineitem, np.float64,
+            lambda k: rng.uniform(900.0, 100_000.0, k)))),
+        fixed("l_discount", drawn(
+            n_lineitem, np.float64,
+            lambda k: np.divide(rng.integers(0, 11, k), 100.0))),
     ])
 
     db.add_reference("nation", "n_regionkey", "region", "r_regionkey")
