@@ -139,7 +139,12 @@ def layout_database(db: Database, zone_entries: Optional[List[tuple]] = None
                 layout = {"layout": "string", "heap": list(column._heap)}
                 data = column._addr.values()
             elif isinstance(column, FixedColumn):
-                layout, data = {"layout": "fixed", "dtype": column.dtype.value}, column.values()
+                data = column.values()
+                # a racing write that widens the column swaps its buffer
+                # before its type: go by the buffer read
+                dtype = (column.dtype if column.dtype.numpy_dtype == data.dtype
+                         else DataType(data.dtype.name))
+                layout = {"layout": "fixed", "dtype": dtype.value}
             else:
                 raise StorageError(
                     f"cannot lay out column type {type(column).__name__}")

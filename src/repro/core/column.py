@@ -29,13 +29,13 @@ from __future__ import annotations
 import mmap
 import tracemalloc
 import weakref
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import StorageError
 from .dictionary import Dictionary
-from .types import DataType
+from .types import INTEGER_TYPES, DataType, narrowest_int_type
 
 _GROWTH_FACTOR = 1.5
 _MIN_CAPACITY = 16
@@ -106,13 +106,15 @@ def _trace(mapping: mmap.mmap, address: int, nbytes: int) -> None:
         weakref.finalize(mapping, untrack, _TRACE_DOMAIN, address)
 
 
-def private_copy(array: np.ndarray, capacity: Optional[int] = None
-                 ) -> np.ndarray:
+def private_copy(array: np.ndarray, capacity: Optional[int] = None,
+                 dtype=None) -> np.ndarray:
     """*array* copied into a fresh :func:`empty_buffer` of *capacity*
-    items (default its length) — the copy on first write of an image
-    view, and a buffer's growth."""
+    items (default its length) and *dtype* (default its own) — the copy
+    on first write of an image view, a buffer's growth, and a column's
+    widening."""
     copy = empty_buffer(len(array) if capacity is None else capacity,
-                        array.dtype, written=len(array))
+                        array.dtype if dtype is None else dtype,
+                        written=len(array))
     copy[: len(array)] = array
     return copy
 
@@ -169,7 +171,13 @@ class Column:
 
 
 class FixedColumn(Column):
-    """A fixed-width column backed by a growable NumPy array."""
+    """A fixed-width column backed by a growable NumPy array.
+
+    An integer column may be narrower than ``int64`` (the generators
+    store each measure at the width its domain needs).  A write of a
+    value that width cannot hold widens the column — a copy into a
+    wider buffer, where copy on first write happens — and never wraps.
+    """
 
     def __init__(self, name: str, dtype: DataType, data=None, capacity: int = 0):
         if dtype == DataType.STRING:
@@ -230,8 +238,8 @@ class FixedColumn(Column):
         return self._data[position].item()
 
     def append(self, values: Sequence) -> None:
-        values = np.asarray(values, dtype=self.dtype.numpy_dtype)
-        self._ensure(self._n + len(values))
+        values, dtype = self._fit(values)
+        self._ensure(self._n + len(values), dtype)
         self._data[self._n : self._n + len(values)] = values
         self._n += len(values)
 
@@ -239,8 +247,30 @@ class FixedColumn(Column):
         positions = np.asarray(positions, dtype=np.int64)
         if len(positions) and (positions.min() < 0 or positions.max() >= self._n):
             raise StorageError("update position out of range")
-        self._ensure(self._n)
-        self._data[positions] = np.asarray(values, dtype=self.dtype.numpy_dtype)
+        values, dtype = self._fit(values)
+        self._ensure(self._n, dtype)
+        self._data[positions] = values
+
+    def _fit(self, values: Sequence) -> Tuple[np.ndarray, DataType]:
+        """*values* as an array of the type this column needs to store
+        them: its own, or — for an integer batch its width cannot hold —
+        the narrowest integer type that holds the batch and the column's
+        range, so a write widens the column instead of wrapping.  The
+        check reads the batch's min and max only when its dtype does not
+        cast safely (an ``int64`` batch into a narrower column)."""
+        values = np.asarray(values)
+        dtype = self.dtype
+        if (values.size and values.dtype.kind in "iu"
+                and not np.can_cast(values.dtype, dtype.numpy_dtype)):
+            lo, hi = int(values.min()), int(values.max())
+            info = np.iinfo(dtype.numpy_dtype)
+            if lo < info.min or hi > info.max:
+                if dtype not in INTEGER_TYPES:
+                    raise StorageError(f"value out of range for {dtype.value} "
+                                       f"column {self.name!r}")
+                dtype = narrowest_int_type(min(lo, info.min),
+                                           max(hi, info.max))
+        return np.asarray(values, dtype=dtype.numpy_dtype), dtype
 
     def share(self, image: "FixedColumn") -> None:
         """Back this column with *image*'s buffer, which holds the same
@@ -266,17 +296,24 @@ class FixedColumn(Column):
     def nbytes(self) -> int:
         return int(self._data.nbytes)
 
-    def _ensure(self, needed: int) -> None:
-        """Make the backing array private, writeable and at least
-        *needed* slots long: a read-only (image) buffer is copied on
-        this first write, a full one grows."""
-        if needed <= len(self._data):
+    def _ensure(self, needed: int, dtype: Optional[DataType] = None) -> None:
+        """Make the backing array private, writeable, at least *needed*
+        slots long and of type *dtype* (default: the column's): a
+        read-only (image) buffer is copied on this first write, a full
+        one grows, and a narrower one is copied into the wider type."""
+        dtype = self.dtype if dtype is None else dtype
+        fits = needed <= len(self._data)
+        if fits and dtype is self.dtype:
             if not self._data.flags.writeable:
                 self._data = private_copy(self._data)
             return
-        self._data = private_copy(
-            self._data[: self._n],
-            max(int(needed * _GROWTH_FACTOR), _MIN_CAPACITY))
+        capacity = (len(self._data) if fits
+                    else max(int(needed * _GROWTH_FACTOR), _MIN_CAPACITY))
+        # the buffer before the type: a reader that pairs the two
+        # (``layout_database``) goes by the buffer's dtype
+        self._data = private_copy(self._data[: self._n], capacity,
+                                  dtype.numpy_dtype)
+        self.dtype = dtype
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, {self.dtype.value}, n={self._n})"

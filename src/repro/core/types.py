@@ -18,6 +18,8 @@ from ..errors import SchemaError
 class DataType(enum.Enum):
     """Logical column types supported by the engine."""
 
+    INT8 = "int8"
+    INT16 = "int16"
     INT32 = "int32"
     INT64 = "int64"
     FLOAT64 = "float64"
@@ -32,7 +34,7 @@ class DataType(enum.Enum):
     @property
     def is_numeric(self) -> bool:
         """True for types on which arithmetic aggregation is defined."""
-        return self in (DataType.INT32, DataType.INT64, DataType.FLOAT64)
+        return self in INTEGER_TYPES or self == DataType.FLOAT64
 
     @property
     def itemsize(self) -> int:
@@ -41,6 +43,8 @@ class DataType(enum.Enum):
 
 
 _NUMPY_DTYPES = {
+    DataType.INT8: np.dtype(np.int8),
+    DataType.INT16: np.dtype(np.int16),
     DataType.INT32: np.dtype(np.int32),
     DataType.INT64: np.dtype(np.int64),
     DataType.FLOAT64: np.dtype(np.float64),
@@ -48,6 +52,21 @@ _NUMPY_DTYPES = {
     DataType.STRING: np.dtype(np.int64),
     DataType.DATE: np.dtype(np.int32),
 }
+
+#: the integer types, narrowest first
+INTEGER_TYPES = (DataType.INT8, DataType.INT16, DataType.INT32, DataType.INT64)
+
+
+def narrowest_int_type(lo: int, hi: int) -> DataType:
+    """The narrowest integer type that holds every value in ``[lo, hi]``.
+
+    Raises :class:`SchemaError` when not even ``int64`` does.
+    """
+    for dtype in INTEGER_TYPES:
+        info = np.iinfo(dtype.numpy_dtype)
+        if info.min <= lo and hi <= info.max:
+            return dtype
+    raise SchemaError(f"integer range [{lo}, {hi}] does not fit in int64")
 
 
 def dtype_for_values(values) -> DataType:

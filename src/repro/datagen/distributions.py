@@ -30,22 +30,30 @@ def rng_for(seed: int, stream: str) -> np.random.Generator:
 _DRAW_SLICE = 1 << 16
 
 
+def filled(n: int, dtype, fill: Callable[[int, int], np.ndarray]
+           ) -> np.ndarray:
+    """A fresh :func:`~repro.core.column.empty_buffer` of *n* items of
+    *dtype* whose items ``start:stop`` are ``fill(start, stop)``, slice
+    by slice: no full-size temporary of the values is ever staged, and
+    a *fill* computed at a wider type is stored at *dtype*."""
+    buffer = empty_buffer(n, dtype)
+    for start in range(0, n, _DRAW_SLICE):
+        stop = min(start + _DRAW_SLICE, n)
+        buffer[start:stop] = fill(start, stop)
+    return buffer
+
+
 def drawn(n: int, dtype, draw: Callable[[int], np.ndarray]) -> np.ndarray:
     """``draw(n)`` — a generator call given its size, such as
     ``lambda k: rng.integers(1, 51, k)`` — written slice by slice into a
-    fresh :func:`~repro.core.column.empty_buffer` of *dtype*, so the
-    full-size draw is never staged in a temporary.
+    fresh buffer of *dtype* (:func:`filled`).
 
     The values are those of the one full-size call: NumPy's bounded
     integers take whole 32- or 64-bit outputs, a half-used 64-bit output
     stays buffered in the bit generator across calls, and uniform
     doubles take one output each (the generator digests in the tests
     pin this)."""
-    buffer = empty_buffer(n, dtype)
-    for start in range(0, n, _DRAW_SLICE):
-        stop = min(start + _DRAW_SLICE, n)
-        buffer[start:stop] = draw(stop - start)
-    return buffer
+    return filled(n, dtype, lambda start, stop: draw(stop - start))
 
 
 def uniform_keys(rng: np.random.Generator, n: int, domain: int) -> np.ndarray:
@@ -54,15 +62,10 @@ def uniform_keys(rng: np.random.Generator, n: int, domain: int) -> np.ndarray:
                  lambda k: rng.integers(0, domain, size=k, dtype=np.int64))
 
 
-def serial_keys(n: int) -> np.ndarray:
-    """The surrogate keys ``1 .. n``, written straight into the buffer
-    their column adopts (in slices, so no key array is staged)."""
-    keys = empty_buffer(n, np.int64)
-    step = 1 << 20
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        keys[start:stop] = np.arange(start + 1, stop + 1, dtype=np.int64)
-    return keys
+def serial_keys(n: int, dtype=np.int64) -> np.ndarray:
+    """The surrogate keys ``1 .. n`` as *dtype*, written straight into
+    the buffer their column adopts (:func:`filled`)."""
+    return filled(n, dtype, lambda start, stop: np.arange(start + 1, stop + 1))
 
 
 def scaled_rows(base: int, sf: float, minimum: int = 1) -> int:

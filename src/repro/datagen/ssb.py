@@ -15,6 +15,11 @@ original predicate selectivities are preserved:
 * ``p_mfgr`` in MFGR#1..5, ``p_category`` = mfgr + digit 1..5 (25 values),
   ``p_brand1`` = category + 1..40 (1000 values);
 * ``lo_discount`` 0..10, ``lo_quantity`` 1..50, 7 years of dates.
+
+Each ``lineorder`` measure, and ``lo_orderkey``, is stored at the
+narrowest integer width that holds its domain (``int8`` quantity,
+discount and tax; ``int32`` prices, revenue, supply cost and order key
+at SF=1); the four AIR foreign keys stay ``int64``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import numpy as np
 from ..core import AIRColumn, Database, DataType, FixedColumn, Table
 from ..core.column import empty_buffer, make_coded_column, make_column
 from ..core.compaction import composite_sort_order
-from .distributions import (drawn, rng_for, scaled_rows, serial_keys,
+from ..core.types import narrowest_int_type
+from .distributions import (drawn, filled, rng_for, scaled_rows, serial_keys,
                             uniform_keys)
 
 REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
@@ -179,6 +185,12 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     n_lineorder = scaled_rows(LINEORDER_BASE, sf)
     rng = rng_for(seed, "lineorder")
 
+    def measure(low, high):
+        # rng.integers(low, high) per fact row, stored at the narrowest
+        # integer width that holds [low, high)
+        return drawn(n_lineorder, narrowest_int_type(low, high - 1).numpy_dtype,
+                     lambda k: rng.integers(low, high, k))
+
     def gather(values, positions):
         # *positions* are valid indexes of *values*, so the gather needs
         # no bounds check and writes straight into a fresh buffer
@@ -192,10 +204,9 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     # time.  The data depends on the order of the draws from the stream
     # (quantity, discount, extendedprice, date, customer, part,
     # supplier, supplycost, tax), not on when each is permuted.
-    quantity = drawn(n_lineorder, np.int32, lambda k: rng.integers(1, 51, k))
-    discount = drawn(n_lineorder, np.int32, lambda k: rng.integers(0, 11, k))
-    extendedprice = drawn(n_lineorder, np.int64,
-                          lambda k: rng.integers(90_000, 10_000_000, k))
+    quantity = measure(1, 51)
+    discount = measure(0, 11)
+    extendedprice = measure(90_000, 10_000_000)
     date_pos = uniform_keys(rng, n_lineorder, n_dates)
     cust_pos = uniform_keys(rng, n_lineorder, n_customer)
     part_pos = uniform_keys(rng, n_lineorder, n_part)
@@ -221,16 +232,14 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
     cust_pos = gather(cust_pos, order)
     part_pos = gather(part_pos, order)
     supp_pos = gather(uniform_keys(rng, n_lineorder, n_supplier), order)
-    supplycost = gather(drawn(n_lineorder, np.int64,
-                              lambda k: rng.integers(10_000, 100_000, k)),
-                        order)
-    tax = gather(drawn(n_lineorder, np.int32, lambda k: rng.integers(0, 9, k)),
-                 order)
+    supplycost = gather(measure(10_000, 100_000), order)
+    tax = gather(measure(0, 9), order)
     del order
-    revenue = np.subtract(100, discount, dtype=np.int64,
-                          out=empty_buffer(n_lineorder, np.int64))
-    revenue *= extendedprice
-    revenue //= 100
+    # computed in int64 one slice at a time and stored at the width of
+    # the extended price, which bounds it
+    revenue = filled(n_lineorder, extendedprice.dtype, lambda start, stop: (
+        np.subtract(100, discount[start:stop], dtype=np.int64)
+        * extendedprice[start:stop] // 100))
 
     def fixed(name, data):
         return FixedColumn.wrap(name, DataType(data.dtype.name), data)
@@ -243,7 +252,8 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
         return fixed(name, np.add(positions, 1, out=positions))
 
     db.add_table(Table.wrap("lineorder", [
-        fixed("lo_orderkey", serial_keys(n_lineorder)),
+        fixed("lo_orderkey", serial_keys(
+            n_lineorder, narrowest_int_type(1, n_lineorder).numpy_dtype)),
         foreign("lo_custkey", "customer", cust_pos),
         foreign("lo_partkey", "part", part_pos),
         foreign("lo_suppkey", "supplier", supp_pos),

@@ -91,7 +91,13 @@ def _eval(expr: BoundExpression, provider: PositionalProvider):
     if isinstance(expr, BoundArith):
         left = _to_values(_eval(expr.left, provider))
         right = _to_values(_eval(expr.right, provider))
-        return ArraySlice(np.asarray(_ARITH_OPS[expr.op](left, right)))
+        # integer arithmetic evaluates in int64 whatever the operands'
+        # storage width: the ufunc casts the fetched slices in its
+        # buffered loop, so the only new array is the int64 result
+        wide = (np.int64 if expr.op != "/" and _is_integer(left)
+                and _is_integer(right) else None)
+        return ArraySlice(np.asarray(_ARITH_OPS[expr.op](left, right,
+                                                         dtype=wide)))
     if isinstance(expr, BoundCompare):
         return ArraySlice(_compare(expr, provider))
     if isinstance(expr, BoundBetween):
@@ -167,8 +173,17 @@ def _in_list(expr: BoundIn, provider: PositionalProvider) -> np.ndarray:
         wanted = codes[codes >= 0]
         return np.isin(target.codes, wanted)
     values = _to_values(target)
-    pool = np.array(list(expr.values), dtype=values.dtype if
-                    values.dtype.kind != "O" else object)
+    if values.dtype.kind in "iu":
+        # a literal the column's width cannot hold — out of its range,
+        # or not an integer at all — matches no row
+        info = np.iinfo(values.dtype)
+        pool = np.array([v for v in expr.values
+                         if (_is_integer(v) or isinstance(v, float)
+                             and v.is_integer())
+                         and info.min <= v <= info.max], dtype=values.dtype)
+    else:
+        pool = np.array(list(expr.values), dtype=values.dtype if
+                        values.dtype.kind != "O" else object)
     return np.isin(values, pool)
 
 
@@ -185,6 +200,14 @@ def _like(expr: BoundLike, provider: PositionalProvider) -> np.ndarray:
         return per_code[target.codes]
     values = _to_values(target)
     return np.array([bool(regex.match(str(v))) for v in values], dtype=bool)
+
+
+def _is_integer(operand) -> bool:
+    """An integer array or an integer scalar (``bool`` is neither)."""
+    if isinstance(operand, np.ndarray):
+        return operand.dtype.kind in "iu"
+    return isinstance(operand, (int, np.integer)) and not isinstance(
+        operand, bool)
 
 
 def _is_scalar(operand) -> bool:

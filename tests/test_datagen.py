@@ -112,8 +112,10 @@ class TestSSB:
 
 def content_digest(db):
     """SHA-256 over every table's column contents in physical order:
-    codes plus dictionary values for dictionary columns, raw bytes (with
-    the dtype) for fixed-width ones, the values for string heaps."""
+    codes plus dictionary values for dictionary columns, the values for
+    string heaps, and raw bytes with the dtype for other fixed-width
+    ones — integer values widened to int64 first, so the digest pins
+    the values a column holds, not the width it stores them at."""
     digest = hashlib.sha256()
     for tname in sorted(db.tables):
         table = db.table(tname)
@@ -126,6 +128,8 @@ def content_digest(db):
                 digest.update("\x00".join(column.dictionary.values).encode())
                 continue
             values = column.values()
+            if values.dtype.kind in "iu":
+                values = values.astype(np.int64)
             if values.dtype.kind == "O":
                 digest.update("\x00".join(values.tolist()).encode())
             else:
@@ -137,19 +141,36 @@ def content_digest(db):
 class TestSSBPinned:
     """The generated SSB data is pinned bit for bit.
 
-    The digests were computed at commit 3c30a4d, before the generator's
-    clustering order moved from a five-key ``np.lexsort`` to the
-    composite sort compaction uses and before the part strings came
-    from value pools.  An equal digest means the same rows in the same
-    physical order, the same dictionaries, codes and ``lo_orderkey``, so
-    every query result and image byte is unchanged too."""
+    The digests hash integer values widened to int64.  They were
+    computed at commit e2efb0a, where every ``lineorder`` column was
+    still int32 or int64, so an equal digest on the narrowed generator
+    means the same values.  (The digests they restate were computed at
+    commit 3c30a4d, before the clustering order moved to the composite
+    sort compaction uses and the part strings came from value pools.)
+    An equal digest means the same rows in the same physical order, the
+    same dictionaries, codes and ``lo_orderkey``, so every query result
+    is unchanged too; the column widths are pinned separately."""
 
     @pytest.mark.parametrize("seed, expected", [
-        (1, "a17b04da96c0422766687a4a650cf46c7b95bba87ee35a602bfe11a91e65c849"),
-        (11, "c2f5b6caec6df8757b91bbcd54da10baddab2597bbc9567113579ef6f877ac6c"),
-    ])
+        (1, "735513de4b0a2e96676f1d006b47f317ecb8eb38f1e72bb1e96dacb12cb240f7"),
+        (11, "398626b7c4a8d2a95f241007b33635546089011b745f5fbd68f120587f972d02"),
+    ], ids=["seed1", "seed11"])
     def test_content_digest(self, seed, expected):
         assert content_digest(generate_ssb(sf=0.01, seed=seed)) == expected
+
+    def test_lineorder_column_widths(self):
+        lo = generate_ssb(sf=0.01, seed=1).table("lineorder")
+        widths = {name: lo[name].values().dtype.name
+                  for name in lo.column_names}
+        assert widths == {
+            "lo_orderkey": "int32", "lo_custkey": "int64",
+            "lo_partkey": "int64", "lo_suppkey": "int64",
+            "lo_orderdate": "int64", "lo_quantity": "int8",
+            "lo_extendedprice": "int32", "lo_discount": "int8",
+            "lo_revenue": "int32", "lo_supplycost": "int32",
+            "lo_tax": "int8"}
+        assert {name: lo[name].dtype.value
+                for name in lo.column_names} == widths
 
     def test_generation_lands_in_compaction_order(self):
         db = generate_ssb(sf=0.01, seed=11)
@@ -175,7 +196,7 @@ class TestSSBLoad:
         db.airify()
         # the seed-1 digest pinned in TestSSBPinned
         assert content_digest(db) == (
-            "a17b04da96c0422766687a4a650cf46c7b95bba87ee35a602bfe11a91e65c849")
+            "735513de4b0a2e96676f1d006b47f317ecb8eb38f1e72bb1e96dacb12cb240f7")
         for name, parent in self.FKS.items():
             assert lo[name].referenced_table == parent
             assert np.array_equal(raw[name], lo[name].values() + 1)
@@ -212,20 +233,22 @@ class TestSSBLoad:
 class TestTPCHPinned:
     """The generated TPC-H data is pinned bit for bit, in both loads.
 
-    The digests were computed at commit 64950a3, before the generator
-    built its tables through ``Table.wrap`` over the drawn arrays instead
-    of copying them through ``create_table``."""
+    The digests hash integer values widened to int64 (see
+    :class:`TestSSBPinned`); they were computed at commit e2efb0a and
+    restate ones computed at commit 64950a3, before the generator built
+    its tables through ``Table.wrap`` over the drawn arrays instead of
+    copying them through ``create_table``."""
 
     @pytest.mark.parametrize("seed, airify, expected", [
         (11, True,
-         "b96052deae709a3aea0f2b4568adae03330041455434c409dbec15a48fe6377b"),
+         "91a33e65f73a345dd0945532b2aa9720794cea1ebe3d3119b212962914b07490"),
         (11, False,
-         "1912eeb44ab959f763059cdd8ff188f9b69e961602df569d8f9eb637400d9fe5"),
+         "c9b4886e1d1c1a6116a8d7dc61f16aa73494ffd7ca3e1ff007997462a151c3e3"),
         (42, True,
-         "e573eb8a3b6245dc6ebee05b848ebc5b46b7294244d912901138e3f60171438a"),
+         "16e296c450b1256c0e39fab921a3c56f70022f33cc939ed1f606caa5b4579b7b"),
         (42, False,
-         "8ee848cb594b67e7cb14044bc9f497ec0db0d5220b0ef967648f1a6c017a3176"),
-    ])
+         "cf1b65a31a94ea1a7e801ab07752a5b0a23a8918cadc3d71f222429134f86c83"),
+    ], ids=["seed11-air", "seed11-keys", "seed42-air", "seed42-keys"])
     def test_content_digest(self, seed, airify, expected):
         db = generate_tpch(sf=0.004, seed=seed, airify=airify)
         assert content_digest(db) == expected
