@@ -226,8 +226,10 @@ def clustering_sort_order(db: Database, table_name: str,
     :meth:`~repro.core.schema.Database.consolidate`'s ``order``: the
     spec's keys in value order, resolved one at a time, through
     :func:`composite_sort_order`.  The keys are read at every row, with
-    deleted rows sorted last behind an outermost key and cut off, so
-    the order is the sort's own buffer: no live-row index is gathered.
+    deleted rows sorted last behind an outermost key and cut off, so no
+    live-row index is gathered.  The order is int32 when the rows fit:
+    the consolidation holds it next to each fact-sized column it
+    gathers and next to the position mapping.
     """
     live = db.table(table_name).live_mask()
     if not spec:
@@ -236,7 +238,12 @@ def clustering_sort_order(db: Database, table_name: str,
     keys = _sort_keys(db, table_name, spec)
     if num_live < len(live):
         keys = itertools.chain([(~live).view(np.int8)], keys)
-    return composite_sort_order(keys)[:num_live]
+    order = composite_sort_order(keys)[:num_live]
+    if len(live) > np.iinfo(np.int32).max:
+        return order
+    narrow = empty_buffer(num_live, np.int32)
+    narrow[:] = order
+    return narrow
 
 
 def compact_database(db: Database, table_name: str, store=None) -> dict:

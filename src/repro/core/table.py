@@ -51,7 +51,7 @@ import numpy as np
 from ..errors import SchemaError, StorageError
 from .bitmap import Bitmap
 from .column import (_GROWTH_FACTOR, _MIN_CAPACITY, Column, empty_buffer,
-                     make_column, private_copy)
+                     gather_into, make_column, private_copy)
 
 _NO_DELETE = np.iinfo(np.int64).max
 
@@ -440,13 +440,18 @@ class Table:
             if order is None:
                 order = np.flatnonzero(~self._deleted)
             else:
-                order = np.asarray(order, dtype=np.int64)
+                # an integer order keeps its width (compaction's is int32
+                # when the rows fit); every use below goes a slice at a time
+                order = np.asarray(order)
+                if order.dtype.kind not in "iu":
+                    order = order.astype(np.int64)
                 if len(order) and (order.min() < 0
                                    or order.max() >= self._nrows):
                     raise StorageError("consolidate order out of range")
                 # live, and as many distinct rows as are live: all of them
                 listed = np.zeros(self._nrows, dtype=bool)
-                listed[order] = True
+                for start in range(0, len(order), _SLICE):
+                    listed[order[start:start + _SLICE]] = True
                 if (len(order) != self.num_live
                         or np.count_nonzero(listed) != len(order)
                         or bool((listed & self._deleted).any())):
@@ -467,9 +472,9 @@ class Table:
             if self._mvcc:
                 for name in ("_insert_version", "_delete_version"):
                     vector = getattr(self, name)
-                    setattr(self, name, np.take(
-                        vector, order, mode="clip",
-                        out=empty_buffer(self._nrows, vector.dtype)))
+                    setattr(self, name, gather_into(
+                        vector, order,
+                        empty_buffer(self._nrows, vector.dtype)))
             self._mutation_count += 1
             self._journal_barrier()
             return mapping

@@ -1,6 +1,6 @@
 """Column buffers: every private fixed-width storage buffer comes from
-``empty_buffer``, and one of at least a huge page is a private anonymous
-mapping of its own.
+``empty_buffer``, and one of at least ``MAPPED_BUFFER_BYTES`` (256 KiB)
+is a private anonymous mapping of its own.
 
 So a buffer that a write or a compaction replaces is unmapped with its
 last view, growth capacity nobody wrote to is never resident, readers
@@ -26,8 +26,12 @@ from repro.datagen import generate_ssb
 needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"),
                                 reason="reads /proc/self/maps and pagemap")
 
+#: a huge page
+HUGE_PAGE = 2 << 20
+
 #: an int64 column of 4 MiB: mapped
-ROWS = 2 * MAPPED_BUFFER_BYTES // 8
+ROWS = 2 * HUGE_PAGE // 8
+assert ROWS * 8 >= MAPPED_BUFFER_BYTES
 
 
 def extent(array):
@@ -100,13 +104,13 @@ class TestEmptyBuffer:
         # 0.0 s: a 16 MiB column grows to 24 MiB of capacity; only what
         # the copy and the append wrote is resident (a huge page of
         # slack at most, where every mapping takes huge pages)
-        rows = 8 * MAPPED_BUFFER_BYTES // 8
+        rows = 8 * HUGE_PAGE // 8
         column = FixedColumn("x", DataType.INT64, data=np.ones(rows))
         column.append(np.ones(1000))
         capacity = column.capacity * 8
         held = resident(column._data)
         assert capacity >= 1.5 * rows * 8
-        assert held <= (rows + 1000) * 8 + MAPPED_BUFFER_BYTES, (
+        assert held <= (rows + 1000) * 8 + HUGE_PAGE, (
             held, capacity)
 
 
@@ -210,9 +214,10 @@ CHURN = textwrap.dedent("""
 @needs_proc
 def test_write_churn_peak_stays_near_the_data():
     # ~1.0 s, a fresh interpreter so VmHWM is this run's: three epochs of
-    # writes and a compaction at sf=0.1 (43 MB of fact columns) peak at
-    # 0.37x the fact data over the post-generation RSS on a 2-core x86
-    # host; with storage recycled through the malloc heap they read ~1.0x
+    # writes and a compaction at sf=0.1 (31 MB of narrow fact columns)
+    # peak at 0.43x the fact data over the post-generation RSS on a
+    # 2-core x86 host; with storage recycled through the malloc heap
+    # they read ~1.0x
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in [os.path.join(os.path.dirname(__file__), "..", "src"),
                     os.environ.get("PYTHONPATH")] if p))
