@@ -38,7 +38,8 @@ import numpy as np
 
 from ..core import Database
 from ..engine.operators import (
-    BACKENDS,
+    AIRProbe,
+    Filter,
     FilterLike,
     IntersectScan,
     MaskFilter,
@@ -52,13 +53,6 @@ from ..engine.operators import (
     value_grouping,
 )
 from ..engine.result import ExecutionStats, QueryResult
-from ..engine.sharding import (
-    BaselineBoundQuery,
-    ShardBackendSlot,
-    baseline_filter_steps,
-    fold_outcomes,
-    merge_outcome_states,
-)
 from ..errors import PlanError
 from ..plan.binder import LogicalPlan
 from .common import (
@@ -74,32 +68,15 @@ from .common import (
 class BaselineEngine:
     """Common driver: bind, build the DAG shape, dispatch, assemble.
 
-    ``backend`` names a :data:`repro.engine.operators.BACKENDS` entry;
-    with ``"process"`` the bound baseline plan (semi-join masks + hash
-    tables, both dimension-sized) ships to workers that shard the fact
-    table horizontally over the exported database image — the same portable
-    path the A-Store engine uses.  Engines that served process-backed
-    queries hold an image and pool; release them with :meth:`close`.
+    Every baseline runs in process, one morsel after another through
+    ``MorselDispatcher("serial")``, as the paper's Table 5 ran the
+    engines it compares against: on one thread.
     """
 
     name = "baseline"
 
-    def __init__(self, db: Database, backend: str = "serial",
-                 workers: int = 1):
+    def __init__(self, db: Database):
         self.db = db
-        self.backend = backend
-        self.workers = workers
-        self._slot = ShardBackendSlot(db, workers)
-
-    def close(self) -> None:
-        """Release process-backend resources (worker pool + exported image)."""
-        self._slot.close()
-
-    def __enter__(self) -> "BaselineEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def query(self, query) -> QueryResult:
         """Execute a SQL string or parsed statement."""
@@ -131,12 +108,8 @@ class BaselineEngine:
         }
         stats.leaf_seconds = timer.lap()
 
-        if not BACKENDS[self.backend].inline:
-            gathered = self._gather_sharded(logical, dim_filters,
-                                            hash_tables, stats)
-        else:
-            gathered = self._gather_inline(logical, dim_filters,
-                                           hash_tables, nrows, stats)
+        gathered = self._gather_inline(logical, dim_filters, hash_tables,
+                                       nrows, stats)
         stats.rows_selected = gathered.selected
         timer.lap()
 
@@ -159,7 +132,7 @@ class BaselineEngine:
             ops.append(ValueGather(logical))
             return ops
 
-        results = MorselDispatcher(self.backend).run(morsels, pipeline)
+        results = MorselDispatcher("serial").run(morsels, pipeline)
         merge_timings(stats, results)
         gathered = None
         for result in results:
@@ -171,20 +144,6 @@ class BaselineEngine:
                 gathered = (partial if gathered is None
                             else gathered.merge(partial))
         return gathered
-
-    def _gather_sharded(self, logical: LogicalPlan, dim_filters,
-                        hash_tables, stats: ExecutionStats):
-        """Ship the portable baseline plan to shard workers and merge."""
-        plan = BaselineBoundQuery(
-            shape=self.name, logical=logical, dim_filters=dim_filters,
-            hash_tables=hash_tables, block_rows=self._block_rows())
-        outcomes = self._slot.run(plan, None, stats)
-        fold_outcomes(outcomes, stats, agg_labels=("gather",))
-        return merge_outcome_states(outcomes)
-
-    def _block_rows(self) -> int:
-        """Shard-side morsel size (0 = one morsel per shard)."""
-        return 0
 
     # -- the DAG shape each engine customizes -------------------------------
 
@@ -203,10 +162,15 @@ class BaselineEngine:
 
     def _filter_steps(self, logical: LogicalPlan,
                       dim_filters) -> List[FilterLike]:
-        """Fact predicates, semi-join probes, then existence probes —
-        shared with the portable baseline plan (same operator chain on
-        every backend)."""
-        return baseline_filter_steps(logical, dim_filters)
+        """Fact predicates, semi-join probes, then existence probes."""
+        steps: List[FilterLike] = [Filter(expr)
+                                   for expr in logical.fact_conjuncts]
+        for first_dim, pf in dim_filters.items():
+            steps.append(AIRProbe(first_dim, "vector", pf))
+        for first_dim in logical.first_level_dims:
+            if first_dim not in dim_filters:
+                steps.append(AIRProbe(first_dim, "exists"))
+        return steps
 
     def _base_mask(self, logical: LogicalPlan) -> Optional[np.ndarray]:
         table = self.db.table(logical.root)
@@ -247,13 +211,9 @@ class VectorizedPipelineEngine(BaselineEngine):
 
     name = "vectorized-pipeline"
 
-    def __init__(self, db: Database, block_rows: int = 65536,
-                 backend: str = "serial", workers: int = 1):
-        super().__init__(db, backend=backend, workers=workers)
+    def __init__(self, db: Database, block_rows: int = 65536):
+        super().__init__(db)
         self.block_rows = block_rows
-
-    def _block_rows(self) -> int:
-        return self.block_rows
 
     def _morsels(self, logical: LogicalPlan, nrows: int,
                  rebind) -> List[Morsel]:

@@ -105,9 +105,6 @@ class EngineOptions:
     * ``use_pruning`` — block-level data skipping: zone maps decide per
       fact-table block whether any (or every) row can pass, so morsels
       that cannot contribute are never run;
-    * ``adaptive_filters`` — micro-adaptive filter ordering: the scan
-      chain re-orders by the pass-rates observed on earlier morsels
-      (with periodic re-exploration), never changing results;
     * ``zone_block_rows`` — force a zone-map block size (0 = per-table
       default, :func:`repro.core.statistics.default_zone_block_rows`).
     """
@@ -127,7 +124,6 @@ class EngineOptions:
     result_ttl_seconds: float = 0.0
     result_cache_entries: int = 0
     use_pruning: bool = True
-    adaptive_filters: bool = True
     zone_block_rows: int = 0
 
 
@@ -283,7 +279,7 @@ class AStoreEngine:
         return (f"{o.variant_name}|{o.scan}|{o.use_predicate_filter}|"
                 f"{o.use_array_aggregation}|{o.cache.llc_bytes}|"
                 f"{o.morsel_rows}|{o.chunk_rows}|{o.sample_size}|"
-                f"{o.use_pruning}|{o.adaptive_filters}|{o.zone_block_rows}")
+                f"{o.use_pruning}|{o.zone_block_rows}")
 
     def compile(self, query, snapshot: Optional[int] = None) -> BoundQuery:
         """Compile *query* into a portable bound plan.
@@ -368,7 +364,6 @@ class AStoreEngine:
             use_array_hint=bool(physical.use_array_agg),
             cache_events=events,
             prune_enabled=self.options.use_pruning,
-            adaptive=self.options.adaptive_filters,
             zone_block_rows=self.options.zone_block_rows,
         )
         bound.leaf_seconds = time.perf_counter() - t0

@@ -58,12 +58,11 @@ class PredicateFilter:
 
     __portable__ = True  # pickled across process boundaries (astore lint)
 
-    __slots__ = ("packed", "_mask", "_prefix")
+    __slots__ = ("packed", "_mask")
 
     def __init__(self, mask: np.ndarray):
         self._mask = np.ascontiguousarray(mask, dtype=bool)
         self.packed = Bitmap.from_bool_array(self._mask)
-        self._prefix: Optional[np.ndarray] = None
 
     def probe(self, positions: np.ndarray) -> np.ndarray:
         """Which of the given dimension positions pass the predicate.
@@ -73,18 +72,6 @@ class PredicateFilter:
         copies a non-writeable index array before gathering."""
         return self._mask[positions]
 
-    def pass_counts(self) -> np.ndarray:
-        """Prefix sums of the mask: ``pass_counts()[j]`` = passes among
-        dimension rows ``[0, j)``.  ``cs[hi+1] - cs[lo]`` counts passes
-        in a position range — 0 means no FK in ``[lo, hi]`` can probe
-        through (skip), a full range means every FK must (accept).
-        Built lazily, cached on the filter, never pickled."""
-        if self._prefix is None:
-            prefix = np.zeros(len(self._mask) + 1, dtype=np.int64)
-            np.cumsum(self._mask, dtype=np.int64, out=prefix[1:])
-            self._prefix = prefix
-        return self._prefix
-
     def __getstate__(self):
         # Only the packed vector crosses process boundaries (it is what the
         # paper argues must stay cache-resident); workers unpack on attach.
@@ -93,7 +80,6 @@ class PredicateFilter:
     def __setstate__(self, packed) -> None:
         self.packed = packed
         self._mask = packed.to_bool_array()
-        self._prefix = None
 
     @property
     def mask(self) -> np.ndarray:

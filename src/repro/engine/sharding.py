@@ -31,10 +31,6 @@ the coordinator runs shard 0 itself over its own attachment; per-shard partial s
 projection chunks) and per-operator timings come back as
 :class:`ShardOutcome` values that the caller merges in shard order —
 exactly the element-wise merge of the paper's Section 5.
-
-The same machinery carries the Section 6 baselines
-(:class:`BaselineBoundQuery`), so every engine in the repo can run on any
-``BACKENDS`` entry.
 """
 
 from __future__ import annotations
@@ -69,7 +65,6 @@ from .operators import (
     Filter,
     FilterLike,
     GroupCombine,
-    IntersectScan,
     MaterializeColumns,
     Morsel,
     MorselDispatcher,
@@ -83,23 +78,6 @@ from .operators import (
     Visible,
 )
 from .slice import RowRange, dimension_provider, universal_provider
-
-
-def baseline_filter_steps(logical: LogicalPlan,
-                          dim_filters: Dict[str, PredicateFilter]
-                          ) -> List[FilterLike]:
-    """The baseline scan chain: fact predicates, semi-join probes, then
-    existence probes — shared by the inline engines and the portable
-    baseline plan so the two paths can never diverge."""
-    steps: List[FilterLike] = []
-    for expr in logical.fact_conjuncts:
-        steps.append(Filter(expr))
-    for first_dim, pf in dim_filters.items():
-        steps.append(AIRProbe(first_dim, "vector", pf))
-    for first_dim in logical.first_level_dims:
-        if first_dim not in dim_filters:
-            steps.append(AIRProbe(first_dim, "exists"))
-    return steps
 
 
 def build_predicate_filter(db: Database, paths, first_dim: str,
@@ -282,7 +260,6 @@ class BoundQuery:
     cache_key: Optional[tuple] = None
     cache_events: Dict[str, int] = field(default_factory=dict)
     prune_enabled: bool = True       # consult zone maps in make_morsels
-    adaptive: bool = True            # micro-adaptive filter ordering
     zone_block_rows: int = 0         # 0 = per-table default block size
 
     def __getstate__(self) -> dict:
@@ -337,10 +314,10 @@ class BoundQuery:
         The plan orders filters by *estimated* selectivity; once the
         predicate vectors exist their exact density is known, so the
         bound operators are re-sorted on the refreshed numbers (stable,
-        like the plan order).  With ``adaptive`` on, the order further
-        tracks the pass-rates *observed* on earlier morsels (with
-        periodic re-exploration of the static order) — conjunct order
-        never changes results, only which step shrinks the morsel first.
+        like the plan order), and the order further tracks the
+        pass-rates *observed* on earlier morsels (with periodic
+        re-exploration of the static order) — conjunct order never
+        changes results, only which step shrinks the morsel first.
         """
         leaf = self.leaf
         ops: List[FilterLike] = []
@@ -361,7 +338,7 @@ class BoundQuery:
                         selectivity=leaf.probe_selectivity[dd.first_dim],
                         defer=defer))
         static = sorted(range(len(ops)), key=lambda i: ops[i].selectivity)
-        if self.adaptive and len(ops) > 1:
+        if len(ops) > 1:
             state = self.reorder_state()
             order = state.order(static)
             for i in order:
@@ -677,30 +654,13 @@ class BoundQuery:
             else:
                 _, fk, pf = step
                 csm = zones.code_set(root, fk)
-                if (csm is not None and csm.nblocks == nblocks
-                        and csm.domain == len(pf.mask)):
-                    # membership summary: sound on arbitrary (scattered)
-                    # pass sets — the second-generation path
-                    empty, full = _code_set_verdicts(csm, pf.mask, sel)
-                else:
-                    # first-generation fallback: the FK-range pass count,
-                    # useful only when the block's references are dense
-                    zm = zones.column(root, fk)
-                    if zm is None or zm.nblocks != nblocks:
-                        np.minimum(states, PRUNE_SCAN, out=states)
-                        continue
-                    counts = pf.pass_counts()
-                    lo_pos = zm.mins[sel].astype(np.int64)
-                    hi_pos = zm.maxs[sel].astype(np.int64)
-                    # blocks whose FK range strays outside the dimension
-                    # (stale values in deleted slots) are scanned, not
-                    # judged
-                    valid = (lo_pos >= 0) & (hi_pos < len(counts) - 1)
-                    lo_c = np.clip(lo_pos, 0, len(counts) - 1)
-                    hi_c = np.clip(hi_pos + 1, 0, len(counts) - 1)
-                    passes = counts[hi_c] - counts[lo_c]
-                    empty = valid & (passes == 0)
-                    full = valid & (passes == (hi_pos - lo_pos + 1))
+                if (csm is None or csm.nblocks != nblocks
+                        or csm.domain != len(pf.mask)):
+                    # no summary, or the dimension grew since its
+                    # leaf was bound: the blocks are scanned, not judged
+                    np.minimum(states, PRUNE_SCAN, out=states)
+                    continue
+                empty, full = _code_set_verdicts(csm, pf.mask, sel)
             checked += 1
             states[~full] = np.minimum(states[~full], PRUNE_SCAN)
             states[empty] = PRUNE_SKIP
@@ -1010,8 +970,8 @@ class BoundQuery:
         morsels = self._morsels_from_ranges(
             db, range_parts[shard], 1, rows, self.scan != "projection",
             self.visibility(db))
-        state = self.reorder_state() if self.adaptive else None
-        reorders_before = state.reorders if state is not None else 0
+        state = self.reorder_state()
+        reorders_before = state.reorders
         results = MorselDispatcher("serial").run(morsels, factory)
         outcome = ShardOutcome.collect(results)
         if shard == 0 and counters.pruned:
@@ -1019,60 +979,8 @@ class BoundQuery:
             outcome.morsels_accepted = counters.blocks_accepted
             outcome.morsels_scanned = counters.blocks_scanned
             outcome.prune_gated = counters.gated
-        if state is not None:
-            outcome.reorders = state.reorders - reorders_before
+        outcome.reorders = state.reorders - reorders_before
         return outcome
-
-
-@dataclass(eq=False)
-class BaselineBoundQuery:
-    """Portable form of a Section 6 baseline query.
-
-    The baselines bind their leaf side to semi-join reduction masks and
-    hash tables; both are dimension-sized and ship with the plan, so a
-    worker only rebuilds the provider chain and the shape's operator
-    list.  ``shape`` selects the engine's DAG form.
-    """
-
-    __portable__ = True  # pickled across process boundaries (astore lint)
-
-    shape: str                       # "materializing"|"fused"|"vectorized-pipeline"
-    logical: LogicalPlan
-    dim_filters: Dict[str, PredicateFilter]
-    hash_tables: dict                # Reference -> IntHashTable
-    block_rows: int = 0              # >0: block-at-a-time morsels
-
-    def pipeline(self) -> List[Operator]:
-        steps = baseline_filter_steps(self.logical, self.dim_filters)
-        if self.shape == "materializing":
-            adapt = self.__dict__.setdefault("_adapt", ReorderState())
-            return [IntersectScan(steps, adapt=adapt),
-                    ValueGather(self.logical)]
-        return [*steps, ValueGather(self.logical)]
-
-    def base_positions(self, db: Database) -> np.ndarray:
-        # the baselines' hash-probe providers work on row ids only
-        return np.flatnonzero(db.table(self.logical.root).live_mask())
-
-    def morsel(self, db: Database, positions: np.ndarray) -> Morsel:
-        from ..baselines.common import fact_provider
-
-        return Morsel(positions,
-                      fact_provider(db, self.logical, self.hash_tables,
-                                    positions))
-
-    def run_shard(self, db: Database, shard: int, nshards: int,
-                  use_array: Optional[bool]) -> "ShardOutcome":
-        base = self.base_positions(db)
-        parts = MorselDispatcher.partition(base, nshards)
-        if shard >= len(parts):
-            return ShardOutcome()
-        mine = parts[shard]
-        chunks = (MorselDispatcher.chunk(mine, self.block_rows)
-                  if self.block_rows > 0 else [mine])
-        morsels = [self.morsel(db, chunk) for chunk in chunks]
-        results = MorselDispatcher("serial").run(morsels, self.pipeline)
-        return ShardOutcome.collect(results)
 
 
 # -- shard plumbing ----------------------------------------------------------

@@ -169,3 +169,68 @@ class TestProperties:
         for name in out_w:
             assert np.allclose(out_w[name].astype(float),
                                out_m[name].astype(float))
+
+
+#: Group codes of the hash layout: a wide one forces its sort-based path.
+WIDE_CODES = np.array([0, 1, 5, 10 ** 7], dtype=np.int64)
+INT_DATA = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3),
+              st.integers(min_value=-2 ** 57, max_value=2 ** 57)),
+    min_size=1, max_size=40)
+
+
+class TestIntegerExactness:
+    """Integer SUM/MIN/MAX are exact above 2**53, where a float64
+    accumulator rounds.  Checked against Python ints: the engine-level
+    oracles share these kernels, so a differential cannot see it."""
+
+    SPECS = tuple(spec for spec in SPECS if spec.func != "AVG")
+
+    def states(self, kind, codes, values):
+        """The single-shot state and a two-way split merged back."""
+        def aggregate(part):
+            measures = {spec.name: values[part] for spec in self.SPECS}
+            if kind == "array":
+                return array_aggregate(self.SPECS, measures, codes[part], 4)
+            return hash_aggregate(self.SPECS, measures,
+                                  WIDE_CODES[codes[part]])
+
+        cut = len(codes) // 2
+        return (aggregate(slice(None)),
+                aggregate(slice(None, cut)).merge(aggregate(slice(cut, None))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=INT_DATA)
+    def test_layouts_and_merges_match_python_ints(self, data):
+        codes = np.array([c for c, _ in data], dtype=np.int64)
+        values = np.array([v for _, v in data], dtype=np.int64)
+        groups = {}
+        for code, value in data:
+            groups.setdefault(code, []).append(value)
+        for kind in ("array", "hash"):
+            expected = {
+                int(code if kind == "array" else WIDE_CODES[code]):
+                (len(vals), sum(vals), min(vals), max(vals))
+                for code, vals in groups.items()}
+            for state in self.states(kind, codes, values):
+                ids, out = finalize(state)
+                got = {int(g): tuple(int(out[name][i])
+                                     for name in ("n", "s", "lo", "hi"))
+                       for i, g in enumerate(ids)}
+                assert got == expected, kind
+
+    def test_sql_sum_and_max_are_exact(self):
+        from repro.baselines import FusedEngine
+        from repro.core import Database
+        from repro.engine import AStoreEngine
+
+        big = 2 ** 53
+        db = Database("big")
+        db.create_table("t", {"g": [1, 1, 1],
+                              "v": np.array([big + 1, 1, 1], dtype=np.int64)})
+        engine = AStoreEngine(db)
+        assert (engine.query("SELECT sum(v) AS s, max(v) AS m FROM t").rows()
+                == [(big + 3, big + 1)])
+        grouped = "SELECT g, sum(v) AS s, max(v) AS m FROM t GROUP BY g"
+        assert engine.query(grouped).rows() == [(1, big + 3, big + 1)]
+        assert FusedEngine(db).query(grouped).rows() == [(1, big + 3, big + 1)]

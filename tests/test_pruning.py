@@ -254,6 +254,57 @@ class TestZoneMapFreshness:
             assert pruned.query(sql).rows() == plain.query(sql).rows()
 
 
+    def test_dimension_growth_keeps_probe_verdicts_on_code_sets(
+            self, monkeypatch):
+        # a dimension insert grows the code domain of the fact FK that
+        # references it: the FK's code-set summary rebuilds at the new
+        # size, so every probe verdict still takes the membership path
+        # (~0.5 s)
+        from repro.baselines import DenormalizedEngine
+        from repro.datagen import generate_ssb
+        from repro.engine import sharding
+
+        db = generate_ssb(sf=0.005, seed=27)
+        keys = {"supplier": "s_suppkey", "customer": "c_custkey",
+                "part": "p_partkey", "date": "d_datekey"}
+        probes, judged = [], []
+        compute = sharding.BoundQuery._compute_block_states
+        code_set_verdicts = sharding._code_set_verdicts
+
+        def spy_compute(self, db, zones, steps, *args):
+            probes.extend(step[2].mask for step in steps
+                          if step[0] == "codes")
+            return compute(self, db, zones, steps, *args)
+
+        def spy_verdicts(csm, member, blocks=slice(None)):
+            judged.append(member)
+            return code_set_verdicts(csm, member, blocks)
+
+        monkeypatch.setattr(sharding.BoundQuery, "_compute_block_states",
+                            spy_compute)
+        monkeypatch.setattr(sharding, "_code_set_verdicts", spy_verdicts)
+        with fresh_engine(db) as engine:
+            for sql in SSB_QUERIES.values():  # summaries at the old size
+                engine.query(sql)
+            for name, key in keys.items():
+                table = db.table(name)
+                rows = [table.row(i) for i in range(3)]
+                top = int(table[key].values().max())
+                for i, row in enumerate(rows):
+                    row[key] = top + 1 + i
+                table.insert({column: [row[column] for row in rows]
+                              for column in table.column_names})
+            probes.clear()
+            judged.clear()
+            oracle = DenormalizedEngine(db)
+            for qid, sql in SSB_QUERIES.items():
+                assert (engine.query(sql).rows()
+                        == oracle.query(sql).rows()), qid
+        assert probes
+        seen = {id(mask) for mask in probes}
+        assert sum(id(member) in seen for member in judged) == len(probes)
+
+
 # -- micro-adaptive ordering --------------------------------------------------
 
 
