@@ -8,8 +8,6 @@ demonstrated on a live database.
 Run:  python examples/realtime_updates.py
 """
 
-import numpy as np
-
 from repro import AStoreEngine, Database
 from repro.updates import TransactionManager, WriteBatch
 

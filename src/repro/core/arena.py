@@ -130,8 +130,9 @@ def layout_database(db: Database, zone_entries: Optional[List[tuple]] = None
                          table._delete_version))
         for col_name, column in table.columns.items():
             if isinstance(column, AIRColumn):
-                layout = {"layout": "air", "referenced_table": column.referenced_table}
                 data = column.values()
+                layout = {"layout": "air", "referenced_table": column.referenced_table,
+                          "dtype": data.dtype.name}
             elif isinstance(column, DictColumn):
                 layout = {"layout": "dict", "dictionary": list(column.dictionary.values)}
                 data = column.codes()
@@ -389,10 +390,12 @@ def _wrap_column(entry: dict, view):
     layout = entry["layout"]
     name = entry["name"]
     if layout == "air":
+        # an image from before AIR columns were narrowed records no type
         return AIRColumn.wrap_air(name, entry["referenced_table"],
-                                  view(np.int64))
+                                  view(np.dtype(entry.get("dtype", "int64"))))
     if layout == "dict":
-        return DictColumn.wrap(name, Dictionary(entry["dictionary"]), view(np.int32))
+        return DictColumn.wrap(name, Dictionary.distinct(entry["dictionary"]),
+                               view(np.int32))
     if layout == "string":
         return StringColumn.wrap(name, entry["heap"], view(np.int64))
     if layout == "fixed":

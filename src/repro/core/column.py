@@ -27,6 +27,7 @@ last view goes, and capacity nobody wrote to is never resident.
 from __future__ import annotations
 
 import mmap
+import threading
 import tracemalloc
 import weakref
 from typing import Optional, Sequence, Tuple
@@ -35,13 +36,17 @@ import numpy as np
 
 from ..errors import StorageError
 from .dictionary import Dictionary
-from .types import INTEGER_TYPES, DataType, narrowest_int_type
+from .types import INTEGER_TYPES, DataType, narrowest_int_type, reference_type
 
 _GROWTH_FACTOR = 1.5
 _MIN_CAPACITY = 16
 
-#: index entries per slice of :func:`gather_into`
+#: index entries per slice of :func:`gather_into` and :func:`take_at`
 _GATHER_SLICE = 1 << 16
+
+#: each thread's ``intp`` index buffer for :func:`take_at`
+_INDEX = threading.local()
+_INTP = np.dtype(np.intp)
 
 #: Buffers of at least this many bytes get a mapping of their own:
 #: below a huge page too, so a narrow column at a small scale (an int8
@@ -52,6 +57,7 @@ MAPPED_BUFFER_BYTES = 256 << 10
 _MAP_FLAGS = (getattr(mmap, "MAP_PRIVATE", 0)
               | getattr(mmap, "MAP_ANONYMOUS", 0))
 _MADV_HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
 #: tracemalloc domain of the mapped buffers: NumPy's own, so a traced
 #: run counts them where it would count the ``np.empty`` they replace
 _TRACE_DOMAIN = 389047
@@ -110,6 +116,41 @@ def gather_into(values: np.ndarray, positions: np.ndarray,
     return out
 
 
+def take_at(values: np.ndarray, positions) -> np.ndarray:
+    """``values[positions]``: the gather of every AIR band.
+
+    NumPy indexes through ``intp``.  Handed a narrower index (an AIR
+    column stored at int32), fancy indexing casts it on a slow buffered
+    path and runs about twice as long.  Here the index is cast one
+    :data:`_GATHER_SLICE` at a time into this thread's ``intp`` buffer,
+    which is then a plain fancy index: the gather runs as fast as over
+    an ``intp`` index, and an out-of-range position still raises
+    ``IndexError`` (``mode="clip"`` would answer with a wrong row).
+    The buffer is per thread because shard and serve threads gather at
+    once, and no call yields while it holds it."""
+    if not isinstance(positions, np.ndarray):
+        positions = np.asarray(positions)
+    dtype = positions.dtype
+    if (dtype.itemsize >= _INTP.itemsize or dtype.kind not in "iu"
+            or positions.ndim != 1):
+        return values[positions]
+    try:
+        index = _INDEX.buffer
+    except AttributeError:
+        index = _INDEX.buffer = np.empty(_GATHER_SLICE, dtype=_INTP)
+    n = len(positions)
+    if n <= _GATHER_SLICE:
+        index = index[:n]
+        index[...] = positions
+        return values[index]
+    out = np.empty(n, dtype=values.dtype)
+    for start in range(0, n, _GATHER_SLICE):
+        stop = min(start + _GATHER_SLICE, n)
+        index[: stop - start] = positions[start:stop]
+        out[start:stop] = values[index[: stop - start]]
+    return out
+
+
 def _trace(mapping: mmap.mmap, address: int, nbytes: int) -> None:
     """Register *mapping* with tracemalloc (``PyTraceMalloc_Track``, the
     C API NumPy traces its own buffers with) until it is unmapped."""
@@ -125,6 +166,27 @@ def _trace(mapping: mmap.mmap, address: int, nbytes: int) -> None:
     track, untrack = _trace_calls
     if track(_TRACE_DOMAIN, address, nbytes) == 0:
         weakref.finalize(mapping, untrack, _TRACE_DOMAIN, address)
+
+
+def narrowed(buffer: np.ndarray, length: int, dtype) -> np.ndarray:
+    """The first *length* items of *buffer* converted to the narrower
+    integer *dtype* (every value must fit) inside *buffer*'s own memory,
+    which the caller hands over: a slice at a time, each slice landing
+    on bytes already read.  When *buffer* is a whole
+    :func:`empty_buffer` mapping, the pages behind the result go back to
+    the operating system, so narrowing never holds the wide and the
+    narrow array at once."""
+    out = buffer.view(dtype)[:length]
+    for start in range(0, length, _GATHER_SLICE):
+        stop = min(start + _GATHER_SLICE, length)
+        out[start:stop] = buffer[start:stop]
+    mapping = getattr(buffer.base, "obj", None)
+    if (isinstance(mapping, mmap.mmap) and _MADV_DONTNEED is not None
+            and buffer.nbytes == len(mapping)):
+        keep = -(-out.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        if keep < len(mapping):
+            mapping.madvise(_MADV_DONTNEED, keep, len(mapping) - keep)
+    return out
 
 
 def private_copy(array: np.ndarray, capacity: Optional[int] = None,
@@ -251,7 +313,7 @@ class FixedColumn(Column):
         return self._data[: self._n]
 
     def take(self, positions: np.ndarray) -> np.ndarray:
-        return self._data[: self._n][positions]
+        return take_at(self._data[: self._n], positions)
 
     def get(self, position: int):
         if not 0 <= position < self._n:
@@ -344,18 +406,29 @@ class AIRColumn(FixedColumn):
     """A foreign-key column storing array indexes of the referenced table.
 
     Joining through an AIRColumn is a positional gather on the referenced
-    array family — no hash table, no comparison.
+    array family — no hash table, no comparison.  The positions are
+    stored at the width their dimension needs (``int32`` up to 2^31 rows,
+    :func:`~repro.core.types.reference_type`), and a write past that
+    width widens the column as for any integer column.
     """
 
-    def __init__(self, name: str, referenced_table: str, data=None, capacity: int = 0):
-        super().__init__(name, DataType.INT64, data=data, capacity=capacity)
+    def __init__(self, name: str, referenced_table: str, data=None,
+                 capacity: int = 0):
+        # a signed integer *data* keeps its type, anything else is
+        # stored at int64; an empty column starts at int32
+        dtype = reference_type(0)
+        if data is not None:
+            kind = np.asarray(data).dtype
+            dtype = DataType(kind.name) if kind.kind == "i" else DataType.INT64
+        super().__init__(name, dtype, data=data, capacity=capacity)
         self.referenced_table = referenced_table
 
     @classmethod
     def wrap_air(cls, name: str, referenced_table: str,
                  data: np.ndarray) -> "AIRColumn":
-        """Zero-copy constructor (see :meth:`FixedColumn.wrap`)."""
-        column = cls.wrap(name, DataType.INT64, data)
+        """Zero-copy constructor (see :meth:`FixedColumn.wrap`); the
+        column's type is *data*'s."""
+        column = cls.wrap(name, DataType(data.dtype.name), data)
         column.referenced_table = referenced_table
         return column
 
@@ -563,5 +636,5 @@ def make_coded_column(name: str, codes: np.ndarray, pool: Sequence,
     seen = present[np.argsort(first)]
     remap = np.empty(len(pool), dtype=np.int32)
     remap[seen] = np.arange(len(seen), dtype=np.int32)
-    return DictColumn.wrap(name, Dictionary(pool[i] for i in seen),
+    return DictColumn.wrap(name, Dictionary.distinct(pool[i] for i in seen),
                            remap[codes])

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from ..errors import SchemaError
-from .column import AIRColumn, DictColumn, empty_buffer
+from .column import AIRColumn, DictColumn, empty_buffer, narrowed, take_at
 from .schema import Database
 
 #: rows per slice where a row-number array would otherwise be staged
@@ -122,7 +122,7 @@ def _sort_keys(db: Database, table_name: str, spec):
         # gather and the fold read fewer bytes
         parent = parent.astype(
             np.min_scalar_type(-int(parent.max(initial=0)) - 1))
-        yield parent[np.asarray(tab[air].values())]
+        yield take_at(parent, tab[air].values())
         start = stop
 
 
@@ -238,12 +238,10 @@ def clustering_sort_order(db: Database, table_name: str,
     keys = _sort_keys(db, table_name, spec)
     if num_live < len(live):
         keys = itertools.chain([(~live).view(np.int8)], keys)
-    order = composite_sort_order(keys)[:num_live]
+    order = composite_sort_order(keys)
     if len(live) > np.iinfo(np.int32).max:
-        return order
-    narrow = empty_buffer(num_live, np.int32)
-    narrow[:] = order
-    return narrow
+        return order[:num_live]
+    return narrowed(order, num_live, np.int32)
 
 
 def compact_database(db: Database, table_name: str, store=None) -> dict:

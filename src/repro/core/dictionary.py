@@ -8,11 +8,14 @@ foreign-key (AIR) column pointing into it.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import threading
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..errors import StorageError
+
+_BUILD_LOCK = threading.Lock()
 
 
 class Dictionary:
@@ -22,23 +25,48 @@ class Dictionary:
     value array at position *i* — exactly the paper's array-as-dictionary.
     """
 
-    __slots__ = ("_values", "_code_of")
+    __slots__ = ("_values", "_codes")
 
     def __init__(self, values: Iterable = ()):  # noqa: D107 - trivial
         self._values: list = []
-        self._code_of: dict = {}
+        self._codes: Optional[dict] = {}
         for v in values:
             self.encode_one(v)
+
+    @classmethod
+    def distinct(cls, values: Iterable) -> "Dictionary":
+        """A dictionary of *values*, which must be distinct, in code
+        order.  The value→code map is built on the first encode or
+        lookup, not here: loading an image rebuilds every dictionary,
+        and a query that only decodes never needs the map."""
+        dictionary = cls.__new__(cls)
+        dictionary._values = list(values)
+        dictionary._codes = None
+        return dictionary
+
+    @property
+    def _code_of(self) -> dict:
+        codes = self._codes
+        if codes is None:
+            # built once: a reader building it must not replace the map
+            # a concurrent writer has just added a value to
+            with _BUILD_LOCK:
+                if self._codes is None:
+                    self._codes = {v: code
+                                   for code, v in enumerate(self._values)}
+                codes = self._codes
+        return codes
 
     # -- encoding ------------------------------------------------------------
 
     def encode_one(self, value) -> int:
         """Return the code for *value*, assigning a new code if unseen."""
-        code = self._code_of.get(value)
+        code_of = self._code_of
+        code = code_of.get(value)
         if code is None:
             code = len(self._values)
             self._values.append(value)
-            self._code_of[value] = code
+            code_of[value] = code
         return code
 
     def encode(self, values: Sequence) -> np.ndarray:

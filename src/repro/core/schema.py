@@ -15,8 +15,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from .column import AIRColumn, DictColumn, StringColumn, empty_buffer
+from .column import AIRColumn, DictColumn, StringColumn, empty_buffer, gather_into
 from .table import Table
+from .types import reference_type
+
+#: rows per slice of the AIR remap in :meth:`Database.consolidate`
+_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -195,12 +199,11 @@ class Database:
             if isinstance(column, AIRColumn):
                 continue
             if ref.parent_key is None:
-                # Values are already positions by construction; just retag.
-                child.replace_column(
-                    ref.child_column,
-                    AIRColumn(ref.child_column, ref.parent_table,
-                              data=np.asarray(column.values(), dtype=np.int64)),
-                )
+                # Values are already positions by construction; just
+                # retag, at int32 (a value past it widens the column)
+                retagged = AIRColumn(ref.child_column, ref.parent_table)
+                retagged.append(column.values())
+                child.replace_column(ref.child_column, retagged)
                 continue
             parent = self.table(ref.parent_table)
             key_column = parent[ref.parent_key]
@@ -228,24 +231,31 @@ class Database:
             column = child[ref.child_column]
             if not isinstance(column, AIRColumn):
                 continue
-            # one fact-sized buffer: remapped, checked through a bool
-            # mask, patched in place, and adopted by the new column
+            # one fact-sized buffer at the reference width: remapped,
+            # checked and patched a slice at a time, and adopted by the
+            # new column
             positions = column.values()
             if len(positions) and (positions.min() < 0
                                    or positions.max() >= len(mapping)):
                 raise SchemaError(f"reference {ref} holds a position "
                                   f"outside {table_name!r}")
-            new = np.take(mapping, positions, mode="clip",
-                          out=empty_buffer(len(positions), np.int64))
-            dangling = new < 0
-            if dangling.any():
-                if (dangling & child.live_mask()).any():
+            new = gather_into(mapping, positions, empty_buffer(
+                len(positions), reference_type(len(mapping)).numpy_dtype))
+            live = None
+            for start in range(0, len(new), _SLICE):
+                part = new[start:start + _SLICE]
+                dangling = part < 0
+                if not dangling.any():
+                    continue
+                if live is None:
+                    live = child.live_mask()
+                if (dangling & live[start:start + _SLICE]).any():
                     raise SchemaError(
                         f"consolidating {table_name!r} would break "
                         f"reference {ref}")
                 # deleted child rows may hold stale references; park them
                 # at 0 (their slots are rewritten wholesale on reuse)
-                new[dangling] = 0
+                part[dangling] = 0
             child.replace_column(
                 ref.child_column,
                 AIRColumn.wrap_air(ref.child_column, ref.parent_table, new),
@@ -282,15 +292,17 @@ class Database:
 
 def _key_to_position(key_column, fk_values) -> np.ndarray:
     """Map child FK key values onto parent array indexes, in a fresh
-    buffer that shares no memory with *fk_values* (the AIR column
-    adopts it)."""
+    buffer at the reference width of the parent
+    (:func:`~repro.core.types.reference_type`) that shares no memory
+    with *fk_values* (the AIR column adopts it)."""
     keys = key_column.values()
     fk_values = np.asarray(fk_values)
     if isinstance(key_column, (DictColumn, StringColumn)) or keys.dtype.kind == "O":
         lookup = {k: i for i, k in enumerate(keys)}
         try:
             return np.fromiter(
-                (lookup[v] for v in fk_values), dtype=np.int64, count=len(fk_values)
+                (lookup[v] for v in fk_values),
+                dtype=reference_type(len(keys)).numpy_dtype, count=len(fk_values)
             )
         except KeyError as exc:
             raise SchemaError(f"dangling foreign key value {exc.args[0]!r}") from None
@@ -309,13 +321,14 @@ def _dense_key_positions(keys: np.ndarray,
             or fk_values.dtype.kind not in "iu"
             or not bool((np.diff(keys) == 1).all())):
         return None
-    positions = np.subtract(fk_values, int(keys[0]), dtype=np.int64,
-                            out=empty_buffer(len(fk_values), np.int64))
-    dangling = (positions < 0) | (positions >= len(keys))
+    # checked before the offsets are stored, so none can wrap
+    lo, hi = int(keys[0]), int(keys[0]) + len(keys) - 1
+    dangling = (fk_values < lo) | (fk_values > hi)
     if dangling.any():
         raise SchemaError(
             f"dangling foreign key value {fk_values[dangling][0]!r}")
-    return positions
+    return np.subtract(fk_values, lo, dtype=np.int64, casting="unsafe",
+                       out=_positions_buffer(len(fk_values), keys))
 
 
 def _sorted_key_positions(keys: np.ndarray,
@@ -329,4 +342,9 @@ def _sorted_key_positions(keys: np.ndarray,
         bad = fk_values[sorted_keys[slots] != fk_values][0]
         raise SchemaError(f"dangling foreign key value {bad!r}")
     return np.take(order, slots, mode="clip",
-                   out=empty_buffer(len(slots), np.int64))
+                   out=_positions_buffer(len(slots), keys))
+
+
+def _positions_buffer(length: int, keys: np.ndarray) -> np.ndarray:
+    """A fresh buffer for *length* positions into a parent of *keys*."""
+    return empty_buffer(length, reference_type(len(keys)).numpy_dtype)

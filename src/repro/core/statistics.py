@@ -359,7 +359,11 @@ def _summarise_code_blocks(codes: np.ndarray, block_rows: int, domain: int,
         dirty[b] = out_of_domain
         if out_of_domain:
             chunk = chunk[(chunk >= 0) & (chunk < domain)]
-        slots = chunk % fold if fold < domain else chunk
+        # one intp index for the set and the clear: NumPy scatters
+        # through a narrower one (int32 codes and AIR positions) on a
+        # slow buffered path
+        slots = (chunk % fold if fold < domain else chunk).astype(
+            np.intp, copy=False)
         mask[slots] = True
         bits[b] = np.packbits(mask)
         mask[slots] = False

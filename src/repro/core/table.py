@@ -52,6 +52,7 @@ from ..errors import SchemaError, StorageError
 from .bitmap import Bitmap
 from .column import (_GROWTH_FACTOR, _MIN_CAPACITY, Column, empty_buffer,
                      gather_into, make_column, private_copy)
+from .types import reference_type
 
 _NO_DELETE = np.iinfo(np.int64).max
 
@@ -430,7 +431,8 @@ class Table:
         that physical order (the clustering-preserving re-sort behind
         ``astore compact``); without it, live rows keep their relative
         order.  Returns the old→new position mapping (length = old
-        ``num_rows``; -1 for slots that were deleted).  The caller must
+        ``num_rows``; -1 for slots that were deleted), at the width of
+        an AIR column into the table.  The caller must
         rewrite every AIR column referencing this table using the mapping
         — that rewrite is what makes consolidation expensive (see the
         paper's Table 1), and
@@ -462,7 +464,9 @@ class Table:
             # the old one keep the old layout), one column at a time
             for column in self.columns.values():
                 column.reorder(order)
-            mapping = _filled(self._nrows, np.int64, -1)
+            # at the width of the AIR columns it rewrites
+            mapping = _filled(self._nrows,
+                              reference_type(self._nrows).numpy_dtype, -1)
             for start in range(0, len(order), _SLICE):
                 stop = min(start + _SLICE, len(order))
                 mapping[order[start:stop]] = np.arange(start, stop)

@@ -69,6 +69,15 @@ def narrowest_int_type(lo: int, hi: int) -> DataType:
     raise SchemaError(f"integer range [{lo}, {hi}] does not fit in int64")
 
 
+def reference_type(rows: int) -> DataType:
+    """The storage type of an AIR column into a table of *rows* rows:
+    ``int32``, or ``int64`` when a position could pass ``int32``'s
+    range.  Narrower types are not used: every gather casts its index to
+    ``intp`` a slice at a time (:func:`repro.core.column.take_at`), and
+    ``int32`` is the width that cast was measured at."""
+    return narrowest_int_type(np.iinfo(np.int32).min, max(rows, 0))
+
+
 def dtype_for_values(values) -> DataType:
     """Infer a :class:`DataType` from a NumPy array or Python sequence.
 

@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from ..core.column import empty_buffer
+from ..core.types import reference_type
 
 
 def rng_for(seed: int, stream: str) -> np.random.Generator:
@@ -57,8 +58,11 @@ def drawn(n: int, dtype, draw: Callable[[int], np.ndarray]) -> np.ndarray:
 
 
 def uniform_keys(rng: np.random.Generator, n: int, domain: int) -> np.ndarray:
-    """*n* foreign keys uniformly distributed over ``[0, domain)``."""
-    return drawn(n, np.int64,
+    """*n* foreign keys uniformly distributed over ``[0, domain)``, as
+    positions into a table of *domain* rows: stored at the width of an
+    AIR column into it (:func:`~repro.core.types.reference_type`) and
+    drawn as int64, which keeps the random stream of the wide draw."""
+    return drawn(n, reference_type(domain).numpy_dtype,
                  lambda k: rng.integers(0, domain, size=k, dtype=np.int64))
 
 

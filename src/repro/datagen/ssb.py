@@ -19,7 +19,9 @@ original predicate selectivities are preserved:
 Each ``lineorder`` measure, and ``lo_orderkey``, is stored at the
 narrowest integer width that holds its domain (``int8`` quantity,
 discount and tax; ``int32`` prices, revenue, supply cost and order key
-at SF=1); the four AIR foreign keys stay ``int64``.
+at SF=1).  The four AIR foreign keys are drawn, permuted and stored at
+``int32``, the width of a position into any dimension below 2^31 rows
+(:func:`~repro.core.types.reference_type`): 37 bytes per fact row.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import AIRColumn, Database, DataType, FixedColumn, Table
-from ..core.column import empty_buffer, make_coded_column, make_column
+from ..core.column import (empty_buffer, gather_into, make_coded_column,
+                           make_column)
 from ..core.compaction import composite_sort_order
 from ..core.types import narrowest_int_type
 from .distributions import (drawn, filled, rng_for, scaled_rows, serial_keys,
@@ -193,9 +196,10 @@ def generate_ssb(sf: float = 0.01, seed: int = 42, airify: bool = True) -> Datab
 
     def gather(values, positions):
         # *positions* are valid indexes of *values*, so the gather needs
-        # no bounds check and writes straight into a fresh buffer
-        return np.take(values, positions, mode="clip",
-                       out=empty_buffer(len(positions), values.dtype))
+        # no bounds check and writes straight into a fresh buffer, a
+        # slice at a time: an int32 index is never widened whole
+        return gather_into(values, positions,
+                           empty_buffer(len(positions), values.dtype))
 
     # Each fact column is written once, by the gather that permutes its
     # draw into load order straight into the buffer the table adopts;

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import Database
+from ..core.column import take_at
 from ..errors import ExecutionError, PlanError
 from ..plan.binder import GroupKey, LogicalPlan
 from .slice import DictSlice, PositionalProvider, dimension_provider
@@ -76,7 +77,7 @@ class GroupAxis:
             positions = provider.positions_for(self.first_dim)
             if positions is None:
                 return self.dim_codes
-            return self.dim_codes[positions]
+            return take_at(self.dim_codes, positions)
         column = self.key.column
         sl = provider.fetch(column.table, column.name)
         if isinstance(sl, DictSlice):

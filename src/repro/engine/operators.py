@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import Bitmap
+from ..core.column import take_at
 from ..errors import ExecutionError
 from ..plan.binder import LogicalPlan
 from ..plan.expressions import BoundColumn, BoundExpression
@@ -65,12 +66,11 @@ class PredicateFilter:
         self.packed = Bitmap.from_bool_array(self._mask)
 
     def probe(self, positions: np.ndarray) -> np.ndarray:
-        """Which of the given dimension positions pass the predicate.
-
-        Fancy indexing, not ``np.take``: *positions* is often a
-        read-only arena view (a shard's FK column band), and ``np.take``
-        copies a non-writeable index array before gathering."""
-        return self._mask[positions]
+        """Which of the given dimension positions pass the predicate:
+        one :func:`~repro.core.column.take_at` gather, which casts an
+        int32 AIR band to ``intp`` a slice at a time and never hands
+        *positions* (often a read-only arena view) to ``np.take``."""
+        return take_at(self._mask, positions)
 
     def __getstate__(self):
         # Only the packed vector crosses process boundaries (it is what the

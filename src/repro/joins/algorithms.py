@@ -51,9 +51,12 @@ def air_join(fact_refs: np.ndarray, dim_size: int,
     With ``validate=False`` this is a no-op (the storage model guarantees
     referential integrity); with ``validate=True`` out-of-range references
     are reported as misses, which is the honest comparison point for the
-    microbenchmarks.
+    microbenchmarks.  The positions keep the width they are stored at
+    (an AIR column's ``int32``): widening them would copy the column.
     """
-    fact_refs = np.ascontiguousarray(fact_refs, dtype=np.int64)
+    fact_refs = np.ascontiguousarray(fact_refs)
+    if fact_refs.dtype.kind not in "iu":
+        fact_refs = fact_refs.astype(np.int64)
     if not validate:
         return JoinResult(fact_refs)
     ok = (fact_refs >= 0) & (fact_refs < dim_size)

@@ -12,7 +12,9 @@ their domains need (``int8``/``int32``).  What must not show through:
   the zone summaries rebuild at the new width;
 * the narrow database answers exactly as the same data stored at
   ``int64`` does — serial, 2 process shards, pruning on and off, and
-  after a save/load round trip (an ``int64`` image still loads).
+  after a save/load round trip (an ``int64`` image still loads);
+* the AIR foreign keys are ``int32`` through images, process shards
+  and compaction, and an out-of-range position still raises.
 """
 
 import asyncio
@@ -22,7 +24,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import Database, DataType, FixedColumn, Table
+from repro.core import (AIRColumn, ColumnArena, Database, DataType,
+                        FixedColumn, Table, attach_database)
 from repro.core.arena import rebuild_database, write_image
 from repro.core.statistics import zone_maps_for
 from repro.core.types import narrowest_int_type
@@ -287,3 +290,115 @@ class TestNarrowAgainstWide:
             for pruning in (True, False):
                 assert answers(loaded, self.QUERIES,
                                use_pruning=pruning) == expected, name
+
+
+# -- AIR references ---------------------------------------------------------
+
+AIR_COLUMNS = ("lo_custkey", "lo_partkey", "lo_suppkey", "lo_orderdate")
+
+#: one query per AIR reference, each probing and grouping through it
+AIR_QUERIES = {name: SSB_QUERIES[name]
+               for name in ("Q1.1", "Q2.1", "Q3.1", "Q4.1")}
+
+
+def air_widths(db):
+    fact = db.table("lineorder")
+    return {name: (type(fact[name]).__name__, fact[name].dtype,
+                   fact[name].values().dtype)
+            for name in AIR_COLUMNS}
+
+
+INT32_AIR = {name: ("AIRColumn", DataType.INT32, np.dtype(np.int32))
+             for name in AIR_COLUMNS}
+
+
+@pytest.fixture(scope="module")
+def referenced():
+    """A small SSB database and its answers to :data:`AIR_QUERIES`."""
+    db = generate_ssb(sf=0.002, seed=9)
+    return db, answers(db, AIR_QUERIES)
+
+
+class TestReferenceWidths:
+    """AIR columns are stored at int32 and stay so through every writer
+    and every reader of an image (~2.5 s, most of it the process pool)."""
+
+    def test_image_round_trip_keeps_int32(self, referenced, tmp_path):
+        db, expected = referenced
+        assert air_widths(db) == INT32_AIR
+        save_database(db, tmp_path / "air.img")
+        loaded = load_database(tmp_path / "air.img")
+        assert air_widths(loaded) == INT32_AIR
+        assert answers(loaded, AIR_QUERIES) == expected
+
+    def test_image_without_a_reference_type_loads_int64(self, referenced):
+        # an image written before AIR columns were narrowed records no
+        # type in its "air" layout entries and stores int64 positions
+        db, expected = referenced
+        wide = Database(db.name)
+        for name, table in db.tables.items():
+            columns = [AIRColumn.wrap_air(c, table[c].referenced_table,
+                                          table[c].values().astype(np.int64))
+                       if c in AIR_COLUMNS else table[c]
+                       for c in table.column_names]
+            wide.add_table(Table.wrap(name, columns, table.num_rows))
+        for ref in db.references:
+            wide.add_reference(ref.child_table, ref.child_column,
+                               ref.parent_table, ref.parent_key)
+        image = io.BytesIO()
+        manifest = write_image(image, wide)
+        for entry in manifest.tables["lineorder"]["columns"]:
+            if entry["layout"] == "air":
+                assert entry.pop("dtype") == "int64"
+        old, _ = rebuild_database(manifest, image.getbuffer(), manifest.base)
+        assert {name: width[1] for name, width in air_widths(old).items()} \
+            == dict.fromkeys(AIR_COLUMNS, DataType.INT64)
+        assert answers(old, AIR_QUERIES) == expected
+
+    def test_arena_and_process_shards_keep_int32(self, referenced):
+        db, expected = referenced
+        with ColumnArena.export(db) as arena:
+            with attach_database(arena.manifest) as attached:
+                assert air_widths(attached.db) == INT32_AIR
+                assert answers(attached.db, AIR_QUERIES) == expected
+        assert answers(db, AIR_QUERIES, parallel_backend="process",
+                       workers=2) == expected
+
+    def test_compaction_keeps_int32(self):
+        db = generate_ssb(sf=0.002, seed=9)
+        expected = answers(db, AIR_QUERIES)
+        fact = db.table("lineorder")
+        fact.delete(np.arange(0, fact.num_rows, 5))
+        expected_after_delete = answers(db, AIR_QUERIES)
+        db.compact("lineorder")
+        # a dimension's compaction rewrites the fact's references to it
+        db.compact("date")
+        db.compact("customer")
+        assert air_widths(db) == INT32_AIR
+        assert answers(db, AIR_QUERIES) == expected_after_delete
+        assert expected_after_delete != expected
+
+    @pytest.mark.parametrize("past, width", [(5, DataType.INT32),
+                                             (2 ** 31, DataType.INT64)],
+                             ids=["in-int32", "past-int32"])
+    def test_out_of_range_position_raises_at_query_time(self, past, width):
+        # Table.insert does not check AIR positions; the gather at query
+        # time must raise rather than answer with a wrong row, and a
+        # position past int32 widens the column instead of wrapping
+        db = generate_ssb(sf=0.002, seed=9)
+        fact = db.table("lineorder")
+        bad = db.table("customer").num_rows + past
+        row = fact.gather(np.array([0]))
+        row["lo_custkey"] = np.array([bad])
+        fact.insert(row)
+        assert fact["lo_custkey"].dtype is width
+        assert fact["lo_custkey"].get(fact.num_rows - 1) == bad
+        queries = {  # a probe and a group gather through lo_custkey
+            "probe": "SELECT count(*) AS n FROM lineorder, customer "
+                     "WHERE c_region = 'ASIA'",
+            "group": "SELECT c_nation, sum(lo_revenue) AS r "
+                     "FROM lineorder, customer GROUP BY c_nation"}
+        for name, sql in queries.items():
+            for pruning in (True, False):
+                with pytest.raises(IndexError):
+                    answers(db, {name: sql}, use_pruning=pruning)

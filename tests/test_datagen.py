@@ -163,9 +163,9 @@ class TestSSBPinned:
         widths = {name: lo[name].values().dtype.name
                   for name in lo.column_names}
         assert widths == {
-            "lo_orderkey": "int32", "lo_custkey": "int64",
-            "lo_partkey": "int64", "lo_suppkey": "int64",
-            "lo_orderdate": "int64", "lo_quantity": "int8",
+            "lo_orderkey": "int32", "lo_custkey": "int32",
+            "lo_partkey": "int32", "lo_suppkey": "int32",
+            "lo_orderdate": "int32", "lo_quantity": "int8",
             "lo_extendedprice": "int32", "lo_discount": "int8",
             "lo_revenue": "int32", "lo_supplycost": "int32",
             "lo_tax": "int8"}
