@@ -24,9 +24,9 @@ class LockDisciplineChecker(Checker):
     title = "state declared in GUARDED_BY is only touched under its lock"
     contract = """
     A module declares its shared mutable state in a module-level
-    GUARDED_BY dict mapping names ("_SHARED_BACKENDS" for globals,
+    GUARDED_BY dict mapping names ("_CACHES" for globals,
     "QueryCache._tiers" for instance attributes) to the lock expression
-    that guards them ("_REGISTRY_LOCK", "self._lock").  Every read or
+    that guards them ("_CACHES_LOCK", "self._lock").  Every read or
     write of a declared name must be lexically inside `with <lock>:` —
     or inside a function whose def line carries `# astore:
     holds[<lock>]`, documenting that its callers already hold it.
@@ -83,7 +83,7 @@ class LockDisciplineChecker(Checker):
                         base=base,
                     )
                 elif node.attr in bare and isinstance(node.value, (ast.Name, ast.Attribute)):
-                    # qualified cross-module access, e.g. _sharding._SHARED_BACKENDS
+                    # qualified cross-module access, e.g. _sharding._BACKENDS
                     yield from self._check_access(
                         module, node, f"{base}.{node.attr}", bare[node.attr], base=base
                     )

@@ -19,7 +19,7 @@ Marker grammar, scanned per physical line:
 Guarded state is declared in a module-level dict of string constants::
 
     GUARDED_BY = {
-        "_SHARED_BACKENDS": "_REGISTRY_LOCK",       # module global
+        "_CACHES": "_CACHES_LOCK",                  # module global
         "QueryCache._tiers": "self._lock",          # instance attribute
     }
 """

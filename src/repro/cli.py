@@ -45,9 +45,10 @@ from typing import Optional, Sequence
 from .bench import best_of, format_table, ms
 from .core.statistics import validate_references
 from .datagen import generate_ssb, generate_tpch
-from .engine import AStoreEngine, ProcessShardBackend, VARIANTS
+from .engine import AStoreEngine, VARIANTS
 from .engine.operators import BACKENDS
 from .engine.serve import parse_deadline
+from .engine.sharding import shard_traffic
 from .errors import AStoreError
 from .io import dump_csv, load_database, save_database
 
@@ -259,9 +260,7 @@ def _dispatch(args) -> int:
                 return 0
             for _ in range(max(1, args.repeat)):
                 result = engine.query(args.sql)
-            backend = engine._slot.backend
-            traffic = (backend.traffic()
-                       if isinstance(backend, ProcessShardBackend) else None)
+            traffic = shard_traffic(db)
         shown = result.rows()[: args.limit]
         print(format_table(
             f"{len(result)} rows ({result.stats.total_seconds * 1e3:.2f} ms,"

@@ -28,12 +28,12 @@ as its storage (:meth:`repro.core.table.Table.adopt`) and frees its
 private arrays, so the host holds the data once.
 
 Lifecycle: the database owns its image.  The shard layer
-(:mod:`repro.engine.sharding`) keeps at most one per database, recorded
-with the stamp it holds; every shard backend over the database at that
-stamp attaches to it, and a backend's close leaves it open.  The
-exporter's descriptor closes (:meth:`ColumnArena.close`) when the
-database goes, or when a later export at a newer stamp replaces it and
-no open backend still attaches to it.  Each attachment's views hold
+(:mod:`repro.engine.sharding`) keeps at most one current image per
+database, recorded with the stamp it holds, and every engine over the
+database at that stamp runs on it.  The exporter's descriptor closes
+(:meth:`ColumnArena.close`) when nothing holds the image any more: the
+database went, or a later export at a newer stamp replaced it and the
+last run reading it returned.  Each attachment's views hold
 their mapping until the last of them dies, and a database that adopted
 the image holds it as long as any of its buffers is still a view (a
 write copies the buffer it touches; a later export's adoption swaps
@@ -211,8 +211,8 @@ class ColumnArena:
     (:func:`attach_database`), :meth:`attach` for the exporter's own
     attachments, and :meth:`close` (or a ``with`` block) to drop the
     exporter's descriptor.  A process shard backend's arena is its
-    database's image: it stays open as long as the database does, and
-    every backend over that database attaches to it.
+    database's image: it stays open while the database holds it at its
+    stamp, or a run still reads it.
     :meth:`live_segments` lists the arenas not yet closed; an image a
     database adopted as its storage outlives its arena's close and is
     not listed.
@@ -282,8 +282,9 @@ class ColumnArena:
     @classmethod
     def live_segments(cls) -> List[str]:
         """Paths of all not-yet-closed arenas (leak diagnostics/tests):
-        the image each database exported for its shard backends, while
-        the database lives, and any arena exported directly."""
+        each live database's current image for its process shards, any
+        older image a run still reads, and any arena exported
+        directly."""
         return sorted(cls._live)
 
     def __enter__(self) -> "ColumnArena":

@@ -14,9 +14,9 @@ shared physical layer of :mod:`repro.engine.operators`:
    driven over horizontal fact-table morsels either in-process
    (``serial``/``thread`` backends, via the
    :class:`~repro.engine.operators.MorselDispatcher`) or across worker
-   processes (``process`` backend, via
-   :class:`~repro.engine.sharding.ProcessShardBackend` and the
-   database image it exports for them);
+   processes (``process`` backend, via the database's
+   :class:`~repro.engine.sharding.ProcessShardBackend`: its image and
+   its worker pool);
 3. **Aggregation** — per-morsel/per-shard partial aggregation states
    merge element-wise; ORDER BY/LIMIT run during result assembly.
 
@@ -195,9 +195,10 @@ def replace_spec(spec: OpSpec, **changes) -> OpSpec:
 class AStoreEngine:
     """A-Store's OLAP engine over a loaded (airified) database.
 
-    An engine that has served ``process``-backed queries owns a
-    exported database image and a worker pool; release them with
-    :meth:`close` (or use the engine as a context manager).
+    The engine owns no process resources: ``process``-backed queries
+    run on the database's shard backend (its exported image and its
+    worker pool), which every engine over the database shares and which
+    goes when the database is collected.
     """
 
     def __init__(self, db: Database, options: Optional[EngineOptions] = None):
@@ -229,8 +230,9 @@ class AStoreEngine:
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Release process-backend resources (worker pool + exported image)."""
-        self._slot.close()
+        """Nothing to release: the worker pool and the image belong to
+        the database.  Kept so that an engine reads as a context
+        manager wherever one is used."""
 
     def __enter__(self) -> "AStoreEngine":
         return self

@@ -7,7 +7,7 @@ compilation from execution, and the mutation-stamped
 This module adds the missing entry point: an :class:`AsyncEngine` that
 accepts many concurrent ``await engine.query(...)`` calls on one event
 loop and multiplexes them over one :class:`~repro.engine.executor
-.AStoreEngine` — and therefore over one shared, persistent
+.AStoreEngine` — and therefore over its database's one persistent
 :class:`~repro.engine.sharding.ProcessShardBackend` pool when the
 engine is configured with ``parallel_backend="process"``.
 
@@ -103,10 +103,11 @@ class AsyncEngine:
 
     Construct with a database plus :class:`EngineOptions` (or pass a
     prebuilt ``engine``).  All concurrency is multiplexed: one
-    underlying engine, one query cache, one shard backend.  ``await
-    engine.query(sql)`` is safe to call from many tasks at once; use
-    ``async with`` (or :meth:`aclose`) to release the executor and any
-    process-backend resources.
+    underlying engine, one query cache, one shard backend (the
+    database's).  ``await engine.query(sql)`` is safe to call from many
+    tasks at once; use ``async with`` (or :meth:`aclose`) to drain the
+    executor.  The worker pool and image of the process backend belong
+    to the database and go when it is collected.
 
     The serving tier (``cache_results``) defaults **on** here — serving
     is what this class is for — but can be disabled through *options*.
@@ -216,8 +217,8 @@ class AsyncEngine:
     # -- lifecycle ----------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Drain the executor and release engine resources (the shared
-        arena and worker pool, when the process backend was used)."""
+        """Drain the executor and close the engine (the image and the
+        worker pool of the process backend stay with the database)."""
         if self._closed:
             return
         self._closed = True

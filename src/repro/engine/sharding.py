@@ -19,14 +19,15 @@ that shape inside one interpreter; this module realizes it across
   the image as its live database's storage
   (:meth:`~repro.core.table.Table.adopt`) over shard 0's mapping and
   frees its private arrays, so the host holds the data once; a later
-  write copies the buffers it touches first.  The image belongs to the
-  database (:class:`DatabaseImage`): every backend over the database at
-  the image's stamp, whatever its worker count, attaches to it instead
-  of exporting again.
+  write copies the buffers it touches first.
 
-:class:`ProcessShardBackend` attaches to that image and owns a
-persistent spawn pool; it maps :class:`ShardTask`\\ s over the pool while
-the coordinator runs shard 0 itself over its own attachment; per-shard partial states
+The image and the worker pool belong to the database: its one
+:class:`ProcessShardBackend` holds its current image
+(:class:`DatabaseImage`) and one persistent spawn pool, serves every
+engine over the database whatever its shard count, and closes when the
+database is collected.  The backend maps
+:class:`ShardTask`\\ s over the pool while the coordinator runs shard 0
+itself over its own attachment; per-shard partial states
 (:class:`~repro.engine.aggregate.AggregationState`, gather states, or
 projection chunks) and per-operator timings come back as
 :class:`ShardOutcome` values that the caller merges in shard order —
@@ -1067,27 +1068,35 @@ def merge_outcome_states(outcomes: Sequence[ShardOutcome]):
 
 @dataclass
 class ShardTask:
-    """One worker assignment: a plan reference + shard index.
+    """One worker assignment: a plan reference, an image reference and a
+    shard index.
 
     ``plan_seq`` names a plan object (stable per object, unique per
-    parent process); a worker that holds the hydrated plan runs the
-    shard from it, so a warm task is a descriptor of ~120 pickled bytes.
-    ``plan_bytes`` — the plan's pickle, serialized once per plan object
-    and memoized by the backend — rides only on a plan's first run and
-    on the resend after a :class:`PlanMiss`.
+    parent process) and ``image_seq`` the database image the shard reads
+    (unique per export in the parent process); a worker that holds both
+    runs the shard from them, so a warm task is a descriptor of ~120
+    pickled bytes.  ``plan_bytes`` — the plan's pickle, serialized once
+    per plan object and memoized by the backend — rides only on a plan's
+    first run and on the resend after a :class:`PlanMiss`; ``manifest``
+    — the image's pickled :class:`~repro.core.arena.ArenaManifest` —
+    only on that resend.
     """
 
     plan_seq: int
+    image_seq: int
     shard: int
     nshards: int
     use_array: Optional[bool] = None
     plan_bytes: Optional[bytes] = None
+    manifest: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
 class PlanMiss:
-    """A worker's reply to a plan-reference task naming a plan it does
-    not hold (never shipped to it, or evicted from its LRU)."""
+    """A worker's reply to a task naming a plan it does not hold (never
+    shipped to it, or evicted from its LRU) or an image it has not
+    attached; the task is resent once, with the plan bytes and the
+    manifest, so any worker can run it."""
 
     plan_seq: int
 
@@ -1098,6 +1107,7 @@ class PlanMiss:
 WORKER_PLAN_CAPACITY = 16
 
 _ATTACHED: Optional[AttachedDatabase] = None
+_ATTACHED_SEQ: Optional[int] = None
 _PLANS: "OrderedDict[int, object]" = OrderedDict()
 
 
@@ -1116,10 +1126,14 @@ def _seed_zone_maps(attached: AttachedDatabase) -> AttachedDatabase:
     return attached
 
 
-def _worker_attach(manifest) -> None:
-    """Pool initializer: attach the exported image once per worker."""
-    global _ATTACHED
-    _ATTACHED = _seed_zone_maps(attach_database(manifest))
+def _worker_attach(seq: int, manifest: bytes) -> None:
+    """Attach image *seq* in a worker.  The attachment it held goes
+    first, and its mapping with its last view, so a worker maps one
+    image at a time."""
+    global _ATTACHED, _ATTACHED_SEQ
+    _ATTACHED = _ATTACHED_SEQ = None
+    _ATTACHED = _seed_zone_maps(attach_database(pickle.loads(manifest)))
+    _ATTACHED_SEQ = seq
 
 
 def _lru_plan(plans: "OrderedDict[int, object]", seq: int,
@@ -1138,10 +1152,12 @@ def _lru_plan(plans: "OrderedDict[int, object]", seq: int,
 
 
 def _worker_run(task: ShardTask) -> Union[ShardOutcome, PlanMiss]:
-    """Run one shard from the worker's plan LRU (pool workers are
-    single-threaded, so the LRU needs no lock)."""
-    if _ATTACHED is None:  # pragma: no cover - initializer always runs
-        raise ExecutionError("shard worker has no attached database")
+    """Run one shard over the worker's attachment from its plan LRU
+    (pool workers are single-threaded, so neither needs a lock)."""
+    if task.image_seq != _ATTACHED_SEQ:
+        if task.manifest is None:
+            return PlanMiss(task.plan_seq)
+        _worker_attach(task.image_seq, task.manifest)
     plan = _lru_plan(_PLANS, task.plan_seq, task.plan_bytes)
     if plan is None:
         return PlanMiss(task.plan_seq)
@@ -1160,195 +1176,160 @@ def database_stamp(db: Database) -> Tuple[tuple, ...]:
 
 @dataclass(eq=False)
 class DatabaseImage:
-    """A database's one exported image, recorded with the
+    """One export of a database, recorded with the
     :func:`database_stamp` it holds.
 
-    The arena keeps the exporter's descriptor, the manifest and the
-    coordinator's one mapping (:meth:`ColumnArena.attach`).  Every shard
-    backend over the database at ``stamp`` attaches to it, whatever its
-    worker count; ``holders`` counts the open ones.  The record lives as
-    long as the database: a finalizer on the database retires it, and
-    so does a later export at a newer stamp, which replaces it.  A
-    retired image's descriptor closes once no open backend holds it
-    (a holder's pool may still spawn a worker that attaches by path);
-    its pages then go with their last view.
+    The arena keeps the exporter's descriptor and its one mapping;
+    ``attached`` is the coordinator's attachment over that mapping
+    (shard 0 reads it, with the exported zone maps seeded into its own
+    query cache); ``manifest`` is the pickled manifest a worker that
+    misses the image attaches from; ``seq`` names the image in tasks
+    (the descriptor's path does not: the kernel reuses its number).
+    The database's backend holds its current image and every run holds
+    the image it reads; the descriptor closes once none does, and the
+    pages go with their last view.
     """
 
     arena: ColumnArena
     stamp: Tuple[tuple, ...]
-    holders: int = 0
-    retired: bool = False
+    attached: AttachedDatabase
+    manifest: bytes
+    seq: int = field(default_factory=itertools.count().__next__)
 
-    def release(self) -> None:  # astore: holds[_REGISTRY_LOCK]
-        """Drop one holder; close a retired image nobody holds."""
-        self.holders -= 1
-        if self.retired:
-            self.retire()
-
-    def retire(self) -> None:  # astore: holds[_REGISTRY_LOCK]
-        """Mark the image replaced (or its database gone); close its
-        descriptor once no open backend holds it."""
-        self.retired = True
-        if self.holders <= 0:
-            self.arena.close()
+    def __post_init__(self) -> None:
+        weakref.finalize(self, self.arena.close)
 
 
-def _hold_image(db: Database, stamp) -> Tuple[DatabaseImage, bool]:  # astore: holds[_REGISTRY_LOCK]
-    """*db*'s image at *stamp*, with one more holder, and whether it was
-    exported just now: the recorded image when its stamp is *stamp*,
-    else a fresh export that replaces (and retires) the recorded one.
-
-    Zone maps built so far ride in a fresh image: workers attach the
-    parent's summaries zero-copy instead of re-scanning columns
-    (summaries built after the export are rebuilt worker-side)."""
-    key = id(db)
-    image = _DATABASE_IMAGES.get(key)
-    if image is not None and image.stamp == stamp:
-        image.holders += 1
-        return image, False
-    fresh = DatabaseImage(ColumnArena.export(
-        db, zone_entries=fresh_zone_entries(db, query_cache_for(db))),
-        stamp, holders=1)
-    _DATABASE_IMAGES[key] = fresh
-    if image is None:
-        weakref.finalize(db, _retire_image, key)
-    else:
-        image.retire()
-    return fresh, True
-
-
-def database_image(db: Database) -> Optional[ColumnArena]:
-    """The arena of *db*'s current image, if it has one (leak checks)."""
-    with _REGISTRY_LOCK:
-        image = _DATABASE_IMAGES.get(id(db))
-        return None if image is None else image.arena
-
-
-def _retire_image(key: int) -> None:
-    """Finalizer: the database was garbage-collected, so its image goes
-    (once the last backend attached to it closes)."""
-    with _REGISTRY_LOCK:
-        image = _DATABASE_IMAGES.pop(key, None)
-        if image is not None:
-            image.retire()
+def _stop(pool: Optional[ProcessPoolExecutor]) -> None:
+    """Terminate *pool*'s workers, not drain them: stopping must not wait
+    on stuck shards (the executor has no terminate() of its own).  The
+    shutdown then waits for the executor to reap them."""
+    if pool is None:
+        return
+    for proc in list((pool._processes or {}).values()):
+        with contextlib.suppress(Exception):
+            proc.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 class ProcessShardBackend:
-    """A persistent worker pool over its database's image.
+    """A database's process shards: its one image and its one worker pool.
 
-    Created lazily by an engine on its first process-backed query and
-    held for the engine's lifetime, so interpreter spawns amortize
-    across queries.  The image belongs to the database
-    (:class:`DatabaseImage`): the backend exports only when the
-    database has none at its current stamp, and otherwise attaches its
-    shard 0 over the coordinator's existing mapping (O(columns)) and
-    points its workers at the same path.  Right after an export, every
-    table still at its exported stamp adopts the image as its storage
-    (:meth:`~repro.core.table.Table.adopt`): its buffers become views
-    of the coordinator's attachment and its private arrays go; tables
-    already viewing a reused image need no second adoption.  The image
-    stays the snapshot at its stamp — a later write copies the buffers
-    it touches before writing — and :meth:`is_stale` compares the
-    database's mutation stamp so callers re-export after writes instead
-    of serving stale shards.  ``close()`` terminates the pool and drops
-    the backend's attachment; the image stays with the database.
-    Engines expose ``close()`` as their own.  Use
-    :func:`acquire_shard_backend` / :func:`release_shard_backend` to
-    share one backend (one pool) across all engines over the same
-    database and worker count.
+    The database owns it (:func:`backend_for`): the first multi-shard
+    process run over the database creates it, every engine over the
+    database shares it whatever its shard count, and it closes when the
+    database is collected.  :meth:`image` exports only when the
+    database has no image at its current stamp.  Right after an export,
+    every table still at its exported stamp adopts the image as its
+    storage (:meth:`~repro.core.table.Table.adopt`): its buffers become
+    views of the coordinator's attachment and its private arrays go.
+    The image stays the snapshot at its stamp — a later write copies the
+    buffers it touches before writing — and the next run after a write
+    exports a fresh image; the pool stays.
 
-    ``workers`` is the shard count, at least two (one shard runs
-    inline, see :meth:`ShardBackendSlot.run`).  The coordinator runs
-    shard 0 itself (leader participation), so the pool holds
-    ``workers - 1`` processes.  Shard 0 reads the backend's own
-    attachment of the image through its own unpickled plan copy,
-    exactly as a pool worker does, so every shard of a run reads one
-    point-in-time snapshot and the caller's plan object is never
-    hydrated or mutated.
+    The pool is a spawn-context executor created by the first run and
+    sized to the largest shard count asked for, less one: the
+    coordinator runs shard 0 itself (leader participation), over the
+    image's attachment through its own unpickled plan copy, exactly as a
+    pool worker does, so every shard of a run reads one point-in-time
+    snapshot and the caller's plan object is never hydrated or mutated.
+    The executor starts a worker only when a task finds none idle, so a
+    larger shard count adds workers and keeps those it has.  Workers
+    attach to an image on demand (:class:`ShardTask`).
     """
 
     _plan_seq = itertools.count()
 
-    def __init__(self, db: Database, workers: int):
-        if int(workers) < 2:
-            raise ValueError("a process shard backend needs two or more "
-                             "shards; run one shard inline")
-        self.workers = int(workers)
-        self.stamp = database_stamp(db)
-        self.refs = 0
-        self._registry_key: Optional[tuple] = None
+    def __init__(self) -> None:
+        # guards the image, the pool, the plan memo, the coordinator's
+        # plan copies and the task-traffic counters; concurrent runs
+        # take it only to look these up
+        self._lock = threading.Lock()
+        self._image: Optional[DatabaseImage] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
+        # shard 0's hydrated plans, by plan_seq
+        self._plans: "OrderedDict[int, object]" = OrderedDict()
         # (seq, pickle) per live plan object: a cached BoundQuery keeps
         # its ``plan_seq`` for life, so after its first run tasks name
         # it by seq alone and the bytes serialized the first time are
         # only resent to a worker that misses.  Weak keys drop the memo
-        # with the plan.  The memo lock keeps concurrent serving threads
-        # from racing the lookup-then-serialize sequence, and guards the
-        # task-traffic counters and the coordinator's shard state.
+        # with the plan.
         self._plan_pickles: "weakref.WeakKeyDictionary" = (
             weakref.WeakKeyDictionary())
-        self._memo_lock = threading.Lock()
         self._traffic: Dict[str, int] = dict.fromkeys(
             ("tasks", "task_bytes", "plan_ships", "plan_misses"), 0)
-        with _REGISTRY_LOCK:
-            image, exported = _hold_image(db, self.stamp)
+
+    def image(self, db: Database) -> DatabaseImage:
+        """*db*'s image at its current stamp: the one the backend holds,
+        or a fresh export that replaces it.
+
+        Zone maps built so far ride in a fresh image: workers attach the
+        parent's summaries zero-copy instead of re-scanning columns
+        (summaries built after the export are rebuilt worker-side)."""
+        stamp = database_stamp(db)
+        with self._lock:
+            image = self._image
+            if image is not None and image.stamp == stamp:
+                return image
+            arena = ColumnArena.export(
+                db, zone_entries=fresh_zone_entries(db, query_cache_for(db)))
             try:
                 # the coordinator's side: an attachment exactly like a
-                # worker's (its zone maps seeded into a fresh query
-                # cache), so shard 0 faults in only the pages it reads,
-                # and plan copies by plan_seq
-                self._attached: Optional[AttachedDatabase] = (
-                    _seed_zone_maps(image.arena.attach()))
+                # worker's, so shard 0 faults in only the pages it reads
+                attached = _seed_zone_maps(arena.attach())
             except BaseException:
-                image.release()
+                arena.close()
                 raise
-            self._image: Optional[DatabaseImage] = image
-        self.arena = image.arena
-        if exported:
+            image = self._image = DatabaseImage(
+                arena, stamp, attached,
+                pickle.dumps(arena.manifest, protocol=pickle.HIGHEST_PROTOCOL))
             # ... and the live database's storage: every table still at
             # its exported stamp swaps its private buffers for views of
             # the same mapping, so the host holds the data once
-            for name, count in self.stamp:
-                db.table(name).adopt(self._attached.db.table(name), count)
-        self._plans: "OrderedDict[int, object]" = OrderedDict()
-        # a futures executor rather than multiprocessing.Pool: when a
-        # worker dies mid-task (OOM kill, SIGKILL, segfault) Pool.map
-        # waits forever for a result that will never come, while the
-        # executor surfaces BrokenProcessPool — which run() maps to the
-        # typed ShardExecutionError the engine degrades on
-        self._pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=self.workers - 1,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_worker_attach, initargs=(self.arena.manifest,))
+            for name, count in stamp:
+                db.table(name).adopt(attached.db.table(name), count)
+            return image
 
-    def is_stale(self, db: Database) -> bool:
-        """Has *db* been mutated since this backend's image was exported?"""
-        return database_stamp(db) != self.stamp
+    @property
+    def arena(self) -> Optional[ColumnArena]:
+        """The arena of the database's current image, if it has one."""
+        with self._lock:
+            return None if self._image is None else self._image.arena
 
-    def retain(self) -> "ProcessShardBackend":
-        """Take one extra reference (e.g. to pin the backend for the
-        duration of a run); pair with :func:`release_shard_backend`."""
-        with _REGISTRY_LOCK:
-            self.refs += 1
-        return self
-
-    def run(self, plan, nshards: Optional[int] = None,
+    def run(self, db: Database, plan, nshards: int,
             use_array: Optional[bool] = None) -> List[ShardOutcome]:
-        """Run *plan* over ``nshards`` horizontal shards (default: one
-        per worker); outcomes come back in shard order.  Thread-safe:
-        concurrent callers multiplex over the one worker pool (the
-        pool's task queue interleaves their shard tasks).
+        """Run *plan* over *nshards* horizontal shards of *db*; outcomes
+        come back in shard order.  Thread-safe: concurrent callers, of
+        any shard count, multiplex over the one worker pool (the pool's
+        task queue interleaves their shard tasks).
 
         Shards 1.. go to the pool first; shard 0 then runs in the
         calling thread while they do, and the pool's replies are
         collected last.  Only a plan's first run on this backend ships
         its bytes; later tasks name it by ``plan_seq``.  A worker that
-        does not hold the plan answers :class:`PlanMiss`, and that
-        shard is resubmitted once, with the bytes."""
-        nshards = nshards or self.workers
-        with self._memo_lock:
+        does not hold the plan or the image answers :class:`PlanMiss`,
+        and that shard is resubmitted once, with both.  The run holds
+        its image until it returns, so a write and a re-export meanwhile
+        close nothing under it."""
+        if nshards < 2:
+            raise ValueError("a process shard backend needs two or more "
+                             "shards; run one shard inline")
+        image = self.image(db)
+        with self._lock:
             pool = self._pool
             if pool is None:
-                raise ExecutionError("process shard backend is closed")
+                # a futures executor rather than multiprocessing.Pool:
+                # when a worker dies mid-task (OOM kill, SIGKILL,
+                # segfault) Pool.map waits forever for a result that
+                # will never come, while the executor surfaces
+                # BrokenProcessPool, which is mapped below to the typed
+                # ShardExecutionError the engine degrades on
+                pool = self._pool = ProcessPoolExecutor(
+                    max_workers=nshards - 1,
+                    mp_context=multiprocessing.get_context("spawn"))
+            # a spawn-context executor starts workers on submit, up to
+            # this cap: raising it grows the pool and keeps its workers
+            pool._max_workers = max(pool._max_workers, nshards - 1)
             memo = self._plan_pickles.get(plan)
             first = memo is None
             if first:
@@ -1356,32 +1337,34 @@ class ProcessShardBackend:
                         pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL))
                 self._plan_pickles[plan] = memo
         seq, plan_bytes = memo
-        tasks = [ShardTask(seq, shard, nshards, use_array,
+        tasks = [ShardTask(seq, image.seq, shard, nshards, use_array,
                            plan_bytes if first else None)
                  for shard in range(1, nshards)]
         try:
             futures = self._submit(pool, tasks)
-            led = self._lead(seq, plan_bytes, nshards, use_array)
+            led = self._lead(image, seq, plan_bytes, nshards, use_array)
             pooled = [future.result() for future in futures]
             missed = [i for i, outcome in enumerate(pooled)
                       if isinstance(outcome, PlanMiss)]
             if missed:
                 resent = self._submit(
-                    pool, [replace(tasks[i], plan_bytes=plan_bytes)
+                    pool, [replace(tasks[i], plan_bytes=plan_bytes,
+                                   manifest=image.manifest)
                            for i in missed], misses=len(missed))
                 for i, future in zip(missed, resent):
                     pooled[i] = future.result()
             return [led] + pooled
         except BrokenProcessPool as exc:
-            # a worker died mid-query: self-evict from the registry so
-            # the next acquire exports a fresh pool, then raise the
-            # typed error the engine layer degrades on
-            self._abandon()
+            # a worker died mid-query: the next run starts a fresh pool;
+            # raise the typed error the engine layer degrades on
+            with self._lock:
+                if self._pool is pool:
+                    self._pool = None
+            _stop(pool)
             raise ShardExecutionError(
                 f"shard worker pool died mid-query: {exc}") from exc
         except CancelledError as exc:
-            # a concurrent close() cancelled queued shards: same
-            # contract as the closed-pool check above
+            # a concurrent close() cancelled queued shards
             raise ExecutionError("process shard backend is closed") from exc
         except RuntimeError as exc:
             if "shutdown" in str(exc):  # submit raced a concurrent close()
@@ -1389,22 +1372,19 @@ class ProcessShardBackend:
                     "process shard backend is closed") from exc
             raise
 
-    def _lead(self, seq: int, plan_bytes: bytes, nshards: int,
-              use_array: Optional[bool]) -> ShardOutcome:
-        """Run shard 0 in the calling thread, over the coordinator's
-        attachment and its own copy of plan *seq*.
+    def _lead(self, image: DatabaseImage, seq: int, plan_bytes: bytes,
+              nshards: int, use_array: Optional[bool]) -> ShardOutcome:
+        """Run shard 0 in the calling thread, over *image*'s attachment
+        and the coordinator's own copy of plan *seq*.
 
         The attachment's views hold its mapping, so a close() during the
         run cannot unmap pages under it.  The outcome crosses the same
         pickle boundary as a worker's reply, so no projection chunk or
         gathered value the caller merges is a read-only image view."""
-        with self._memo_lock:
-            if self._pool is None:
-                raise ExecutionError("process shard backend is closed")
+        with self._lock:
             plan = _lru_plan(self._plans, seq, plan_bytes)
-            db = self._attached.db
         return pickle.loads(pickle.dumps(
-            plan.run_shard(db, 0, nshards, use_array),
+            plan.run_shard(image.attached.db, 0, nshards, use_array),
             protocol=pickle.HIGHEST_PROTOCOL))
 
     def _submit(self, pool: ProcessPoolExecutor, tasks: List[ShardTask],
@@ -1413,7 +1393,7 @@ class ProcessShardBackend:
         PlanMisses being resent); the futures come back in task order."""
         sizes = [len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
                  for task in tasks]
-        with self._memo_lock:
+        with self._lock:
             self._traffic["tasks"] += len(tasks)
             self._traffic["task_bytes"] += sum(sizes)
             self._traffic["plan_ships"] += sum(
@@ -1422,234 +1402,113 @@ class ProcessShardBackend:
         return [pool.submit(_worker_run, task) for task in tasks]
 
     def traffic(self) -> Dict[str, int]:
-        """Task-traffic counters since the pool started: ``tasks``
+        """Task-traffic counters since the backend was made: ``tasks``
         submitted, their pickled ``task_bytes``, ``plan_ships`` (tasks
         that carried plan bytes) and ``plan_misses`` (workers that did
-        not hold a referenced plan).  Shards the coordinator runs itself
-        are not tasks and are not counted."""
-        with self._memo_lock:
+        not hold a referenced plan or image).  Shards the coordinator
+        runs itself are not tasks and are not counted."""
+        with self._lock:
             return dict(self._traffic)
 
-    def _abandon(self) -> None:
-        """Drop this (broken) backend from the shared registry; current
-        holders still release their references normally."""
-        with _REGISTRY_LOCK:
-            key, self._registry_key = self._registry_key, None
-            if key is not None and _SHARED_BACKENDS.get(key) is self:
-                _SHARED_BACKENDS.pop(key, None)
+    def worker_pids(self) -> FrozenSet[int]:
+        """The process ids of the pool's workers (none before a run)."""
+        with self._lock:
+            pool = self._pool
+        return frozenset(pool._processes or ()) if pool else frozenset()
 
     def close(self) -> None:
-        """Terminate the workers and drop the coordinator's attachment;
-        idempotent.  The image stays with its database.
+        """Terminate the workers and let go of the image; idempotent.
 
-        Pool workers are terminated, not drained: close() must not wait
-        on stuck shards.  A shard the coordinator is running keeps
-        reading: its views hold their mapping until it returns, as do
-        the buffers a database adopted."""
-        with self._memo_lock:
+        The database's finalizer calls it.  A run still reading the
+        image keeps it open until the run returns, as do the buffers a
+        database adopted; a later run over a live database starts a
+        fresh pool."""
+        with self._lock:
             pool, self._pool = self._pool, None
-        if pool is not None:
-            # the executor has no terminate() of its own
-            procs = list(getattr(pool, "_processes", {}).values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            for proc in procs:
-                with contextlib.suppress(Exception):
-                    proc.terminate()
-            pool.shutdown(wait=True)
-        with self._memo_lock:
+            self._image = None
             self._plans.clear()
-            # drop the attachment (and the zone maps seeded into its
-            # query cache): its mapping goes with its last view
-            self._attached = None
-        with _REGISTRY_LOCK:
-            image, self._image = self._image, None
-            if image is not None:
-                image.release()
-
-    def __enter__(self) -> "ProcessShardBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        _stop(pool)
 
 
-#: One shared backend per (database identity, worker count): a harness
-#: sweep over ten engines starts one pool, not ten.
-_SHARED_BACKENDS: Dict[tuple, ProcessShardBackend] = {}
-
-#: One image per database identity, shared by its backends of every
-#: worker count (see :class:`DatabaseImage`).
-_DATABASE_IMAGES: Dict[int, DatabaseImage] = {}
-
-#: Guards both registries, every backend's refcount and image hold, and
-#: every image's holders.  Reentrant because a construction inside
-#: ``acquire_shard_backend`` can trigger GC, which can run
-#: ``_evict_backend`` / ``_retire_image`` finalizers on this same thread.
-_REGISTRY_LOCK = threading.RLock()
+#: Each database's shard backend, weakly keyed by the database.
+_BACKENDS: "weakref.WeakKeyDictionary[Database, ProcessShardBackend]" = (
+    weakref.WeakKeyDictionary())
+_BACKENDS_LOCK = threading.Lock()
 
 #: Lock contract, machine-checked by ``astore lint`` (lock-discipline).
-#: ``refs`` rides under the registry lock — not a per-backend lock —
-#: because eviction decisions read the count and the registry together.
 GUARDED_BY = {
-    "_SHARED_BACKENDS": "_REGISTRY_LOCK",
-    "_DATABASE_IMAGES": "_REGISTRY_LOCK",
-    "DatabaseImage.holders": "_REGISTRY_LOCK",
-    "ProcessShardBackend._image": "_REGISTRY_LOCK",
-    "ProcessShardBackend.refs": "_REGISTRY_LOCK",
-    "ProcessShardBackend._traffic": "self._memo_lock",
-    "ProcessShardBackend._plans": "self._memo_lock",
-    "ProcessShardBackend._pool": "self._memo_lock",
-    "ProcessShardBackend._attached": "self._memo_lock",
-    "ShardBackendSlot._backend": "self._lock",
+    "_BACKENDS": "_BACKENDS_LOCK",
+    "ProcessShardBackend._image": "self._lock",
+    "ProcessShardBackend._pool": "self._lock",
+    "ProcessShardBackend._plans": "self._lock",
+    "ProcessShardBackend._traffic": "self._lock",
 }
 
 
+def shard_backend(db: Database) -> Optional[ProcessShardBackend]:
+    """*db*'s shard backend, if a process run made one."""
+    with _BACKENDS_LOCK:
+        return _BACKENDS.get(db)
+
+
+def backend_for(db: Database) -> ProcessShardBackend:
+    """*db*'s shard backend, made on first use together with the
+    database's one finalizer: when the database is collected, its
+    workers end and its image goes."""
+    with _BACKENDS_LOCK:
+        backend = _BACKENDS.get(db)
+        if backend is None:
+            backend = _BACKENDS[db] = ProcessShardBackend()
+            weakref.finalize(db, backend.close)
+        return backend
+
+
+def database_image(db: Database) -> Optional[ColumnArena]:
+    """The arena of *db*'s current image, if it has one (leak checks)."""
+    backend = shard_backend(db)
+    return None if backend is None else backend.arena
+
+
+def shard_traffic(db: Database) -> Optional[Dict[str, int]]:
+    """The task-traffic counters of *db*'s worker pool
+    (:meth:`ProcessShardBackend.traffic`), or ``None`` when no process
+    run over *db* has made one."""
+    backend = shard_backend(db)
+    return None if backend is None else backend.traffic()
+
+
 class ShardBackendSlot:
-    """One engine's hold on the shared shard backend of its database:
-    the one checkout path of every engine family.
+    """An engine's seat on its database's shard backend: the shard
+    count it runs at, and the one run path of every engine family.
 
     :meth:`run` runs a plan's shards; a single shard runs inline over
     the database with no export and no pool (a
-    :class:`ProcessShardBackend` needs two).  :meth:`checkout` pins a
-    fresh backend for one run, and :meth:`close` drops the engine's
-    reference.
+    :class:`ProcessShardBackend` run needs two).
     """
 
     def __init__(self, db: Database, workers: int):
         self.db = db
         self.workers = max(1, int(workers))
-        # guards the slot: concurrent queries on one engine must not
-        # double-release a stale backend (each run additionally pins
-        # the backend it checked out, see checkout)
-        self._lock = threading.Lock()
-        self._backend: Optional[ProcessShardBackend] = None
 
     @property
     def backend(self) -> Optional[ProcessShardBackend]:
-        """The backend the slot holds now, if any."""
-        with self._lock:
-            return self._backend
-
-    def checkout(self) -> ProcessShardBackend:
-        """A fresh (non-stale) shard backend, pinned for one run.
-
-        The slot lock makes the stale-check/release/re-acquire sequence
-        atomic — two concurrent queries on one engine can never
-        double-release the shared slot — and the extra
-        :meth:`~ProcessShardBackend.retain` reference keeps the
-        checked-out backend's pool and image alive for the duration of
-        this run even if a concurrent query observes a mutation and
-        swaps the slot onto a fresh export mid-flight.  Callers pair it
-        with :func:`release_shard_backend`.
-        """
-        with self._lock:
-            backend = self._backend
-            if backend is not None and backend.is_stale(self.db):
-                # the image holds the data as of its export; a mutation
-                # since means the shards would serve stale rows
-                release_shard_backend(backend)
-                backend = self._backend = None
-            if backend is None:
-                backend = self._backend = acquire_shard_backend(
-                    self.db, self.workers)
-            backend.retain()
-            return backend
+        """The database's shard backend, if a process run made one."""
+        return shard_backend(self.db)
 
     def run(self, plan, use_array: Optional[bool],
             stats) -> List[ShardOutcome]:
         """The outcomes of *plan* over the slot's shards, in shard order.
 
-        If the pool dies under the run, the broken backend leaves the
-        slot and the run degrades to serial shards over the database —
-        same plan, same shard boundaries, same answer, no hang — counted
-        in ``stats.shard_fallbacks``."""
+        If the pool dies under the run, the run degrades to serial
+        shards over the database — same plan, same shard boundaries,
+        same answer, no hang — counted in ``stats.shard_fallbacks``;
+        the next run starts a fresh pool."""
         nshards = self.workers
         if nshards == 1:
             return [plan.run_shard(self.db, 0, 1, use_array)]
-        backend = self.checkout()
         try:
-            return backend.run(plan, nshards=nshards, use_array=use_array)
+            return backend_for(self.db).run(self.db, plan, nshards, use_array)
         except ShardExecutionError:
-            with self._lock:
-                if self._backend is backend:
-                    release_shard_backend(backend)
-                    self._backend = None
             stats.shard_fallbacks += 1
             return [plan.run_shard(self.db, shard, nshards, use_array)
                     for shard in range(nshards)]
-        finally:
-            release_shard_backend(backend)
-
-    def close(self) -> None:
-        """Drop the engine's reference; the last holder of the shared
-        backend closes its pool (the image stays with the database)."""
-        with self._lock:
-            backend, self._backend = self._backend, None
-        if backend is not None:
-            release_shard_backend(backend)
-
-
-def acquire_shard_backend(db: Database, workers: int) -> ProcessShardBackend:
-    """A refcounted, staleness-checked shard backend for *db*.
-
-    Engines over the same database and worker count share one pool, and
-    backends of every worker count share the database's image; every
-    acquire must be paired with a :func:`release_shard_backend` (engines
-    do this in ``close()``).  A backend whose image predates a database
-    mutation is evicted here — current holders drain it via their own
-    ``is_stale`` check — and a fresh backend over a fresh export takes
-    its place.
-
-    The registry lock is held across the whole
-    revalidate/evict/re-export/refcount sequence.  Unlocked, the
-    check-then-act had two races: a mutation between a caller's
-    staleness check and its ``refs += 1`` could hand that caller a
-    backend another thread had just evicted *and closed* (refs
-    transiently 0), and two concurrent releases could drive the count
-    negative and close a pool mid-use.
-    """
-    key = (id(db), max(1, int(workers)))
-    with _REGISTRY_LOCK:
-        backend = _SHARED_BACKENDS.get(key)
-        if backend is not None and backend.is_stale(db):
-            _SHARED_BACKENDS.pop(key, None)
-            if backend.refs <= 0:
-                backend.close()
-            backend = None
-        if backend is None:
-            backend = ProcessShardBackend(db, workers)
-            backend._registry_key = key
-            _SHARED_BACKENDS[key] = backend
-            weakref.finalize(db, _evict_backend, key)
-        backend.refs += 1
-        return backend
-
-
-def release_shard_backend(backend: ProcessShardBackend) -> None:
-    """Drop one reference; the last holder closes the pool.
-
-    Idempotence guard: releasing an already fully-released backend is a
-    no-op rather than driving the count negative (which, unlocked, was
-    exactly how a mutate-while-acquire race double-closed live pools).
-    """
-    with _REGISTRY_LOCK:
-        if backend.refs <= 0:
-            return
-        backend.refs -= 1
-        if backend.refs > 0:
-            return
-        key = backend._registry_key
-        if key is not None and _SHARED_BACKENDS.get(key) is backend:
-            _SHARED_BACKENDS.pop(key, None)
-    # close outside the lock: terminating a pool can take a while and
-    # nothing else can reach this backend any more (refs == 0, evicted)
-    backend.close()
-
-
-def _evict_backend(key: tuple) -> None:
-    """Finalizer: the database was garbage-collected, so nobody can use
-    (or properly release) the backend any more — close it outright."""
-    with _REGISTRY_LOCK:
-        backend = _SHARED_BACKENDS.pop(key, None)
-    if backend is not None:
-        backend.close()

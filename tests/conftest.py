@@ -1,5 +1,6 @@
 """Shared fixtures: small seeded SSB/TPC-H databases and a tiny star
-schema, plus a per-module guard against leaked workers and images."""
+schema, plus guards against leaked workers and images, per module and at
+the end of the session."""
 
 import gc
 import os
@@ -9,10 +10,14 @@ import pytest
 
 from repro.core import ColumnArena, Database
 from repro.datagen import generate_ssb, generate_tpch
-from repro.engine.sharding import database_image
+from repro.engine.sharding import database_image, shard_backend
 
 #: The session-scoped databases built so far: each may own one exported
-#: image (a process engine's) until the session ends.
+#: image and one shard worker pool (a process engine's) until the
+#: session ends.  Process engines over them run at two shards, so each
+#: pool holds one worker (``test_worker_sigkill_degrades_to_serial``
+#: counts it); a test that needs another shard count builds its own
+#: database.
 SESSION_DATABASES = []
 
 
@@ -42,24 +47,55 @@ def owned_images(*dbs):
     return {arena.manifest.path for arena in arenas if arena is not None}
 
 
+def owned_workers(*dbs):
+    """The pids of the shard workers *dbs* own."""
+    backends = (shard_backend(db) for db in dbs)
+    return {pid for backend in backends if backend is not None
+            for pid in backend.worker_pids()}
+
+
+def leaked_since(images, owners):
+    """Child processes and exported images alive now that no database
+    in *owners* owns, images open before (*images*) aside.  A database
+    owns its workers and its image until it is collected, so garbage is
+    collected first."""
+    gc.collect()
+    deadline = time.monotonic() + 2.0
+    while (set(live_children()) - owned_workers(*owners)
+           and time.monotonic() < deadline):
+        time.sleep(0.05)  # a terminated worker may take a moment to go
+    leaked = [f"child process {pid}" for pid in
+              sorted(set(live_children()) - owned_workers(*owners))]
+    leaked += [f"image {path}" for path in
+               sorted(set(ColumnArena.live_segments()) - set(images)
+                      - owned_images(*owners))]
+    return leaked
+
+
 @pytest.fixture(scope="module", autouse=True)
 def no_leaks():
     """Fail a module that leaves a child process running, or an exported
-    image open that no session database owns, once its own fixtures are
-    torn down.  A database owns its image until it is collected, so
-    garbage is collected first."""
-    images = set(ColumnArena.live_segments())
+    image open, that no session database owns, once its own fixtures
+    are torn down."""
+    images = ColumnArena.live_segments()
     yield
-    gc.collect()
-    deadline = time.monotonic() + 2.0
-    while live_children() and time.monotonic() < deadline:
-        time.sleep(0.05)  # a terminated worker may take a moment to go
-    leaked = [f"child process {pid}" for pid in live_children()]
-    leaked += [f"image {path}" for path in
-               sorted(set(ColumnArena.live_segments()) - images
-                      - owned_images(*SESSION_DATABASES))]
+    leaked = leaked_since(images, SESSION_DATABASES)
     if leaked:
         pytest.fail("leaked: " + ", ".join(leaked))
+
+
+def pytest_sessionfinish(session):
+    """Fail the session if a child process or an exported image survives
+    the session databases: once they are released and garbage is
+    collected, their workers and images must be gone."""
+    SESSION_DATABASES.clear()
+    leaked = leaked_since((), ())
+    if leaked:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.write_sep("=", "leaked at session end: "
+                               + ", ".join(leaked), red=True)
 
 
 def session_database(db: Database) -> Database:

@@ -8,9 +8,15 @@ Pins these contracts:
   A-Store rows on the ``serial``, ``thread``, and ``process`` backends;
 * **arena hygiene** — attached databases are zero-copy and read-only,
   an export faults in no image page, a database owns at most one image,
-  which every backend over it reuses until a write moves its stamp, and
+  which every engine over it reuses until a write moves its stamp, and
   no image survives its database, a killed worker, or an exporter that
   exits without closing;
+* **one pool per database** — every engine over a database, of any
+  shard count, runs on the database's one worker pool, which grows to
+  the largest shard count asked for and ends when the database is
+  collected; a worker that re-attaches after a write unmaps the image
+  it held, and engines of two shard counts querying from two threads
+  across writes both finish;
 * **adoption** — the coordinator's database adopts the image as its
   storage, a write copies only the buffers it touches and never
   reaches the image a run reads, and a writer racing exports loses no
@@ -54,7 +60,7 @@ from repro.engine.operators import BACKENDS, MorselDispatcher, PredicateFilter
 from repro.errors import ExecutionError
 from repro.workloads import SSB_QUERIES
 
-from .conftest import build_tiny_star, owned_images
+from .conftest import build_tiny_star, live_children, owned_images
 
 BACKEND_NAMES = ("serial", "thread", "process")
 
@@ -128,6 +134,13 @@ def python_env():
 def image_of(arena):
     """The inode of an open arena's image."""
     return os.stat(arena.manifest.path).st_ino
+
+
+def mapped_images(pid):
+    """The images (by inode) process *pid* maps."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return {int(line.split()[4]) for line in maps
+                if "memfd:astore-image" in line}
 
 
 def rss_shmem_bytes():
@@ -279,20 +292,23 @@ class TestCrossBackendDifferential:
         reference = AStoreEngine(ssb_air).query(sql).rows()
         assert process_engine.query(sql).rows() == reference
 
-    def test_worker_counts_agree(self, ssb_air):
+    def test_worker_counts_agree(self):
+        # a database of its own: three shards grow its pool to two
+        # workers, and ssb_air's pool keeps one (see conftest)
+        db = generate_ssb(sf=0.005, seed=11)
         sql = SSB_QUERIES["Q4.2"]
-        reference = AStoreEngine(ssb_air).query(sql).rows()
+        reference = AStoreEngine(db).query(sql).rows()
         for workers in (1, 3):
-            with AStoreEngine(ssb_air, EngineOptions(
+            with AStoreEngine(db, EngineOptions(
                     parallel_backend="process", workers=workers)) as engine:
                 assert engine.query(sql).rows() == reference
 
     def test_zz_no_leaked_segments_after_suite(self, ssb_air):
         # runs last in this class (alphabetical within-class ordering is
-        # not guaranteed): every backend so far ran over ssb_air, so the
-        # only open image is the one it owns — the 2- and 3-shard
-        # engines share it — plus the mappings it adopted (the baselines
-        # run in process and export nothing)
+        # not guaranteed): every other process engine so far ran over
+        # ssb_air or over a database already collected, so the only open
+        # image is the one ssb_air owns plus the mappings it adopted (the
+        # baselines run in process and export nothing)
         held = open_images()  # collects garbage first
         live = set(ColumnArena.live_segments())
         owned = owned_images(ssb_air)
@@ -323,38 +339,31 @@ class TestProcessBackendSemantics:
                     == AStoreEngine(db).query(sql).rows())
 
     def test_engines_share_one_backend_per_database(self):
+        # the database owns one pool, sized to the largest shard count
+        # asked for: once a 3-shard engine has run, engines of any shard
+        # count over the database start no process
         db = build_tiny_star()
         sql = "SELECT d_year, count(*) AS n FROM lineorder, date GROUP BY d_year"
-        options = EngineOptions(parallel_backend="process", workers=2)
-        with AStoreEngine(db, options) as first:
-            with AStoreEngine(db, options) as second:
-                first.query(sql)
-                segments_after_first = set(ColumnArena.live_segments())
-                second.query(sql)
-                # the second engine reuses the first engine's arena/pool
-                assert set(ColumnArena.live_segments()) == segments_after_first
-                assert first._slot.backend is second._slot.backend
-                path = first._slot.backend.arena.manifest.path
-                image = image_of(first._slot.backend.arena)
-            # one holder closed: the shared backend stays alive
-            assert path in ColumnArena.live_segments()
-            assert first.query(sql).rows()
-        # last holder closed: the pool is gone, but the image is the
-        # database's: its descriptor stays open and it is still the
-        # database's adopted storage ...
-        assert owned_images(db) == {path}
-        assert path in ColumnArena.live_segments()
-        assert image in adopted_images(db)
-        assert image in open_images()
-        # ... until the database goes too
-        del first, second, db
-        assert image not in open_images()
-        assert path not in ColumnArena.live_segments()
+        reference = AStoreEngine(db).query(sql).rows()
+        with AStoreEngine(db, EngineOptions(parallel_backend="process",
+                                            workers=3)) as first:
+            assert first.query(sql).rows() == reference
+        backend = sharding.shard_backend(db)
+        pids, children = backend.worker_pids(), set(live_children())
+        assert len(pids) == 2 and pids <= children
+        for workers in (2, 3, 2):
+            with AStoreEngine(db, EngineOptions(
+                    parallel_backend="process", workers=workers)) as engine:
+                assert engine.query(sql).rows() == reference
+                assert engine._slot.backend is backend
+        assert backend.worker_pids() == pids
+        assert set(live_children()) == children
 
     def test_backends_reuse_the_database_image(self, monkeypatch):
         # a database owns one image: a reopened engine and an engine of
-        # another worker count attach to it instead of exporting again;
-        # a write retires it, and the database takes the last one along
+        # another shard count attach to it instead of exporting again;
+        # a write followed by queries of both shard counts exports once,
+        # and the database takes the last image along
         db = build_tiny_star()
         sql = ("SELECT d_year, sum(lo_revenue) AS r FROM lineorder, date "
                "GROUP BY d_year ORDER BY d_year")
@@ -368,23 +377,22 @@ class TestProcessBackendSemantics:
         monkeypatch.setattr(ColumnArena, "export", classmethod(counted))
         before = open_images()
         held = []
-        for workers in (2, 2):
+        for workers in (2, 2, 3):
             with AStoreEngine(db, EngineOptions(
                     parallel_backend="process", workers=workers)) as engine:
                 assert engine.query(sql).rows() == serial.query(sql).rows()
                 held.append(open_images() - before)
             held.append(open_images() - before)
-        with AStoreEngine(db, EngineOptions(
-                parallel_backend="process", workers=3)) as engine:
-            assert engine.query(sql).rows() == serial.query(sql).rows()
-            held.append(open_images() - before)
-            [first] = exports
-            old = image_of(first)
-            assert held == [{old}] * 5
-            db.table("lineorder").update([0, 3], {"lo_revenue": [7, 9]})
-            assert engine.query(sql).rows() == serial.query(sql).rows()
-            assert len(exports) == 2 and first.closed
-            assert open_images() - before == {image_of(exports[1])} != {old}
+        [first] = exports
+        old = image_of(first)
+        assert held == [{old}] * 6
+        db.table("lineorder").update([0, 3], {"lo_revenue": [7, 9]})
+        for workers in (3, 2):
+            with AStoreEngine(db, EngineOptions(
+                    parallel_backend="process", workers=workers)) as engine:
+                assert engine.query(sql).rows() == serial.query(sql).rows()
+        assert len(exports) == 2 and first.closed
+        assert open_images() - before == {image_of(exports[1])} != {old}
         del engine, serial, db
         assert open_images() == before
         assert exports[1].closed
@@ -402,30 +410,33 @@ class TestProcessBackendSemantics:
             assert (engine.query(sql, snapshot=5).rows()
                     == ref.query(sql, snapshot=5).rows())
 
-    def test_engine_close_releases_segment(self):
+    def test_collecting_the_database_ends_workers_and_image(self):
         db = build_tiny_star()
         names = dev_shm_names()
-        engine = AStoreEngine(db, EngineOptions(
-            parallel_backend="process", workers=2))
         sql = "SELECT d_year, count(*) AS n FROM lineorder, date GROUP BY d_year"
-        rows = engine.query(sql).rows()
-        assert rows
-        path = engine._slot.backend.arena.manifest.path
-        image = image_of(engine._slot.backend.arena)
-        engine.close()
-        # the engine's pool is gone; the image is the live database's:
-        # it owns the descriptor and adopted the mapping as its storage
+        with AStoreEngine(db, EngineOptions(
+                parallel_backend="process", workers=2)) as engine:
+            assert engine.query(sql).rows()
+        # closing the engine released nothing: the worker and the image
+        # are the database's, which adopted the image as its storage
+        backend = sharding.shard_backend(db)
+        pids, arena = backend.worker_pids(), backend.arena
+        path, image = arena.manifest.path, image_of(arena)
+        assert len(pids) == 1 and pids <= set(live_children())
         assert owned_images(db) == {path}
         assert open_images() & {image} == adopted_images(db) == {image}
-        # it goes with the database
+        # they go with the database
         del engine, db
+        gc.collect()
+        assert not pids & set(live_children())
+        assert backend.worker_pids() == frozenset()
+        assert arena.closed and path not in ColumnArena.live_segments()
         assert image not in open_images()
-        assert path not in ColumnArena.live_segments()
         assert dev_shm_names() == names
 
     def test_exit_without_close_leaves_nothing(self, tmp_path):
-        # an exporter that reaps its workers and exits without closing:
-        # the image had no name, so nothing survives it
+        # an exporter that reaps its workers and exits with its database
+        # alive: the image had no name, so nothing survives it
         script = tmp_path / "exit_unclosed.py"
         script.write_text(
             "import os\n"
@@ -455,6 +466,88 @@ class TestProcessBackendSemantics:
         assert BACKENDS["serial"].inline
         assert BACKENDS["thread"].inline
         assert not BACKENDS["process"].inline
+
+
+class TestDatabasePool:
+    """The database's one pool across writes and shard counts (~1.5 s:
+    each test spawns its own database's workers)."""
+
+    SQL = ("SELECT d_year, sum(lo_revenue) AS r FROM lineorder, date "
+           "GROUP BY d_year ORDER BY d_year")
+
+    def test_reattach_unmaps_the_old_image(self):
+        # after a write and the next query, the worker maps exactly one
+        # image, the new one: re-attaching unmapped the old
+        db = build_tiny_star()
+        serial = AStoreEngine(db, EngineOptions(use_cache=False))
+        with AStoreEngine(db, EngineOptions(parallel_backend="process",
+                                            workers=2)) as engine:
+            assert engine.query(self.SQL).rows() == serial.query(
+                self.SQL).rows()
+            backend = engine._slot.backend
+            [pid] = backend.worker_pids()
+            first = image_of(backend.arena)
+            assert mapped_images(pid) == {first}
+            db.table("lineorder").update([0, 3], {"lo_revenue": [7, 9]})
+            assert engine.query(self.SQL).rows() == serial.query(
+                self.SQL).rows()
+            second = image_of(backend.arena)
+            assert second != first
+            assert mapped_images(pid) == {second}
+
+    def test_two_shard_counts_query_concurrently_across_writes(self):
+        # a 2-shard and a 3-shard engine share the pool from two threads,
+        # with a write between rounds: neither stalls behind the other,
+        # and every answer equals serial
+        db = generate_ssb(sf=0.002, seed=5)
+        fact = db.table("lineorder")
+        queries = [SSB_QUERIES[q] for q in ("Q1.1", "Q2.1", "Q3.1", "Q4.1")]
+        serial = AStoreEngine(db, EngineOptions(use_cache=False))
+        rounds, truths = 3, []
+        answers, errors = {2: [], 3: []}, []
+        round_done = threading.Barrier(3, timeout=60)
+        write_done = threading.Barrier(3, timeout=60)
+
+        def client(workers):
+            try:
+                with AStoreEngine(db, EngineOptions(
+                        parallel_backend="process",
+                        workers=workers)) as engine:
+                    for _ in range(rounds):
+                        answers[workers].append(
+                            [engine.query(sql).rows() for sql in queries])
+                        round_done.wait()
+                        write_done.wait()
+            except BaseException as exc:  # re-raised below
+                errors.append(exc)
+                round_done.abort()
+                write_done.abort()
+
+        clients = [threading.Thread(target=client, args=(workers,))
+                   for workers in (2, 3)]
+        truths.append([serial.query(sql).rows() for sql in queries])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            for round_no in range(1, rounds + 1):
+                round_done.wait()
+                if round_no < rounds:
+                    rows = np.arange(round_no, fact.num_rows, 5)
+                    fact.update(rows, {"lo_revenue": np.full(len(rows),
+                                                             round_no)})
+                    truths.append([serial.query(sql).rows()
+                                   for sql in queries])
+                write_done.wait()
+            for thread in clients:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert not errors, errors
+        assert truths[0] != truths[1] != truths[2]
+        assert answers == {2: truths, 3: truths}
 
 
 def shard_morsel_kinds(monkeypatch, bound, db, nshards):
@@ -570,7 +663,7 @@ class TestImageAdoption:
             "    with AStoreEngine(db, EngineOptions(\n"
             "            parallel_backend='process', workers=2)) as engine:\n"
             "        engine.query('SELECT count(*) AS n FROM lineorder')\n"
-            "        image = engine._slot.backend._attached.db\n"
+            "        image = engine._slot.backend._image.attached.db\n"
             "        mine = table_buffers(db, 'lineorder')\n"
             "        theirs = table_buffers(image, 'lineorder')\n"
             "        shared = sorted(k for k in mine\n"
@@ -594,8 +687,8 @@ class TestImageAdoption:
                                             workers=2)) as engine:
             assert engine.query(self.SQL).rows() == self.reference(
                 db, self.SQL)
-            old = engine._slot.backend
-            image, inode = old._attached.db, image_of(old.arena)
+            backend = engine._slot.backend
+            image, inode = backend._image.attached.db, image_of(backend.arena)
             assert all(not array.flags.writeable
                        for array in table_buffers(db, "lineorder").values())
             fact.update(np.arange(0, fact.num_rows, 7),
@@ -613,10 +706,9 @@ class TestImageAdoption:
             del image, theirs, mine
             assert engine.query(self.SQL).rows() == self.reference(
                 db, self.SQL)
-            assert engine._slot.backend is not old
+            assert image_of(backend.arena) != inode
             assert inode not in open_images()
-            assert adopted_images(db) == {image_of(
-                engine._slot.backend.arena)}
+            assert adopted_images(db) == {image_of(backend.arena)}
 
     def test_mvcc_delete_copies_the_bookkeeping_vectors(self):
         db = build_tiny_star(mvcc=True)
@@ -625,7 +717,8 @@ class TestImageAdoption:
                                             workers=2)) as engine:
             assert engine.query(self.SQL).rows() == self.reference(
                 db, self.SQL)
-            image = engine._slot.backend._attached.db.table("lineorder")
+            image = engine._slot.backend._image.attached.db.table(
+                "lineorder")
             fact.delete([0, 5], version=5)
             assert fact._deleted.flags.writeable
             assert fact._delete_version.flags.writeable
@@ -711,14 +804,15 @@ class TestImageAdoption:
         try:
             thread.start()
             loops, deadline = 0, time.monotonic() + 60
-            # a backend spawns no worker until its first run: each loop
-            # after a write is one export, attach and adoption racing
-            # the writer (a loop at an unchanged stamp attaches to the
-            # database's image and adopts nothing)
+            # no worker is involved: each loop after a write is one
+            # export, attach and adoption racing the writer (a loop at an
+            # unchanged stamp returns the database's image and adopts
+            # nothing)
+            backend = sharding.backend_for(db)
             while ((not done.is_set() or loops < 3)
                    and time.monotonic() < deadline):
-                with sharding.ProcessShardBackend(db, 2):
-                    loops += 1
+                backend.image(db)
+                loops += 1
             thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
@@ -805,17 +899,20 @@ class TestLeaderParticipation:
         ran = spy_run_shard(monkeypatch)
         with AStoreEngine(ssb_air, EngineOptions(
                 parallel_backend="process", workers=2)) as engine:
-            backend = engine._slot.checkout()
-            sharding.release_shard_backend(backend)
-            before = backend.traffic()["tasks"]
+            backend = sharding.backend_for(ssb_air)
+            before = backend.traffic()
             result = engine.query(sql)
             assert result.rows() == serial
-            assert len(backend._pool._processes) == 1
-            assert backend.traffic()["tasks"] - before == 1
+            assert len(backend.worker_pids()) == 1
+            # one task, and its resend if the worker missed the plan or
+            # the image
+            after = backend.traffic()
+            assert (after["tasks"] - before["tasks"]
+                    == 1 + after["plan_misses"] - before["plan_misses"])
             # shard 0 ran here, over the coordinator's own attachment and
             # its own plan copy (the cached plan is never hydrated)
             [(plan, db, shard, selected)] = ran
-            assert db is backend._attached.db and shard == 0
+            assert db is backend._image.attached.db and shard == 0
             assert plan is not engine.compile(sql)
             assert 0 < selected < result.stats.rows_selected
 
@@ -838,8 +935,10 @@ class TestLeaderParticipation:
 
     def test_backend_needs_two_shards(self, tiny_star):
         segments = ColumnArena.live_segments()
+        plan = AStoreEngine(tiny_star).compile(
+            "SELECT count(*) AS n FROM lineorder")
         with pytest.raises(ValueError, match="two or more"):
-            sharding.ProcessShardBackend(tiny_star, 1)
+            sharding.ProcessShardBackend().run(tiny_star, plan, 1)
         assert ColumnArena.live_segments() == segments
 
     def test_close_during_a_running_coordinator_shard_is_safe(
@@ -847,7 +946,7 @@ class TestLeaderParticipation:
         sql = "SELECT d_year, count(*) AS n FROM lineorder, date GROUP BY d_year"
         plan = AStoreEngine(tiny_star).compile(sql)
         truth = plan.run_shard(tiny_star, 0, 2, None)
-        backend = sharding.ProcessShardBackend(tiny_star, 2)
+        backend = sharding.backend_for(tiny_star)
         started, closed, events = threading.Event(), threading.Event(), []
         run_shard = sharding.BoundQuery.run_shard
 
@@ -864,18 +963,20 @@ class TestLeaderParticipation:
 
         def query():
             try:
-                backend.run(plan)
+                backend.run(tiny_star, plan, 2)
             except ExecutionError as exc:  # its pool shard was cancelled
                 errors.append(exc)
 
         runner = threading.Thread(target=query)
         runner.start()
         assert started.wait(30)
+        arena = backend.arena
         backend.close()  # does not wait for shard 0
-        # the image stays with its database; the backend lets go of it
-        assert sharding.database_image(tiny_star) is backend.arena
-        assert not backend.arena.closed
-        assert backend._attached is None  # nothing new reaches the views
+        backend.close()  # idempotent
+        # the backend let go of the image and its workers; the run
+        # still holds the image
+        assert backend.arena is None and backend.worker_pids() == frozenset()
+        assert not arena.closed
         closed.set()
         runner.join(30)
         assert not runner.is_alive()
@@ -883,8 +984,11 @@ class TestLeaderParticipation:
         assert outcome.selected == truth.selected
         assert (pickle.dumps(outcome.finishes)
                 == pickle.dumps(truth.finishes))
-        with pytest.raises(ExecutionError, match="closed"):
-            backend.run(plan)
+        # the run returned (an error's traceback held its frame): nothing
+        # holds the image any more
+        errors.clear()
+        gc.collect()
+        assert arena.closed
 
 
 class TestRangeBase:
@@ -945,6 +1049,7 @@ class TestPlanReferenceTasks:
     def test_worker_plan_lru(self, tiny_star, monkeypatch):
         monkeypatch.setattr(sharding, "_ATTACHED",
                             SimpleNamespace(db=tiny_star))
+        monkeypatch.setattr(sharding, "_ATTACHED_SEQ", 0)
         monkeypatch.setattr(sharding, "_PLANS", OrderedDict())
         monkeypatch.setattr(sharding, "WORKER_PLAN_CAPACITY", 2)
         engine = AStoreEngine(tiny_star)
@@ -955,7 +1060,7 @@ class TestPlanReferenceTasks:
 
         def run(seq, ship=False):
             return sharding._worker_run(sharding.ShardTask(
-                seq, 0, 1, None, blobs[seq] if ship else None))
+                seq, 0, 0, 1, None, blobs[seq] if ship else None))
 
         assert run(0) == sharding.PlanMiss(0)
         shipped = run(0, ship=True)
@@ -966,6 +1071,35 @@ class TestPlanReferenceTasks:
         assert list(sharding._PLANS) == [1, 2]
         assert run(0) == sharding.PlanMiss(0)
         assert isinstance(run(1), ShardOutcome)
+
+    def test_worker_attaches_the_image_a_task_names(self, tiny_star,
+                                                    monkeypatch):
+        # a task naming an image the worker does not hold misses, with
+        # the plan bytes or without; its resend carries the manifest
+        monkeypatch.setattr(sharding, "_ATTACHED", None)
+        monkeypatch.setattr(sharding, "_ATTACHED_SEQ", None)
+        monkeypatch.setattr(sharding, "_PLANS", OrderedDict())
+        plan = pickle.dumps(AStoreEngine(tiny_star).compile(
+            "SELECT d_year, count(*) AS n FROM lineorder, date "
+            "GROUP BY d_year"))
+        with ColumnArena.export(tiny_star) as first, \
+                ColumnArena.export(tiny_star) as second:
+            manifests = [pickle.dumps(arena.manifest)
+                         for arena in (first, second)]
+
+            def run(image, resend=False):
+                return sharding._worker_run(sharding.ShardTask(
+                    7, image, 0, 1, None, plan,
+                    manifests[image] if resend else None))
+
+            assert run(0) == sharding.PlanMiss(7)
+            held = run(0, resend=True)
+            assert isinstance(held, ShardOutcome)
+            assert run(0).selected == held.selected
+            assert run(1) == sharding.PlanMiss(7)
+            assert run(1, resend=True).selected == held.selected
+            assert sharding._ATTACHED_SEQ == 1
+            monkeypatch.undo()
 
     def test_warm_flight_sends_only_references(self, ssb_air):
         flight = list(SSB_QUERIES.values())

@@ -8,10 +8,9 @@ Contracts:
 * **scratch-lease isolation** — pipeline runs interleaving on one
   event-loop thread never alias a scratch buffer (the thread-local fast
   path stays for the sync backends);
-* **backend lifecycle** — the shard-backend registry survives
-  concurrent acquire/release racing mutations without double-closing or
-  serving a closed pool, and mutate-while-querying is safe on every
-  backend;
+* **backend lifecycle** — a run keeps the image it started on open
+  while a write and a concurrent query re-export, and
+  mutate-while-querying is safe on every backend;
 * **concurrent serving** — N async clients running the 13 SSB queries
   agree with serial ground truth, cancellation leaves the engine
   reusable, and adaptive-filter statistics stay coherent;
@@ -25,9 +24,9 @@ Contracts:
 """
 
 import asyncio
+import gc
 import json
 import math
-import sys
 import threading
 import time
 
@@ -177,125 +176,44 @@ class TestScratchLeases:
 # -- bugfix 3: backend lifecycle races ----------------------------------------
 
 
-class _StubBackend:
-    """Stands in for ProcessShardBackend: same registry contract, no
-    real pool — so the registry protocol can be hammered quickly."""
-
-    instances = []
-
-    def __init__(self, db, workers):
-        self.workers = max(1, int(workers))
-        self.stamp = sharding.database_stamp(db)
-        self.refs = 0
-        self._registry_key = None
-        self.close_calls = 0
-        self.closed_with_refs = None
-        _StubBackend.instances.append(self)
-
-    def is_stale(self, db):
-        stale = sharding.database_stamp(db) != self.stamp
-        time.sleep(0.0002)  # widen the check-then-act window
-        return stale
-
-    def retain(self):
-        with sharding._REGISTRY_LOCK:
-            self.refs += 1
-        return self
-
-    def close(self):
-        self.close_calls += 1
-        if self.close_calls == 1:
-            self.closed_with_refs = self.refs
-
-    @property
-    def closed(self):
-        return self.close_calls > 0
-
-
 class TestBackendLifecycle:
-    def test_concurrent_acquire_release_with_mutations(self, monkeypatch):
-        """Stress the registry protocol: concurrent holders racing
-        mutations must never be handed a closed backend, never close a
-        backend twice, and never leak one."""
-        monkeypatch.setattr(sharding, "ProcessShardBackend", _StubBackend)
-        _StubBackend.instances = []
+    def test_run_pin_outlives_image_swap(self, monkeypatch):
+        """A query mid-run keeps reading the image it started on, and
+        keeps it open, while a write and a concurrent query re-export:
+        the run holds its image, nothing counts holders."""
         db = build_tiny_star()
-        table = db.table("lineorder")
-        errors = []
-        stop = threading.Event()
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            def holder():
-                try:
-                    for _ in range(150):
-                        backend = sharding.acquire_shard_backend(db, 1)
-                        if backend.closed:
-                            errors.append("acquired a closed backend")
-                        if backend.refs <= 0:
-                            errors.append("acquired with refs <= 0")
-                        time.sleep(0.0001)
-                        sharding.release_shard_backend(backend)
-                except Exception as exc:  # noqa: BLE001
-                    errors.append(repr(exc))
+        engine = fresh_engine(db, parallel_backend="process", workers=2,
+                              use_cache=False)
+        before = engine.query(SQL_YEAR).rows()  # exports; the pool starts
+        backend = sharding.shard_backend(db)
+        first = backend.arena
+        started, resume, armed = threading.Event(), threading.Event(), [1]
+        lead = sharding.ProcessShardBackend._lead
 
-            def mutator():
-                while not stop.is_set():
-                    table.update([0], {"lo_quantity": [5]})
-                    time.sleep(0.001)
+        def paused_lead(self, *args):
+            if armed and armed.pop():  # query A: its shard 1 is out
+                started.set()
+                assert resume.wait(30)
+            return lead(self, *args)
 
-            threads = [threading.Thread(target=holder) for _ in range(6)]
-            mut = threading.Thread(target=mutator)
-            mut.start()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            stop.set()
-            mut.join()
-        finally:
-            sys.setswitchinterval(old_interval)
-
-        assert not errors, errors[:5]
-        # drain: anything still registered is released by its holders
-        # above, so every stub must be closed exactly once, with no refs
-        leaked = [b for b in _StubBackend.instances if b.close_calls != 1]
-        assert not leaked, (
-            f"{len(leaked)} backends closed != once: "
-            f"{[b.close_calls for b in leaked]}")
-        early = [b for b in _StubBackend.instances
-                 if b.closed_with_refs and b.closed_with_refs > 0]
-        assert not early, "backend closed while references were live"
-        assert all(b.refs == 0 for b in _StubBackend.instances)
-
-    def test_release_is_idempotent(self, monkeypatch):
-        monkeypatch.setattr(sharding, "ProcessShardBackend", _StubBackend)
-        _StubBackend.instances = []
-        db = build_tiny_star()
-        backend = sharding.acquire_shard_backend(db, 1)
-        sharding.release_shard_backend(backend)
-        sharding.release_shard_backend(backend)  # no-op, not refs = -1
-        assert backend.refs == 0
-        assert backend.close_calls == 1
-
-    def test_run_pin_outlives_engine_swap(self, monkeypatch):
-        """A query mid-run keeps its checked-out backend open even when
-        a concurrent query observes a mutation and swaps the engine onto
-        a fresh export."""
-        monkeypatch.setattr(sharding, "ProcessShardBackend", _StubBackend)
-        _StubBackend.instances = []
-        db = build_tiny_star()
-        engine = fresh_engine(db, parallel_backend="process")
-        first = engine._slot.checkout()      # query A starts its run
-        db.table("lineorder").update([0], {"lo_quantity": [5]})
-        second = engine._slot.checkout()     # query B re-exports
-        assert second is not first
-        assert not first.closed                 # A's pool still live
-        sharding.release_shard_backend(first)   # A's run finishes
-        assert first.closed
-        sharding.release_shard_backend(second)
-        engine.close()
-        assert second.close_calls == 1
+        monkeypatch.setattr(sharding.ProcessShardBackend, "_lead",
+                            paused_lead)
+        pinned = []
+        run_a = threading.Thread(
+            target=lambda: pinned.append(engine.query(SQL_YEAR).rows()))
+        run_a.start()
+        assert started.wait(30)
+        db.table("lineorder").update([0], {"lo_revenue": [10 ** 6]})
+        after = engine.query(SQL_YEAR).rows()           # query B re-exports
+        assert after != before
+        assert backend.arena is not first
+        assert not first.closed                         # A's image open
+        resume.set()
+        run_a.join(30)
+        assert not run_a.is_alive()
+        assert pinned == [before]                       # A read its snapshot
+        gc.collect()
+        assert first.closed                             # ... and let it go
 
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
     def test_mutate_while_querying_stress(self, backend):
