@@ -1,12 +1,14 @@
-"""Table 1 — update mechanisms: append, deletion vector + slot reuse,
-in-place update, consolidation.
+"""Table 1 — update mechanisms: append, deletion vector, in-place update,
+consolidation.
 
 The paper's Table 1 is qualitative; this bench quantifies each mechanism
-on A-Store's storage: append-insert throughput, lazy deletion, insertion
-into reused slots, in-place updates, consolidation (including the AIR
-rewrite that makes it expensive), and the overhead a pinned MVCC snapshot
-adds to a query.  Expected shape: appends/deletes/updates are cheap and
-O(batch); consolidation is the expensive maintenance operation.
+on A-Store's storage: append-insert throughput, lazy deletion, in-place
+updates, consolidation (including the AIR rewrite that makes it
+expensive), and the overhead an MVCC snapshot adds to a query.  The
+paper's insertion into deleted slots is not measured: inserts here
+always append at the tail (see ``repro.core.table``).  Expected shape:
+appends/deletes/updates are cheap and O(batch); consolidation is the
+expensive maintenance operation.
 """
 
 import numpy as np
@@ -54,24 +56,6 @@ def bench_lazy_delete(benchmark):
 
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     RESULTS["lazy delete"] = ns_per_tuple(benchmark.stats.stats.min, BATCH)
-
-
-def bench_slot_reuse_insert(benchmark):
-    db = fresh_db()
-    rows = sample_rows(db, BATCH)
-    lineorder = db.table("lineorder")
-
-    def setup():
-        lineorder.delete(np.arange(BATCH))
-        return (), {}
-
-    def run():
-        positions = lineorder.insert(rows)
-        assert positions.max() < BATCH  # all reused, no growth
-
-    benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
-    RESULTS["slot-reuse insert"] = ns_per_tuple(
-        benchmark.stats.stats.min, BATCH)
 
 
 def bench_in_place_update(benchmark):
@@ -133,8 +117,8 @@ def bench_snapshot_query_overhead(benchmark):
 
 def bench_zz_report(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    order = ["append insert", "lazy delete", "slot-reuse insert",
-             "in-place update", "consolidation", "snapshot query"]
+    order = ["append insert", "lazy delete", "in-place update",
+             "consolidation", "snapshot query"]
     rows = [[op, RESULTS[op]] for op in order if op in RESULTS]
     text = format_table(
         "Table 1: update mechanism costs (A-Store storage model)",

@@ -2,7 +2,7 @@
 (Section 4.4 of the paper).
 
 A writer inserts/deletes/updates lineorder rows while analytical queries
-pin snapshots; lazy deletion, slot reuse, and consolidation are all
+read snapshots; tail appends, lazy deletion, and consolidation are all
 demonstrated on a live database.
 
 Run:  python examples/realtime_updates.py
@@ -47,9 +47,9 @@ def main() -> None:
     print("== initial state ==")
     show(engine, "live")
 
-    # An analyst pins a snapshot; a writer keeps changing the data.
+    # An analyst takes a snapshot; a writer keeps changing the data.
     analyst_snapshot = txn.snapshot()
-    print(f"\nanalyst pinned snapshot v{analyst_snapshot}")
+    print(f"\nanalyst took snapshot v{analyst_snapshot}")
 
     print("\n== writer: batch of inserts and a delete ==")
     with WriteBatch(txn) as batch:
@@ -67,15 +67,20 @@ def main() -> None:
     txn.update("readings", [4], {"value": [210.0]})
     show(engine, "live after in-place update")
 
-    print("\n== lazy deletion and slot reuse ==")
+    print("\n== lazy deletion and tail appends ==")
     lineorder = db.table("readings")
     print(f"  physical rows before churn: {lineorder.num_rows}")
-    txn.release(analyst_snapshot)  # unpin so slots can be recycled
     txn.delete("readings", [1, 2])
     positions = txn.insert("readings", {
         "reading_id": [200], "sensor": [2], "value": [55.0]})
-    print(f"  reinserted into slot {positions.tolist()} "
-          f"(physical rows now: {lineorder.num_rows})")
+    # deleted slots stay dead until consolidation: the insert appends
+    print(f"  appended at slot {positions.tolist()} "
+          f"(physical rows now: {lineorder.num_rows}, "
+          f"live: {lineorder.num_live})")
+    # no slot was recycled, so the snapshot still sees its own rows
+    # (measure updates are in place, not versioned: they show)
+    show(engine, f"analyst snapshot v{analyst_snapshot} (its rows)",
+         snapshot=analyst_snapshot)
 
     print("\n== consolidation (the expensive maintenance path) ==")
     live_before = lineorder.num_live

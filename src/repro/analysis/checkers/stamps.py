@@ -15,7 +15,6 @@ from ..model import Finding
 # journal that block summaries patch from.
 BUFFER_ATTRS = {
     "_deleted",
-    "_free_slots",
     "_insert_version",
     "_delete_version",
     "_nrows",
@@ -52,7 +51,7 @@ class StampProtocolChecker(Checker):
     contract = """
     Every freshness decision in the system — the QueryCache tiers and
     arena revalidation — compares (table, mutation_count) stamps.  The deletion /
-    free-slot / MVCC-version / row-count buffers (and the stamp itself)
+    MVCC-version / row-count buffers (and the stamp itself)
     may therefore only be written inside the consecrated mutation
     modules (core/table.py, core/compaction.py); and within those, any
     public entry point that writes a buffer must also bump

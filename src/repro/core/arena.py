@@ -121,7 +121,7 @@ def layout_database(db: Database, zone_entries: Optional[List[tuple]] = None
 
     for table_name, table in db.tables.items():
         entry: dict = {"num_rows": table.num_rows, "mvcc": table._mvcc,
-                       "free_slots": list(table._free_slots), "columns": []}
+                       "columns": []}
         plan.append((_buffer_key(table_name, "$deleted"), table._deleted))
         if table._mvcc:
             plan.append((_buffer_key(table_name, "$insert_version"),
@@ -360,9 +360,11 @@ def rebuild_database(manifest: ArenaManifest, buffer, base: int = 0,
         versions = ((table_view("$insert_version", np.int64),
                      table_view("$delete_version", np.int64))
                     if entry["mvcc"] else ())
+        # an image written while inserts reused deleted slots also names
+        # a ``free_slots`` list: ignored, its rows stay deleted until
+        # compaction drops them
         table = Table.wrap(table_name, columns, rows,
-                           table_view("$deleted", np.bool_),
-                           entry["free_slots"], *versions)
+                           table_view("$deleted", np.bool_), *versions)
         db.add_table(table)
     for child_table, child_column, parent_table, parent_key in \
             manifest.references:

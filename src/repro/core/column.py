@@ -249,7 +249,8 @@ class Column:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of live storage (backing array + auxiliary payloads)."""
+        """Bytes of written storage: one slot per row of the backing
+        array (not its reserved tail capacity) plus auxiliary payloads."""
         raise NotImplementedError
 
 
@@ -377,7 +378,7 @@ class FixedColumn(Column):
 
     @property
     def nbytes(self) -> int:
-        return int(self._data.nbytes)
+        return self._n * self._data.itemsize
 
     def _ensure(self, needed: int, dtype: Optional[DataType] = None) -> None:
         """Make the backing array private, writeable, at least *needed*

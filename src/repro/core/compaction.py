@@ -1,9 +1,12 @@
 """Clustering-preserving compaction: the maintenance re-sort job.
 
-Streaming appends land rows wherever slot reuse puts them and MVCC churn
-leaves deleted slots behind, so the hierarchically clustered layout the
-loader produced — the layout that makes block summaries (zone maps and
-code sets, :mod:`repro.core.statistics`) selective — decays over time.
+Streaming appends land rows at the tail, unclustered, and deletes leave
+dead slots behind that no insert reuses, so the table grows past its
+live rows and its tail blocks summarise a mix of everything.  The
+clustered blocks the loader produced — the layout that makes block
+summaries (zone maps and code sets, :mod:`repro.core.statistics`)
+selective — keep their summaries, but the unclustered tail grows with
+every append until compaction folds it back in.
 ``astore compact`` (and the serve layer's ``{"compact": table}`` admin
 verb) runs :func:`compact_database`:
 

@@ -254,7 +254,7 @@ class Database:
                         f"consolidating {table_name!r} would break "
                         f"reference {ref}")
                 # deleted child rows may hold stale references; park them
-                # at 0 (their slots are rewritten wholesale on reuse)
+                # at 0 (no query reads a deleted row)
                 part[dangling] = 0
             child.replace_column(
                 ref.child_column,

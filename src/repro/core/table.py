@@ -4,10 +4,9 @@ A table is a set of equal-length, fully aligned arrays — one per column.
 The array index is the implicit primary key: tuple *i* is the *i*-th element
 of every array.  Update handling follows the paper:
 
-* **insertion** appends into reserved tail capacity, preferring the slots of
-  previously deleted tuples (slot reuse, enabled by the surrogate key having
-  no semantic meaning);
-* **deletion** is lazy — a deletion bit vector marks tuples out-of-date;
+* **insertion** appends into reserved tail capacity, always at the tail;
+* **deletion** is lazy — a deletion bit vector marks tuples out-of-date, and
+  a deleted slot stays dead until consolidation reclaims it;
 * **update** is in-place (varchar updates only relocate heap addresses);
 * **consolidation** compacts the arrays and returns the old→new position
   mapping so the catalog can rewrite incoming AIR references.
@@ -21,8 +20,17 @@ verdicts re-verdict only the blocks where a write touched a checked
 column; and cached plans outlive a write that touched no column they
 encode (the query cache's plan-tier bridge).
 
+The paper also lets an insert take the slot of a deleted tuple.  Here
+inserts never do: a reused slot drops an arbitrary row into a block the
+load clustered (by year, by part), and every block it lands in loses its
+exact zone and code-set summary, so a date-band query that skipped most
+blocks falls back to a full scan.  Appending at the tail dirties only
+the tail blocks; :meth:`repro.core.schema.Database.compact` reclaims the
+dead slots and keeps the clustering.
+
 Optionally the table tracks per-slot insert/delete versions for MVCC
-snapshot reads (Section 4.4's real-time analytics scenario).
+snapshot reads (Section 4.4's real-time analytics scenario).  No slot is
+ever recycled before consolidation, so a snapshot read needs no pin.
 
 Every fixed-width buffer — column data, AIR positions, dictionary codes,
 string addresses, deletion bits and version vectors — may be a read-only
@@ -73,7 +81,8 @@ JOURNAL_MAX_POSITIONS = 1 << 20
 #: every in-place mutator and :meth:`Table.adopt` hold throughout, so a
 #: stamp read sees a whole write and the adoption's stamp check and
 #: buffer swap are one step.
-GUARDED_BY = {"Table._mutation_count": "self._write_lock"}
+GUARDED_BY = {"Table._mutation_count": "self._write_lock",
+              "Table._visible": "self._write_lock"}
 
 
 class JournalEntry(NamedTuple):
@@ -89,14 +98,13 @@ class JournalEntry(NamedTuple):
 
 
 class Table:
-    """A named array family with lazy deletion, slot reuse, and MVCC."""
+    """A named array family with tail appends, lazy deletion, and MVCC."""
 
     def __init__(self, name: str, mvcc: bool = False):
         self.name = name
         self.columns: Dict[str, Column] = {}
         self._nrows = 0
         self._deleted = np.zeros(0, dtype=bool)
-        self._free_slots: list[int] = []
         self._mvcc = mvcc
         self._insert_version = np.zeros(0, dtype=np.int64)
         self._delete_version = np.zeros(0, dtype=np.int64)
@@ -106,6 +114,9 @@ class Table:
         #: in ``entries``.  Swapped whole on write, never mutated in
         #: place, so readers need no lock.
         self._journal: Tuple[int, Tuple[JournalEntry, ...]] = (0, ())
+        #: ``(stamp, has_deletes, live mask or None)``: the visibility of
+        #: the rows now, computed once per stamp (:meth:`_visibility`)
+        self._visible: Optional[tuple] = None
 
     # -- construction --------------------------------------------------------
 
@@ -135,7 +146,6 @@ class Table:
     @classmethod
     def wrap(cls, name: str, columns: Iterable[Column], num_rows: int,
              deleted: Optional[np.ndarray] = None,
-             free_slots: Iterable[int] = (),
              insert_version: Optional[np.ndarray] = None,
              delete_version: Optional[np.ndarray] = None) -> "Table":
         """A table over prebuilt columns and bookkeeping vectors, adopted
@@ -153,7 +163,6 @@ class Table:
         table._nrows = num_rows
         table._deleted = (_filled(num_rows, bool, False) if deleted is None
                           else deleted)
-        table._free_slots = [int(p) for p in free_slots]
         if table._mvcc:
             table._insert_version = insert_version
             table._delete_version = delete_version
@@ -195,8 +204,8 @@ class Table:
         a read-only mapping of the image (``attach_database``).  Every
         fixed-width buffer — column data, AIR positions, dictionary
         codes, string addresses, deletion bits, MVCC versions — becomes
-        a view of the image and the private arrays go; the dictionaries,
-        string heaps and free-slot list stay private.  The content does
+        a view of the image and the private arrays go; the dictionaries
+        and string heaps stay private.  The content does
         not change, so neither does the stamp, and every cache entry
         stays fresh.  Under the write lock, a write either lands first
         (the stamp moved: nothing is adopted, ``False``) or after the
@@ -207,6 +216,8 @@ class Table:
             for name, column in self.columns.items():
                 column.share(image.columns[name])
             self._share_bookkeeping(image)
+            # the memo's mask is a private copy: let it go with the rest
+            self._visible = None
             return True
 
     def _share_bookkeeping(self, image: "Table") -> None:
@@ -289,7 +300,8 @@ class Table:
 
     @property
     def nbytes(self) -> int:
-        """Total bytes of all columns plus bookkeeping vectors."""
+        """Written bytes of all columns plus bookkeeping vectors (one
+        slot per row each; reserved growth capacity is not counted)."""
         total = sum(col.nbytes for col in self.columns.values())
         total += self._deleted.nbytes
         if self._mvcc:
@@ -301,7 +313,8 @@ class Table:
     @property
     def has_deletes(self) -> bool:
         """True if any slot is currently marked deleted."""
-        return bool(self._deleted.any())
+        with self._write_lock:
+            return self._visibility(False)[0]
 
     def deletion_vector(self) -> Bitmap:
         """The lazy-deletion bit vector (1 = deleted/out-of-date)."""
@@ -311,30 +324,43 @@ class Table:
         """Boolean mask of rows visible now, or at an MVCC *snapshot*.
 
         A row is visible at snapshot *s* iff it was inserted at or before
-        *s* and not deleted at or before *s*.
+        *s* and not deleted at or before *s*.  The mask of the rows
+        visible now is computed once per stamp and shared: it is
+        read-only.
         """
         if snapshot is None:
-            return ~self._deleted
+            with self._write_lock:
+                return self._visibility(True)[1]
         if not self._mvcc:
             raise StorageError(
                 f"table {self.name!r} was not created with mvcc=True"
             )
         return (self._insert_version <= snapshot) & (self._delete_version > snapshot)
 
+    def _visibility(self, mask: bool) -> tuple:  # astore: holds[self._write_lock]
+        """``(has_deletes, live mask)`` at the current stamp, each
+        computed at most once per stamp (the mask only when *mask* asks
+        for it, ``None`` until then)."""
+        memo = self._visible
+        if memo is None or memo[0] != self._mutation_count:
+            memo = (self._mutation_count, bool(self._deleted.any()), None)
+        if mask and memo[2] is None:
+            live = np.logical_not(self._deleted,
+                                  out=empty_buffer(self._nrows, bool))
+            live.flags.writeable = False
+            memo = memo[:2] + (live,)
+        self._visible = memo
+        return memo[1:]
+
     # -- updates ---------------------------------------------------------------
 
-    def insert(self, rows: Mapping[str, Sequence], version: int = 0,
-               reuse_horizon: Optional[int] = None) -> np.ndarray:
-        """Insert rows, reusing deleted slots first, then appending.
+    def insert(self, rows: Mapping[str, Sequence], version: int = 0) -> np.ndarray:
+        """Append rows at the tail of the table.
 
         *rows* maps every column name to an equal-length sequence of values.
-        Returns the array indexes (primary keys) assigned to the new rows.
-
-        With MVCC, reusing a slot physically destroys the old tuple, so a
-        slot is only eligible when its deletion is older than every active
-        snapshot: pass ``reuse_horizon`` = the oldest pinned snapshot and
-        only slots with ``delete_version <= reuse_horizon`` are recycled
-        (``None`` recycles freely — single-version operation).
+        Returns the array indexes (primary keys) assigned to the new rows:
+        always ``num_rows`` onwards.  A deleted slot is never reused
+        (see the module docstring); consolidation reclaims it.
         """
         if set(rows) != set(self.columns):
             raise SchemaError(
@@ -349,55 +375,35 @@ class Table:
             return np.empty(0, dtype=np.int64)
 
         with self._write_lock:
-            if self._mvcc and reuse_horizon is not None:
-                eligible = [p for p in self._free_slots
-                            if self._delete_version[p] <= reuse_horizon]
-            else:
-                eligible = self._free_slots
-            reuse = min(len(eligible), n)
-            reused = np.array(eligible[:reuse], dtype=np.int64)
-            taken = set(int(p) for p in reused)
-            self._free_slots = [p for p in self._free_slots if p not in taken]
-            appended = np.arange(self._nrows, self._nrows + (n - reuse), dtype=np.int64)
-
             for name, values in rows.items():
-                values = list(values) if not isinstance(values, np.ndarray) else values
-                column = self.columns[name]
-                if reuse:
-                    column.put(reused, values[:reuse])
-                if n - reuse:
-                    column.append(values[reuse:])
-
-            self._nrows += n - reuse
+                self.columns[name].append(values)
+            positions = np.arange(self._nrows, self._nrows + n, dtype=np.int64)
+            self._nrows += n
+            # the new slots start live and never deleted
             self._grow_bookkeeping()
-            positions = np.concatenate([reused, appended]) if reuse else appended
-            self._own_bookkeeping("_deleted", "_insert_version", "_delete_version")
-            self._deleted[positions] = False
             if self._mvcc:
-                self._insert_version[positions] = version
-                self._delete_version[positions] = _NO_DELETE
+                self._insert_version[positions[0]:] = version
             self._mutation_count += 1
             self._journal_write(self.columns, positions)
             return positions
 
     def delete(self, positions: Iterable[int], version: int = 0) -> int:
-        """Lazily delete rows: set their deletion bits and free their slots.
+        """Lazily delete rows: set their deletion bits.  The slots stay
+        dead until :meth:`consolidate` drops them.
 
         Returns the number of newly deleted rows (already-deleted and
         repeated positions are ignored, making deletion idempotent).
         """
-        positions = self._checked_positions(positions, "delete")
-        # first occurrences, in the caller's order: that order is the
-        # order later inserts reuse the freed slots in
-        _, first = np.unique(positions, return_index=True)
-        positions = positions[np.sort(first)]
+        # deduplicated by a sort: NumPy 2.4's hashing np.unique maps
+        # ~1.6 MB on its first call in a process
+        positions = np.sort(self._checked_positions(positions, "delete"))
+        positions = positions[np.diff(positions, prepend=-1) != 0]
         with self._write_lock:
             fresh = positions[~self._deleted[positions]]
             if not len(fresh):
                 return 0
             self._own_bookkeeping("_deleted", "_delete_version")
             self._deleted[fresh] = True
-            self._free_slots.extend(int(p) for p in fresh)
             if self._mvcc:
                 self._delete_version[fresh] = version
             self._mutation_count += 1
@@ -472,7 +478,6 @@ class Table:
                 mapping[order[start:stop]] = np.arange(start, stop)
             self._nrows = len(order)
             self._deleted = _filled(self._nrows, bool, False)
-            self._free_slots.clear()
             if self._mvcc:
                 for name in ("_insert_version", "_delete_version"):
                     vector = getattr(self, name)

@@ -173,6 +173,18 @@ class BlockVerdicts(NamedTuple):
     domains: Tuple[int, ...]
 
 
+class _VerdictMemo(NamedTuple):
+    """A plan's own verdicts (:meth:`BoundQuery._block_states`), holding
+    at root stamp ``stamp``, with the root's row count and the columns
+    the steps check: what decides whether a later write keeps them."""
+
+    db: weakref.ref
+    stamp: int
+    nrows: int
+    columns: FrozenSet[str]
+    result: tuple
+
+
 def _gate(states: np.ndarray) -> bool:
     """The cost gate's verdict on *states*: expected payoff — skipped
     blocks plus half weight for proven-accepted ones — must beat a
@@ -532,7 +544,11 @@ class BoundQuery:
         (the database's shared query cache by default) keyed by the
         *predicate signature* — so repeated cold compiles of the same
         (or a same-shaped) query share one verdict evaluation,
-        invalidated by the stamps of every table it derived from.
+        invalidated by the stamps of every table it derived from.  The
+        plan's memo outlives a root write that the journal accounts for,
+        that added no row and wrote no column the steps check (a delete,
+        an update of an unchecked measure): such a write leaves every
+        verdict as it was, so it costs the plan nothing.
 
         A miss after a fact-only write is *patched* like a block
         summary: when the dimension stamps are unchanged and the root's
@@ -549,10 +565,17 @@ class BoundQuery:
         :data:`GATE_MIN_FRACTION` of the table, pruning cannot recoup
         its own bookkeeping and the caller runs the plain scan."""
         root = self.logical.root
-        stamp = db.table(root).mutation_count
+        table = db.table(root)
+        nrows = table.num_rows  # before the stamp: see _verdicts_hold
+        stamp = table.mutation_count
         memo = self.__dict__.get("_prune_states")
-        if (memo is not None and memo[0]() is db and memo[1] == stamp):
-            return memo[2], memo[3], memo[4], memo[5]
+        if memo is not None and memo.db() is db:
+            if memo.stamp != stamp and self._verdicts_hold(table, memo,
+                                                           stamp):
+                memo = memo._replace(stamp=stamp)
+                self.__dict__["_prune_states"] = memo
+            if memo.stamp == stamp:
+                return memo.result
         steps, complete, signature, involved = self.prune_steps()
         states: Optional[np.ndarray] = None
         block_rows = 0
@@ -567,9 +590,22 @@ class BoundQuery:
                 hit = self._verdicts(db, steps, complete, store, key, stamps)
             if hit is not None:
                 states, block_rows, gated, aux = hit[:4]
-        self.__dict__["_prune_states"] = (weakref.ref(db), stamp,
-                                          states, block_rows, gated, aux)
-        return states, block_rows, gated, aux
+        result = (states, block_rows, gated, aux)
+        self.__dict__["_prune_states"] = _VerdictMemo(
+            weakref.ref(db), stamp, nrows, self._step_columns(steps), result)
+        return result
+
+    @staticmethod
+    def _verdicts_hold(table, memo: _VerdictMemo, stamp: int) -> bool:
+        """Whether every write to *table* between the memo's stamp and
+        *stamp* is journaled, added no row and wrote none of the checked
+        columns.  The memo's row count was read before its stamp, so an
+        insert racing that read shows as a changed count here."""
+        if table.num_rows != memo.nrows:
+            return False
+        entries = table.journal_since(memo.stamp, stamp)
+        return entries is not None and all(
+            entry.columns.isdisjoint(memo.columns) for entry in entries)
 
     def _verdicts(self, db: Database, steps: List[tuple], complete: bool,
                   store, key: tuple, stamps) -> Optional[BlockVerdicts]:
@@ -698,8 +734,11 @@ class BoundQuery:
         """Build (or revalidate) the zone maps this plan prunes with.
 
         Called by the parent before a process-backend arena export so
-        the summaries ride in the exported image."""
+        the summaries ride in the exported image.  Verdicts the plan
+        carried over a write never read the zone tier, so they are
+        derived through it again, past the plan's memo."""
         if self.prune_enabled:
+            self.__dict__.pop("_prune_states", None)
             self._block_states(db)
 
     def prune_ranges(self, db: Database,

@@ -1,9 +1,12 @@
 """Update handling and snapshot isolation (Section 4.4 of the paper).
 
-A-Store handles updates with append insertion (plus deleted-slot reuse),
-lazy deletion bit vectors, and in-place updates; OLAP queries run against
-MVCC snapshots so real-time analytics sees a consistent version while
-writers proceed.  The paper sketches Hyper-style copy-on-write MVCC; this
+A-Store handles updates with append insertion, lazy deletion bit vectors,
+and in-place updates; OLAP queries run against MVCC snapshots so
+real-time analytics sees a consistent version while writers proceed.
+The paper also lets an insert reuse a deleted slot; here inserts always
+append at the tail (see :mod:`repro.core.table`), so no tuple a snapshot
+can see is overwritten before consolidation, and a snapshot needs no
+pin.  The paper sketches Hyper-style copy-on-write MVCC; this
 implementation versions insertions and deletions explicitly (per-slot
 insert/delete versions on :class:`~repro.core.Table`), which gives the
 same reader guarantees for the OLAP-relevant operations.
@@ -36,7 +39,6 @@ class TransactionManager:
     def __init__(self, db: Database):
         self.db = db
         self._version = 0
-        self._pinned: dict[int, int] = {}  # snapshot -> refcount
 
     @property
     def current_version(self) -> int:
@@ -44,26 +46,17 @@ class TransactionManager:
         return self._version
 
     def snapshot(self) -> int:
-        """A pinned snapshot token covering everything committed so far.
+        """A snapshot token covering everything committed so far.
 
-        While a snapshot is pinned, slots of tuples it can still see are
-        never recycled, so queries at the snapshot remain exact.  Call
-        :meth:`release` when a long-lived snapshot is no longer needed.
+        Inserts never overwrite a slot, so queries at the snapshot stay
+        exact until a consolidation drops the rows deleted since.
         """
-        self._pinned[self._version] = self._pinned.get(self._version, 0) + 1
         return self._version
 
     def release(self, snapshot: int) -> None:
-        """Unpin a snapshot, letting its deleted slots be recycled."""
-        count = self._pinned.get(snapshot, 0)
-        if count <= 1:
-            self._pinned.pop(snapshot, None)
-        else:
-            self._pinned[snapshot] = count - 1
-
-    def _reuse_horizon(self) -> int:
-        """Oldest version any pinned snapshot may still read."""
-        return min(self._pinned) if self._pinned else self._version
+        """Done with *snapshot*.  A snapshot holds nothing (no slot is
+        recycled while it lives), so this does nothing; it is kept so
+        that callers can scope a snapshot explicitly."""
 
     def _next(self) -> int:
         self._version += 1
@@ -72,12 +65,11 @@ class TransactionManager:
     # -- write operations -------------------------------------------------------
 
     def insert(self, table_name: str, rows: Mapping[str, Sequence]) -> np.ndarray:
-        """Insert rows (appending, reusing deleted slots); returns positions."""
+        """Append rows at the table's tail; returns their positions."""
         table = self.db.table(table_name)
-        horizon = self._reuse_horizon()
         version = self._next()
         try:
-            return table.insert(rows, version=version, reuse_horizon=horizon)
+            return table.insert(rows, version=version)
         except Exception:
             self._version -= 1
             raise
@@ -186,9 +178,8 @@ class WriteBatch:
 
     def insert(self, table_name: str, rows: Mapping[str, Sequence]) -> np.ndarray:
         version = self._require_open()
-        return self._manager.db.table(table_name).insert(
-            rows, version=version,
-            reuse_horizon=self._manager._reuse_horizon())
+        return self._manager.db.table(table_name).insert(rows,
+                                                         version=version)
 
     def delete(self, table_name: str, positions: Iterable[int]) -> int:
         version = self._require_open()

@@ -85,18 +85,32 @@ class TestPersistRoundtrip:
                 "WHERE lo_custkey = c_custkey AND c_region = 'ASIA'").scalar()
             assert total == 140, sink
 
-    def test_roundtrip_preserves_deletes_and_free_slots(self, tmp_path):
+    def test_roundtrip_preserves_deletes(self, tmp_path):
         db = build_tiny_star()
         db.table("lineorder").delete([2, 5])
         for sink, loaded in roundtrips(db, tmp_path):
             lo = loaded.table("lineorder")
             assert lo.num_live == 6, sink
             assert np.flatnonzero(~lo.live_mask()).tolist() == [2, 5]
-            assert lo._free_slots == [2, 5]
-        # the freed slots survive: reuse happens on insert
+        # the deleted slots stay dead: an insert appends at the tail
         lo = load_database(tmp_path / "db.npz").table("lineorder")
         pos = lo.insert({name: [0] for name in lo.column_names})
-        assert pos.tolist() == [2]
+        assert pos.tolist() == [8]
+        assert np.flatnonzero(~lo.live_mask()).tolist() == [2, 5]
+
+    def test_image_with_a_free_slot_list_still_loads(self, tmp_path):
+        # images once listed each table's deleted slots for reuse; the
+        # list is ignored and its rows stay deleted until compaction
+        db = build_tiny_star()
+        db.table("lineorder").delete([2, 5])
+        path = tmp_path / "db.npz"
+        save_database(db, path)
+        _edit_header(path, lambda header: header["tables"]["lineorder"]
+                     .update(free_slots=[2, 5]))
+        lo = load_database(path).table("lineorder")
+        assert np.flatnonzero(~lo.live_mask()).tolist() == [2, 5]
+        assert lo.insert({name: [0] for name in lo.column_names}).tolist() \
+            == [8]
 
     def test_roundtrip_preserves_mvcc(self, tmp_path):
         db = build_tiny_star(mvcc=True)
@@ -151,7 +165,6 @@ class TestPersistRoundtrip:
         for name, table in db.tables.items():
             back = loaded.table(name)
             assert back.num_rows == table.num_rows
-            assert back._free_slots == table._free_slots
             for snapshot in (None, 5, 9):
                 assert np.array_equal(back.live_mask(snapshot=snapshot),
                                       table.live_mask(snapshot=snapshot))

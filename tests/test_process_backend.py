@@ -329,8 +329,8 @@ class TestProcessBackendSemantics:
             after = engine.query(sql).rows()
             assert after != before
             assert after == AStoreEngine(db).query(sql).rows()
-            # inserts invalidate too (slot reuse keeps row count stable);
-            # the db is airified, so FK values are array positions
+            # inserts invalidate too; the db is airified, so FK values
+            # are array positions
             db.table("lineorder").insert({
                 "lo_orderkey": [9], "lo_custkey": [0],
                 "lo_orderdate": [0], "lo_revenue": [1000],

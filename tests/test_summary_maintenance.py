@@ -9,7 +9,7 @@ Pins the contracts of summary maintenance:
 * a summary served after a write is patched from the previous one —
   untouched columns reused as-is, touched blocks re-summarised — and is
   array-for-array equal to a fresh full build, across any history of
-  appends, slot reuse, updates, dimension updates, added columns and
+  appends, deletes, updates, dimension updates, added columns and
   compactions (a hypothesis state machine), with query answers equal to
   the unpruned, uncached reference;
 * an update of a measure no code set depends on costs the next flight
@@ -17,7 +17,11 @@ Pins the contracts of summary maintenance:
 * prune verdicts follow the same journal: after any history, every
   cached plan's verdicts, cost gate and survivor ranges equal a cold
   evaluation on a fresh cache, and a plan grouping by a fact column
-  recompiles when that column is written.
+  recompiles when that column is written; a plan keeps its verdicts
+  outright across a delete or an update of a column no step checks,
+  and still ships current summaries with an export;
+* inserts append at the tail, so a write epoch leaves every clustered
+  block's verdicts as they were: a date-band query stays pruned.
 """
 
 import copy
@@ -35,11 +39,14 @@ from repro.core.statistics import (
     CODE_SET_FOLD_CAP,
     build_column_code_set_map,
     build_column_zone_map,
+    default_zone_block_rows,
+    fresh_zone_entries,
+    zone_map_key,
     zone_maps_for,
 )
 from repro.core.types import DataType
 from repro.datagen import generate_ssb
-from repro.engine import AStoreEngine
+from repro.engine import AStoreEngine, EngineOptions
 from repro.engine.cache import QueryCache, query_cache_for
 from repro.errors import StorageError
 from repro.workloads import SSB_QUERIES
@@ -148,10 +155,13 @@ class TestJournal:
     def test_delete_ignores_repeated_positions(self):
         table = small_table()
         assert table.delete([1, 1]) == 1
+        assert table.delete([3, 1, 3]) == 1
+        (entry,) = table.journal_since(1, 2)
+        assert entry.positions.tolist() == [3]
         positions = table.insert({"a": [100, 101], "b": [200, 201]})
-        assert sorted(positions.tolist()) == [1, 10]
-        assert table.num_live == 11
-        assert table.row(1) == {"a": 100, "b": 200}
+        assert positions.tolist() == [10, 11]
+        assert table.num_live == 10
+        assert table.row(1) == {"a": 1, "b": 2}
 
     def test_update_out_of_range_raises_storage_error(self):
         table = small_table()
@@ -175,7 +185,7 @@ class TestJournal:
         assert delete.columns == frozenset()
         assert sorted(delete.positions.tolist()) == [4, 5]
         assert insert.columns == {"a", "b"}
-        assert sorted(insert.positions.tolist()) == [4, 5, 10]
+        assert insert.positions.tolist() == [10, 11, 12]
 
     def test_barriers_cut_the_journal(self):
         table = small_table()
@@ -248,8 +258,9 @@ class TestPatchedSummaries:
             for qid in FLIGHT:
                 engine.query(SSB_QUERIES[qid])
             after = engine.cache.summary_counts()["code-set"]
-        assert after[0] == built
-        assert after[1] > patched
+        # nor a patch: no step checks lo_revenue, so every plan keeps
+        # its verdicts and reads no summary
+        assert after == (built, patched)
 
     def test_cache_rows_split_built_and_patched(self):
         db = generate_ssb(sf=0.002, seed=5)
@@ -264,6 +275,115 @@ class TestPatchedSummaries:
         assert cache.previous_summary(
             ("zonemap", "lineorder", "lo_revenue",
              zones.block_rows_for("lineorder"))) is None
+
+
+# -- per-plan verdicts across writes -------------------------------------------
+
+
+def count_verdict_passes(monkeypatch):
+    """Count :meth:`BoundQuery._compute_block_states` calls."""
+    from repro.engine import sharding
+
+    calls = []
+    compute = sharding.BoundQuery._compute_block_states
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return compute(self, *args, **kwargs)
+
+    monkeypatch.setattr(sharding.BoundQuery, "_compute_block_states", counted)
+    return calls
+
+
+class TestPlanVerdictsAcrossWrites:
+    def test_delete_and_unchecked_update_keep_verdicts(self, monkeypatch):
+        db = generate_ssb(sf=0.01, seed=11)
+        fact = db.table("lineorder")
+        with AStoreEngine(db) as engine:
+            bound = engine.compile(SSB_QUERIES["Q1.1"])
+            states = bound._block_states(db)[0]
+            calls = count_verdict_passes(monkeypatch)
+            fact.delete(np.arange(0, fact.num_rows, 7))
+            fact.update([1, 2], {"lo_revenue": [5, 6]})
+            assert bound._block_states(db)[0] is states
+            assert not calls
+            # a checked column written, or a row added: re-verdicted
+            fact.update([1], {"lo_quantity": [50]})
+            bound._block_states(db)
+            assert len(calls) == 1
+            fact.insert(fact.gather(np.array([3])))
+            bound._block_states(db)
+            assert len(calls) == 2
+            assert_verdicts_cold(db, bound)
+
+    def test_export_warms_the_summaries_carried_verdicts_skipped(self):
+        db = generate_ssb(sf=0.01, seed=11)
+        fact = db.table("lineorder")
+        with AStoreEngine(db) as engine:
+            bound = engine.compile(SSB_QUERIES["Q1.1"])
+            bound._block_states(db)
+            fact.delete([0, 1])
+            bound._block_states(db)  # carried over the delete
+
+            def fresh_keys():
+                return {key for key, _ in fresh_zone_entries(db, engine.cache)}
+
+            zone_key = zone_map_key("lineorder", "lo_quantity",
+                                    default_zone_block_rows(fact.num_rows))
+            assert zone_key not in fresh_keys()
+            bound.warm_zone_maps(db)
+            assert zone_key in fresh_keys()
+            assert_verdicts_cold(db, bound)
+
+
+# -- tail appends ---------------------------------------------------------------
+
+
+def test_write_epoch_keeps_a_date_band_query_pruned():
+    # ~0.3 s: one mixed_rw write epoch (its write pattern, 200 rows a
+    # write at sf=0.01, no compaction).  Rows appended at the tail leave
+    # every clustered block's summaries exact; with slot reuse the
+    # appends landed in nearly every block and Q1.1 fell to a
+    # cost-gated full scan.
+    db = generate_ssb(sf=0.01, seed=3)
+    fact, customer = db.table("lineorder"), db.table("customer")
+    rng = np.random.default_rng(7)
+    sql = SSB_QUERIES["Q1.1"]
+    with AStoreEngine(db) as engine, AStoreEngine(db, EngineOptions(
+            use_cache=False, use_pruning=False)) as reference:
+        before = engine.query(sql).stats
+        blocks = before.morsels_skipped + before.morsels_scanned \
+            + before.morsels_accepted
+        assert before.morsels_skipped and not before.prune_gated
+        old_rows = fact.num_rows
+        for op in ("append", "update", "delete", "update", "append",
+                   "customer", "append", "update", "append", "update",
+                   "append", "delete"):
+            if op == "customer":
+                positions = rng.choice(customer.num_rows, 10, replace=False)
+                customer.update(positions, {"c_region": ["ASIA"] * 10})
+                continue
+            positions = rng.choice(np.flatnonzero(fact.live_mask()), 200,
+                                   replace=False)
+            if op == "append":
+                fact.insert(fact.gather(positions))
+            elif op == "update":
+                fact.update(positions,
+                            {"lo_revenue": rng.integers(1, 100, 200)})
+            else:
+                fact.delete(positions)
+        result = engine.query(sql)
+        after = result.stats
+        block_rows = default_zone_block_rows(old_rows)
+        assert default_zone_block_rows(fact.num_rows) == block_rows
+        assert -(-old_rows // block_rows) == blocks
+        # the tail: the block the load ended in and every block past it
+        tail = -(-fact.num_rows // block_rows) - old_rows // block_rows
+        assert not after.prune_gated
+        assert after.morsels_skipped >= before.morsels_skipped - tail
+        assert after.morsels_skipped + after.morsels_scanned \
+            + after.morsels_accepted == old_rows // block_rows + tail
+        assert result.rows() == reference.query(sql).rows()
 
 
 # -- the history machine -------------------------------------------------------
@@ -298,7 +418,7 @@ class SummaryHistory(RuleBasedStateMachine):
         self.fact.insert(self.fact.gather(self.live(n)))
 
     @rule(n=st.integers(1, 800))
-    def delete_then_reuse(self, n):
+    def delete_then_append(self, n):
         self.fact.delete(self.live(n))
         self.fact.insert(self.fact.gather(self.live(n // 2 + 1)))
 

@@ -1,10 +1,12 @@
-"""Unit tests for the array-family Table: inserts, lazy deletes, slot
-reuse, in-place updates, MVCC visibility, and consolidation."""
+"""Unit tests for the array-family Table: tail inserts (no slot reuse),
+lazy deletes, in-place updates, MVCC visibility, consolidation, the
+per-stamp visibility memo and written-byte accounting."""
 
 import numpy as np
 import pytest
 
-from repro.core import Table
+from repro.core import DataType, FixedColumn, Table
+from repro.datagen import generate_ssb
 from repro.errors import SchemaError, StorageError
 
 
@@ -68,17 +70,22 @@ class TestInsert:
         t = make_table()
         t.delete([1])
         pos = t.insert({"k": [99], "v": [9.9], "tag": ["z"]})
-        # the deleted slot is reused: no physical growth
-        assert pos.tolist() == [1]
-        assert t.num_rows == 4
-        assert t.row(1) == {"k": 99, "v": 9.9, "tag": "z"}
+        # no slot is reused: the row lands at the tail, the slot stays dead
+        assert pos.tolist() == [4]
+        assert t.num_rows == 5
+        assert t.row(4) == {"k": 99, "v": 9.9, "tag": "z"}
+        assert t.row(1) == {"k": 20, "v": 2.0, "tag": "b"}
+        assert t.live_mask().tolist() == [True, False, True, True, True]
 
     def test_reuse_then_append(self):
         t = make_table()
         t.delete([0])
         pos = t.insert({"k": [7, 8], "v": [0.7, 0.8], "tag": ["x", "y"]})
-        assert pos.tolist() == [0, 4]
+        assert pos.tolist() == [4, 5]
         assert t.num_live == 5
+        # compaction drops exactly the deleted row, keeping the order
+        assert t.consolidate().tolist() == [-1, 0, 1, 2, 3, 4]
+        assert t["k"].values().tolist() == [20, 30, 40, 7, 8]
 
 
 class TestDelete:
@@ -139,7 +146,7 @@ class TestConsolidate:
         t.delete([0])
         t.consolidate()
         pos = t.insert({"k": [5], "v": [0.5], "tag": ["q"]})
-        assert pos.tolist() == [3]  # append, nothing to reuse
+        assert pos.tolist() == [3]  # appended after the compacted rows
 
     def test_noop_when_no_deletes(self):
         t = make_table()
@@ -164,13 +171,86 @@ class TestMVCC:
         with pytest.raises(StorageError):
             make_table().live_mask(snapshot=1)
 
-    def test_reused_slot_gets_new_versions(self):
+    def test_appended_row_gets_new_versions(self):
         t = make_table(mvcc=True)
         t.delete([1], version=10)
         t.insert({"k": [99], "v": [9.0], "tag": ["z"]}, version=20)
-        # at snapshot 15 the slot is invisible (deleted, not yet reinserted)
-        assert not t.live_mask(snapshot=15)[1]
-        assert t.live_mask(snapshot=25)[1]
+        # the deleted tuple keeps its slot and its versions
+        assert t.live_mask(snapshot=5).tolist() == [True] * 4 + [False]
+        assert t.live_mask(snapshot=15).tolist() == [True, False, True, True,
+                                                     False]
+        assert t.live_mask(snapshot=25).tolist() == [True, False, True, True,
+                                                     True]
+
+
+class TestVisibilityMemo:
+    """``live_mask()`` and ``has_deletes`` are computed once per stamp;
+    every mutator, an adoption and a consolidation move them on."""
+
+    def test_every_mutator_moves_the_memo(self):
+        t = make_table()
+        expected = [True] * 4
+
+        def check():
+            mask = t.live_mask()
+            assert mask.tolist() == expected
+            assert t.has_deletes == (not all(expected))
+            assert t.live_mask() is mask  # one mask per stamp
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
+            return mask
+
+        check()
+        t.delete([1])
+        expected[1] = False
+        check()
+        t.insert({"k": [50], "v": [5.0], "tag": ["c"]})
+        expected.append(True)
+        check()
+        t.update([0], {"v": [0.5]})
+        check()
+        t.delete([1, 4, 4])  # repeated and already-deleted positions
+        expected[4] = False
+        check()
+        t.add_column(FixedColumn("w", DataType.INT64, data=np.zeros(5)))
+        check()
+        t.replace_column("w", FixedColumn("w", DataType.INT64,
+                                          data=np.ones(5)))
+        check()
+        t.consolidate()
+        expected = [True] * 3
+        before = check()
+        # an adoption swaps the deletion vector for an image's view
+        # (equal content, same stamp) and lets the memo's copy go
+        image = Table.wrap("t", [_read_only(col) for col in
+                                 t.columns.values()], t.num_rows,
+                           _frozen(np.zeros(3, dtype=bool)))
+        assert t.adopt(image, t.mutation_count)
+        assert check() is not before
+        t.delete([2])
+        expected[2] = False
+        check()
+
+    def test_snapshot_masks_are_not_memoized(self):
+        t = make_table(mvcc=True)
+        t.delete([0], version=3)
+        mask = t.live_mask(snapshot=2)
+        assert mask.tolist() == [True] * 4
+        assert t.live_mask(snapshot=2) is not mask
+
+
+def _frozen(array):
+    array = np.array(array)
+    array.flags.writeable = False
+    return array
+
+
+def _read_only(column):
+    """A read-only copy of *column*, as an image rebuild would wrap it."""
+    if isinstance(column, FixedColumn):
+        return FixedColumn.wrap(column.name, column.dtype,
+                                _frozen(column.values()))
+    return column
 
 
 class TestFootprint:
@@ -179,3 +259,15 @@ class TestFootprint:
         before = t.nbytes
         t.insert({"k": list(range(1000)), "v": [0.0] * 1000, "tag": ["a"] * 1000})
         assert t.nbytes > before
+
+    def test_nbytes_counts_written_rows_not_capacity(self):
+        # ~0.1 s: 300 000 fact rows of fixed-width columns, 36 bytes a
+        # row with the deletion bit; an append grows every column's
+        # buffer by half the table, and nbytes must not count that room
+        fact = generate_ssb(sf=0.05, seed=1).table("lineorder")
+        assert fact.num_rows == 300_000
+        before = fact.nbytes
+        assert before % fact.num_rows == 0
+        per_row = before // fact.num_rows
+        fact.insert(fact.gather(np.arange(100)))
+        assert fact.nbytes == before + 100 * per_row

@@ -113,28 +113,37 @@ class TestConsolidation:
         txn = TransactionManager(db)
         txn.delete("lineorder", [3])
         pos = txn.insert("lineorder", NEW_ROW)
-        assert pos.tolist() == [3]
-        assert db.table("lineorder").num_rows == 8  # no physical growth
+        assert pos.tolist() == [8]  # appended: no slot is reused
+        fact = db.table("lineorder")
+        assert fact.num_rows == 9 and fact.num_live == 8
+        # compaction drops exactly the deleted row
+        mapping = txn.consolidate("lineorder")
+        assert mapping.tolist() == [0, 1, 2, -1, 3, 4, 5, 6, 7]
+        assert fact.num_rows == 8 and not fact.has_deletes
 
     def test_pinned_snapshot_blocks_slot_reuse(self):
         db = build_tiny_star(mvcc=True)
         txn = TransactionManager(db)
         engine = AStoreEngine(db)
-        snap = txn.snapshot()  # pins the pre-delete state
+        snap = txn.snapshot()  # the pre-delete state
         txn.delete("lineorder", [3])
         pos = txn.insert("lineorder", NEW_ROW)
-        assert pos.tolist() == [8]  # appended, slot 3 still protected
+        assert pos.tolist() == [8]  # appended: slot 3 keeps its tuple
         sql = "SELECT sum(lo_revenue) AS s FROM lineorder"
         assert engine.query(sql, snapshot=snap).scalar() == 360
 
-    def test_released_snapshot_allows_reuse(self):
+    def test_snapshot_stays_exact_without_pins(self):
         db = build_tiny_star(mvcc=True)
         txn = TransactionManager(db)
+        engine = AStoreEngine(db)
         snap = txn.snapshot()
+        txn.release(snap)  # holds nothing: the snapshot still reads exactly
         txn.delete("lineorder", [3])
-        txn.release(snap)
-        pos = txn.insert("lineorder", NEW_ROW)
-        assert pos.tolist() == [3]
+        txn.insert("lineorder", NEW_ROW)
+        txn.insert("lineorder", NEW_ROW)
+        sql = "SELECT sum(lo_revenue) AS s FROM lineorder"
+        assert engine.query(sql, snapshot=snap).scalar() == 360
+        assert engine.query(sql).scalar() == 360 - 40 + 2 * 999
 
 
 class TestWriteBatch:

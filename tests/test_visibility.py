@@ -207,8 +207,8 @@ class TestSnapshotsMatchOracle:
 class SnapshotHistory(RuleBasedStateMachine):
     """Random versioned write histories: at every pinned snapshot, and
     now, the cached, pruned engine answers like the oracle built at
-    that snapshot.  Releasing a snapshot lets later inserts reuse the
-    slots only it could still see."""
+    that snapshot.  Inserts append at the tail, so no write overwrites
+    a row a live snapshot can still see, released or not."""
 
     def __init__(self):
         super().__init__()
