@@ -4,7 +4,6 @@ from .aggregate import AggregationState, array_aggregate, finalize, hash_aggrega
 from .cache import QueryCache, query_cache_for, table_stamps
 from .executor import AStoreEngine, EngineOptions, VARIANTS, rewrite_for_options
 from .scratch import PoolLease, ScratchPool, lease_pool, local_pool
-from .serve import AsyncEngine, QueryServer, ServeStats, run_server, serve_tcp
 from .expression import evaluate_measure, evaluate_predicate, like_to_regex
 from .grouping import GroupAxis, build_axes, combine_codes, total_groups
 from .operators import (
@@ -61,3 +60,17 @@ __all__ = [
     "table_stamps", "total_groups", "universal_provider", "ValueGather",
     "VARIANTS",
 ]
+
+
+#: The asyncio serving layer (:mod:`repro.engine.serve`) loads on first
+#: use: a process that only generates, queries or saves a database never
+#: imports asyncio and ssl (about 7 MB resident).
+_SERVING = ("AsyncEngine", "QueryServer", "ServeStats", "run_server",
+            "serve_tcp")
+
+
+def __getattr__(name):
+    if name in _SERVING:
+        from . import serve
+        return getattr(serve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,10 +8,17 @@ every compile-time artifact between executions, with **exact**
 invalidation piggybacked on the per-table ``Table.mutation_count``
 stamps the process backend's exported image already uses:
 
-* **plan tier** — whole :class:`~repro.engine.sharding.BoundQuery`
-  artifacts keyed by a canonical query fingerprint (parsed-statement
-  form, so whitespace/case differences collapse) plus the
-  compile-relevant engine options and the MVCC snapshot;
+* **plan tier** — keyed on a statement's *shape*
+  (:func:`~repro.sqlparser.parser.statement_shape`: its token stream
+  with the WHERE literals lifted out, so whitespace, keyword case and
+  comments collapse) plus the compile-relevant engine options.  Under
+  ``(options, shape)`` it holds the shape's *template*, the optimized
+  :class:`~repro.plan.optimizer.PhysicalPlan` of its first text; under
+  ``(options, shape, values, snapshot)`` the whole
+  :class:`~repro.engine.sharding.BoundQuery` of one literal set.  A
+  text of a known shape with new values skips parse, bind and optimize:
+  its values go into the template's predicates
+  (:func:`~repro.plan.optimizer.rebind`) and only the leaf stage runs;
 * **leaf tier** — packed
   :class:`~repro.engine.operators.PredicateFilter` vectors keyed by
   (first-level dimension, canonicalized bound predicate), so SSB query
@@ -50,7 +57,6 @@ over the same database shares dimension scans and axes between them.
 from __future__ import annotations
 
 import functools
-import hashlib
 import threading
 import time
 import weakref
@@ -59,7 +65,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core import Database
-from ..sqlparser.parser import parse
+from ..sqlparser.parser import statement_shape
 
 #: Cache tiers, in lookup order of a warm query.  ``zone`` holds the
 #: per-block zone-map summaries behind data skipping (see
@@ -173,30 +179,38 @@ class QueryCache:
 
     def get(self, tier: str, key: tuple, db: Database):
         """The cached value, or ``None`` on a miss or a stale entry."""
+        return self.get_first(tier, (key,), db)[1]
+
+    def get_first(self, tier: str, keys: Tuple[tuple, ...],
+                  db: Database) -> Tuple[int, object]:
+        """``(index, value)`` of the first of *keys* holding a fresh
+        entry, or ``(-1, None)``: one hit or one miss in the tier's
+        counters, however many keys it tried (the plan tier tries a
+        literal set's own plan, then its shape's template)."""
         with self._lock:
             entries = self._tiers[tier]
             stats = self._stats[tier]
-            entry = entries.get(key)
-            if entry is None:
-                stats.misses += 1
-                return None
-            if (tier == "result" and self.result_ttl_seconds > 0
-                    and self._clock() - entry.created
-                    > self.result_ttl_seconds):
-                entries.pop(key, None)
-                stats.bytes -= entry.nbytes
-                stats.expirations += 1
-                stats.misses += 1
-                return None
-            if not self._fresh(entry, db):
-                entries.pop(key, None)
-                stats.bytes -= entry.nbytes
-                stats.invalidations += 1
-                stats.misses += 1
-                return None
-            entries.move_to_end(key)
-            stats.hits += 1
-            return entry.value
+            for index, key in enumerate(keys):
+                entry = entries.get(key)
+                if entry is None:
+                    continue
+                if (tier == "result" and self.result_ttl_seconds > 0
+                        and self._clock() - entry.created
+                        > self.result_ttl_seconds):
+                    entries.pop(key, None)
+                    stats.bytes -= entry.nbytes
+                    stats.expirations += 1
+                    continue
+                if not self._fresh(entry, db):
+                    entries.pop(key, None)
+                    stats.bytes -= entry.nbytes
+                    stats.invalidations += 1
+                    continue
+                entries.move_to_end(key)
+                stats.hits += 1
+                return index, entry.value
+            stats.misses += 1
+            return -1, None
 
     def put(self, tier: str, key: tuple, value, stamps: Stamps,
             nbytes: int = 0, bridge: Optional[Bridge] = None) -> bool:
@@ -402,24 +416,14 @@ def _result_is_frozen(value) -> bool:
     return bool(getattr(value, "frozen", True))
 
 
-# -- canonical fingerprints ---------------------------------------------------
+# -- the front end's per-text memo --------------------------------------------
 
 
-#: Parse memo: statements are frozen dataclasses, so sharing one parse
-#: across repeated executions of the same text is safe — the warm
-#: serving path skips the tokenizer entirely.
-parse_cached = functools.lru_cache(maxsize=512)(parse)
-
-
-def query_fingerprint(stmt, options_token: str) -> str:
-    """A canonical fingerprint of a parsed statement + engine options.
-
-    Fingerprinting the *parsed* form (frozen dataclasses with
-    deterministic ``repr``) collapses whitespace, keyword case, and
-    other textual noise; two texts that parse identically share one
-    plan-tier entry."""
-    basis = f"{options_token}|{stmt!r}"
-    return hashlib.sha1(basis.encode()).hexdigest()
+#: ``(shape, values)`` of a SQL text, memoized: the serving layer keys a
+#: request on the event loop and the engine compiles it on an executor
+#: thread, and an exact repeat lexes nothing at all.  A text is parsed
+#: only when its shape has no template yet.
+parse_cached = functools.lru_cache(maxsize=512)(statement_shape)
 
 
 def axis_nbytes(axis) -> int:

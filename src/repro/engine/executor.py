@@ -42,7 +42,14 @@ import numpy as np
 from ..core import Database
 from ..errors import ExecutionError
 from ..plan.binder import LogicalPlan, bind
-from ..plan.optimizer import CacheModel, OpSpec, PhysicalPlan, optimize
+from ..plan.optimizer import (
+    CacheModel,
+    OpSpec,
+    PhysicalPlan,
+    optimize,
+    plan_slots,
+    rebind,
+)
 from .aggregate import AggregationState, finalize
 from .cache import (
     QueryCache,
@@ -50,7 +57,6 @@ from .cache import (
     bound_nbytes,
     parse_cached,
     query_cache_for,
-    query_fingerprint,
     table_stamps,
 )
 from .grouping import GroupAxis, build_axes, decode_group_columns
@@ -204,6 +210,7 @@ class AStoreEngine:
     def __init__(self, db: Database, options: Optional[EngineOptions] = None):
         self.db = db
         self.options = options or EngineOptions()
+        self._token = self._cache_token()
         self._slot = ShardBackendSlot(db, self.options.workers)
         # one cache is shared per database object, so every engine (and
         # variant) over the same data reuses dimension scans and axes
@@ -270,7 +277,7 @@ class AStoreEngine:
     # -- compilation --------------------------------------------------------
 
     def _cache_token(self) -> str:
-        """The compile-relevant options, canonicalized for fingerprints.
+        """The compile-relevant options, canonicalized for plan keys.
 
         Only fields that change the *compiled artifact* participate —
         ``workers``/``parallel_backend`` affect how a bound plan is
@@ -293,12 +300,14 @@ class AStoreEngine:
         against any attached copy of the same database.
 
         With the query cache active, a repeated (or merely textually
-        different but structurally identical) query returns the *same*
-        bound-plan object, revalidated against the mutation stamps of
-        every table it touches — exactly for the dimensions, through the
-        mutation journal for the fact table (a write that touched no
-        column the plan encodes keeps it); ``leaf_seconds`` then
-        reflects the lookup, not a recompile.
+        different but same-shaped, same-valued) query returns the
+        *same* bound-plan object, revalidated against the mutation
+        stamps of every table it touches — exactly for the dimensions,
+        through the mutation journal for the fact table (a write that
+        touched no column the plan encodes keeps it); ``leaf_seconds``
+        then reflects the lookup, not a recompile.  A text whose shape
+        is known but whose WHERE values are new binds those values into
+        the shape's template and runs only the leaf stage.
 
         Note for concurrent callers: a cached plan is shared, so the
         ``leaf_seconds``/``cache_events`` bookkeeping stamped on here is
@@ -311,6 +320,16 @@ class AStoreEngine:
         bound.cache_events = events
         return bound
 
+    def _plan_keys(self, query, snapshot: Optional[int]) -> tuple:
+        """The plan-tier keys of *query*: its own bound plan's (which
+        doubles as the result-tier key), then, for SQL text, its shape's
+        template's.  A parsed statement is its own shape, with no
+        values to rebind."""
+        if not isinstance(query, str):
+            return ((self._token, query, (), snapshot),)
+        shape, values = parse_cached(query)
+        return (self._token, shape, values, snapshot), (self._token, shape)
+
     def _compile_cached(self, query, snapshot: Optional[int]
                         ) -> Tuple[BoundQuery, float, Dict[str, int]]:
         """Compile through the plan tier, returning the (possibly
@@ -320,31 +339,42 @@ class AStoreEngine:
             bound = self._compile(self.plan(query), snapshot)
             return bound, bound.leaf_seconds, dict(bound.cache_events)
         t0 = time.perf_counter()
-        stmt = parse_cached(query) if isinstance(query, str) else query
-        key = (query_fingerprint(stmt, self._cache_token()), snapshot)
-        bound = self.cache.get("plan", key, self.db)
-        if bound is not None:
+        # stamps are captured BEFORE the lookup and any compiling: if a
+        # writer mutates a table meanwhile, what is stored carries the
+        # pre-mutation stamp and the next lookup discards it —
+        # stamped-after, a stale artifact could wear a fresh stamp forever
+        pre_stamps = {name: table.mutation_count
+                      for name, table in self.db.tables.items()}
+        keys = self._plan_keys(query, snapshot)
+        key, values = keys[0], keys[0][2]
+        found, cached = self.cache.get_first("plan", keys, self.db)
+        if found == 0:
             # Same object on purpose: shard backends memoize the plan
             # pickle by object identity, and any value-shared key would
             # risk shipping stale bytes after a recompile.
-            return bound, time.perf_counter() - t0, {"plan_hits": 1}
-        # stamps are captured BEFORE compiling: if a writer mutates a
-        # table mid-compile, the stored entry carries the pre-mutation
-        # stamp and the next lookup discards it — stamped-after, a
-        # stale artifact could wear a fresh stamp forever
-        pre_stamps = {name: table.mutation_count
-                      for name, table in self.db.tables.items()}
-        events = {"plan_misses": 1}
-        bound = self._compile(self.plan(stmt), snapshot, events)
+            return cached, time.perf_counter() - t0, {"plan_hits": 1}
+        if found == 1:
+            events = {"plan_hits": 1, "plan_rebinds": 1}
+            physical = rebind(cached, values)
+        else:
+            events = {"plan_misses": 1}
+            physical = self.plan(query)
+        bound = self._compile(physical, snapshot, events)
         bound.cache_key = key
         # dimension stamps stay exact; a fact-only write that the journal
         # accounts for and that wrote no column the plan encodes leaves
         # the plan as it would compile now (see BoundQuery.encoded_columns)
-        self.cache.put("plan", key, bound,
-                       tuple(sorted((name, pre_stamps[name])
-                                    for name in set(bound.logical.tables))),
-                       bound_nbytes(bound),
-                       bridge=(bound.logical.root, bound.encoded_columns()))
+        stamps = tuple(sorted((name, pre_stamps[name])
+                              for name in set(bound.logical.tables)))
+        bridge = (bound.logical.root, bound.encoded_columns())
+        self.cache.put("plan", key, bound, stamps, bound_nbytes(bound),
+                       bridge=bridge)
+        # a shape's template is its first text's plan, kept when every
+        # value of the text sits in a slot of its predicates (a negated
+        # literal has none: its shape compiles per text)
+        if (found == -1 and values
+                and plan_slots(physical) == dict(enumerate(values))):
+            self.cache.put("plan", keys[1], physical, stamps, bridge=bridge)
         return bound, bound.leaf_seconds, dict(events)
 
     def _compile(self, physical: PhysicalPlan, snapshot: Optional[int],
@@ -390,13 +420,14 @@ class AStoreEngine:
 
     def result_key(self, query, snapshot: Optional[int] = None
                    ) -> Optional[tuple]:
-        """The plan/result-tier cache key of *query* on this engine
-        (``None`` with the cache disabled) — what the serving layer uses
-        to coalesce concurrent identical queries."""
+        """The result-tier key of *query* on this engine, ``(options,
+        shape, values, snapshot)`` (``None`` with the cache disabled) —
+        what the serving layer answers repeats and coalesces concurrent
+        identical queries by.  It lexes the text (memoized), never
+        parses it."""
         if self.cache is None:
             return None
-        stmt = parse_cached(query) if isinstance(query, str) else query
-        return (query_fingerprint(stmt, self._cache_token()), snapshot)
+        return self._plan_keys(query, snapshot)[0]
 
     def serve_cached(self, query, snapshot: Optional[int] = None,
                      key: Optional[tuple] = None) -> Optional[QueryResult]:
@@ -406,7 +437,7 @@ class AStoreEngine:
         executes — this is the non-blocking fast path the async serving
         layer answers from without leaving the event loop.  Callers
         that already hold the :meth:`result_key` pass it to skip the
-        parse + fingerprint."""
+        lexing."""
         if self.cache is None or not self.options.cache_results:
             return None
         t0 = time.perf_counter()

@@ -100,10 +100,20 @@ class QueryResult:
             raise ExecutionError(f"no output column {name!r}") from None
 
     def rows(self) -> List[tuple]:
-        """All rows as tuples, in output order."""
-        arrays = [self.columns[name] for name in self.column_order]
-        return [tuple(a[i].item() if hasattr(a[i], "item") else a[i]
-                      for a in arrays) for i in range(len(self))]
+        """All rows as tuples of Python values, in output order.
+
+        Converted a column at a time: ``tolist`` for a typed array; an
+        object array's NumPy scalars are unwrapped one by one, because
+        ``tolist`` hands those back unchanged."""
+        columns = []
+        for name in self.column_order:
+            values = self.columns[name]
+            if isinstance(values, np.ndarray) and values.dtype != object:
+                columns.append(values.tolist())
+            else:
+                columns.append([value.item() if hasattr(value, "item")
+                                else value for value in values])
+        return list(zip(*columns))
 
     def to_dicts(self) -> List[dict]:
         """All rows as ``{column: value}`` dictionaries."""

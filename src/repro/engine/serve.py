@@ -14,8 +14,12 @@ engine is configured with ``parallel_backend="process"``.
 Concurrency model (see also ``docs/architecture.md``):
 
 * **The event loop never blocks.**  Result-tier hits are answered
-  directly on the loop (a stamped dictionary lookup); everything else
-  runs on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`.
+  directly on the loop (a stamped dictionary lookup, keyed by the
+  request's shape and WHERE values: the text is lexed, memoized per
+  text, never parsed); everything else runs on a bounded
+  :class:`~concurrent.futures.ThreadPoolExecutor`.  There, a fresh
+  literal set of a known shape binds its values into the shape's
+  cached plan and runs only the leaf stage before the scan.
   With the ``process`` backend those executor threads block only on
   ``pool.map`` — the actual scanning happens in the shared worker
   pool, whose task queue interleaves the shards of every in-flight
@@ -163,8 +167,9 @@ class AsyncEngine:
                    and engine.options.cache_results)
         if serving:
             # fast path: a stamped result-tier lookup answers on the
-            # loop thread, no executor round-trip (the key is computed
-            # once here and reused by every lookup below)
+            # loop thread, no executor round-trip (the key — the text's
+            # shape and WHERE values, no parse — is computed once here
+            # and reused by every lookup below)
             key = engine.result_key(sql, snapshot)
             hit = engine.serve_cached(sql, snapshot, key=key)
             if hit is not None:

@@ -6,8 +6,10 @@ the same bytes in an anonymous memory file).  The header is JSON, never
 pickle: a file is outside input.  Loading maps the file copy-on-write
 and rebuilds the tables as views of it (AIR columns too, no
 ``airify()``): O(columns), no row read, and writes to the loaded
-database land in private memory, never in the file.  Zone-map records
-in an exported image's header are not read back.
+database land in private memory, never in the file.  Saving makes the
+saved database's storage the file it wrote, as a process-shard export
+makes it the exported image.  Zone-map records in an exported image's
+header are not read back.
 """
 
 from __future__ import annotations
@@ -36,8 +38,16 @@ def save_database(db: Database, path: Union[str, Path]) -> None:
     slots included; MVCC version vectors are stored when present.  The
     image is written to a sibling file that then replaces *path*, so a
     database still mapped from the old file keeps reading it.
+
+    Then every table still at the stamp it was written at adopts the
+    file as its storage (:meth:`~repro.core.table.Table.adopt`): its
+    fixed-width buffers become read-only views of the file and its
+    private arrays go, so the data is held once, by the page cache, and
+    only what is read stays resident.  A later write copies the buffer
+    it touches first, and never reaches the file.
     """
     path = Path(path)
+    stamps = {name: table.mutation_count for name, table in db.tables.items()}
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -46,6 +56,9 @@ def save_database(db: Database, path: Union[str, Path]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    image = _map_image(path, writeable=False)
+    for name, count in stamps.items():
+        db.table(name).adopt(image.table(name), count)
 
 
 def load_database(path: Union[str, Path]) -> Database:
@@ -55,6 +68,13 @@ def load_database(path: Union[str, Path]) -> Database:
     of this version: an old ``.npz`` archive, a truncated file, a buffer
     past the end of the file, a malformed header.
     """
+    return _map_image(path, writeable=True)
+
+
+def _map_image(path: Union[str, Path], writeable: bool) -> Database:
+    """The database of the image at *path*, rebuilt over a mapping of
+    the file: copy-on-write views if *writeable*, read-only ones if
+    not."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic, header_len = IMAGE_PREAMBLE.unpack(
@@ -86,8 +106,10 @@ def load_database(path: Union[str, Path]) -> Database:
             if end != size:
                 raise StorageError(f"{path}: image is {size} bytes, its buffer "
                                    f"map needs {end} (truncated or damaged?)")
-            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-            return rebuild_database(manifest, mapping, base, writeable=True)[0]
+            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY
+                                if writeable else mmap.ACCESS_READ)
+            return rebuild_database(manifest, mapping, base,
+                                    writeable=writeable)[0]
         except (LookupError, TypeError, ValueError, AttributeError, SchemaError) as exc:
             raise StorageError(f"{path}: malformed database image header "
                                f"({exc!r})") from exc

@@ -228,7 +228,7 @@ class _Binder:
         if isinstance(expr, A.ColumnRef):
             return self._bind_column(expr)
         if isinstance(expr, A.Literal):
-            return BoundLiteral(expr.value)
+            return BoundLiteral(expr.value, expr.slot)
         if isinstance(expr, A.BinaryOp):
             return BoundArith(expr.op, self._bind_expr(expr.left),
                               self._bind_expr(expr.right))
@@ -241,10 +241,11 @@ class _Binder:
                                 self._bind_expr(expr.high), expr.negated)
         if isinstance(expr, A.InList):
             return BoundIn(self._bind_expr(expr.expr),
-                           tuple(v.value for v in expr.values), expr.negated)
+                           tuple(v.value for v in expr.values), expr.negated,
+                           tuple(v.slot for v in expr.values))
         if isinstance(expr, A.Like):
             return BoundLike(self._bind_expr(expr.expr), expr.pattern,
-                             expr.negated)
+                             expr.negated, expr.slot)
         if isinstance(expr, A.And):
             return BoundAnd(tuple(self._bind_expr(t) for t in expr.terms))
         if isinstance(expr, A.Or):

@@ -3,12 +3,17 @@
 The binder rewrites parser AST nodes into *bound* nodes whose column
 references carry their resolved table.  Bound trees are what the engine's
 vectorized evaluator consumes.
+
+A literal bound from the WHERE clause keeps the parser's ``slot`` (its
+place among the clause's literals, see
+:func:`~repro.sqlparser.parser.statement_shape`), outside equality and
+``repr``: :func:`substitute` puts another text's values into those slots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,7 @@ class BoundLiteral:
 
     __portable__ = True  # pickled across process boundaries (astore lint)
     value: Union[int, float, str]
+    slot: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,8 @@ class BoundIn:
     expr: "BoundExpression"
     values: Tuple[Union[int, float, str], ...]
     negated: bool = False
+    slots: Tuple[Optional[int], ...] = field(default=(), compare=False,
+                                             repr=False)
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,7 @@ class BoundLike:
     expr: "BoundExpression"
     pattern: str
     negated: bool = False
+    slot: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -131,6 +140,55 @@ def bound_columns(expr: BoundExpression) -> list[BoundColumn]:
 def tables_of(expr: BoundExpression) -> set[str]:
     """The set of tables an expression touches."""
     return {c.table for c in bound_columns(expr)}
+
+
+def literal_slots(expr: BoundExpression) -> Dict[int, object]:
+    """``{slot: value}`` of every slotted literal inside *expr*."""
+    out: Dict[int, object] = {}
+    for node in bound_walk(expr):
+        if isinstance(node, BoundLiteral) and node.slot is not None:
+            out[node.slot] = node.value
+        elif isinstance(node, BoundIn):
+            out.update((slot, value)
+                       for slot, value in zip(node.slots, node.values)
+                       if slot is not None)
+        elif isinstance(node, BoundLike) and node.slot is not None:
+            out[node.slot] = node.pattern
+    return out
+
+
+def substitute(expr: BoundExpression,
+               values: Sequence[object]) -> BoundExpression:
+    """*expr* with ``values[slot]`` in each slotted literal (the tree is
+    rebuilt; slotless literals and columns are shared)."""
+    if isinstance(expr, BoundLiteral):
+        if expr.slot is None:
+            return expr
+        return BoundLiteral(values[expr.slot], expr.slot)
+    if isinstance(expr, (BoundArith, BoundCompare)):
+        return type(expr)(expr.op, substitute(expr.left, values),
+                          substitute(expr.right, values))
+    if isinstance(expr, BoundBetween):
+        return BoundBetween(substitute(expr.expr, values),
+                            substitute(expr.low, values),
+                            substitute(expr.high, values), expr.negated)
+    if isinstance(expr, BoundIn):
+        new = list(expr.values)
+        for i, slot in enumerate(expr.slots):
+            if slot is not None:
+                new[i] = values[slot]
+        return BoundIn(substitute(expr.expr, values), tuple(new),
+                       expr.negated, expr.slots)
+    if isinstance(expr, BoundLike):
+        return BoundLike(substitute(expr.expr, values),
+                         expr.pattern if expr.slot is None
+                         else values[expr.slot], expr.negated, expr.slot)
+    if isinstance(expr, (BoundAnd, BoundOr)):
+        return type(expr)(tuple(substitute(term, values)
+                                for term in expr.terms))
+    if isinstance(expr, BoundNot):
+        return BoundNot(substitute(expr.term, values))
+    return expr
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ The optimizer makes exactly the choices Section 4 describes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,8 +30,10 @@ from .binder import GroupKey, LogicalPlan
 from .expressions import (
     BoundAnd,
     BoundExpression,
+    literal_slots,
     predicate_code_set,
     predicate_interval,
+    substitute,
 )
 
 
@@ -247,6 +249,55 @@ def optimize(logical: LogicalPlan, db: Database,
         pipeline=build_pipeline(logical, fact_conjuncts, dim_decisions,
                                 use_array),
     )
+
+
+def plan_slots(physical: PhysicalPlan) -> Dict[int, object]:
+    """``{slot: value}`` of the WHERE literals *physical*'s predicates
+    hold (see :func:`~repro.sqlparser.parser.statement_shape`)."""
+    out: Dict[int, object] = {}
+    for expr, _ in physical.fact_conjuncts:
+        out.update(literal_slots(expr))
+    for dd in physical.dim_decisions:
+        out.update(literal_slots(dd.predicate))
+    return out
+
+
+def rebind(physical: PhysicalPlan, values: Sequence[object]) -> PhysicalPlan:
+    """*physical* with *values* in its WHERE literal slots.
+
+    Only the predicates change, and what :func:`build_pipeline` derives
+    from them (the filter nodes' prune annotations).  The sampled
+    selectivities, and with them the conjunct and probe order, stay as
+    estimated for the first values (no other choice of the optimizer
+    reads a literal).  Neither changes an answer: the executor orders
+    filters on exact predicate-vector densities and re-orders them on
+    observed pass rates at run time.
+    """
+    done: Dict[int, BoundExpression] = {}
+
+    def bound(expr: BoundExpression) -> BoundExpression:
+        # the logical plan and the decisions share predicate objects
+        out = done.get(id(expr))
+        if out is None:
+            out = done[id(expr)] = substitute(expr, values)
+        return out
+
+    logical = replace(
+        physical.logical,
+        fact_conjuncts=tuple(map(bound, physical.logical.fact_conjuncts)),
+        dim_conjuncts={dim: list(map(bound, preds)) for dim, preds
+                       in physical.logical.dim_conjuncts.items()})
+    fact_conjuncts = tuple((bound(expr), sel)
+                           for expr, sel in physical.fact_conjuncts)
+    dim_decisions = tuple(
+        DimDecision(dd.first_dim, bound(dd.predicate), dd.use_filter,
+                    dd.estimated_selectivity)
+        for dd in physical.dim_decisions)
+    return replace(physical, logical=logical, fact_conjuncts=fact_conjuncts,
+                   dim_decisions=dim_decisions,
+                   pipeline=build_pipeline(logical, fact_conjuncts,
+                                           dim_decisions,
+                                           physical.use_array_agg))
 
 
 # -- estimation internals ------------------------------------------------------

@@ -20,12 +20,13 @@ from .ast import (
     has_aggregate,
     walk,
 )
-from .parser import parse
+from .parser import parse, statement_shape
 from .tokenizer import Token, TokenType, tokenize
 
 __all__ = [
     "Aggregate", "And", "Between", "BinaryOp", "ColumnRef", "Comparison",
     "column_refs", "Expression", "has_aggregate", "InList", "Like",
     "Literal", "Not", "Or", "OrderItem", "parse", "SelectItem",
-    "SelectStatement", "Token", "tokenize", "TokenType", "walk",
+    "SelectStatement", "statement_shape", "Token", "tokenize", "TokenType",
+    "walk",
 ]

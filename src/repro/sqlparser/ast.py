@@ -19,9 +19,15 @@ class ColumnRef:
 
 @dataclass(frozen=True)
 class Literal:
-    """A numeric or string constant."""
+    """A numeric or string constant.
+
+    ``slot`` numbers the WHERE clause's literals in source order (see
+    :func:`~repro.sqlparser.parser.statement_shape`); it takes no part in
+    equality, so two statements that differ only in where their literals
+    came from compare equal."""
 
     value: Union[int, float, str]
+    slot: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -63,11 +69,13 @@ class InList:
 
 @dataclass(frozen=True)
 class Like:
-    """``expr LIKE pattern`` with ``%``/``_`` wildcards."""
+    """``expr LIKE pattern`` with ``%``/``_`` wildcards (``slot`` as
+    for :class:`Literal`: the pattern is a WHERE literal)."""
 
     expr: "Expression"
     pattern: str
     negated: bool = False
+    slot: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,16 @@ The dialect covers the query class A-Store supports (Section 3 of the
 paper): SELECT with aggregates and arithmetic, a FROM list (joins are
 expressed as WHERE equality predicates, star-schema style), WHERE with
 AND/OR/NOT, BETWEEN, IN, LIKE, GROUP BY, ORDER BY, and LIMIT.
+
+A statement's *shape* (:func:`statement_shape`) is its token stream with
+the WHERE clause's literals lifted out; the parser numbers the same
+literals, so a plan compiled for one text of a shape can take another
+text's literals (:func:`repro.plan.optimizer.rebind`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..errors import ParseError
 from .ast import (
@@ -29,7 +34,7 @@ from .ast import (
     SelectItem,
     SelectStatement,
 )
-from .tokenizer import Token, TokenType, tokenize
+from .tokenizer import Token, TokenType, lex, tokenize
 
 
 def parse(sql: str) -> SelectStatement:
@@ -41,10 +46,50 @@ def parse(sql: str) -> SelectStatement:
     return _Parser(tokenize(sql)).parse_select()
 
 
+#: Keywords that end a WHERE clause.
+_WHERE_END = frozenset(("GROUP", "ORDER", "LIMIT"))
+
+
+def statement_shape(sql: str) -> Tuple[str, Tuple[object, ...]]:
+    """The shape of *sql* and the values of its WHERE literals.
+
+    The shape is the token stream with every literal of the WHERE clause
+    replaced by its type (``?int``, ``?float`` or ``?str``), keywords and
+    identifiers case-folded as the parser folds them; whitespace and
+    comments are gone.  Literals elsewhere (SELECT, GROUP BY, ORDER BY,
+    LIMIT) stay in the shape, and so does each IN list's length.  The
+    values come in token order, which is the order :func:`parse` numbers
+    the same literals in (their ``slot``): two texts of one shape parse
+    to one statement up to the values in those slots.
+    """
+    parts = []
+    values = []
+    where = False
+    for kind, text, _ in lex(sql):
+        if kind is TokenType.KEYWORD:
+            if text == "WHERE":
+                where = True
+            elif text in _WHERE_END:
+                where = False
+        elif kind is TokenType.IDENT:
+            text = text.lower()
+        elif kind is TokenType.STRING or kind is TokenType.NUMBER:
+            value = text if kind is TokenType.STRING else _number(text)
+            if where:
+                values.append(value)
+                text = "?" + type(value).__name__
+            else:
+                text = repr(value)
+        parts.append(text)
+    return " ".join(parts), tuple(values)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        #: the next WHERE literal's slot (``None`` outside the WHERE clause)
+        self._slot: Optional[int] = None
 
     # -- token plumbing ------------------------------------------------------
 
@@ -79,6 +124,15 @@ class _Parser:
             return self._advance()
         return None
 
+    def _next_slot(self) -> Optional[int]:
+        """The slot of the literal token just consumed (see
+        :func:`statement_shape`): every NUMBER or STRING token of the
+        WHERE clause takes the next one."""
+        slot = self._slot
+        if slot is not None:
+            self._slot = slot + 1
+        return slot
+
     # -- grammar ------------------------------------------------------------
 
     def parse_select(self) -> SelectStatement:
@@ -96,7 +150,9 @@ class _Parser:
 
         where = None
         if self._accept_keyword("WHERE"):
+            self._slot = 0
             where = self._or_expr()
+            self._slot = None
 
         group_by: list[ColumnRef] = []
         order_by: list[OrderItem] = []
@@ -209,20 +265,24 @@ class _Parser:
         if token.is_keyword("LIKE"):
             self._advance()
             pattern = self._expect(TokenType.STRING).value
-            return Like(expr=left, pattern=pattern, negated=negated)
+            return Like(expr=left, pattern=pattern, negated=negated,
+                        slot=self._next_slot())
         return left
 
     def _literal(self) -> Literal:
         token = self._current
         if token.type == TokenType.STRING:
             self._advance()
-            return Literal(token.value)
+            return Literal(token.value, self._next_slot())
         if token.type == TokenType.NUMBER:
             self._advance()
-            return Literal(_number(token.value))
+            return Literal(_number(token.value), self._next_slot())
         if token.type == TokenType.OPERATOR and token.value == "-":
+            # a negated literal keeps no slot: its value is not the
+            # token's, so a plan holding it cannot take new values
             self._advance()
             num = self._expect(TokenType.NUMBER)
+            self._next_slot()
             return Literal(-_number(num.value))
         raise ParseError(f"expected literal, found {token.value!r}",
                          token.position)
@@ -252,7 +312,7 @@ class _Parser:
             self._advance()
             operand = self._unary()
             if isinstance(operand, Literal) and isinstance(operand.value, (int, float)):
-                return Literal(-operand.value)
+                return Literal(-operand.value)  # slotless, as in _literal
             return BinaryOp(op="-", left=Literal(0), right=operand)
         return self._primary()
 
@@ -265,10 +325,10 @@ class _Parser:
             return inner
         if token.type == TokenType.NUMBER:
             self._advance()
-            return Literal(_number(token.value))
+            return Literal(_number(token.value), self._next_slot())
         if token.type == TokenType.STRING:
             self._advance()
-            return Literal(token.value)
+            return Literal(token.value, self._next_slot())
         if token.is_keyword(*AGGREGATE_FUNCTIONS):
             func = self._advance().value
             self._expect(TokenType.LPAREN)

@@ -2,13 +2,17 @@
 
 Produces a flat token stream for the recursive-descent parser.  Keywords
 are case-insensitive; identifiers keep their original spelling but compare
-case-insensitively during binding.
+case-insensitively during binding.  One compiled master pattern does the
+lexing: each alternative is one token kind, tried in order at the current
+position, and the catch-all ``bad`` alternative turns any character no
+other kind accepts into a :class:`ParseError` at its position.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import Iterator, NamedTuple, Tuple
 
 from ..errors import ParseError
 
@@ -33,8 +37,7 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (for error messages)."""
 
     type: TokenType
@@ -45,91 +48,53 @@ class Token:
         return self.type == TokenType.KEYWORD and self.value in names
 
 
-_OPERATORS = ("<>", "!=", ">=", "<=", "=", "<", ">", "+", "-", "/", "%")
+#: The master pattern: one match per token, skipping the whitespace,
+#: ``--`` line comments and ``;`` before it.  A string runs to the first
+#: quote not followed by another (``''`` is an escaped quote inside it).
+#: Group names are :class:`TokenType` values where the kind maps one to
+#: one; ``\Z`` ends the text after trailing whitespace with no token.
+_TOKEN = re.compile(r"""
+    (?:\s+|--[^\n]*\n?|;)*
+    (?:(?P<string>'(?:[^']|'')*'(?!'))
+      | (?P<number>\d+(?:\.\d*)?|\.\d+)
+      | (?P<word>[^\W\d]\w*)
+      | (?P<operator><>|!=|[<>]=?|[=+\-/%])
+      | (?P<comma>,) | (?P<lparen>\() | (?P<rparen>\)) | (?P<dot>\.)
+      | (?P<star>\*)
+      | (?P<bad>.)
+      | \Z)
+""", re.VERBOSE | re.DOTALL)
+
+_TYPES = {kind.value: kind for kind in TokenType}
+
+
+def lex(sql: str) -> Iterator[Tuple[TokenType, str, int]]:
+    """The tokens of *sql* as ``(type, value, position)`` triples, no EOF
+    (:func:`tokenize` and the parser's statement shapes both read them)."""
+    for match in _TOKEN.finditer(sql):
+        kind = match.lastgroup
+        if kind is None:  # trailing whitespace or comments
+            continue
+        text = match[kind]
+        position = match.start(kind)
+        if kind == "word":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                yield TokenType.KEYWORD, upper, position
+            else:
+                yield TokenType.IDENT, text, position
+        elif kind == "string":
+            yield TokenType.STRING, text[1:-1].replace("''", "'"), position
+        elif kind == "bad":
+            if text == "'":
+                raise ParseError("unterminated string literal", position)
+            raise ParseError(f"unexpected character {text!r}", position)
+        else:
+            yield _TYPES[kind], "<>" if text == "!=" else text, position
 
 
 def tokenize(sql: str) -> list[Token]:
     """Convert *sql* into a token list ending with an EOF token."""
-    tokens: list[Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and sql[i : i + 2] == "--":  # line comment
-            nl = sql.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if ch == "'":
-            end = sql.find("'", i + 1)
-            # support '' escaping inside string literals
-            literal = []
-            j = i + 1
-            while True:
-                end = sql.find("'", j)
-                if end < 0:
-                    raise ParseError("unterminated string literal", i)
-                literal.append(sql[j:end])
-                if sql[end : end + 2] == "''":
-                    literal.append("'")
-                    j = end + 2
-                    continue
-                break
-            tokens.append(Token(TokenType.STRING, "".join(literal), i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (sql[j].isdigit() or (sql[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or sql[j] == "."
-                j += 1
-            tokens.append(Token(TokenType.NUMBER, sql[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            word = sql[i:j]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, i))
-            else:
-                tokens.append(Token(TokenType.IDENT, word, i))
-            i = j
-            continue
-        if ch == ",":
-            tokens.append(Token(TokenType.COMMA, ",", i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token(TokenType.LPAREN, "(", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token(TokenType.RPAREN, ")", i))
-            i += 1
-            continue
-        if ch == ".":
-            tokens.append(Token(TokenType.DOT, ".", i))
-            i += 1
-            continue
-        if ch == "*":
-            tokens.append(Token(TokenType.STAR, "*", i))
-            i += 1
-            continue
-        if ch == ";":
-            i += 1
-            continue
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                value = "<>" if op == "!=" else op
-                tokens.append(Token(TokenType.OPERATOR, value, i))
-                i += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenType.EOF, "", n))
+    tokens = list(map(Token._make, lex(sql)))
+    tokens.append(Token(TokenType.EOF, "", len(sql)))
     return tokens

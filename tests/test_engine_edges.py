@@ -189,3 +189,38 @@ class TestFailureInjection:
         with pytest.raises(Exception):
             AStoreEngine(tiny_star).query(
                 "SELECT sum(c_nation) AS s FROM lineorder, customer")
+
+
+def rows_per_value(result):
+    """The per-value conversion ``QueryResult.rows`` replaced: the
+    reference the column-at-a-time one must equal, types included."""
+    arrays = [result.columns[name] for name in result.column_order]
+    return [tuple(a[i].item() if hasattr(a[i], "item") else a[i]
+                  for a in arrays) for i in range(len(result))]
+
+
+class TestResultRows:
+    def test_rows_match_the_per_value_conversion(self):
+        from repro.engine.result import ExecutionStats, QueryResult
+
+        columns = {
+            "i8": np.array([1, -2, 3], dtype=np.int8),
+            "i32": np.array([7, 8, 2**31 - 1], dtype=np.int32),
+            "i64": np.array([2**53 + 1, 0, -5], dtype=np.int64),
+            "f64": np.array([0.5, np.nan, -1e300]),
+            "str": np.array(["ASIA", "", "it's"]),
+            "obj": np.array([np.int64(4), "x", np.float64(2.5)],
+                            dtype=object),
+        }
+        result = QueryResult(list(columns), columns, ExecutionStats())
+        expected = rows_per_value(result)
+        got = result.rows()
+        assert len(got) == len(expected) == 3
+        for row, want in zip(got, expected):
+            assert [type(v) for v in row] == [type(v) for v in want]
+            assert repr(row) == repr(want)  # nan compares by its repr
+        empty = QueryResult(list(columns), {
+            name: values[:0] for name, values in columns.items()},
+            ExecutionStats())
+        assert empty.rows() == rows_per_value(empty) == []
+        assert QueryResult([], {}, ExecutionStats()).rows() == []

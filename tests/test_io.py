@@ -298,6 +298,35 @@ class TestMappedImage:
         assert 999 not in load_database(path).table(
             "lineorder")["lo_revenue"].values()
 
+    def test_saved_database_adopts_its_file(self, tmp_path):
+        """Saving swaps the database's fixed-width buffers for read-only
+        views of the file it wrote; a write copies the buffer it
+        touches first and never reaches the file."""
+        path = tmp_path / "t.img"
+        db = build_tiny_star()
+        lo = db.table("lineorder")
+        before = {name: lo[name].values().copy() for name in lo.column_names}
+        engine = AStoreEngine(db)
+        sql = ("SELECT d_year, sum(lo_revenue) AS r FROM lineorder, date "
+               "GROUP BY d_year ORDER BY d_year")
+        expected = engine.query(sql).rows()
+        stamp = lo.mutation_count
+        save_database(db, path)
+        revenue = lo["lo_revenue"].values()
+        assert isinstance(_mapping_of(revenue), mmap.mmap)
+        assert not revenue.flags.writeable
+        assert lo.mutation_count == stamp  # a storage swap, not a write
+        for name, values in before.items():
+            assert np.array_equal(lo[name].values(), values), name
+        assert engine.query(sql).stats.cache_events.get("plan_hits") == 1
+        assert engine.query(sql).rows() == expected
+        image = path.read_bytes()
+        lo.update([0], {"lo_revenue": [999]})
+        assert lo["lo_revenue"].get(0) == 999
+        assert path.read_bytes() == image
+        assert load_database(path).table(
+            "lineorder")["lo_revenue"].get(0) == before["lo_revenue"][0]
+
     def test_load_reads_no_row_data(self, tmp_path, ssb_air):
         # an MVCC table too: its version vectors are mapped, not
         # allocated and then replaced

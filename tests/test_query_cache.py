@@ -23,7 +23,6 @@ from repro.engine.cache import (
     QueryCache,
     parse_cached,
     query_cache_for,
-    query_fingerprint,
     table_stamps,
 )
 from repro.engine.scratch import MAX_POOLED_ELEMENTS, ScratchPool, local_pool
@@ -78,24 +77,27 @@ class TestCacheOnOffDifferential:
 
     def test_leaf_tier_shared_across_query_family(self, ssb_air):
         """Q2.1/Q2.2/Q2.3 differ in their part predicate but share the
-        supplier slice — the second family member reuses it."""
+        supplier slice — the second family member reuses it, and its
+        shape's plan."""
         engine = fresh_engine(ssb_air)
         q21 = engine.query(SSB_QUERIES["Q2.1"])
         q21_events = dict(q21.stats.cache_events)
         sql_sibling = SSB_QUERIES["Q2.1"].replace("MFGR#12", "MFGR#22")
         sibling = engine.query(sql_sibling)
-        assert sibling.stats.cache_events.get("plan_misses") == 1
+        assert sibling.stats.cache_events.get("plan_rebinds") == 1
         assert sibling.stats.cache_events.get("leaf_hits", 0) >= 1
         assert q21_events.get("plan_misses", 0) <= 1
 
 
 class TestFingerprinting:
+    """The plan tier's key: a statement's shape plus its WHERE values."""
+
     def test_whitespace_and_case_collapse(self, ssb_air):
         engine = fresh_engine(ssb_air)
         a = engine.compile("SELECT d_year, count(*) AS n "
                            "FROM lineorder, date GROUP BY d_year")
-        b = engine.compile("select   d_year,\n count(*) AS n\n"
-                           "from lineorder, date group by d_year")
+        b = engine.compile("select   d_year,\n count(*) AS n -- years\n"
+                           "from LineOrder, date group by D_YEAR;")
         assert a is b  # same bound-plan object: the plan tier hit
         assert b.cache_events.get("plan_hits") == 1
 
@@ -106,16 +108,79 @@ class TestFingerprinting:
         assert column is not row
         assert row.scan == "row" and column.scan == "column"
 
-    def test_fingerprint_is_deterministic(self):
-        stmt = parse_cached("SELECT count(*) FROM lineorder")
-        assert (query_fingerprint(stmt, "tok")
-                == query_fingerprint(stmt, "tok"))
-        assert (query_fingerprint(stmt, "tok")
-                != query_fingerprint(stmt, "other"))
+    def test_fingerprint_is_deterministic(self, ssb_air):
+        sql = "SELECT count(*) AS n FROM lineorder WHERE lo_discount = 2"
+        serial = fresh_engine(ssb_air)
+        threaded = fresh_engine(ssb_air, parallel_backend="thread",
+                                workers=2)
+        # the backend is not compile-relevant; the variant is
+        assert serial.result_key(sql) == threaded.result_key(sql)
+        assert serial.result_key(sql) != AStoreEngine.variant(
+            ssb_air, "AIRScan_C_P").result_key(sql)
+        assert serial.result_key(sql) != serial.result_key(sql, snapshot=3)
+        assert serial.result_key(sql)[2] == (2,)
 
     def test_parse_memo_returns_same_statement(self):
         sql = "SELECT count(*) FROM lineorder"
         assert parse_cached(sql) is parse_cached(sql)
+
+    @pytest.mark.parametrize("first, second", [
+        # a different literal type is a different shape
+        ("lo_discount = 2", "lo_discount = 2.5"),
+        ("lo_discount = 2", "lo_discount = '2'"),
+        # so is an IN list of another length
+        ("lo_discount IN (1, 2)", "lo_discount IN (1, 2, 3)"),
+        # a negated literal has no slot: no template, compiled per text
+        ("lo_discount > -1", "lo_discount > -3"),
+    ])
+    def test_distinct_shapes_answer_exactly(self, ssb_air, first, second):
+        engine = fresh_engine(ssb_air, cache_results=True)
+        uncached = fresh_engine(ssb_air, use_cache=False)
+        sql = ("SELECT d_year, count(*) AS n FROM lineorder, date "
+               "WHERE {} GROUP BY d_year ORDER BY d_year")
+        for predicate in (first, second):
+            try:
+                expected = uncached.query(sql.format(predicate)).rows()
+            except Exception as exc:  # the same error, cached or not
+                with pytest.raises(type(exc)):
+                    engine.query(sql.format(predicate))
+                continue
+            got = engine.query(sql.format(predicate))
+            assert got.rows() == expected
+            assert got.stats.cache_events.get("plan_rebinds") is None
+
+    @pytest.mark.parametrize("first, second", [
+        # LIMIT, SELECT-list and ORDER BY literals stay in the shape
+        ("SELECT d_year, count(*) AS n FROM lineorder, date "
+         "GROUP BY d_year ORDER BY n DESC LIMIT 2",
+         "SELECT d_year, count(*) AS n FROM lineorder, date "
+         "GROUP BY d_year ORDER BY n DESC LIMIT 3"),
+        ("SELECT d_year, sum(lo_revenue + 1) AS r FROM lineorder, date "
+         "GROUP BY d_year ORDER BY d_year",
+         "SELECT d_year, sum(lo_revenue + 2) AS r FROM lineorder, date "
+         "GROUP BY d_year ORDER BY d_year"),
+    ])
+    def test_literals_outside_where_stay_in_the_shape(self, ssb_air, first,
+                                                      second):
+        engine = fresh_engine(ssb_air, cache_results=True)
+        uncached = fresh_engine(ssb_air, use_cache=False)
+        assert engine.result_key(first)[1] != engine.result_key(second)[1]
+        for sql in (first, second):
+            got = engine.query(sql)
+            assert got.rows() == uncached.query(sql).rows()
+            assert got.stats.cache_events.get("plan_misses") == 1
+
+    def test_quoted_literal_round_trips(self, ssb_air):
+        engine = fresh_engine(ssb_air, cache_results=True)
+        uncached = fresh_engine(ssb_air, use_cache=False)
+        sql = ("SELECT count(*) AS n FROM lineorder, customer "
+               "WHERE lo_custkey = c_custkey AND c_region = '{}'")
+        engine.query(sql.format("ASIA"))
+        quoted = sql.format("AS''IA")
+        assert engine.result_key(quoted)[2] == ("AS'IA",)
+        got = engine.query(quoted)
+        assert got.stats.cache_events.get("plan_rebinds") == 1
+        assert got.rows() == uncached.query(quoted).rows() == [(0,)]
 
     def test_compiled_plan_with_cache_key_pickles(self, ssb_air):
         import pickle
@@ -441,3 +506,106 @@ class TestQpsHarness:
         assert warm.stats.cache_events.get("plan_hits") == 1
         assert warm.stats.leaf_seconds <= max(cold.stats.leaf_seconds,
                                               1e-3)
+
+
+#: ``serve_adhoc``'s seven ad-hoc templates (benchmarks/e2e/workloads.py)
+#: with a very selective and a broad literal set each: a plan compiled
+#: for one set must answer the other exactly when its values are bound in
+ADHOC_SHAPES = {
+    "q1_year_band": (
+        "SELECT sum(lo_extendedprice * lo_discount) AS revenue "
+        "FROM lineorder, date WHERE lo_orderdate = d_datekey "
+        "AND d_year = {} AND lo_discount BETWEEN {} AND {} "
+        "AND lo_quantity < {}",
+        (1998, 9, 11, 3), (1993, 0, 8, 35)),
+    "q2_category": (
+        "SELECT sum(lo_revenue) AS revenue, d_year, p_brand1 "
+        "FROM lineorder, date, part, supplier "
+        "WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey "
+        "AND lo_suppkey = s_suppkey AND p_category = '{}' "
+        "AND s_region = '{}' GROUP BY d_year, p_brand1 "
+        "ORDER BY d_year, p_brand1",
+        ("MFGR#99", "ASIA"), ("MFGR#12", "AMERICA")),
+    "q2_brand_range": (
+        "SELECT sum(lo_revenue) AS revenue, d_year, p_brand1 "
+        "FROM lineorder, date, part, supplier "
+        "WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey "
+        "AND lo_suppkey = s_suppkey AND p_brand1 BETWEEN '{}' AND '{}' "
+        "AND s_region = '{}' GROUP BY d_year, p_brand1 "
+        "ORDER BY d_year, p_brand1",
+        ("MFGR#2221", "MFGR#2221", "EUROPE"),
+        ("MFGR#1101", "MFGR#5540", "ASIA")),
+    "q3_regions": (
+        "SELECT c_nation, s_nation, d_year, sum(lo_revenue) AS revenue "
+        "FROM customer, lineorder, supplier, date "
+        "WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey "
+        "AND lo_orderdate = d_datekey AND c_region = '{}' "
+        "AND s_region = '{}' AND d_year >= {} AND d_year <= {} "
+        "GROUP BY c_nation, s_nation, d_year "
+        "ORDER BY d_year ASC, revenue DESC",
+        ("ASIA", "EUROPE", 1997, 1997), ("AMERICA", "AMERICA", 1992, 1998)),
+    "q3_nations": (
+        "SELECT c_city, s_city, d_year, sum(lo_revenue) AS revenue "
+        "FROM customer, lineorder, supplier, date "
+        "WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey "
+        "AND lo_orderdate = d_datekey AND c_nation = '{}' "
+        "AND s_nation = '{}' AND d_year >= {} AND d_year <= {} "
+        "GROUP BY c_city, s_city, d_year "
+        "ORDER BY d_year ASC, revenue DESC",
+        ("JAPAN", "KENYA", 1996, 1996), ("CHINA", "INDIA", 1992, 1998)),
+    "q4_regions": (
+        "SELECT d_year, c_nation, sum(lo_revenue - lo_supplycost) AS profit "
+        "FROM date, customer, supplier, part, lineorder "
+        "WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey "
+        "AND lo_partkey = p_partkey AND lo_orderdate = d_datekey "
+        "AND c_region = '{}' AND s_region = '{}' "
+        "AND p_mfgr IN ('{}', '{}') GROUP BY d_year, c_nation "
+        "ORDER BY d_year, c_nation",
+        ("AFRICA", "EUROPE", "MFGR#5", "MFGR#5"),
+        ("AMERICA", "ASIA", "MFGR#1", "MFGR#2")),
+    "q4_category": (
+        "SELECT d_year, s_city, p_brand1, "
+        "sum(lo_revenue - lo_supplycost) AS profit "
+        "FROM date, customer, supplier, part, lineorder "
+        "WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey "
+        "AND lo_partkey = p_partkey AND lo_orderdate = d_datekey "
+        "AND c_region = '{}' AND s_nation = '{}' AND d_year IN ({}, {}) "
+        "AND p_category = '{}' GROUP BY d_year, s_city, p_brand1 "
+        "ORDER BY d_year, s_city, p_brand1",
+        ("MIDDLE EAST", "PERU", 1998, 1998, "MFGR#55"),
+        ("EUROPE", "BRAZIL", 1993, 1994, "MFGR#35")),
+}
+
+
+class TestTwoLiteralSets:
+    """Two literal sets of one shape back to back through one cached
+    engine: the second binds its values into the first's plan, and its
+    answer, on serial and on 2 process shards, is an uncached engine's.
+    The two sets' answers differ, so a shape hit that kept the first
+    set's leaf products or its result-tier key would answer wrongly."""
+
+    @pytest.mark.parametrize("shape", list(ADHOC_SHAPES))
+    def test_selective_then_broad_and_back(self, ssb_air, shape):
+        template, selective, broad = ADHOC_SHAPES[shape]
+        texts = [template.format(*values) for values in (selective, broad)]
+        uncached = fresh_engine(ssb_air, use_cache=False)
+        expected = [uncached.query(sql).rows() for sql in texts]
+        assert expected[0] != expected[1]
+        serial = fresh_engine(ssb_air, cache_results=True)
+        sharded = fresh_engine(ssb_air, cache_results=True,
+                               parallel_backend="process", workers=2)
+        # each order compiles the shape for its first set; the serial
+        # engine binds the second set first in one, the shards in the other
+        for order, engines in (((0, 1), (serial, sharded)),
+                               ((1, 0), (sharded, serial))):
+            serial.cache.clear()
+            for position, i in enumerate(order):
+                for engine in engines:
+                    got = engine.query(texts[i])
+                    assert got.rows() == expected[i], (shape, i, engine)
+                events = engines[0].query(texts[i]).stats.cache_events
+                assert events == {"result_hits": 1}
+                if position:
+                    assert engines[0].cache.get(
+                        "plan", engines[0].result_key(texts[i]),
+                        ssb_air).cache_events.get("plan_rebinds") == 1

@@ -751,3 +751,21 @@ class TestOverloadFrontDoor:
             assert server.shed == 1
 
         asyncio.run(main())
+
+
+def test_serving_layer_loads_on_first_use():
+    """``repro.engine`` leaves asyncio unimported until a serving name is
+    first used; ``from repro.engine import AsyncEngine`` still works."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import sys, repro, repro.engine\n"
+              "assert 'asyncio' not in sys.modules\n"
+              "from repro.engine import AsyncEngine, serve_tcp\n"
+              "assert 'asyncio' in sys.modules\n"
+              "assert AsyncEngine.__module__ == 'repro.engine.serve'\n")
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)

@@ -18,9 +18,12 @@ from repro.sqlparser import (
     column_refs,
     has_aggregate,
     parse,
+    statement_shape,
     tokenize,
     TokenType,
+    walk,
 )
+from repro.workloads import SSB_QUERIES
 
 
 class TestTokenizer:
@@ -204,3 +207,76 @@ class TestPaperQueries:
         assert has_aggregate(stmt.items[0].expr)
         refs = column_refs(stmt.items[0].expr)
         assert {r.name for r in refs} == {"a", "b"}
+
+
+class TestStatementShape:
+    """A statement's shape: its tokens with the WHERE literals lifted."""
+
+    def test_whitespace_case_and_comments_collapse(self):
+        a = statement_shape(
+            "SELECT d_year, count(*) AS n FROM lineorder, date "
+            "WHERE d_year = 1993 GROUP BY d_year")
+        b = statement_shape(
+            "select  D_Year,count(*) as N -- per year\n from LINEORDER ,"
+            "\tdate where d_year=1993 group by d_year;")
+        assert a == b
+        assert a[1] == (1993,)
+
+    def test_where_literals_lift_in_order(self):
+        shape, values = statement_shape(
+            "SELECT a FROM t WHERE b BETWEEN 1 AND 2.5 AND c IN ('x', 'y') "
+            "AND d LIKE 'M%'")
+        assert values == (1, 2.5, "x", "y", "M%")
+        assert shape == ("SELECT a FROM t WHERE b BETWEEN ?int AND ?float "
+                         "AND c IN ( ?str , ?str ) AND d LIKE ?str")
+
+    @pytest.mark.parametrize("first, second", [
+        ("WHERE a = 5", "WHERE a = 5.0"),                 # literal type
+        ("WHERE a = 5", "WHERE a = '5'"),
+        ("WHERE a IN (1, 2)", "WHERE a IN (1, 2, 3)"),    # IN-list length
+        ("WHERE a = 1 LIMIT 3", "WHERE a = 1 LIMIT 4"),   # LIMIT value
+        ("WHERE a = 1 ORDER BY a", "WHERE a = 1 ORDER BY b"),
+    ])
+    def test_shapes_that_differ(self, first, second):
+        assert (statement_shape(f"SELECT a FROM t {first}")[0]
+                != statement_shape(f"SELECT a FROM t {second}")[0])
+
+    def test_select_literals_stay_in_the_shape(self):
+        a = statement_shape("SELECT sum(x + 1) FROM t WHERE y = 2")
+        b = statement_shape("SELECT sum(x + 2) FROM t WHERE y = 2")
+        assert a[0] != b[0] and a[1] == b[1] == (2,)
+
+    def test_quote_escapes_round_trip(self):
+        sql = "SELECT a FROM t WHERE s = 'it''s' AND u = ''''"
+        assert statement_shape(sql)[1] == ("it's", "'")
+        where = parse(sql).where
+        assert [term.right.value for term in where.terms] == ["it's", "'"]
+
+    @pytest.mark.parametrize("query_id", list(SSB_QUERIES))
+    def test_parser_slots_number_the_shape_values(self, query_id):
+        sql = SSB_QUERIES[query_id]
+        values = statement_shape(sql)[1]
+        slots = {}
+        for node in walk(parse(sql).where):
+            if isinstance(node, Literal) and node.slot is not None:
+                slots[node.slot] = node.value
+            elif isinstance(node, Like) and node.slot is not None:
+                slots[node.slot] = node.pattern
+        assert values and slots == dict(enumerate(values))
+
+    def test_negated_literal_takes_no_slot(self):
+        stmt = parse("SELECT a FROM t WHERE a > -5 AND b = 3")
+        lhs, rhs = stmt.where.terms
+        assert lhs.right == Literal(-5) and lhs.right.slot is None
+        assert rhs.right.slot == 1  # numbering follows the tokens
+
+    @pytest.mark.parametrize("sql, position", [
+        ("select @", 7),
+        ("select 'oops", 7),
+        ("select a from t where s = 'a''", 26),
+        ("select a from t where x = 1 !", 28),
+    ])
+    def test_parse_error_positions(self, sql, position):
+        with pytest.raises(ParseError) as caught:
+            parse(sql)
+        assert caught.value.position == position
